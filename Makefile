@@ -18,7 +18,7 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The eantlint multichecker: rngonly, noclock, maporder, floatsum,
-# statsmut, hotclosure, hotalloc, resetstate, ptrretain —
+# statsmut, hotalloc, resetstate, ptrretain —
 # interprocedural since the call-graph layer landed, so the whole
 # module is analyzed as one unit.
 # Known debt lives in lint.baseline; new findings exit non-zero with

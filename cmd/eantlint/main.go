@@ -1,6 +1,6 @@
 // Command eantlint is the project's multichecker: it runs the
 // internal/analysis suite — rngonly, noclock, maporder, floatsum,
-// statsmut, hotclosure, hotalloc, resetstate — over the module and
+// statsmut, hotalloc, resetstate, ptrretain — over the module and
 // reports violations of the simulator's determinism and hot-path
 // contracts.
 //

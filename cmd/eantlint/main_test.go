@@ -47,9 +47,20 @@ func TestAnalyzersFlagListsSuite(t *testing.T) {
 	if code := run([]string{"-analyzers"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	for _, name := range []string{"rngonly", "noclock", "maporder", "floatsum", "statsmut", "hotclosure", "hotalloc", "resetstate"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-analyzers output missing %s:\n%s", name, out.String())
+	listed := map[string]bool{}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	for _, line := range lines {
+		if fields := strings.Fields(line); len(fields) > 0 {
+			listed[fields[0]] = true
+		}
+	}
+	all := analysis.All()
+	if len(lines) != len(all) {
+		t.Errorf("-analyzers printed %d lines for %d analyzers:\n%s", len(lines), len(all), out.String())
+	}
+	for _, a := range all {
+		if !listed[a.Name] {
+			t.Errorf("-analyzers output missing %s:\n%s", a.Name, out.String())
 		}
 	}
 }

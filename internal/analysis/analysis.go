@@ -2,18 +2,17 @@
 // analyzers that machine-check the determinism and hot-path contracts the
 // reproduction depends on (seeded runs must be bit-identical, the virtual
 // clock is the only clock, the PR-3 incremental aggregates must never
-// desynchronize from ground truth, the hot event paths must schedule
-// through typed kinds rather than per-event closures, warm-run Reset
-// paths must account for every field of the structs they reuse, and
-// functions on the engine inner loop must not allocate).
+// desynchronize from ground truth, warm-run Reset paths must account for
+// every field of the structs they reuse, functions on the engine inner
+// loop must not allocate, and no field may retain a pointer into a slice
+// element).
 //
 // Since PR 9 the suite is interprocedural: a Module bundles every loaded
 // package with a whole-program call graph (callgraph.go) and per-function
 // facts computed by fixpoint (facts.go, reach.go) — "nondeterministic"
 // taint flowing callee→caller and "hot" reachability flowing from the
 // engine inner loop caller→callee. noclock/rngonly flag the call site
-// that imports a taint from an unchecked package, hotclosure follows the
-// hot fact beyond its two hard-coded packages, and hotalloc flags
+// that imports a taint from an unchecked package, and hotalloc flags
 // allocating constructs in any hot function.
 //
 // The framework deliberately mirrors the core shapes of
@@ -200,5 +199,5 @@ func sortDiags(diags []Diagnostic) {
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotClosure, HotAlloc, ResetState, PtrRetain}
+	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc, ResetState, PtrRetain}
 }

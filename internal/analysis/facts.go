@@ -18,7 +18,7 @@ import (
 //     tainted function taints you.
 //   - Hot: the function is transitively reachable from the engine inner
 //     loop — sim.Engine.RunUntil, the typed-kind dispatch table (every
-//     function value handed to Engine.RegisterKind/Schedule/Every), the
+//     function value handed to Engine.RegisterKind), the
 //     driver heartbeat/control-tick handlers, and the E-Ant offer/draw
 //     path. Hot propagates caller→callee: everything a hot function calls
 //     runs on the hot path.

@@ -10,17 +10,14 @@ import (
 // This file defines the hot frontier — which functions count as "inside
 // the engine inner loop" — and the forward reachability pass that marks
 // everything they transitively call as hot. DESIGN.md §16 documents the
-// frontier; hotalloc and hotclosure consume the resulting fact.
+// frontier; hotalloc consumes the resulting fact.
 
 // engineSchedulers are the sim.Engine methods whose function-valued
-// arguments execute inside the engine loop: the typed-kind jump table and
-// the closure scheduling API. Every function value handed to one becomes a
-// hot root, no matter how cold the code that registered it.
+// arguments execute inside the engine loop: the typed-kind jump table.
+// Every function value handed to one becomes a hot root, no matter how
+// cold the code that registered it.
 var engineSchedulers = map[string]bool{
-	"RegisterKind":  true,
-	"Schedule":      true,
-	"ScheduleAfter": true,
-	"Every":         true,
+	"RegisterKind": true,
 }
 
 // simEnginePath/simEngineType identify the engine type for root
@@ -31,8 +28,8 @@ const (
 )
 
 // hotFrontier names the functions that ARE the engine inner loop, matched
-// by (package path, receiver, name). The dispatch-table and closure roots
-// are discovered syntactically (see engineSchedulers); these are the named
+// by (package path, receiver, name). The dispatch-table roots are
+// discovered syntactically (see engineSchedulers); these are the named
 // anchors from DESIGN.md §16's frontier definition.
 var hotFrontier = []struct {
 	pkg, recv, name string
@@ -71,8 +68,7 @@ func (g *CallGraph) markHot() {
 		}
 	}
 
-	// Dispatch-table and closure roots: function values passed to the
-	// engine's scheduling methods.
+	// Dispatch-table roots: function values registered with the engine.
 	for _, n := range g.Nodes {
 		if n.Body == nil {
 			continue

@@ -25,8 +25,6 @@ var fixtures = []struct {
 	{"floatsum_eq", analysis.FloatSum},
 	{"statsmut_driver", analysis.StatsMut},
 	{"statsmut_sched", analysis.StatsMut},
-	{"hotclosure_driver", analysis.HotClosure},
-	{"hotclosure_hotfn", analysis.HotClosure},
 	{"hotalloc_hot", analysis.HotAlloc},
 	{"resetstate", analysis.ResetState},
 	{"ptrretain", analysis.PtrRetain},
@@ -65,8 +63,8 @@ func TestSuiteComplete(t *testing.T) {
 		covered[f.analyzer.Name] = true
 	}
 	all := analysis.All()
-	if len(all) != 9 {
-		t.Fatalf("All() has %d analyzers, want 9", len(all))
+	if len(all) != 8 {
+		t.Fatalf("All() has %d analyzers, want 8", len(all))
 	}
 	for _, a := range all {
 		if !covered[a.Name] {

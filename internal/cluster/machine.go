@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 )
 
 // TypeSpec describes one hardware generation. SpeedFactor is the per-core
@@ -70,6 +71,9 @@ func (s *TypeSpec) Validate() error {
 		return fmt.Errorf("cluster: spec %q has negative power coefficients", s.Name)
 	case s.MapSlots <= 0 || s.ReduceSlots < 0:
 		return fmt.Errorf("cluster: spec %q has invalid slot counts", s.Name)
+	case s.MapSlots > math.MaxInt16 || s.ReduceSlots > math.MaxInt16:
+		// The per-machine slot columns are int16 (state.go).
+		return fmt.Errorf("cluster: spec %q has more than %d map or reduce slots", s.Name, math.MaxInt16)
 	}
 	return nil
 }

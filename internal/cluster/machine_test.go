@@ -36,6 +36,33 @@ func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecValidateSlotLimit pins the slot-count bound at its edge: the
+// per-machine slot columns are int16, so one more slot than MaxInt16 must
+// be rejected rather than wrap.
+func TestSpecValidateSlotLimit(t *testing.T) {
+	base := TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1, MapSlots: 1, ReduceSlots: 1}
+	tests := []struct {
+		name        string
+		mapSlots    int
+		reduceSlots int
+		ok          bool
+	}{
+		{"map at limit", math.MaxInt16, 1, true},
+		{"map past limit", math.MaxInt16 + 1, 1, false},
+		{"reduce at limit", 1, math.MaxInt16, true},
+		{"reduce past limit", 1, math.MaxInt16 + 1, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			spec := base
+			spec.MapSlots, spec.ReduceSlots = tt.mapSlots, tt.reduceSlots
+			if err := spec.Validate(); (err == nil) != tt.ok {
+				t.Errorf("Validate(map=%d, reduce=%d) = %v, want ok=%v", tt.mapSlots, tt.reduceSlots, err, tt.ok)
+			}
+		})
+	}
+}
+
 func TestPowerAtClampsUtilization(t *testing.T) {
 	s := SpecDesktop
 	if got := s.PowerAt(-0.5); got != s.IdleWatts {

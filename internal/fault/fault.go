@@ -1,5 +1,7 @@
-// Package fault injects machine crashes and task-attempt failures into a
+// Package fault models machine crashes and task-attempt failures for a
 // simulated cluster run, deterministically from the run's seeded RNG tree.
+// Like noise.Model it is a pure model: it answers draws, and the driver
+// owns every event the fault process schedules.
 //
 // Two failure sources are modeled, matching how Hadoop 1.x clusters fail in
 // practice:
@@ -24,7 +26,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"eant/internal/sim"
@@ -137,16 +138,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Hooks are the driver callbacks the injector fires. Crash and Recover
-// receive the machine ID; both must tolerate redundant calls (crashing a
-// dead machine, recovering a live one).
-type Hooks struct {
-	Crash   func(machineID int)
-	Recover func(machineID int)
-}
-
-// Injector schedules fault events on a sim engine and answers per-attempt
-// failure draws. All randomness comes from the injector's own RNG stream.
+// Injector answers the fault draws of one run: crash-process phase spans
+// and per-attempt failures. All randomness comes from the injector's own
+// RNG stream.
 type Injector struct {
 	cfg Config
 	rng *sim.RNG
@@ -192,58 +186,14 @@ func (in *Injector) Enabled() bool { return in.cfg.Enabled() }
 // one timestamp).
 const minPhase = time.Second
 
-// Start registers the crash/recover process for machines [0, machines) on
-// the engine. Stochastic crashes draw first-crash times in machine-ID
-// order, so the event sequence is a pure function of the fault stream.
-// Scripted events are scheduled afterwards, sorted by (time, position), and
-// override nothing: they simply fire alongside the stochastic process.
-func (in *Injector) Start(engine *sim.Engine, machines int, hooks Hooks) {
-	if !in.cfg.Enabled() {
-		return
-	}
-	if hooks.Crash == nil || hooks.Recover == nil {
-		panic("fault: Start with nil hooks")
-	}
-	if in.cfg.MachineMTBF > 0 {
-		for id := 0; id < machines; id++ {
-			id := id
-			in.scheduleCrash(engine, id, hooks)
-		}
-	}
-	scripted := append([]Event(nil), in.cfg.Scenario...)
-	sort.SliceStable(scripted, func(i, j int) bool { return scripted[i].At < scripted[j].At })
-	for _, ev := range scripted {
-		if ev.Machine >= machines {
-			continue
-		}
-		ev := ev
-		engine.Schedule(ev.At, func() {
-			if ev.Kind == Crash {
-				hooks.Crash(ev.Machine)
-			} else {
-				hooks.Recover(ev.Machine)
-			}
-		})
-	}
-}
+// UpPhase draws one machine's next up-time span (mean MachineMTBF). The
+// driver draws first-crash times in machine-ID order, then one phase per
+// crash or recovery as the chain unfolds, so the crash timeline is a pure
+// function of the fault stream.
+func (in *Injector) UpPhase() time.Duration { return in.phase(in.cfg.MachineMTBF) }
 
-// scheduleCrash arms machine id's next stochastic crash; on firing, the
-// crash hook runs and recovery is armed, which in turn re-arms the next
-// crash. The chain draws lazily, one phase per event, so runs of any
-// length stay O(live events).
-func (in *Injector) scheduleCrash(engine *sim.Engine, id int, hooks Hooks) {
-	up := in.phase(in.cfg.MachineMTBF)
-	//eant:alloc-ok one live closure per machine at MTBF timescale, not per event
-	engine.ScheduleAfter(up, func() { //eant:closure-ok one live closure per machine at MTBF timescale, not per event
-		hooks.Crash(id)
-		down := in.phase(in.cfg.MachineMTTR)
-		//eant:alloc-ok one live closure per machine at MTTR timescale, not per event
-		engine.ScheduleAfter(down, func() { //eant:closure-ok one live closure per machine at MTTR timescale, not per event
-			hooks.Recover(id)
-			in.scheduleCrash(engine, id, hooks)
-		})
-	})
-}
+// DownPhase draws one crashed machine's repair span (mean MachineMTTR).
+func (in *Injector) DownPhase() time.Duration { return in.phase(in.cfg.MachineMTTR) }
 
 // phase draws one exponential up/down span with the given mean, floored.
 func (in *Injector) phase(mean time.Duration) time.Duration {

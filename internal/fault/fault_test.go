@@ -120,17 +120,13 @@ func TestNewInjectorRejectsBadInput(t *testing.T) {
 
 func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 	// The no-op guarantee: with faults disabled, AttemptFails must not
-	// advance the stream (enabling the fault fork must never perturb
-	// runs that share the parent seed), and Start must schedule nothing.
+	// advance the stream (enabling the fault fork must never perturb runs
+	// that share the parent seed).
 	rng := sim.NewRNG(42)
 	inj, err := NewInjector(Config{}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine()
-	fired := 0
-	count := func(int) { fired++ }
-	inj.Start(engine, 8, Hooks{Crash: count, Recover: count})
 	for i := 0; i < 10; i++ {
 		if inj.AttemptFails() {
 			t.Fatal("disabled injector reported an attempt failure")
@@ -141,84 +137,48 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 	if got != want {
 		t.Errorf("disabled injector consumed RNG state: %v != %v", got, want)
 	}
-	if err := engine.RunUntil(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Errorf("disabled injector fired %d events", fired)
-	}
 }
 
-func TestStartPanicsOnNilHooksWhenEnabled(t *testing.T) {
-	inj, err := NewInjector(Config{MachineMTBF: time.Minute}, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("enabled Start with nil hooks did not panic")
-		}
-	}()
-	inj.Start(sim.NewEngine(), 4, Hooks{})
-}
-
-// timeline runs the injector on a fresh engine and records every hook
-// firing as (now, machine, kind) triples.
-func timeline(t *testing.T, cfg Config, seed int64, machines int, horizon time.Duration) []Event {
+// phases draws n alternating up/down spans from a fresh injector — one
+// machine's crash/recover chain.
+func phases(t *testing.T, cfg Config, seed int64, n int) []time.Duration {
 	t.Helper()
 	inj, err := NewInjector(cfg, sim.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine()
-	var events []Event
-	inj.Start(engine, machines, Hooks{
-		Crash:   func(id int) { events = append(events, Event{engine.Now(), id, Crash}) },
-		Recover: func(id int) { events = append(events, Event{engine.Now(), id, Recover}) },
-	})
-	if err := engine.RunUntil(horizon); err != nil {
-		t.Fatal(err)
+	spans := make([]time.Duration, n)
+	for i := range spans {
+		if i%2 == 0 {
+			spans[i] = inj.UpPhase()
+		} else {
+			spans[i] = inj.DownPhase()
+		}
 	}
-	return events
+	return spans
 }
 
 func TestStochasticTimelineIsDeterministic(t *testing.T) {
 	cfg := Config{MachineMTBF: 10 * time.Minute, MachineMTTR: 2 * time.Minute}
-	a := timeline(t, cfg, 7, 6, 4*time.Hour)
-	b := timeline(t, cfg, 7, 6, 4*time.Hour)
-	if len(a) == 0 {
-		t.Fatal("4h at 10m MTBF produced no crashes")
+	a := phases(t, cfg, 7, 200)
+	if !reflect.DeepEqual(a, phases(t, cfg, 7, 200)) {
+		t.Error("same seed drew different phases")
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed diverged: %d vs %d events", len(a), len(b))
+	if reflect.DeepEqual(a, phases(t, cfg, 8, 200)) {
+		t.Error("different seeds drew identical phases")
 	}
-	c := timeline(t, cfg, 8, 6, 4*time.Hour)
-	if reflect.DeepEqual(a, c) {
-		t.Error("different seeds produced identical timelines")
-	}
-	// Per machine the process must alternate crash, recover, crash, ...
-	last := map[int]EventKind{}
-	for _, ev := range a {
-		if prev, seen := last[ev.Machine]; seen && prev == ev.Kind {
-			t.Fatalf("machine %d fired %v twice in a row", ev.Machine, ev.Kind)
+	// Up spans follow MTBF and down spans MTTR: the sample means must order
+	// the same way as the configured means.
+	var up, down time.Duration
+	for i, d := range a {
+		if i%2 == 0 {
+			up += d
+		} else {
+			down += d
 		}
-		last[ev.Machine] = ev.Kind
 	}
-}
-
-func TestScriptedEventsFireInOrderAndSkipOutOfRange(t *testing.T) {
-	cfg := Config{Scenario: []Event{
-		{At: 3 * time.Minute, Machine: 1, Kind: Recover},
-		{At: time.Minute, Machine: 1, Kind: Crash},
-		{At: 2 * time.Minute, Machine: 99, Kind: Crash}, // beyond the fleet
-	}}
-	got := timeline(t, cfg, 1, 4, time.Hour)
-	want := []Event{
-		{time.Minute, 1, Crash},
-		{3 * time.Minute, 1, Recover},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("scripted timeline = %v, want %v", got, want)
+	if up <= down {
+		t.Errorf("total up time %v not above total down time %v at MTBF 10m, MTTR 2m", up, down)
 	}
 }
 
@@ -230,8 +190,11 @@ func TestPhaseFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if d := inj.phase(inj.cfg.MachineMTBF); d < minPhase {
-			t.Fatalf("phase %v below floor %v", d, minPhase)
+		if d := inj.UpPhase(); d < minPhase {
+			t.Fatalf("up phase %v below floor %v", d, minPhase)
+		}
+		if d := inj.DownPhase(); d < minPhase {
+			t.Fatalf("down phase %v below floor %v", d, minPhase)
 		}
 	}
 }

@@ -219,16 +219,25 @@ type Driver struct {
 	// reuse then drops each job's reduce-estimate memo.
 	staleEstimates bool
 
-	// Typed event kinds (sim.RegisterKind jump table). The hot scheduling
-	// paths — heartbeat sweeps, control ticks, submissions, completion/
-	// failure timers, the reduce shuffle→compute transition — carry at
-	// most a task or job pointer, so scheduling one allocates no closure.
+	// Typed event kinds (sim.RegisterKind jump table), one per event the
+	// driver schedules — heartbeat sweeps, control ticks, submissions,
+	// completion/failure timers, the reduce shuffle→compute transition and
+	// the fault process. Each carries at most an index and a task or job
+	// pointer, so scheduling one allocates nothing.
 	evHeartbeat     sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
 	evControl       sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
 	evSubmit        sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
 	evComplete      sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
 	evFail          sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
 	evReduceCompute sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+	// Fault kinds: a stochastic crash or recovery carries the machine ID; a
+	// scripted event carries its index into cfg.Fault.Scenario.
+	evCrash    sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+	evRecover  sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+	evScripted sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+
+	// victims is crashMachine's kill-list scratch.
+	victims []*Task //eant:reset-keep crash scratch, cleared after every use
 }
 
 // NewDriver wires a driver for one run. The scheduler must not be shared
@@ -281,6 +290,24 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 	d.evComplete = engine.RegisterKind(func(_ int, arg any) { d.completeTask(arg.(*Task)) })
 	d.evFail = engine.RegisterKind(func(_ int, arg any) { d.failAttempt(arg.(*Task)) })
 	d.evReduceCompute = engine.RegisterKind(func(_ int, arg any) { d.beginReduceCompute(arg.(*Task)) })
+	// A stochastic crash arms the repair and a repair arms the next crash,
+	// each drawing its phase after the hook so the fault stream is consumed
+	// in event order.
+	d.evCrash = engine.RegisterKind(func(id int, _ any) {
+		d.crashMachine(id)
+		d.engine.ScheduleKindAfter(d.faults.DownPhase(), d.evRecover, id, nil)
+	})
+	d.evRecover = engine.RegisterKind(func(id int, _ any) {
+		d.recoverMachine(id)
+		d.engine.ScheduleKindAfter(d.faults.UpPhase(), d.evCrash, id, nil)
+	})
+	d.evScripted = engine.RegisterKind(func(i int, _ any) {
+		if ev := d.cfg.Fault.Scenario[i]; ev.Kind == fault.Crash {
+			d.crashMachine(ev.Machine)
+		} else {
+			d.recoverMachine(ev.Machine)
+		}
+	})
 	d.initAggregates()
 	if inj.Enabled() {
 		d.blacklistUntil = make([]time.Duration, c.Size())
@@ -379,12 +406,21 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 	d.engine.ScheduleKind(0, d.evHeartbeat, 0, nil)
 	d.engine.ScheduleKind(d.cfg.ControlInterval, d.evControl, 0, nil)
 
-	// Fault process: stochastic machine crashes/recoveries plus any
-	// scripted scenario. Start is a strict no-op when faults are disabled.
-	d.faults.Start(d.engine, d.cluster.Size(), fault.Hooks{
-		Crash:   d.crashMachine,
-		Recover: d.recoverMachine,
-	})
+	// Fault process: one first-crash draw per machine in ID order, then the
+	// scripted scenario's in-fleet events. A disabled configuration
+	// schedules nothing and draws nothing. Scripted events need no sort:
+	// the engine fires them by time, and same-instant ones in the order
+	// armed here — the configured order.
+	if d.cfg.Fault.MachineMTBF > 0 {
+		for id := 0; id < d.cluster.Size(); id++ {
+			d.engine.ScheduleKindAfter(d.faults.UpPhase(), d.evCrash, id, nil)
+		}
+	}
+	for i, ev := range d.cfg.Fault.Scenario {
+		if ev.Machine < d.cluster.Size() {
+			d.engine.ScheduleKind(ev.At, d.evScripted, i, nil)
+		}
+	}
 
 	// completeJob stops the engine at the instant the campaign finishes,
 	// so the makespan (and the energy-integration window) ends at the
@@ -400,8 +436,7 @@ func (d *Driver) finished() bool { return d.unsubmit == 0 && len(d.active) == 0 
 
 // heartbeatTick is the per-tick heartbeat sweep event: it serves every
 // machine's free slots in one pass, then reschedules itself one heartbeat
-// out — mirroring Every's fn-then-reschedule order so the (at, seq)
-// event stream is unchanged. The self-chain ends when the run finishes.
+// out (fire, then reschedule). The self-chain ends when the run finishes.
 func (d *Driver) heartbeatTick() {
 	if d.finished() {
 		return

@@ -1,12 +1,14 @@
 package mapreduce_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"eant/internal/cluster"
 	"eant/internal/fault"
 	"eant/internal/mapreduce"
+	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/workload"
 )
@@ -222,5 +224,119 @@ func TestFaultConfigValidationSurfaces(t *testing.T) {
 	cfg.Fault = fault.Config{TaskFailProb: 1.5}
 	if _, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg); err == nil {
 		t.Error("invalid fault config accepted by NewDriver")
+	}
+}
+
+// idleFaultRun drives the small fleet with no work up to horizon — its one
+// job is submitted an hour past the horizon — on a 30 s heartbeat, and
+// returns the crash/recover transitions the probe saw in firing order plus
+// the driver, for its engine counters and stats.
+func idleFaultRun(t *testing.T, fc fault.Config, seed int64, horizon time.Duration) ([]fault.Event, *mapreduce.Driver, *mapreduce.Stats) {
+	t.Helper()
+	p, err := probe.New(probe.Config{RingSize: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mapreduce.DefaultConfig()
+	cfg.Heartbeat = 30 * time.Second
+	cfg.Seed = seed
+	cfg.Fault = fc
+	cfg.Probe = p
+	d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EnableInvariantChecks(func(err error) { t.Fatal(err) })
+	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Grep, 64, 0, horizon+time.Hour)}
+	stats, err := d.Run(jobs, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Dropped() != 0 {
+		t.Fatalf("probe ring dropped %d events", p.Dropped())
+	}
+	var timeline []fault.Event
+	for _, ev := range p.Events() {
+		if ev.Kind != probe.KindMachineState {
+			continue
+		}
+		switch ev.Label {
+		case "crash":
+			timeline = append(timeline, fault.Event{At: ev.At, Machine: int(ev.MachineID), Kind: fault.Crash})
+		case "recover":
+			timeline = append(timeline, fault.Event{At: ev.At, Machine: int(ev.MachineID), Kind: fault.Recover})
+		}
+	}
+	return timeline, d, stats
+}
+
+func TestDisabledFaultsScheduleNothing(t *testing.T) {
+	// Secondary knobs alone leave faults disabled: the run fires exactly
+	// its heartbeats and control ticks, and leaves exactly those two
+	// chains plus the far submission pending at the horizon.
+	timeline, d, stats := idleFaultRun(t, fault.Config{MachineMTTR: time.Minute, MaxAttempts: 2}, 7, time.Hour)
+	if len(timeline) != 0 || stats.Crashes != 0 || stats.Recoveries != 0 {
+		t.Errorf("disabled faults fired %v (%d crashes, %d recoveries)", timeline, stats.Crashes, stats.Recoveries)
+	}
+	heartbeats, ticks := 121, 12 // 0 s..3600 s every 30 s; 5 min..60 min
+	if got := d.Engine().Fired(); got != uint64(heartbeats+ticks) {
+		t.Errorf("fired %d events, want %d heartbeats + %d control ticks", got, heartbeats, ticks)
+	}
+	if got := d.Engine().Pending(); got != 3 {
+		t.Errorf("Pending = %d at the horizon, want 3 (heartbeat, control tick, submission)", got)
+	}
+}
+
+func TestStochasticFaultTimeline(t *testing.T) {
+	fc := fault.Config{MachineMTBF: 10 * time.Minute, MachineMTTR: 2 * time.Minute}
+	a, _, stats := idleFaultRun(t, fc, 7, 4*time.Hour)
+	if len(a) == 0 {
+		t.Fatal("4h at 10m MTBF produced no crashes")
+	}
+	if stats.Crashes+stats.Recoveries != len(a) {
+		t.Errorf("probe saw %d transitions, stats count %d crashes + %d recoveries", len(a), stats.Crashes, stats.Recoveries)
+	}
+	if b, _, _ := idleFaultRun(t, fc, 7, 4*time.Hour); !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed diverged: %d vs %d transitions", len(a), len(b))
+	}
+	if c, _, _ := idleFaultRun(t, fc, 8, 4*time.Hour); reflect.DeepEqual(a, c) {
+		t.Error("different seeds produced identical timelines")
+	}
+	// Per machine the process must start with a crash and alternate crash,
+	// recover, crash, ...
+	last := map[int]fault.EventKind{}
+	for _, ev := range a {
+		prev, seen := last[ev.Machine]
+		if !seen && ev.Kind != fault.Crash {
+			t.Fatalf("machine %d began with %v", ev.Machine, ev.Kind)
+		}
+		if seen && prev == ev.Kind {
+			t.Fatalf("machine %d fired %v twice in a row", ev.Machine, ev.Kind)
+		}
+		last[ev.Machine] = ev.Kind
+	}
+	if len(last) != smallCluster().Size() {
+		t.Errorf("%d of %d machines crashed in 4h at 10m MTBF", len(last), smallCluster().Size())
+	}
+}
+
+func TestScriptedEventsFireInOrderAndSkipOutOfRange(t *testing.T) {
+	fc := fault.Config{Scenario: []fault.Event{
+		{At: 3 * time.Minute, Machine: 1, Kind: fault.Recover},
+		{At: time.Minute, Machine: 1, Kind: fault.Crash},
+		{At: 2 * time.Minute, Machine: 99, Kind: fault.Crash}, // beyond the fleet
+		// Same instant: fires in configured order, crash before recover.
+		{At: 2 * time.Minute, Machine: 2, Kind: fault.Crash},
+		{At: 2 * time.Minute, Machine: 2, Kind: fault.Recover},
+	}}
+	got, _, _ := idleFaultRun(t, fc, 1, time.Hour)
+	want := []fault.Event{
+		{At: time.Minute, Machine: 1, Kind: fault.Crash},
+		{At: 2 * time.Minute, Machine: 2, Kind: fault.Crash},
+		{At: 2 * time.Minute, Machine: 2, Kind: fault.Recover},
+		{At: 3 * time.Minute, Machine: 1, Kind: fault.Recover},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scripted timeline = %v, want %v", got, want)
 	}
 }

@@ -1,13 +1,14 @@
 package mapreduce
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"eant/internal/cluster"
 )
 
-// This file is the driver's failure-recovery half: the JobTracker reactions
-// to the fault injector's events. Attempt failures retry the logical task
+// This file is the driver's failure-recovery half: the fault events and the
+// JobTracker reactions to them. Attempt failures retry the logical task
 // up to the configured budget; machine crashes kill in-flight attempts,
 // re-execute completed map outputs lost with the machine's local disk
 // (Hadoop 1.x keeps map output outside HDFS), and bench the machine until
@@ -75,8 +76,8 @@ func (d *Driver) rescheduleAttempt(t *Task) {
 	d.requeuePending(t)
 }
 
-// crashMachine is the fault injector's crash hook. Every in-flight attempt
-// on the machine dies (without charging the retry budget — in Hadoop,
+// crashMachine takes machine id down. Every in-flight attempt on the
+// machine dies (without charging the retry budget — in Hadoop,
 // tracker-death kills do not count against max attempts), completed map
 // outputs stored there are re-executed for jobs that still need them, and
 // the machine leaves the slot pool until repaired. Idempotent on a machine
@@ -91,7 +92,7 @@ func (d *Driver) crashMachine(id int) {
 
 	// Collect and kill the machine's in-flight attempts in a deterministic
 	// order; runningSet is a map, so sort before acting.
-	var victims []*Task
+	victims := d.victims[:0]
 	for _, j := range d.active {
 		for t := range j.runningSet {
 			if t.Machine == m {
@@ -99,24 +100,14 @@ func (d *Driver) crashMachine(id int) {
 			}
 		}
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		va, vb := victims[a], victims[b]
-		if va.Job.Spec.ID != vb.Job.Spec.ID {
-			return va.Job.Spec.ID < vb.Job.Spec.ID
-		}
-		if va.Kind != vb.Kind {
-			return va.Kind < vb.Kind
-		}
-		if va.Index != vb.Index {
-			return va.Index < vb.Index
-		}
-		return !va.Speculative() && vb.Speculative()
-	})
+	slices.SortFunc(victims, crashOrder)
 	for _, t := range victims {
 		d.detachRunning(t)
 		d.stats.TasksKilledByCrash++
 		d.rescheduleAttempt(t)
 	}
+	clear(victims)
+	d.victims = victims[:0]
 	for _, j := range d.active {
 		d.reexecuteLostMaps(j, m)
 	}
@@ -131,6 +122,22 @@ func (d *Driver) crashMachine(id int) {
 	d.totalReduceSlots -= m.Spec().ReduceSlots
 	d.stats.Crashes++
 	d.mutated("crash")
+}
+
+// crashOrder is the total order crashMachine kills attempts in: job ID,
+// task kind, task index, and an original before its speculative clone.
+func crashOrder(a, b *Task) int {
+	if c := cmp.Or(
+		cmp.Compare(a.Job.Spec.ID, b.Job.Spec.ID),
+		cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Index, b.Index),
+	); c != 0 || a.Speculative() == b.Speculative() {
+		return c
+	}
+	if b.Speculative() {
+		return -1
+	}
+	return 1
 }
 
 // reexecuteLostMaps requeues job j's completed map tasks whose output
@@ -167,7 +174,7 @@ func (d *Driver) reexecuteLostMaps(j *Job, m cluster.Machine) {
 	}
 }
 
-// recoverMachine is the fault injector's repair hook: the machine rejoins
+// recoverMachine brings machine id back: it rejoins
 // the slot pool with a clean blacklist record. Idempotent on a machine
 // that is already up.
 func (d *Driver) recoverMachine(id int) {

@@ -197,21 +197,22 @@ func checkProgram(t *testing.T, seed int64, width time.Duration) {
 
 	// fire handles one event on the real engine: log it, then replay the
 	// RNG-drawn action (children + cancellation).
-	var engFire func(id int)
-	engFire = func(id int) {
+	// Every engine event is one kind whose payload is the program event ID.
+	var fire EventKind
+	fire = eng.RegisterKind(func(id int, _ any) {
 		engLog = append(engLog, fmt.Sprintf("%d@%v", id, eng.Now()))
 		act := drawAction(engRng, width)
 		for _, d := range act.childDelays {
 			cid := engProg.nextID
 			engProg.nextID++
 			engProg.ids = append(engProg.ids, cid)
-			engProg.handles[cid] = eng.ScheduleAfter(d, func() { engFire(cid) })
+			engProg.handles[cid] = eng.ScheduleKindAfter(d, fire, cid, nil)
 		}
 		if act.cancelIdx >= 0 && len(engProg.ids) > 0 {
 			victim := engProg.ids[act.cancelIdx%len(engProg.ids)]
 			engProg.handles[victim].Cancel()
 		}
-	}
+	})
 	var orcFire func(id int)
 	orcFire = func(id int) {
 		orcLog = append(orcLog, fmt.Sprintf("%d@%v", id, orc.now))
@@ -238,7 +239,7 @@ func checkProgram(t *testing.T, seed int64, width time.Duration) {
 		id := engProg.nextID
 		engProg.nextID++
 		engProg.ids = append(engProg.ids, id)
-		engProg.handles[id] = eng.Schedule(at, func() { engFire(id) })
+		engProg.handles[id] = eng.ScheduleKind(at, fire, id, nil)
 
 		oid := orcProg.nextID
 		orcProg.nextID++

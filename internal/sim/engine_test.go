@@ -1,16 +1,26 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 )
 
+// recorder registers a kind that appends each firing's payload to *got.
+func recorder(e *Engine, got *[]int) EventKind {
+	return e.RegisterKind(func(i int, _ any) { *got = append(*got, i) })
+}
+
+// noop registers a kind whose handler does nothing.
+func noop(e *Engine) EventKind { return e.RegisterKind(func(int, any) {}) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(3*time.Second, func() { got = append(got, 3) })
-	e.Schedule(1*time.Second, func() { got = append(got, 1) })
-	e.Schedule(2*time.Second, func() { got = append(got, 2) })
+	rec := recorder(e, &got)
+	e.ScheduleKind(3*time.Second, rec, 3, nil)
+	e.ScheduleKind(1*time.Second, rec, 1, nil)
+	e.ScheduleKind(2*time.Second, rec, 2, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,9 +38,9 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	e := NewEngine()
 	var got []int
+	rec := recorder(e, &got)
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Second, func() { got = append(got, i) })
+		e.ScheduleKind(time.Second, rec, i, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -45,9 +55,9 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := NewEngine()
 	var fired int
-	e.Schedule(time.Second, func() {
-		e.ScheduleAfter(time.Second, func() { fired++ })
-	})
+	child := e.RegisterKind(func(int, any) { fired++ })
+	parent := e.RegisterKind(func(int, any) { e.ScheduleKindAfter(time.Second, child, 0, nil) })
+	e.ScheduleKind(time.Second, parent, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -61,14 +71,16 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(5*time.Second, func() {
+	past := noop(e)
+	k := e.RegisterKind(func(int, any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.Schedule(time.Second, func() {})
+		e.ScheduleKind(time.Second, past, 0, nil)
 	})
+	e.ScheduleKind(5*time.Second, k, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -80,15 +92,52 @@ func TestEngineNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler did not panic")
 		}
 	}()
-	NewEngine().Schedule(0, nil)
+	NewEngine().RegisterKind(nil)
+}
+
+// TestEngineUnregisteredKindPanics: the zero kind is reserved and kinds
+// beyond the table were never registered; scheduling either panics.
+func TestEngineUnregisteredKindPanics(t *testing.T) {
+	for _, kind := range []EventKind{0, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleKind(kind %d) did not panic", kind)
+				}
+			}()
+			e := NewEngine()
+			noop(e) // registers kind 1 only
+			e.ScheduleKind(0, kind, 0, nil)
+		}()
+	}
+}
+
+// TestEnginePayloadIsNotTruncated: the int payload reaches the handler
+// intact, including values beyond the int32 range.
+func TestEnginePayloadIsNotTruncated(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	rec := recorder(e, &got)
+	want := []int{math.MaxInt32 + 1, math.MaxInt, math.MinInt32 - 1}
+	for _, i := range want {
+		e.ScheduleKind(0, rec, i, nil)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("payloads = %v, want %v", got, want)
+		}
+	}
 }
 
 func TestEngineRunUntilHorizon(t *testing.T) {
 	e := NewEngine()
-	var fired []time.Duration
-	for _, d := range []time.Duration{1, 2, 3, 4, 5} {
-		d := d * time.Second
-		e.Schedule(d, func() { fired = append(fired, d) })
+	var fired []int
+	rec := recorder(e, &fired)
+	for _, s := range []int{1, 2, 3, 4, 5} {
+		e.ScheduleKind(time.Duration(s)*time.Second, rec, s, nil)
 	}
 	if err := e.RunUntil(3 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -113,7 +162,7 @@ func TestEngineRunUntilHorizon(t *testing.T) {
 
 func TestEngineRunUntilLeavesClockAtLastEventWhenDrained(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(4*time.Second, func() {})
+	e.ScheduleKind(4*time.Second, noop(e), 0, nil)
 	if err := e.RunUntil(10 * time.Second); err != nil {
 		t.Fatalf("RunUntil: %v", err)
 	}
@@ -125,8 +174,10 @@ func TestEngineRunUntilLeavesClockAtLastEventWhenDrained(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	var fired int
-	e.Schedule(time.Second, func() { fired++; e.Stop() })
-	e.Schedule(2*time.Second, func() { fired++ })
+	stop := e.RegisterKind(func(int, any) { fired++; e.Stop() })
+	count := e.RegisterKind(func(int, any) { fired++ })
+	e.ScheduleKind(time.Second, stop, 0, nil)
+	e.ScheduleKind(2*time.Second, count, 0, nil)
 	if err := e.Run(); err != ErrStopped {
 		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
@@ -135,41 +186,12 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-func TestEngineEvery(t *testing.T) {
-	e := NewEngine()
-	var ticks []time.Duration
-	e.Every(time.Second, 2*time.Second, func() bool {
-		ticks = append(ticks, e.Now())
-		return len(ticks) < 4
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []time.Duration{1 * time.Second, 3 * time.Second, 5 * time.Second, 7 * time.Second}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestEngineEveryBadPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive period did not panic")
-		}
-	}()
-	NewEngine().Every(0, 0, func() bool { return false })
-}
-
 func TestEngineCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	h := e.Schedule(time.Second, func() { fired++ })
-	e.Schedule(2*time.Second, func() { fired++ })
+	count := e.RegisterKind(func(int, any) { fired++ })
+	h := e.ScheduleKind(time.Second, count, 0, nil)
+	e.ScheduleKind(2*time.Second, count, 0, nil)
 	h.Cancel()
 	if !h.Cancelled() {
 		t.Error("handle does not report cancelled")
@@ -186,8 +208,10 @@ func TestEngineCancelDuringRun(t *testing.T) {
 	e := NewEngine()
 	fired := 0
 	var h EventHandle
-	e.Schedule(time.Second, func() { h.Cancel() })
-	h = e.Schedule(2*time.Second, func() { fired++ })
+	cancel := e.RegisterKind(func(int, any) { h.Cancel() })
+	count := e.RegisterKind(func(int, any) { fired++ })
+	e.ScheduleKind(time.Second, cancel, 0, nil)
+	h = e.ScheduleKind(2*time.Second, count, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -203,7 +227,7 @@ func TestEngineCancelIdempotentAndZeroValue(t *testing.T) {
 		t.Error("zero handle reports cancelled")
 	}
 	e := NewEngine()
-	h := e.Schedule(time.Second, func() {})
+	h := e.ScheduleKind(time.Second, noop(e), 0, nil)
 	h.Cancel()
 	h.Cancel()
 	if err := e.Run(); err != nil {
@@ -213,8 +237,9 @@ func TestEngineCancelIdempotentAndZeroValue(t *testing.T) {
 
 func TestEngineFiredCount(t *testing.T) {
 	e := NewEngine()
+	k := noop(e)
 	for i := 0; i < 7; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {})
+		e.ScheduleKind(time.Duration(i)*time.Second, k, 0, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -70,16 +71,23 @@ func (j JobSpec) ClassLabel() string {
 	return fmt.Sprintf("%s-%s", j.App, j.Class)
 }
 
+// MaxTasks bounds a job's map and reduce counts: task indices travel as
+// int32 (probe events).
+const MaxTasks = math.MaxInt32
+
+// MaxInputMB is the largest input whose block count fits in MaxTasks.
+const MaxInputMB = BlockMB * MaxTasks
+
 // Validate reports the first structural problem with the spec.
 func (j JobSpec) Validate() error {
 	switch {
 	case j.App < Wordcount || j.App > Terasort:
 		return fmt.Errorf("workload: job %d has unknown app %d", j.ID, j.App)
-	case j.InputMB <= 0:
-		return fmt.Errorf("workload: job %d has input %.1f MB", j.ID, j.InputMB)
-	case j.NumMaps <= 0:
+	case j.InputMB <= 0 || j.InputMB > MaxInputMB || math.IsNaN(j.InputMB):
+		return fmt.Errorf("workload: job %d has input %.1f MB outside (0, %.0f]", j.ID, j.InputMB, MaxInputMB)
+	case j.NumMaps <= 0 || j.NumMaps > MaxTasks:
 		return fmt.Errorf("workload: job %d has %d map tasks", j.ID, j.NumMaps)
-	case j.NumReduces < 0:
+	case j.NumReduces < 0 || j.NumReduces > MaxTasks:
 		return fmt.Errorf("workload: job %d has %d reduce tasks", j.ID, j.NumReduces)
 	case j.Submit < 0:
 		return fmt.Errorf("workload: job %d submitted at negative time", j.ID)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,9 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 		"bad reduces":  "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,64,x,0\n",
 		"bad submit":   "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,64,1,x\n",
 		"neg input":    "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,-5,1,0\n",
+		"nan input":    "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,NaN,1,0\n",
+		"inf input":    "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,+Inf,1,0\n",
+		"huge input":   "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,1e300,1,0\n",
 		"wrong fields": "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,64\n",
 	}
 	for name, in := range cases {
@@ -74,4 +78,39 @@ func TestTraceHeaderStable(t *testing.T) {
 	if got := strings.TrimSpace(sb.String()); got != "id,app,class,input_mb,num_reduces,submit_ns" {
 		t.Errorf("header = %q", got)
 	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, and every trace it accepts
+// survives a WriteTrace→ReadTrace round trip unchanged.
+func FuzzReadTrace(f *testing.F) {
+	jobs, err := GenerateMSD(MSDConfig{Jobs: 6, Scale: 64, MeanInterarrival: 20 * time.Second}, sim.NewRNG(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteTrace(&sb, jobs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sb.String())
+	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n")
+	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n3,Terasort,-,777.5,0,90000000000\n")
+	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,NaN,1,0\n")
+	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,+Inf,1,0\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		jobs, err := ReadTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		if err := WriteTrace(&sb, jobs); err != nil {
+			t.Fatalf("WriteTrace of an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("re-reading the written trace: %v\n%s", err, sb.String())
+		}
+		if !slices.Equal(back, jobs) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, jobs)
+		}
+	})
 }

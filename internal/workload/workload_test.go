@@ -90,12 +90,20 @@ func TestJobSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
+	if edge := NewJobSpec(1, Grep, MaxInputMB, MaxTasks, 0); edge.Validate() != nil || edge.NumMaps != MaxTasks {
+		t.Errorf("largest valid spec rejected or miscounted: %+v", edge)
+	}
 	bad := []JobSpec{
 		{ID: 1, App: App(9), InputMB: 64, NumMaps: 1},
 		{ID: 1, App: Grep, InputMB: 0, NumMaps: 1},
 		{ID: 1, App: Grep, InputMB: 64, NumMaps: 0},
 		{ID: 1, App: Grep, InputMB: 64, NumMaps: 1, NumReduces: -1},
 		{ID: 1, App: Grep, InputMB: 64, NumMaps: 1, Submit: -time.Second},
+		{ID: 1, App: Grep, InputMB: math.NaN(), NumMaps: 1},
+		{ID: 1, App: Grep, InputMB: math.Inf(1), NumMaps: 1},
+		{ID: 1, App: Grep, InputMB: MaxInputMB * 2, NumMaps: 1},
+		{ID: 1, App: Grep, InputMB: 64, NumMaps: MaxTasks + 1},
+		{ID: 1, App: Grep, InputMB: 64, NumMaps: 1, NumReduces: MaxTasks + 1},
 	}
 	for i, j := range bad {
 		if err := j.Validate(); err == nil {
