@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-baseline vet fmt check bench-smoke bench cover
+.PHONY: all build test race lint vet fmt check bench-smoke bench cover
 
 all: check
 
@@ -18,17 +18,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The eantlint multichecker: rngonly, noclock, maporder, floatsum,
-# statsmut, hotalloc, resetstate, ptrretain —
+# statsmut, hotalloc, resetstate —
 # interprocedural since the call-graph layer landed, so the whole
 # module is analyzed as one unit.
-# Known debt lives in lint.baseline; new findings exit non-zero with
-# file:line diagnostics.
+# Every finding exits non-zero with a file:line diagnostic; there is no
+# debt ledger.
 lint:
-	$(GO) run ./cmd/eantlint -baseline lint.baseline ./...
-
-# Re-record the debt ledger after deliberately accepting new findings.
-lint-baseline:
-	$(GO) run ./cmd/eantlint -write-baseline ./...
+	$(GO) run ./cmd/eantlint ./...
 
 vet:
 	$(GO) vet ./...
@@ -60,4 +56,4 @@ bench:
 # world-state core; CI enforces floors on these (see
 # .github/workflows/ci.yml).
 cover:
-	$(GO) test -cover ./internal/probe ./internal/trace ./internal/metrics ./internal/cluster
+	$(GO) test -cover ./internal/probe ./internal/metrics ./internal/cluster

@@ -8,13 +8,15 @@
 //	eantsim <experiment> [flags]
 //
 // Experiments: table1 table2 table3 fig1a fig1b fig1c fig1d fig4 fig6
-// fig7 fig8 fig9 fig10 fig11a fig11b fig12a fig12b compare all
+// fig7 fig8 fig9 fig10 fig11a fig11b fig12a fig12b consolidation failures
+// compare trace sweep all
 //
 // Flags:
 //
 //	-csv        emit CSV instead of aligned tables
-//	-jobs N     job count for the 'compare' experiment (default 40)
-//	-seed S     seed for the 'compare' experiment (default 1)
+//	-jobs N     job count for 'compare', 'trace' and 'sweep' (default 40)
+//	-seed S     seed for 'compare', 'trace' and 'sweep' (default 1)
+//	-sched S    scheduler for 'trace' (default E-Ant)
 //	-parallel N worker cap for experiment sweeps (default GOMAXPROCS;
 //	            1 forces fully sequential execution — results are
 //	            identical either way)
@@ -23,14 +25,21 @@
 //	-probe-interval N  enable in-engine probes, sampling machines every N
 //	            heartbeats; output stays byte-identical (golden-enforced)
 //	-probe-trails      record pheromone snapshots at every control tick
-//	-trace F    stream probe events as JSONL to F ('trace' experiment)
 //	-timeline F write a Chrome trace-event / Perfetto timeline to F
 //	            ('trace' experiment)
 //	-probe-report F  write the probe histogram report as JSON to F
 //	            ('trace' experiment)
+//
+// The 'trace' experiment runs one MSD campaign (-jobs, -seed, -sched) and
+// writes its probe event stream to stdout as JSON Lines: every offer,
+// draw, assignment, task completion with its Eq. 2 energy, control tick
+// with the fleet energy, and job submit/done with its phase timeline.
+// Machines are sampled every heartbeat unless -probe-interval says
+// otherwise.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +58,6 @@ import (
 	"eant/internal/probe"
 	"eant/internal/sim"
 	"eant/internal/tabwrite"
-	"eant/internal/trace"
 	"eant/internal/workload"
 )
 
@@ -64,13 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("jobs", 40, "job count for 'compare' and 'trace'")
 	seed := fs.Int64("seed", 1, "seed for 'compare' and 'trace'")
 	schedName := fs.String("sched", "E-Ant", "scheduler for 'trace' (FIFO|Fair|Tarazu|LATE|E-Ant)")
-	format := fs.String("format", "jsonl", "output for 'trace': jsonl, csv or summary")
 	workers := fs.Int("parallel", 0, "worker cap for experiment sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	probeInterval := fs.Int("probe-interval", 0, "sample every machine's utilization/energy/slots every N heartbeats (0 = off); enables in-engine probes for any experiment without changing its output")
 	probeTrails := fs.Bool("probe-trails", false, "record per-control-tick pheromone-matrix snapshots (enables probes)")
-	traceFile := fs.String("trace", "", "stream probe events as JSONL to this file ('trace' experiment only)")
 	timelineFile := fs.String("timeline", "", "write a Chrome trace-event / Perfetto timeline to this file ('trace' experiment only)")
 	reportFile := fs.String("probe-report", "", "write the probe's histogram report as JSON to this file ('trace' experiment only)")
 	fs.Usage = func() {
@@ -152,18 +158,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sinks := probeSinks{
 			Interval: *probeInterval,
 			Trails:   *probeTrails,
-			Stream:   *traceFile,
 			Timeline: *timelineFile,
 			Report:   *reportFile,
 		}
-		if err := emitTrace(stdout, *jobs, *seed, *schedName, *format, sinks); err != nil {
+		if err := emitTrace(stdout, *jobs, *seed, *schedName, sinks); err != nil {
 			fmt.Fprintf(stderr, "eantsim: trace: %v\n", err)
 			return 1
 		}
 		return 0
 	}
-	if *traceFile != "" || *timelineFile != "" || *reportFile != "" {
-		fmt.Fprintf(stderr, "eantsim: -trace/-timeline/-probe-report only apply to the 'trace' experiment (it runs a single campaign; sweeps would interleave streams)\n")
+	if *timelineFile != "" || *reportFile != "" {
+		fmt.Fprintf(stderr, "eantsim: -timeline/-probe-report only apply to the 'trace' experiment (it runs a single campaign; sweeps would interleave streams)\n")
 		return 2
 	}
 
@@ -383,23 +388,19 @@ func sweepTable(jobs int, seed int64) (*tabwrite.Table, error) {
 	return t, nil
 }
 
-// probeSinks are the live-observability outputs of the 'trace' experiment:
-// a JSONL event stream, a Perfetto timeline, and a histogram report.
+// probeSinks configure the 'trace' experiment's probe and its file
+// outputs beside the stdout stream: a Perfetto timeline and a histogram
+// report.
 type probeSinks struct {
 	Interval int
 	Trails   bool
-	Stream   string
 	Timeline string
 	Report   string
 }
 
-func (s probeSinks) enabled() bool {
-	return s.Stream != "" || s.Timeline != "" || s.Report != ""
-}
-
-// emitTrace runs one MSD campaign and streams it in the chosen format,
-// optionally recording a live probe into the configured sinks.
-func emitTrace(w io.Writer, jobs int, seed int64, schedName, format string, sinks probeSinks) error {
+// emitTrace runs one MSD campaign with a probe attached, streaming its
+// events to w as JSON Lines, then writes the configured file sinks.
+func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeSinks) error {
 	msd, err := workload.GenerateMSD(workload.MSDConfig{
 		Jobs: jobs, Scale: experiments.ScaleDown, MeanInterarrival: 45 * time.Second,
 	}, sim.NewRNG(seed).Fork("experiments"))
@@ -410,30 +411,19 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName, format string, sink
 	cfg.ControlInterval = experiments.DefaultControlInterval
 	cfg.Seed = seed
 	cfg.Noise = noise.Default()
-	cfg.KeepTaskRecords = format != "summary"
 
-	var p *probe.Probe
-	if sinks.enabled() {
-		pcfg := probe.Config{SampleEvery: sinks.Interval, Trails: sinks.Trails}
-		if pcfg.SampleEvery <= 0 {
-			pcfg.SampleEvery = 1 // live sinks imply sampling every heartbeat
-		}
-		if sinks.Stream != "" {
-			f, err := os.Create(sinks.Stream)
-			if err != nil {
-				return fmt.Errorf("-trace: %w", err)
-			}
-			defer f.Close()
-			pcfg.Stream = f
-		}
-		p, err = probe.New(pcfg)
-		if err != nil {
-			return err
-		}
-		cfg.Probe = p
+	bw := bufio.NewWriter(w)
+	pcfg := probe.Config{SampleEvery: sinks.Interval, Trails: sinks.Trails, Stream: bw}
+	if pcfg.SampleEvery <= 0 {
+		pcfg.SampleEvery = 1 // the stream samples every heartbeat by default
 	}
+	p, err := probe.New(pcfg)
+	if err != nil {
+		return err
+	}
+	cfg.Probe = p
 
-	stats, err := experiments.Campaign{
+	_, err = experiments.Campaign{
 		Cluster: cluster.Testbed(),
 		Sched:   experiments.SchedulerName(schedName),
 		Params:  core.DefaultParams(),
@@ -445,6 +435,9 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName, format string, sink
 	}
 	if err := p.Err(); err != nil {
 		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("probe: stream: %w", err)
 	}
 	if sinks.Timeline != "" {
 		f, err := os.Create(sinks.Timeline)
@@ -472,16 +465,7 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName, format string, sink
 			return fmt.Errorf("-probe-report: %w", err)
 		}
 	}
-	switch format {
-	case "jsonl":
-		return trace.WriteJSONL(w, stats)
-	case "csv":
-		return trace.WriteTasksCSV(w, stats)
-	case "summary":
-		return trace.WriteSummary(w, stats)
-	default:
-		return fmt.Errorf("unknown trace format %q (jsonl|csv|summary)", format)
-	}
+	return nil
 }
 
 // compareTable runs a quick ad-hoc MSD comparison across all schedulers.

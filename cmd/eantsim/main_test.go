@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -59,27 +60,62 @@ func TestCLICompare(t *testing.T) {
 	}
 }
 
+// TestCLITraceFormats checks the 'trace' experiment's only output, the
+// probe's JSONL stream on stdout: every line is one JSON event in strictly
+// increasing seq order, every job is submitted and leaves exactly once,
+// and each completed job's phase timeline is ordered. The export flags
+// the stream replaced are gone.
 func TestCLITraceFormats(t *testing.T) {
-	out, _, code := runCLI(t, "trace", "-jobs", "3", "-format", "summary")
+	out, errOut, code := runCLI(t, "trace", "-jobs", "3")
 	if code != 0 {
-		t.Fatalf("exit %d", code)
+		t.Fatalf("exit %d: %s", code, errOut)
 	}
-	if !strings.Contains(out, `"scheduler": "E-Ant"`) {
-		t.Errorf("bad summary:\n%s", out)
+	type event struct {
+		Seq        *uint64 `json:"seq"`
+		At         float64 `json:"at"`
+		Kind       string  `json:"kind"`
+		Job        int     `json:"job"`
+		Failed     bool    `json:"failed"`
+		MapsDone   float64 `json:"maps_done"`
+		ShuffleEnd float64 `json:"shuffle_end"`
 	}
-	out, _, code = runCLI(t, "trace", "-jobs", "3", "-format", "csv", "-sched", "Fair")
-	if code != 0 {
-		t.Fatalf("exit %d", code)
+	submits, dones := map[int]int{}, map[int]int{}
+	var prev int64 = -1
+	for i, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		var ev event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("line %d is not JSON: %v\n%s", i+1, err, line)
+		}
+		if ev.Seq == nil || int64(*ev.Seq) <= prev {
+			t.Fatalf("line %d: seq does not strictly increase after %d: %s", i+1, prev, line)
+		}
+		prev = int64(*ev.Seq)
+		switch ev.Kind {
+		case "job_submit":
+			submits[ev.Job]++
+		case "job_done":
+			dones[ev.Job]++
+			if !ev.Failed && !(ev.MapsDone <= ev.ShuffleEnd && ev.ShuffleEnd <= ev.At) {
+				t.Errorf("job %d timeline out of order: maps_done %v, shuffle_end %v, at %v",
+					ev.Job, ev.MapsDone, ev.ShuffleEnd, ev.At)
+			}
+		}
 	}
-	if !strings.HasPrefix(out, "job_id,") {
-		t.Errorf("bad CSV:\n%s", out)
+	if len(submits) != 3 {
+		t.Errorf("%d jobs submitted, want 3", len(submits))
 	}
-	_, errOut, code := runCLI(t, "trace", "-format", "yaml")
-	if code == 0 {
-		t.Error("unknown format accepted")
+	for job, n := range submits {
+		if n != 1 || dones[job] != 1 {
+			t.Errorf("job %d: %d job_submit and %d job_done events, want one each", job, n, dones[job])
+		}
 	}
-	if !strings.Contains(errOut, "unknown trace format") {
-		t.Errorf("unhelpful error: %s", errOut)
+	if len(dones) != len(submits) {
+		t.Errorf("%d jobs done, %d submitted", len(dones), len(submits))
+	}
+	for _, flag := range []string{"-format", "-trace"} {
+		if _, _, code := runCLI(t, "trace", "-jobs", "3", flag, "x"); code != 2 {
+			t.Errorf("%s: exit %d, want 2", flag, code)
+		}
 	}
 }
 

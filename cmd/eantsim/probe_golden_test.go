@@ -46,7 +46,7 @@ func TestGoldenProbesOnOff(t *testing.T) {
 // rather than silently dropping data.
 func TestProbeSinkFlagsRejectedOutsideTrace(t *testing.T) {
 	var errOut strings.Builder
-	if code := run([]string{"fig8", "-trace", filepath.Join(t.TempDir(), "x.jsonl")}, io.Discard, &errOut); code != 2 {
+	if code := run([]string{"fig8", "-timeline", filepath.Join(t.TempDir(), "x.json")}, io.Discard, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errOut.String())
 	}
 	if !strings.Contains(errOut.String(), "trace") {

@@ -1,11 +1,10 @@
-// Package analysis is the simulator's static-analysis suite: eight
+// Package analysis is the simulator's static-analysis suite: seven
 // analyzers that machine-check the determinism and hot-path contracts the
 // reproduction depends on (seeded runs must be bit-identical, the virtual
 // clock is the only clock, the PR-3 incremental aggregates must never
 // desynchronize from ground truth, warm-run Reset paths must account for
-// every field of the structs they reuse, functions on the engine inner
-// loop must not allocate, and no field may retain a pointer into a slice
-// element).
+// every field of the structs they reuse, and functions on the engine inner
+// loop must not allocate).
 //
 // Since PR 9 the suite is interprocedural: a Module bundles every loaded
 // package with a whole-program call graph (callgraph.go) and per-function
@@ -199,5 +198,5 @@ func sortDiags(diags []Diagnostic) {
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc, ResetState, PtrRetain}
+	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc, ResetState}
 }

@@ -27,7 +27,6 @@ var fixtures = []struct {
 	{"statsmut_sched", analysis.StatsMut},
 	{"hotalloc_hot", analysis.HotAlloc},
 	{"resetstate", analysis.ResetState},
-	{"ptrretain", analysis.PtrRetain},
 }
 
 func TestFixtures(t *testing.T) {
@@ -63,8 +62,8 @@ func TestSuiteComplete(t *testing.T) {
 		covered[f.analyzer.Name] = true
 	}
 	all := analysis.All()
-	if len(all) != 8 {
-		t.Fatalf("All() has %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("All() has %d analyzers, want 7", len(all))
 	}
 	for _, a := range all {
 		if !covered[a.Name] {

@@ -841,8 +841,8 @@ func (d *Driver) completeTask(t *Task) {
 				j.LastShuffleEnd = now
 			}
 			// Release reduces that were shuffling against the barrier.
-			for _, r := range j.Reduces {
-				if r.State == TaskShuffling {
+			for i := range j.Reduces {
+				if r := &j.Reduces[i]; r.State == TaskShuffling {
 					d.finalizeReduce(r)
 				}
 			}
@@ -902,13 +902,13 @@ func (d *Driver) detachRunning(t *Task) bool {
 func (d *Driver) completeJob(j *Job) {
 	j.done = true
 	j.Finished = d.engine.Now()
-	if d.probe != nil {
-		d.probe.JobDone(j.Finished, j.Spec.ID, false)
-	}
-	d.dropJobAggregates(j)
 	if len(j.Maps) == 0 {
 		j.MapsDoneAt = j.Finished
 	}
+	if d.probe != nil {
+		d.probe.JobDone(j.Finished, j.Spec.ID, false, j.MapsDoneAt, j.LastShuffleEnd)
+	}
+	d.dropJobAggregates(j)
 	d.stats.Jobs = append(d.stats.Jobs, JobResult{
 		Spec:           j.Spec,
 		Submitted:      j.Submitted,

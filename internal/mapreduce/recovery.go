@@ -153,8 +153,8 @@ func (d *Driver) reexecuteLostMaps(j *Job, m cluster.Machine) {
 	}
 	barrierWasDone := j.MapsDone()
 	lost := 0
-	for _, t := range j.Maps {
-		if t.State == TaskDone && t.Machine == m {
+	for i := range j.Maps {
+		if t := &j.Maps[i]; t.State == TaskDone && t.Machine == m {
 			j.mapsDone--
 			t.resetForRetry()
 			d.requeuePending(t)
@@ -167,8 +167,8 @@ func (d *Driver) reexecuteLostMaps(j *Job, m cluster.Machine) {
 	if lost == 0 || !barrierWasDone {
 		return
 	}
-	for _, r := range j.Reduces {
-		if r.State == TaskShuffling {
+	for i := range j.Reduces {
+		if r := &j.Reduces[i]; r.State == TaskShuffling {
 			r.pendingEvent.Cancel()
 		}
 	}
@@ -214,7 +214,7 @@ func (d *Driver) failJob(j *Job) {
 	j.failed = true
 	j.Finished = d.engine.Now()
 	if d.probe != nil {
-		d.probe.JobDone(j.Finished, j.Spec.ID, true)
+		d.probe.JobDone(j.Finished, j.Spec.ID, true, j.MapsDoneAt, j.LastShuffleEnd)
 	}
 
 	attempts := append(j.RunningAttempts(MapTask), j.RunningAttempts(ReduceTask)...)

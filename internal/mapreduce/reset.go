@@ -186,8 +186,8 @@ func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
 	}
 	j.pendingMaps = j.pendingMaps[:0]
 	j.pendingHead = 0
-	for i, t := range j.Maps {
-		*t = Task{
+	for i := range j.Maps {
+		j.Maps[i] = Task{
 			Job:     j,
 			Index:   i,
 			Kind:    MapTask,
@@ -202,8 +202,8 @@ func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
 	}
 	j.pendingReduces = j.pendingReduces[:0]
 	j.reduceHead = 0
-	for i, t := range j.Reduces {
-		*t = Task{
+	for i := range j.Reduces {
+		j.Reduces[i] = Task{
 			Job:     j,
 			Index:   i,
 			Kind:    ReduceTask,

@@ -163,8 +163,11 @@ func (t *Task) currentUtil(st TaskState) float64 {
 type Job struct {
 	Spec workload.JobSpec
 
-	Maps    []*Task
-	Reduces []*Task
+	// Maps and Reduces hold the job's tasks by value, sized once at
+	// construction and never resized, so &Maps[i] is stable for the job's
+	// lifetime (speculative clones are separate allocations).
+	Maps    []Task
+	Reduces []Task
 
 	Submitted time.Duration
 	// FirstStart is when the first task began executing.
@@ -227,41 +230,33 @@ func newJob(spec workload.JobSpec, replicasOf func(block int) []int) *Job {
 		runningByMachine: make(map[int]int),
 		runningSet:       make(map[*Task]struct{}),
 	}
-	// Tasks are batch-allocated: one backing array per kind instead of one
-	// heap object per task. The arrays are never resized, so the *Task
-	// pointers handed out below stay valid for the job's lifetime
-	// (speculative clones are separate allocations made at clone time).
-	j.Maps = make([]*Task, spec.NumMaps)
+	j.Maps = make([]Task, spec.NumMaps)
 	j.pendingMaps = make([]int, spec.NumMaps)
 	j.mapReplicas = make([][]int, spec.NumMaps)
-	maps := make([]Task, spec.NumMaps)
-	for i := 0; i < spec.NumMaps; i++ {
-		maps[i] = Task{
+	for i := range j.Maps {
+		j.Maps[i] = Task{
 			Job:     j,
 			Index:   i,
 			Kind:    MapTask,
 			InputMB: spec.MapInputMB(i),
 			State:   TaskPending,
 		}
-		j.Maps[i] = &maps[i] //eant:retain-ok batch array sized to NumMaps above and never appended to
 		j.pendingMaps[i] = i
 		j.mapReplicas[i] = replicasOf(i)
 		for _, machineID := range j.mapReplicas[i] {
 			j.localPending[machineID] = append(j.localPending[machineID], i)
 		}
 	}
-	j.Reduces = make([]*Task, spec.NumReduces)
+	j.Reduces = make([]Task, spec.NumReduces)
 	j.pendingReduces = make([]int, spec.NumReduces)
-	reduces := make([]Task, spec.NumReduces)
-	for i := 0; i < spec.NumReduces; i++ {
-		reduces[i] = Task{
+	for i := range j.Reduces {
+		j.Reduces[i] = Task{
 			Job:     j,
 			Index:   i,
 			Kind:    ReduceTask,
 			InputMB: spec.ShuffleMBPerReduce(),
 			State:   TaskPending,
 		}
-		j.Reduces[i] = &reduces[i] //eant:retain-ok batch array sized to NumReduces above and never appended to
 		j.pendingReduces[i] = i
 	}
 	return j
@@ -305,7 +300,7 @@ func (j *Job) popLocalMap(machineID int) *Task {
 	for len(queue) > 0 {
 		idx := queue[0]
 		queue = queue[1:]
-		if t := j.Maps[idx]; t.State == TaskPending {
+		if t := &j.Maps[idx]; t.State == TaskPending {
 			j.localPending[machineID] = queue
 			return t
 		}
@@ -319,7 +314,7 @@ func (j *Job) popAnyMap() *Task {
 	for j.pendingHead < len(j.pendingMaps) {
 		idx := j.pendingMaps[j.pendingHead]
 		j.pendingHead++
-		if t := j.Maps[idx]; t.State == TaskPending {
+		if t := &j.Maps[idx]; t.State == TaskPending {
 			return t
 		}
 	}
@@ -343,7 +338,7 @@ func (j *Job) popReduce() *Task {
 	for j.reduceHead < len(j.pendingReduces) {
 		idx := j.pendingReduces[j.reduceHead]
 		j.reduceHead++
-		if t := j.Reduces[idx]; t.State == TaskPending {
+		if t := &j.Reduces[idx]; t.State == TaskPending {
 			return t
 		}
 	}

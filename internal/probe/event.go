@@ -87,6 +87,7 @@ type Event struct {
 	//   Complete:    A=est_J    B=true_J     C=dur_secs
 	//   ControlTick: A=total_J
 	//   Sample:      A=util     B=joules
+	//   JobDone:     A=maps_done_secs B=shuffle_end_secs
 	A, B, C float64
 	// N, M are kind-specific int payloads:
 	//   Offer:       N=pending
@@ -197,9 +198,11 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	case KindJobDone:
 		return json.Marshal(struct {
 			header
-			Job    int32 `json:"job"`
-			Failed bool  `json:"failed"`
-		}{h, e.JobID, e.Flag})
+			Job        int32   `json:"job"`
+			Failed     bool    `json:"failed"`
+			MapsDone   float64 `json:"maps_done"`
+			ShuffleEnd float64 `json:"shuffle_end"`
+		}{h, e.JobID, e.Flag, e.A, e.B})
 	case KindTrailRow:
 		return json.Marshal(struct {
 			header

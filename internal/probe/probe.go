@@ -249,12 +249,15 @@ func (p *Probe) JobSubmit(at time.Duration, jobID int, app string, maps, reduces
 		N: int32(maps), M: int32(reduces)})
 }
 
-// JobDone records a job leaving the system, failed or completed.
-func (p *Probe) JobDone(at time.Duration, jobID int, failed bool) {
+// JobDone records a job leaving the system, failed or completed, with its
+// phase timeline: when the last map finished (the shuffle barrier) and
+// when the last reduce finished its shuffle.
+func (p *Probe) JobDone(at time.Duration, jobID int, failed bool, mapsDone, shuffleEnd time.Duration) {
 	if p == nil {
 		return
 	}
-	p.record(Event{At: at, Kind: KindJobDone, JobID: int32(jobID), Flag: failed})
+	p.record(Event{At: at, Kind: KindJobDone, JobID: int32(jobID), Flag: failed,
+		A: mapsDone.Seconds(), B: shuffleEnd.Seconds()})
 }
 
 // ShouldSample advances the heartbeat counter and reports whether this

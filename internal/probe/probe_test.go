@@ -51,7 +51,7 @@ func TestNilProbeIsNoOp(t *testing.T) {
 	p.TrailRow(0, 0, 0, "", nil)
 	p.MachineState(0, 0, "")
 	p.JobSubmit(0, 0, "", 0, 0)
-	p.JobDone(0, 0, false)
+	p.JobDone(0, 0, false, 0, 0)
 	p.Sample(0, 0, "", 0, 0, 0, 0)
 	if p.ShouldSample() {
 		t.Error("nil probe should never sample")
@@ -91,7 +91,7 @@ func TestRingWrapAndDropped(t *testing.T) {
 func TestEventsNoWrap(t *testing.T) {
 	p := mustProbe(t, Config{RingSize: 8})
 	p.JobSubmit(0, 1, "sort", 4, 2)
-	p.JobDone(time.Minute, 1, false)
+	p.JobDone(time.Minute, 1, false, 0, 0)
 	if p.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0", p.Dropped())
 	}
@@ -238,6 +238,32 @@ func TestStreamJSONL(t *testing.T) {
 	for _, l := range lines {
 		if !json.Valid([]byte(l)) {
 			t.Errorf("invalid JSON line: %s", l)
+		}
+	}
+}
+
+// TestStreamJobDoneTimeline pins the job_done wire format: the job's phase
+// timeline travels as maps_done and shuffle_end seconds beside the failed
+// flag, rendered even when zero (a failed job may never reach its barrier).
+func TestStreamJobDoneTimeline(t *testing.T) {
+	var buf bytes.Buffer
+	p := mustProbe(t, Config{Stream: &buf})
+	p.JobDone(300*time.Second, 4, false, 120*time.Second, 150*time.Second)
+	p.JobDone(310*time.Second, 5, true, 0, 0)
+	if p.Err() != nil {
+		t.Fatal(p.Err())
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	want := []string{
+		`{"seq":0,"at":300,"kind":"job_done","job":4,"failed":false,"maps_done":120,"shuffle_end":150}`,
+		`{"seq":1,"at":310,"kind":"job_done","job":5,"failed":true,"maps_done":0,"shuffle_end":0}`,
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i, lines[i], want[i])
 		}
 	}
 }

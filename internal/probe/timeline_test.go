@@ -41,7 +41,7 @@ func TestWriteTimelineSpansAndCounters(t *testing.T) {
 	p.Complete(30*time.Second, 7, 0, 3, 2, 40, 44, 20)
 	p.ControlTick(60*time.Second, 500, 1)
 	p.MachineState(70*time.Second, 3, "sleep")
-	p.JobDone(80*time.Second, 7, false)
+	p.JobDone(80*time.Second, 7, false, 0, 0)
 
 	var buf bytes.Buffer
 	if err := WriteTimeline(&buf, p.Events()); err != nil {
@@ -104,7 +104,7 @@ func TestWriteTimelineEventCategories(t *testing.T) {
 	p.Complete(30*time.Second, 7, 0, 3, 2, 40, 44, 20)
 	p.ControlTick(60*time.Second, 500, 1)
 	p.MachineState(70*time.Second, 3, "sleep")
-	p.JobDone(80*time.Second, 7, false)
+	p.JobDone(80*time.Second, 7, false, 0, 0)
 
 	var buf bytes.Buffer
 	if err := WriteTimeline(&buf, p.Events()); err != nil {

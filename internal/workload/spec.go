@@ -81,6 +81,9 @@ const MaxInputMB = BlockMB * MaxTasks
 // Validate reports the first structural problem with the spec.
 func (j JobSpec) Validate() error {
 	switch {
+	case j.ID < math.MinInt32 || j.ID > math.MaxInt32:
+		// Probe events carry job IDs as int32.
+		return fmt.Errorf("workload: job ID %d does not fit in int32", j.ID)
 	case j.App < Wordcount || j.App > Terasort:
 		return fmt.Errorf("workload: job %d has unknown app %d", j.ID, j.App)
 	case j.InputMB <= 0 || j.InputMB > MaxInputMB || math.IsNaN(j.InputMB):

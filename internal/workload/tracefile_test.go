@@ -70,6 +70,19 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsOutOfRangeID: an ID that Atoi parses but int32
+// cannot hold is rejected at its line, not wrapped on its way into the
+// probe stream.
+func TestReadTraceRejectsOutOfRangeID(t *testing.T) {
+	for _, id := range []string{"2147483648", "-2147483649"} {
+		in := "id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,64,1,0\n" + id + ",Grep,S,64,1,0\n"
+		_, err := ReadTrace(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "trace line 3") {
+			t.Errorf("ID %s: err = %v, want a rejection at trace line 3", id, err)
+		}
+	}
+}
+
 func TestTraceHeaderStable(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteTrace(&sb, nil); err != nil {
@@ -96,6 +109,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n3,Terasort,-,777.5,0,90000000000\n")
 	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,NaN,1,0\n")
 	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n1,Grep,S,+Inf,1,0\n")
+	f.Add("id,app,class,input_mb,num_reduces,submit_ns\n2147483648,Grep,S,64,1,0\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		jobs, err := ReadTrace(strings.NewReader(in))
 		if err != nil {

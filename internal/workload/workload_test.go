@@ -93,6 +93,12 @@ func TestJobSpecValidate(t *testing.T) {
 	if edge := NewJobSpec(1, Grep, MaxInputMB, MaxTasks, 0); edge.Validate() != nil || edge.NumMaps != MaxTasks {
 		t.Errorf("largest valid spec rejected or miscounted: %+v", edge)
 	}
+	// Job IDs travel as int32 in probe events: both int32 edges are valid.
+	for _, id := range []int{math.MinInt32, math.MaxInt32} {
+		if err := NewJobSpec(id, Grep, 64, 1, 0).Validate(); err != nil {
+			t.Errorf("ID %d rejected: %v", id, err)
+		}
+	}
 	bad := []JobSpec{
 		{ID: 1, App: App(9), InputMB: 64, NumMaps: 1},
 		{ID: 1, App: Grep, InputMB: 0, NumMaps: 1},
@@ -104,6 +110,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{ID: 1, App: Grep, InputMB: MaxInputMB * 2, NumMaps: 1},
 		{ID: 1, App: Grep, InputMB: 64, NumMaps: MaxTasks + 1},
 		{ID: 1, App: Grep, InputMB: 64, NumMaps: 1, NumReduces: MaxTasks + 1},
+		{ID: math.MinInt32 - 1, App: Grep, InputMB: 64, NumMaps: 1},
+		{ID: math.MaxInt32 + 1, App: Grep, InputMB: 64, NumMaps: 1},
 	}
 	for i, j := range bad {
 		if err := j.Validate(); err == nil {

@@ -3,6 +3,7 @@ package eant
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -153,6 +154,53 @@ func TestWarmEqualsCold(t *testing.T) {
 			// whole sweep must land on the same bytes again.
 			compare(0, colds[0], runSpec(c.specs[0], runner))
 		})
+	}
+}
+
+// TestWarmAfterFailedRun pins warm reuse across the error paths. One
+// Runner first fails a run part-way — two jobs share an ID, so HDFS
+// placement of the second fails after the earlier jobs were placed and
+// their submits scheduled — then runs a horizon-cut spec, then the same
+// jobs to completion (reusing the cut run's Job structures in place).
+// Each run after the failure must equal a cold Run of its spec: Stats
+// deeply, probe stream byte for byte.
+func TestWarmAfterFailedRun(t *testing.T) {
+	cl := PaperTestbed()
+	runner, err := NewRunner(cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := MSDWorkload(6, 12)
+	dup[4].ID = dup[1].ID
+	failing := RunSpec{Scheduler: SchedulerEAnt, Jobs: dup, Seed: 12}
+	failing.Probe, _ = newSweepProbe(t)
+	if _, err := runner.Run(failing); err == nil || !strings.Contains(err.Error(), "already placed") {
+		t.Fatalf("duplicate job IDs: err = %v, want an HDFS placement failure", err)
+	}
+
+	full := RunSpec{Scheduler: SchedulerEAnt, Jobs: MSDWorkload(20, 7), Seed: 7}
+	cut := full
+	cut.Horizon = 8 * time.Minute
+	for _, spec := range []RunSpec{cut, full} {
+		var warmBuf, coldBuf *bytes.Buffer
+		spec.Probe, warmBuf = newSweepProbe(t)
+		warm, err := runner.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Cluster = cl.Clone()
+		spec.Probe, coldBuf = newSweepProbe(t)
+		cold, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold.Stats, warm.Stats) {
+			t.Errorf("horizon %v: warm Stats diverged from cold: joules %v vs %v, makespan %v vs %v",
+				spec.Horizon, warm.Stats.TotalJoules, cold.Stats.TotalJoules, warm.Stats.Horizon, cold.Stats.Horizon)
+		}
+		if !bytes.Equal(coldBuf.Bytes(), warmBuf.Bytes()) {
+			t.Errorf("horizon %v: warm probe stream differs from cold", spec.Horizon)
+		}
 	}
 }
 
