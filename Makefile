@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt check bench-smoke bench cover
+.PHONY: all build test race lint vet fmt check bench-check bench-smoke bench cover
 
 all: check
 
@@ -32,7 +32,13 @@ vet:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt vet build lint test
+check: fmt vet build lint test bench-check
+
+# bench/ is its own Go module, so `go vet ./...` and `go test ./...` at the
+# root skip it; build, vet and test it here (its digests are pinned for
+# amd64).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench-smoke:
 	$(GO) test -run xxx -bench SimulatorThroughput -benchtime=1x -benchmem .

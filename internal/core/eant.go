@@ -578,20 +578,20 @@ func (e *EAnt) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduc
 // of the energy, three times the wall clock — a loss once the rest of the
 // fleet sits burning idle power waiting for it).
 func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m cluster.Machine) bool {
-	own := ctx.EstimateReduceSeconds(j, m.Spec())
+	own := ctx.EstimateReduceSeconds(j, ctx.TypeIndex(m))
 	if own <= 0 {
 		return false
 	}
+	types := len(ctx.TypeSpecs())
 	mean, ok := e.reduceMeans[j.Spec.ID]
 	if !ok {
-		// Fleet-mean reduce estimate over one representative spec per type
-		// (sorted type-name order — the same accumulation order as the old
-		// per-offer loop). Static per job, so computed once.
-		specs := ctx.TypeSpecs()
-		for _, spec := range specs {
-			mean += ctx.EstimateReduceSeconds(j, spec)
+		// Fleet-mean reduce estimate over the machine types, summed in
+		// TypeSpecs (sorted type-name) order — the same accumulation order
+		// as the old per-offer loop. Static per job, so computed once.
+		for ti := range types {
+			mean += ctx.EstimateReduceSeconds(j, ti)
 		}
-		mean /= float64(len(specs))
+		mean /= float64(types)
 		e.reduceMeans[j.Spec.ID] = mean
 	}
 	if own <= mean*slowReduceFactor {
@@ -601,8 +601,8 @@ func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m c
 	// is fast and has free reduce slots. m's own type is never fast here
 	// (its estimate is own > mean·factor), so m needs no special-casing —
 	// matching the old scan's self-exclusion.
-	for i, spec := range ctx.TypeSpecs() {
-		if ctx.EstimateReduceSeconds(j, spec) <= mean*slowReduceFactor && ctx.FreeReduceSlotsOfType(i) > 0 {
+	for ti := range types {
+		if ctx.EstimateReduceSeconds(j, ti) <= mean*slowReduceFactor && ctx.FreeReduceSlotsOfType(ti) > 0 {
 			return true
 		}
 	}

@@ -21,7 +21,9 @@ import (
 const DefaultReplication = 3
 
 // File is one job's input: Blocks[i] lists the machine IDs holding a
-// replica of block i.
+// replica of block i. Every block's list is a window of one backing array
+// (replication entries per block), so placing a file allocates two arrays
+// however many blocks it has.
 type File struct {
 	JobID  int
 	Blocks [][]int
@@ -132,6 +134,11 @@ func (ns *Namespace) Place(jobID, blocks int) (*File, error) {
 		delete(ns.recycled, jobID)
 	} else {
 		f = &File{JobID: jobID, Blocks: make([][]int, blocks)}
+		reps := ns.replication
+		backing := make([]int, blocks*reps)
+		for b := range f.Blocks {
+			f.Blocks[b] = backing[b*reps : b*reps : (b+1)*reps]
+		}
 	}
 	for b := 0; b < blocks; b++ {
 		f.Blocks[b] = ns.pickReplicas(f.Blocks[b][:0])
@@ -142,9 +149,9 @@ func (ns *Namespace) Place(jobID, blocks int) (*File, error) {
 
 // pickReplicas selects replication distinct placeable machines, preferring
 // machines holding fewer replicas (power-of-two-choices balancing with
-// random tie-breaking). The result is built in dst's backing array when it
-// has capacity. Membership tests scan the (≤ replication-long) result
-// directly — same draws, no per-block map.
+// random tie-breaking). The result is built in dst's backing array, which
+// has capacity for replication entries. Membership tests scan the
+// (≤ replication-long) result directly — same draws, no per-block map.
 func (ns *Namespace) pickReplicas(dst []int) []int {
 	n := ns.cluster.Size()
 	placeable := n - len(ns.excluded)

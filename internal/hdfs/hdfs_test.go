@@ -35,6 +35,20 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 	}
 }
 
+func TestPlaceAllocatesPerFileNotPerBlock(t *testing.T) {
+	ns := NewNamespace(testCluster(10), 3, sim.NewRNG(1))
+	// The File, its block index and one replica array, however many blocks.
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ns.Place(1, 200); err != nil {
+			t.Fatal(err)
+		}
+		ns.Remove(1)
+	})
+	if allocs != 3 {
+		t.Errorf("Place of 200 blocks made %v allocations, want 3", allocs)
+	}
+}
+
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
 	ns := NewNamespace(c, 3, sim.NewRNG(2))

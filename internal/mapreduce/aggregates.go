@@ -34,6 +34,8 @@ import (
 //     the machines currently in each class.
 //   - freeReduceByType[t] == Σ FreeReduceSlots() over machines of type t
 //     (dead machines contribute 0), in sorted type-name order.
+//   - every job's inFlight lists exactly its running or shuffling attempts
+//     (speculative clones included), each at its flightPos.
 //
 // Note the pending counters deliberately reproduce the lazy-queue
 // semantics of Job.PendingMaps(): popping a map through the locality
@@ -272,6 +274,41 @@ func (d *Driver) EnableInvariantChecks(fail func(error)) {
 	}
 }
 
+// checkInFlight verifies j's in-flight list against its tasks' states.
+func (j *Job) checkInFlight() error {
+	for i, t := range j.inFlight {
+		if t.flightPos != i {
+			return fmt.Errorf("%s listed at %d, flightPos %d", t.ID(), i, t.flightPos)
+		}
+		if t.State != TaskRunning && t.State != TaskShuffling {
+			return fmt.Errorf("%s listed in flight in state %d", t.ID(), t.State)
+		}
+	}
+	listed := func(t *Task) error {
+		if t.State != TaskRunning && t.State != TaskShuffling {
+			return nil
+		}
+		if t.flightPos >= len(j.inFlight) || j.inFlight[t.flightPos] != t {
+			return fmt.Errorf("%s (speculative %v) in flight but not listed", t.ID(), t.Speculative())
+		}
+		return nil
+	}
+	for _, tasks := range [][]Task{j.Maps, j.Reduces} {
+		for i := range tasks {
+			t := &tasks[i]
+			if err := listed(t); err != nil {
+				return err
+			}
+			if t.clone != nil {
+				if err := listed(t.clone); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // checkAggregates recomputes the aggregate state from first principles
 // and returns the first divergence from the incremental counters.
 func (d *Driver) checkAggregates() error {
@@ -297,6 +334,11 @@ func (d *Driver) checkAggregates() error {
 	}
 	if rpr != a.readyPendingReduces {
 		return fmt.Errorf("readyPendingReduces %d, recomputed %d", a.readyPendingReduces, rpr)
+	}
+	for _, j := range d.jobs {
+		if err := j.checkInFlight(); err != nil {
+			return err
+		}
 	}
 
 	var byClass [numClasses]classSlots

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"eant/internal/cluster"
@@ -202,22 +203,26 @@ type Driver struct {
 
 	// agg is the incremental-statistics layer serving the scheduler hot
 	// path (see aggregates.go); typeReps is one representative spec per
-	// machine type in sorted type-name order; mapEst memoizes the
-	// (app, spec) map-service estimates — both inputs are static.
+	// machine type in sorted type-name order; mapEst tabulates the
+	// map-service estimate per (app, type), indexed by estIndex, from the
+	// run's config.
 	agg      aggregates
 	typeReps []*cluster.TypeSpec //eant:reset-keep pure function of the cluster, which a driver never swaps
-	mapEst   map[mapEstKey]float64
+	mapEst   []float64
+
+	// done tallies completions per (type, app, kind) cell, indexed by
+	// doneIndex, and doneByMachine per machine ID, each cell summed in
+	// completion order; finalizeStats publishes them into Stats' maps.
+	// tasksDone is their running total, read by every control tick.
+	done          []EnergyPair
+	doneByMachine []int
+	tasksDone     int
 
 	// slotObs receives free-slot change notifications when the scheduler
 	// implements SlotObserver; onMutation is the test-only invariant hook
 	// (EnableInvariantChecks).
 	slotObs    SlotObserver
 	onMutation func(where string) //eant:reset-keep test-only hook installed for the driver's lifetime
-
-	// staleEstimates is set by Reset when the new config invalidates the
-	// memoized service estimates (NetShareDivisor changed); Run's warm job
-	// reuse then drops each job's reduce-estimate memo.
-	staleEstimates bool
 
 	// Typed event kinds (sim.RegisterKind jump table), one per event the
 	// driver schedules — heartbeat sweeps, control ticks, submissions,
@@ -309,6 +314,7 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 		}
 	})
 	d.initAggregates()
+	d.initTables()
 	if inj.Enabled() {
 		d.blacklistUntil = make([]time.Duration, c.Size())
 		d.failCount = make([]int, c.Size())
@@ -392,9 +398,9 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 		var job *Job
 		if warm {
 			job = d.jobs[i]
-			job.resetForRun(replicasOf, d.staleEstimates)
+			job.resetForRun(replicasOf)
 		} else {
-			job = newJob(spec, replicasOf)
+			job = newJob(spec, replicasOf, len(d.typeReps))
 			d.jobs = append(d.jobs, job)
 		}
 		d.engine.ScheduleKind(spec.Submit, d.evSubmit, 0, job)
@@ -457,6 +463,11 @@ func (d *Driver) controlTickEvent() {
 
 func (d *Driver) submit(j *Job) {
 	j.Submitted = d.engine.Now()
+	prof := workload.ProfileOf(j.Spec.App)
+	shuffleMB := j.Spec.ShuffleMBPerReduce()
+	for i, spec := range d.typeReps {
+		_, _, j.reduceEst[i] = reduceService(prof, shuffleMB, spec, d.cfg.NetShareDivisor)
+	}
 	d.active = append(d.active, j)
 	d.unsubmit--
 	if d.probe != nil {
@@ -593,7 +604,7 @@ func (d *Driver) controlTick() {
 	d.stats.Timeline = append(d.stats.Timeline, EnergyPoint{
 		At:          d.engine.Now(),
 		TotalJoules: d.meter.TotalJoules(),
-		TasksDone:   d.stats.TasksDone(),
+		TasksDone:   d.tasksDone,
 	})
 	if d.cfg.KeepAssignmentHistory {
 		snap := IntervalAssignments{At: d.engine.Now(), Counts: d.intervalAssign}
@@ -601,7 +612,7 @@ func (d *Driver) controlTick() {
 		d.intervalAssign = make(map[int]map[int]int) //eant:alloc-ok KeepAssignmentHistory opt-in, once per control tick
 	}
 	if d.probe != nil {
-		d.probe.ControlTick(d.engine.Now(), d.meter.TotalJoules(), d.stats.TasksDone())
+		d.probe.ControlTick(d.engine.Now(), d.meter.TotalJoules(), d.tasksDone)
 	}
 	d.sched.OnControlTick(d.ctx)
 }
@@ -612,7 +623,7 @@ func (d *Driver) isLocal(t *Task, m cluster.Machine) bool {
 	if f := d.cfg.ForcedLocalFraction; f >= 0 {
 		return d.local.Bernoulli(f)
 	}
-	return d.ns.IsLocal(t.Job.Spec.ID, t.Index, m.ID())
+	return slices.Contains(t.Job.mapReplicas[t.Index], m.ID())
 }
 
 // TaskThreads is how many cores a Hadoop task's JVM occupies while its
@@ -809,9 +820,7 @@ func (d *Driver) completeTask(t *Task) {
 	}
 
 	j := t.Job
-	j.running--
-	j.runningByMachine[m.ID()]--
-	delete(j.runningSet, t)
+	j.removeInFlight(t)
 
 	// Resolve a speculation race: the first attempt to finish wins, the
 	// sibling is killed and never counted toward job progress.
@@ -892,10 +901,7 @@ func (d *Driver) detachRunning(t *Task) bool {
 		m.ReleaseReduce(util)
 	}
 	d.noteSlotChange(m, t.Kind, 1)
-	j := t.Job
-	j.running--
-	j.runningByMachine[m.ID()]--
-	delete(j.runningSet, t)
+	t.Job.removeInFlight(t)
 	return true
 }
 
@@ -983,9 +989,7 @@ func (d *Driver) noteStart(t *Task, m cluster.Machine) {
 		j.started = true
 		j.FirstStart = d.engine.Now()
 	}
-	j.running++
-	j.runningByMachine[m.ID()]++
-	j.runningSet[t] = struct{}{}
+	j.addInFlight(t)
 	if d.lastBusy != nil {
 		d.lastBusy[m.ID()] = d.engine.Now()
 	}
@@ -1000,18 +1004,13 @@ func (d *Driver) noteStart(t *Task, m cluster.Machine) {
 }
 
 func (d *Driver) recordTask(t *Task) {
-	key := AppKindKey{
-		MachineType: t.Machine.Spec().Name,
-		App:         t.Job.Spec.App,
-		Kind:        t.Kind,
-	}
-	d.stats.Completed[key]++
-	d.stats.CompletedByMachine[t.Machine.ID()]++
-	pair := d.stats.Energy[key]
-	pair.EstJoules += t.EstJoules
-	pair.TrueJoules += t.TrueJoules
-	pair.Tasks++
-	d.stats.Energy[key] = pair
+	id := t.Machine.ID()
+	cell := &d.done[d.doneIndex(d.agg.typeIdx[id], t.Job.Spec.App, t.Kind)]
+	cell.EstJoules += t.EstJoules
+	cell.TrueJoules += t.TrueJoules
+	cell.Tasks++
+	d.doneByMachine[id]++
+	d.tasksDone++
 
 	if d.cfg.KeepTaskRecords {
 		d.stats.Tasks = append(d.stats.Tasks, TaskRecord{
@@ -1045,6 +1044,60 @@ func (d *Driver) finalizeStats() {
 	s.TypeJoules = d.meter.TypeJoules()
 	s.TypeAvgUtil = d.meter.TypeAvgUtilization(now)
 	s.TotalJoules = d.meter.TotalJoules()
+
+	// A key exists only where a task completed, as if each completion had
+	// updated the maps directly.
+	apps := workload.Apps()
+	for ti, spec := range d.typeReps {
+		for _, app := range apps {
+			for _, kind := range [...]TaskKind{MapTask, ReduceTask} {
+				cell := d.done[d.doneIndex(ti, app, kind)]
+				if cell.Tasks == 0 {
+					continue
+				}
+				key := AppKindKey{MachineType: spec.Name, App: app, Kind: kind}
+				s.Completed[key] = cell.Tasks
+				s.Energy[key] = cell
+			}
+		}
+	}
+	for id, n := range d.doneByMachine {
+		if n > 0 {
+			s.CompletedByMachine[id] = n
+		}
+	}
+}
+
+// initTables sizes the per-(app, type) estimate table and the completion
+// tallies, then fills the estimates. Reset refills both in place.
+func (d *Driver) initTables() {
+	apps, types := len(workload.Apps()), len(d.typeReps)
+	d.mapEst = make([]float64, apps*types)
+	d.done = make([]EnergyPair, 2*apps*types)
+	d.doneByMachine = make([]int, d.cluster.Size())
+	d.tabulateEstimates()
+}
+
+// tabulateEstimates fills mapEst from the current config. NewDriver and
+// every Reset recompute the whole table, so it never outlives the config
+// it was computed from.
+func (d *Driver) tabulateEstimates() {
+	for _, app := range workload.Apps() {
+		prof := workload.ProfileOf(app)
+		for ti, spec := range d.typeReps {
+			_, d.mapEst[d.estIndex(app, ti)] = mapService(prof, workload.BlockMB, spec, true, d.cfg.NetShareDivisor)
+		}
+	}
+}
+
+// estIndex locates the (app, type) cell of mapEst.
+func (d *Driver) estIndex(app workload.App, ti int) int {
+	return int(app-workload.Wordcount)*len(d.typeReps) + ti
+}
+
+// doneIndex locates the (type, app, kind) cell of the completion tallies.
+func (d *Driver) doneIndex(ti int, app workload.App, kind TaskKind) int {
+	return 2*d.estIndex(app, ti) + int(kind-MapTask)
 }
 
 // secsToDur converts fractional seconds to a time.Duration, guarding

@@ -91,10 +91,10 @@ func (d *Driver) crashMachine(id int) {
 	d.meter.Sync(m, now)
 
 	// Collect and kill the machine's in-flight attempts in a deterministic
-	// order; runningSet is a map, so sort before acting.
+	// order; inFlight is unordered, so sort before acting.
 	victims := d.victims[:0]
 	for _, j := range d.active {
-		for t := range j.runningSet {
+		for _, t := range j.inFlight {
 			if t.Machine == m {
 				victims = append(victims, t)
 			}

@@ -30,10 +30,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	if sched == nil {
 		return fmt.Errorf("mapreduce: nil scheduler")
 	}
-	// A changed divisor invalidates the memoized service estimates; exact
-	// comparison is right here — any difference, however small, changes them.
-	//eant:float-eq-ok config identity check, not a tolerance comparison
-	staleEst := cfg.NetShareDivisor != d.cfg.NetShareDivisor
 	d.cfg = cfg
 
 	// ForkSeed(seed, label) is exactly the seed NewRNG(seed).Fork(label)
@@ -121,10 +117,10 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 		d.lastBusy = nil
 	}
 
-	d.staleEstimates = staleEst
-	if staleEst {
-		clear(d.mapEst)
-	}
+	d.tabulateEstimates()
+	clear(d.done)
+	clear(d.doneByMachine)
+	d.tasksDone = 0
 	d.resetAggregates()
 	return nil
 }
@@ -163,20 +159,17 @@ func (d *Driver) resetAggregates() {
 // pendingEvent handles are inert — the engine reset bumped their
 // generation), the pending FIFOs and locality index are rebuilt by
 // overwrite in newJob's exact order, and speculative clones (separate
-// allocations) are dropped with the cleared runningSet. replicasOf
-// supplies the re-placed block locations; staleEst drops the memoized
-// reduce estimates when the run config changed their inputs.
-func (j *Job) resetForRun(replicasOf func(block int) []int, staleEst bool) {
+// allocations) are dropped with the cleared in-flight list. replicasOf
+// supplies the re-placed block locations; the reduce estimates are
+// re-tabulated at submission.
+func (j *Job) resetForRun(replicasOf func(block int) []int) {
 	j.Submitted, j.FirstStart, j.MapsDoneAt, j.LastShuffleEnd, j.Finished = 0, 0, 0, 0, 0
 	j.mapsDone, j.reducesDone = 0, 0
 	j.started, j.done, j.failed = false, false, false
 	j.reduceGateOpen = false
-	j.running = 0
-	clear(j.runningByMachine)
-	clear(j.runningSet)
-	if staleEst {
-		clear(j.reduceEst)
-	}
+	clear(j.inFlight)
+	j.inFlight = j.inFlight[:0]
+	clear(j.reduceEst)
 	// Truncate each locality queue in place. failJob replaces the whole map
 	// and popLocalMap nils drained entries; q[:0] of nil is nil, and the
 	// append below re-allocates only those queues.

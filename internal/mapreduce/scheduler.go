@@ -7,7 +7,6 @@ import (
 	"eant/internal/hdfs"
 	"eant/internal/probe"
 	"eant/internal/sim"
-	"eant/internal/workload"
 )
 
 // Scheduler is the task-assignment policy plugged into the JobTracker.
@@ -37,14 +36,6 @@ type Scheduler interface {
 // rescanning machines on every offer.
 type SlotObserver interface {
 	OnSlotFreeChange(ctx *Context, m cluster.Machine, kind TaskKind, delta int)
-}
-
-// mapEstKey keys the driver's memo of map-service estimates: workload
-// profiles, block size, and machine specs are all static, so the estimate
-// is a pure function of (app, spec).
-type mapEstKey struct {
-	app  workload.App
-	spec *cluster.TypeSpec
 }
 
 // Context is the JobTracker state a scheduler may consult.
@@ -199,38 +190,19 @@ func (c *Context) CloneForSpeculation(orig *Task) *Task {
 }
 
 // EstimateMapSeconds predicts the noise-free service time of one of j's
-// map tasks on machine spec, assuming data-local execution. Schedulers
-// like Tarazu use it as the task-duration profile a real implementation
-// would learn from completed waves. Every input is static, so the value
-// is memoized per (app, spec) on the driver.
-func (c *Context) EstimateMapSeconds(j *Job, spec *cluster.TypeSpec) float64 {
-	key := mapEstKey{j.Spec.App, spec}
-	if v, ok := c.driver.mapEst[key]; ok {
-		return v
-	}
-	prof := workload.ProfileOf(j.Spec.App)
-	_, total := mapService(prof, workload.BlockMB, spec, true, c.driver.cfg.NetShareDivisor)
-	if c.driver.mapEst == nil {
-		c.driver.mapEst = make(map[mapEstKey]float64, 32) //eant:alloc-ok lazy memo table, amortized across the run
-	}
-	c.driver.mapEst[key] = total
-	return total
+// map tasks on a machine of the ti-th type (TypeSpecs order), assuming
+// data-local execution. Schedulers like Tarazu use it as the task-duration
+// profile a real implementation would learn from completed waves. The
+// driver tabulates it per (app, type) for each run.
+func (c *Context) EstimateMapSeconds(j *Job, ti int) float64 {
+	return c.driver.mapEst[c.driver.estIndex(j.Spec.App, ti)]
 }
 
 // EstimateReduceSeconds predicts the noise-free compute time of one of j's
-// reduce tasks on machine spec (shuffle excluded). Shuffle volume is fixed
-// at submission, so the value is memoized per spec on the job.
-func (c *Context) EstimateReduceSeconds(j *Job, spec *cluster.TypeSpec) float64 {
-	if v, ok := j.reduceEst[spec]; ok {
-		return v
-	}
-	prof := workload.ProfileOf(j.Spec.App)
-	_, _, compute := reduceService(prof, j.Spec.ShuffleMBPerReduce(), spec, c.driver.cfg.NetShareDivisor)
-	if j.reduceEst == nil {
-		j.reduceEst = make(map[*cluster.TypeSpec]float64, 8) //eant:alloc-ok lazy memo table, amortized per job
-	}
-	j.reduceEst[spec] = compute
-	return compute
+// reduce tasks on a machine of the ti-th type (TypeSpecs order), shuffle
+// excluded. The driver tabulates it per type when j is submitted.
+func (c *Context) EstimateReduceSeconds(j *Job, ti int) float64 {
+	return j.reduceEst[ti]
 }
 
 // PendingTasks returns the cluster-wide count of unassigned tasks of the
@@ -263,6 +235,9 @@ func (c *Context) AvailabilityEpoch() uint64 { return c.driver.agg.epoch }
 // TypeSpecs returns one representative spec per machine type in sorted
 // type-name order. The slice is shared; callers must not mutate it.
 func (c *Context) TypeSpecs() []*cluster.TypeSpec { return c.driver.typeReps }
+
+// TypeIndex returns the index of m's machine type in TypeSpecs.
+func (c *Context) TypeIndex(m cluster.Machine) int { return c.driver.agg.typeIdx[m.ID()] }
 
 // FreeReduceSlotsOfType returns the free reduce slots on machines of the
 // i-th type (TypeSpecs order), excluding dead machines.

@@ -99,6 +99,8 @@ type Task struct {
 	original     *Task
 	clone        *Task
 	pendingEvent simEventHandle
+	// flightPos is the attempt's index in Job.inFlight while it runs.
+	flightPos int
 
 	// failures counts this logical task's failed attempts (fault
 	// injection); kept on the canonical task, never on clones. doomed
@@ -201,13 +203,11 @@ type Job struct {
 	// crash on the other replicas).
 	mapReplicas [][]int
 
-	// runningByMachine counts this job's running tasks per machine,
-	// maintained for slot-fairness heuristics.
-	runningByMachine map[int]int
-	running          int
-	// runningSet tracks in-flight attempts (originals and speculative
-	// clones) for the speculation scan.
-	runningSet map[*Task]struct{}
+	// inFlight lists the in-flight attempts (originals and speculative
+	// clones) for the speculation and crash scans, in no particular order:
+	// both impose their own total order. Each attempt's flightPos is its
+	// index here, so removal swaps the last entry into its place.
+	inFlight []*Task
 
 	// reduceGateOpen caches whether MapProgress has passed the slowstart
 	// threshold, so the ready-pending-reduce aggregate knows which jobs'
@@ -215,20 +215,20 @@ type Job struct {
 	// at submit, map completion, and lost-map re-execution (progress can
 	// move backwards).
 	reduceGateOpen bool
-	// reduceEst memoizes EstimateReduceSeconds per machine type: shuffle
-	// volume and profile are fixed at submission, so the estimate is static
-	// per (job, type). Allocated lazily on first estimate.
-	reduceEst map[*cluster.TypeSpec]float64
+	// reduceEst is EstimateReduceSeconds per machine type (TypeSpecs
+	// order), filled at submission: shuffle volume and profile are fixed
+	// by the spec.
+	reduceEst []float64
 }
 
-// newJob materializes tasks for a spec. Block replica locations are
-// supplied per map index via replicasOf (from the HDFS namespace).
-func newJob(spec workload.JobSpec, replicasOf func(block int) []int) *Job {
+// newJob materializes tasks for a spec on a fleet with the given number of
+// machine types. Block replica locations are supplied per map index via
+// replicasOf (from the HDFS namespace).
+func newJob(spec workload.JobSpec, replicasOf func(block int) []int, types int) *Job {
 	j := &Job{
-		Spec:             spec,
-		localPending:     make(map[int][]int),
-		runningByMachine: make(map[int]int),
-		runningSet:       make(map[*Task]struct{}),
+		Spec:         spec,
+		localPending: make(map[int][]int),
+		reduceEst:    make([]float64, types),
 	}
 	j.Maps = make([]Task, spec.NumMaps)
 	j.pendingMaps = make([]int, spec.NumMaps)
@@ -288,15 +288,33 @@ func (j *Job) PendingMaps() int { return len(j.pendingMaps) - j.pendingHead }
 func (j *Job) PendingReduces() int { return len(j.pendingReduces) - j.reduceHead }
 
 // Running returns the number of currently executing tasks.
-func (j *Job) Running() int { return j.running }
+func (j *Job) Running() int { return len(j.inFlight) }
 
-// RunningOn returns the number of this job's tasks executing on machine id.
-func (j *Job) RunningOn(machineID int) int { return j.runningByMachine[machineID] }
+// addInFlight lists a started attempt.
+func (j *Job) addInFlight(t *Task) {
+	t.flightPos = len(j.inFlight)
+	j.inFlight = append(j.inFlight, t)
+}
+
+// removeInFlight unlists a finished or detached attempt.
+func (j *Job) removeInFlight(t *Task) {
+	last := len(j.inFlight) - 1
+	moved := j.inFlight[last]
+	j.inFlight[t.flightPos] = moved
+	moved.flightPos = t.flightPos
+	j.inFlight[last] = nil
+	j.inFlight = j.inFlight[:last]
+}
 
 // popLocalMap removes and returns a pending map task with a replica on
 // machineID, or nil.
 func (j *Job) popLocalMap(machineID int) *Task {
 	queue := j.localPending[machineID]
+	if len(queue) == 0 {
+		// Absent and nil read the same; writing nil here would add a key
+		// for every machine that ever pulled one of j's maps remotely.
+		return nil
+	}
 	for len(queue) > 0 {
 		idx := queue[0]
 		queue = queue[1:]
@@ -348,8 +366,8 @@ func (j *Job) popReduce() *Task {
 // RunningAttempts returns the job's in-flight attempts of one kind,
 // ordered by (task index, speculative flag) for deterministic iteration.
 func (j *Job) RunningAttempts(kind TaskKind) []*Task {
-	out := make([]*Task, 0, len(j.runningSet)) //eant:alloc-ok speculation/recovery scan, per control tick at most
-	for t := range j.runningSet {
+	out := make([]*Task, 0, len(j.inFlight)) //eant:alloc-ok speculation/recovery scan, per control tick at most
+	for _, t := range j.inFlight {
 		if t.Kind == kind {
 			out = append(out, t)
 		}

@@ -25,7 +25,7 @@ func TestTaskKindString(t *testing.T) {
 
 func TestNewJobMaterializesTasks(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Wordcount, 320, 3, 0) // 5 maps
-	j := newJob(spec, replicasAll(2))
+	j := newJob(spec, replicasAll(2), 1)
 	if len(j.Maps) != 5 || len(j.Reduces) != 3 {
 		t.Fatalf("tasks = %d maps, %d reduces; want 5, 3", len(j.Maps), len(j.Reduces))
 	}
@@ -47,7 +47,7 @@ func TestNewJobMaterializesTasks(t *testing.T) {
 
 func TestPopLocalMapSkipsStaleEntries(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 192, 0, 0) // 3 maps
-	j := newJob(spec, replicasAll(1))
+	j := newJob(spec, replicasAll(1), 1)
 	// Assign task 0 via popAnyMap, making machine 0's local entry stale.
 	first := j.popAnyMap()
 	first.State = TaskRunning
@@ -57,9 +57,20 @@ func TestPopLocalMapSkipsStaleEntries(t *testing.T) {
 	}
 }
 
+func TestRemotePopLeavesNoLocalityEntry(t *testing.T) {
+	spec := workload.NewJobSpec(1, workload.Grep, 128, 0, 0) // 2 maps
+	j := newJob(spec, func(int) []int { return []int{2} }, 1)
+	if j.popLocalMap(0) != nil {
+		t.Fatal("popLocalMap found a local task on a machine without replicas")
+	}
+	if _, ok := j.localPending[0]; ok || len(j.localPending) != 1 {
+		t.Errorf("locality index has keys %v after a remote pop, want only machine 2", j.localPending)
+	}
+}
+
 func TestPopAnyMapExhausts(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 128, 0, 0) // 2 maps
-	j := newJob(spec, replicasAll(1))
+	j := newJob(spec, replicasAll(1), 1)
 	a, b := j.popAnyMap(), j.popAnyMap()
 	if a == nil || b == nil || a == b {
 		t.Fatal("popAnyMap did not return distinct tasks")
@@ -74,7 +85,7 @@ func TestPopAnyMapExhausts(t *testing.T) {
 
 func TestPeekPendingLocalMap(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 64, 0, 0)
-	j := newJob(spec, func(int) []int { return []int{2} })
+	j := newJob(spec, func(int) []int { return []int{2} }, 1)
 	if !j.peekPendingLocalMap(2) {
 		t.Error("peek missed local pending task")
 	}
@@ -89,7 +100,7 @@ func TestPeekPendingLocalMap(t *testing.T) {
 
 func TestRequeueRestoresTask(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Terasort, 128, 2, 0)
-	j := newJob(spec, replicasAll(1))
+	j := newJob(spec, replicasAll(1), 1)
 	task := j.popAnyMap()
 	if j.PendingMaps() != 1 {
 		t.Fatal("pop did not consume")
@@ -107,7 +118,7 @@ func TestRequeueRestoresTask(t *testing.T) {
 
 func TestRequeueNonPendingPanics(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 64, 0, 0)
-	j := newJob(spec, replicasAll(1))
+	j := newJob(spec, replicasAll(1), 1)
 	task := j.popAnyMap()
 	task.State = TaskRunning
 	defer func() {

@@ -118,6 +118,9 @@ func (c *Capacity) assign(ctx *mapreduce.Context, eligible func(*mapreduce.Job) 
 
 // AssignMap implements mapreduce.Scheduler.
 func (c *Capacity) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if ctx.PendingTasks(mapreduce.MapTask) == 0 {
+		return nil
+	}
 	j, qi := c.assign(ctx, func(j *mapreduce.Job) bool { return j.PendingMaps() > 0 })
 	if j == nil {
 		return nil
@@ -131,6 +134,9 @@ func (c *Capacity) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapredu
 
 // AssignReduce implements mapreduce.Scheduler.
 func (c *Capacity) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if ctx.ReadyReduceTasks() == 0 {
+		return nil
+	}
 	j, qi := c.assign(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) }) //eant:alloc-ok non-escaping predicate, stack-allocated
 	if j == nil {
 		return nil

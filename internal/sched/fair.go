@@ -69,6 +69,11 @@ func neediest(ctx *mapreduce.Context, eligible func(*mapreduce.Job) bool) *mapre
 
 // AssignMap implements mapreduce.Scheduler.
 func (f *Fair) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	// An empty queue makes every walk below return nil without touching
+	// the skip counters; most offers of a run see one.
+	if ctx.PendingTasks(mapreduce.MapTask) == 0 {
+		return nil
+	}
 	if f.LocalityWaitTicks <= 0 {
 		j := neediest(ctx, func(j *mapreduce.Job) bool { return j.PendingMaps() > 0 })
 		if j == nil {
@@ -106,6 +111,9 @@ func (f *Fair) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.T
 
 // AssignReduce implements mapreduce.Scheduler.
 func (f *Fair) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if ctx.ReadyReduceTasks() == 0 {
+		return nil
+	}
 	j := neediest(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) }) //eant:alloc-ok non-escaping predicate, stack-allocated
 	if j == nil {
 		return nil

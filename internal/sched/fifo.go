@@ -26,6 +26,9 @@ func (f *FIFO) ResetForRun() {}
 
 // AssignMap hands m the oldest job's next map task, local block preferred.
 func (f *FIFO) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if ctx.PendingTasks(mapreduce.MapTask) == 0 {
+		return nil
+	}
 	for _, j := range ctx.ActiveJobs() {
 		if j.PendingMaps() == 0 {
 			continue
@@ -39,6 +42,9 @@ func (f *FIFO) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.T
 
 // AssignReduce hands m the oldest ready job's next reduce task.
 func (f *FIFO) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
+	if ctx.ReadyReduceTasks() == 0 {
+		return nil
+	}
 	for _, j := range ctx.ActiveJobs() {
 		if !ctx.ReduceReady(j) {
 			continue

@@ -95,9 +95,9 @@ func (l *LATE) speculate(ctx *mapreduce.Context, m cluster.Machine, kind mapredu
 				// machine defeats the purpose.
 				continue
 			}
-			expected := ctx.EstimateMapSeconds(j, t.Machine.Spec())
+			expected := ctx.EstimateMapSeconds(j, ctx.TypeIndex(t.Machine))
 			if kind == mapreduce.ReduceTask {
-				expected = ctx.EstimateReduceSeconds(j, t.Machine.Spec())
+				expected = ctx.EstimateReduceSeconds(j, ctx.TypeIndex(t.Machine))
 			}
 			if expected <= 0 {
 				continue

@@ -80,17 +80,18 @@ func capability(s *cluster.TypeSpec) float64 {
 	return float64(s.Cores) * s.SpeedFactor
 }
 
-// advantage scores how comparatively fast machine spec runs j's map tasks:
-// the mean service time across hardware types divided by the time on this
-// type. >1 means this machine is a comparatively good home for the job.
-func (t *Tarazu) advantage(ctx *mapreduce.Context, j *mapreduce.Job, spec *cluster.TypeSpec) float64 {
+// advantage scores how comparatively fast a machine of the ti-th type runs
+// j's map tasks: the mean service time across hardware types (summed in
+// TypeSpecs order) divided by the time on this type. >1 means this machine
+// is a comparatively good home for the job.
+func (t *Tarazu) advantage(ctx *mapreduce.Context, j *mapreduce.Job, ti int) float64 {
 	var mean float64
-	specs := ctx.TypeSpecs()
-	for _, s := range specs {
-		mean += ctx.EstimateMapSeconds(j, s)
+	types := len(ctx.TypeSpecs())
+	for i := range types {
+		mean += ctx.EstimateMapSeconds(j, i)
 	}
-	mean /= float64(len(specs))
-	return mean / ctx.EstimateMapSeconds(j, spec)
+	mean /= float64(types)
+	return mean / ctx.EstimateMapSeconds(j, ti)
 }
 
 // AssignMap implements mapreduce.Scheduler: among jobs below fair share,
@@ -100,13 +101,17 @@ func (t *Tarazu) advantage(ctx *mapreduce.Context, j *mapreduce.Job, spec *clust
 // cannot swamp the network pulling blocks they process slowly.
 func (t *Tarazu) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
 	t.init(ctx)
+	if ctx.PendingTasks(mapreduce.MapTask) == 0 {
+		return nil
+	}
 	var best *mapreduce.Job
 	bestScore := 0.0
+	ti := ctx.TypeIndex(m)
 	for _, j := range ctx.ActiveJobs() {
 		if j.PendingMaps() == 0 {
 			continue
 		}
-		score := t.advantage(ctx, j, m.Spec())
+		score := t.advantage(ctx, j, ti)
 		if ctx.HasLocalMap(j, m) {
 			score *= t.localBoost
 		}
@@ -142,19 +147,22 @@ func (t *Tarazu) note(m cluster.Machine) {
 // comparative-speed affinity over reduce compute time.
 func (t *Tarazu) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
 	t.init(ctx)
+	if ctx.ReadyReduceTasks() == 0 {
+		return nil
+	}
 	var best *mapreduce.Job
 	bestScore := 0.0
-	specs := ctx.TypeSpecs()
+	types, ti := len(ctx.TypeSpecs()), ctx.TypeIndex(m)
 	for _, j := range ctx.ActiveJobs() {
 		if !ctx.ReduceReady(j) {
 			continue
 		}
 		var mean float64
-		for _, s := range specs {
-			mean += ctx.EstimateReduceSeconds(j, s)
+		for i := range types {
+			mean += ctx.EstimateReduceSeconds(j, i)
 		}
-		mean /= float64(len(specs))
-		own := ctx.EstimateReduceSeconds(j, m.Spec())
+		mean /= float64(types)
+		own := ctx.EstimateReduceSeconds(j, ti)
 		score := 1.0
 		if own > 0 {
 			score = mean / own

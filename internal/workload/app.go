@@ -75,7 +75,9 @@ type Profile struct {
 //   - Grep: cheap CPU, scan-amplified IO → intermediate saturation rate,
 //   - Terasort: full-volume shuffle (ratio 1.0) → reduce/shuffle-dominated
 //     jobs with the highest map-side saturation rate.
-var profiles = map[App]Profile{
+//
+// Indexed by App; the zero entry is unused.
+var profiles = [...]Profile{
 	Wordcount: {
 		App:            Wordcount,
 		MapCPUPerMB:    0.30,
@@ -104,11 +106,10 @@ var profiles = map[App]Profile{
 
 // ProfileOf returns the demand profile of app.
 func ProfileOf(app App) Profile {
-	p, ok := profiles[app]
-	if !ok {
+	if app < Wordcount || int(app) >= len(profiles) {
 		panic(fmt.Sprintf("workload: no profile for %v", app))
 	}
-	return p
+	return profiles[app]
 }
 
 // CPUBound reports whether the application's map phase is CPU-dominated on

@@ -63,12 +63,16 @@ func TestProfilesMatchPaperCharacterization(t *testing.T) {
 }
 
 func TestProfileOfUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ProfileOf(unknown) did not panic")
-		}
-	}()
-	ProfileOf(App(42))
+	for _, app := range []App{0, -1, Terasort + 1, 42} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ProfileOf(%v) did not panic", app)
+				}
+			}()
+			ProfileOf(app)
+		}()
+	}
 }
 
 func TestMapsForInput(t *testing.T) {
