@@ -44,13 +44,16 @@ bench-smoke:
 	$(GO) test -run xxx -bench SimulatorThroughput -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkDisabledProbe -benchtime=1000x -benchmem ./internal/probe
 
-# The full scale grid plus the warm/cold sweep pair, benchstat-friendly:
-# fixed iteration counts (not -benchtime=Ns) so allocs/op is comparable
-# across commits, and COUNT-many repetitions so benchstat can attach
-# confidence intervals. Pipe two runs into benchstat to compare:
-#   make bench > /tmp/old.txt  (on the base commit)
-#   make bench > /tmp/new.txt  (on your branch)
-#   benchstat /tmp/old.txt /tmp/new.txt
+# The full scale grid plus the warm/cold sweep pair: fixed iteration
+# counts (not -benchtime=Ns) so allocs/op is comparable across commits, and
+# COUNT-many repetitions to show the spread. ns/offer counts every offer
+# made, including idle offers the driver counts without calling the
+# policy, so it is not comparable with BENCH_*.json values recorded
+# before that change. For an end-to-end comparison of two commits use the
+# in-repo comparator, run from each checkout:
+#   bash bench/run.sh -json > base.jsonl    (on the base commit)
+#   bash bench/run.sh -json > change.jsonl  (on your branch)
+#   bash bench/run.sh -compare base.jsonl change.jsonl
 # BENCH_*.json record the committed history of these numbers. On shared
 # hardware, trust grid-wide trends over single cells (EXPERIMENTS.md).
 COUNT ?= 5

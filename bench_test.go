@@ -479,10 +479,14 @@ func scaledTestbed(tb testing.TB, factor int) *Cluster {
 }
 
 // scaleRun runs one cell of the scale grid and reports ns/offer: wall
-// time divided by scheduler slot offers (AssignMap+AssignReduce calls),
-// the per-heartbeat hot path. Flat ns/offer across cluster sizes is the
+// time divided by slot offers made (Stats.MapOffers+ReduceOffers), the
+// per-heartbeat hot path. Flat ns/offer across cluster sizes is the
 // O(1)-assignment claim the incremental aggregates and per-interval
-// indices exist to deliver.
+// indices exist to deliver. An offer counts whether or not the policy was
+// called: idle heartbeats of a QuietWhenIdle policy count their offers in
+// O(1), so ns/offer falls on idle-heavy cells without any offer getting
+// cheaper, and BENCH_*.json values recorded before that change are not
+// comparable there.
 //
 // Each cell measures the warm-run steady state: the world (cluster,
 // driver, scheduler) is built and primed once before the timer, and every

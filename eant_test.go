@@ -1,8 +1,11 @@
 package eant
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"eant/internal/cluster"
 )
 
 func quickSpec(s Scheduler) RunSpec {
@@ -107,6 +110,18 @@ func TestNewJobAndCustomCluster(t *testing.T) {
 	}
 	if r.JobsCompleted != 1 {
 		t.Error("job did not complete")
+	}
+}
+
+// TestNewClusterRejectsOversizedFleet checks that the public constructor
+// surfaces cluster.New's fleet-size bound unchanged.
+func TestNewClusterRejectsOversizedFleet(t *testing.T) {
+	spec := MachineSpecs()[0]
+	groups := []ClusterGroup{{Spec: spec, Count: math.MaxInt}, {Spec: spec, Count: math.MaxInt}}
+	_, err := NewCluster(groups...)
+	_, want := cluster.New(cluster.Group{Spec: spec, Count: math.MaxInt}, cluster.Group{Spec: spec, Count: math.MaxInt})
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("NewCluster error %v, cluster.New error %v; want the same non-nil error", err, want)
 	}
 }
 

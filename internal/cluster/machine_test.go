@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -212,6 +213,47 @@ func TestClusterNewRejectsEmptyAndInvalid(t *testing.T) {
 	bad := &TypeSpec{Name: ""}
 	if _, err := New(Group{Spec: bad, Count: 1}); err == nil {
 		t.Error("New with invalid spec should error")
+	}
+}
+
+// TestClusterNewBoundsFleetSize pins the fleet-size bound: machine IDs are
+// int32, so a total past MaxMachines — from one group, from a sum, or from
+// a sum that overflows int — must be rejected before any fleet-sized
+// allocation.
+func TestClusterNewBoundsFleetSize(t *testing.T) {
+	tests := []struct {
+		name   string
+		counts []int
+	}{
+		{"one group past the bound", []int{MaxMachines + 1}},
+		{"two groups summing past the bound", []int{MaxMachines - 1, 2}},
+		{"two groups overflowing int", []int{math.MaxInt, math.MaxInt}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			groups := make([]Group, len(tt.counts))
+			for i, n := range tt.counts {
+				groups[i] = Group{Spec: SpecDesktop, Count: n}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c, err := New(groups...)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("New(%v) built a fleet of %d machines", tt.counts, c.Size())
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("rejecting %v allocated %d bytes", tt.counts, grew)
+			}
+		})
+	}
+	// Fleets within the bound still build, IDs in group order.
+	c, err := New(Group{Spec: SpecDesktop, Count: 8 * 64}, Group{Spec: SpecAtom, Count: 64})
+	if err != nil {
+		t.Fatalf("New(576 machines): %v", err)
+	}
+	if c.Size() != 576 || c.Machines()[511].Spec() != SpecDesktop || c.Machines()[512].Spec() != SpecAtom {
+		t.Errorf("576-machine fleet built as %d machines with a wrong type order", c.Size())
 	}
 }
 

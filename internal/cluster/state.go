@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -51,29 +52,47 @@ type Group struct {
 	Count int
 }
 
+// MaxMachines bounds the fleet size: MachineID is an int32, and probe
+// events carry machine IDs as int32.
+const MaxMachines = math.MaxInt32
+
 // New builds a cluster from counts of each spec, assigning stable IDs in
 // the order given. It returns an error if any spec is invalid, any count is
-// non-positive, or two distinct specs share a name (the interned type table
-// requires names to identify types uniquely).
+// non-positive, the counts sum past MaxMachines, or two distinct specs
+// share a name (the interned type table requires names to identify types
+// uniquely). Every check runs before the fleet-sized columns are
+// allocated.
 func New(groups ...Group) (*Cluster, error) {
 	c := &Cluster{byType: make(map[string][]Machine)}
-	for _, g := range groups {
+	tids := make([]TypeID, len(groups))
+	total := 0
+	for i, g := range groups {
 		if err := g.Spec.Validate(); err != nil {
 			return nil, err
 		}
 		if g.Count <= 0 {
 			return nil, fmt.Errorf("cluster: group %q has count %d", g.Spec.Name, g.Count)
 		}
+		// Checked before adding, so the sum can neither overflow nor pass
+		// the bound.
+		if g.Count > MaxMachines-total {
+			return nil, fmt.Errorf("cluster: fleet exceeds %d machines at group %q (count %d)", MaxMachines, g.Spec.Name, g.Count)
+		}
+		total += g.Count
 		tid, err := c.internSpec(g.Spec)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < g.Count; i++ {
-			c.typeOf = append(c.typeOf, tid)
-		}
+		tids[i] = tid
 	}
-	if len(c.typeOf) == 0 {
+	if total == 0 {
 		return nil, fmt.Errorf("cluster: no machines")
+	}
+	c.typeOf = make([]TypeID, 0, total)
+	for i, g := range groups {
+		for range g.Count {
+			c.typeOf = append(c.typeOf, tids[i])
+		}
 	}
 	c.grow()
 	return c, nil

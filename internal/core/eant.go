@@ -120,8 +120,18 @@ func MustNewEAnt(p Params) *EAnt {
 	return e
 }
 
-var _ mapreduce.Scheduler = (*EAnt)(nil)
-var _ mapreduce.SlotObserver = (*EAnt)(nil)
+var (
+	_ mapreduce.Scheduler     = (*EAnt)(nil)
+	_ mapreduce.SlotObserver  = (*EAnt)(nil)
+	_ mapreduce.QuietWhenIdle = (*EAnt)(nil)
+)
+
+// QuietWhenIdle implements mapreduce.QuietWhenIdle: both Assign methods
+// return nil on an empty queue without drawing randomness. The lazy init
+// before that check reads only the static fleet, and OnSlotFreeChange is a
+// no-op until the first control tick, so running init at a later offer
+// changes nothing.
+func (e *EAnt) QuietWhenIdle() {}
 
 // ResetForRun returns the scheduler to its pre-run state in place so the
 // same instance can drive another simulation over the same cluster,

@@ -31,7 +31,9 @@ import (
 //     summed (a blacklisted machine still holds slots and finishes work).
 //   - freeMap[id]/freeReduce[id] mirror Machine.FreeXSlots() (0 while
 //     dead); byClass buckets sum capacity and accounted free slots over
-//     the machines currently in each class.
+//     the machines currently in each class, and count the class's
+//     machines holding at least one accounted free slot of each kind
+//     (mapHosts/reduceHosts: the offers an idle sweep would make).
 //   - freeReduceByType[t] == Σ FreeReduceSlots() over machines of type t
 //     (dead machines contribute 0), in sorted type-name order.
 //   - every job's inFlight lists exactly its running or shuffling attempts
@@ -56,11 +58,24 @@ const (
 )
 
 // classSlots aggregates slot capacity and free slots over one class.
+// mapHosts/reduceHosts count the class's machines with at least one
+// accounted free slot of that kind.
 type classSlots struct {
 	mapSlots    int
 	reduceSlots int
 	freeMap     int
 	freeReduce  int
+	mapHosts    int
+	reduceHosts int
+}
+
+// hosts is 1 when a machine with free accounted slots of one kind counts
+// toward that kind's host total, else 0.
+func hosts(free int) int {
+	if free > 0 {
+		return 1
+	}
+	return 0
 }
 
 // aggregates is the driver's incremental-statistics state.
@@ -88,7 +103,8 @@ type aggregates struct {
 	epoch uint64
 }
 
-// initAggregates seeds the aggregate state for a fresh, fully-awake fleet.
+// initAggregates allocates the aggregate buffers and the type table for
+// the driver's fleet, then seeds them through resetAggregates.
 func (d *Driver) initAggregates() {
 	c := d.cluster
 	n := c.Size()
@@ -110,23 +126,15 @@ func (d *Driver) initAggregates() {
 	a.typeIdx, buf = buf[:n:n], buf[n:]
 	a.freeReduceByType = buf
 
-	awake := &a.byClass[classAwake]
 	for _, m := range c.Machines() {
-		spec := m.Spec()
 		for i, rep := range d.typeReps {
-			if rep.Name == spec.Name {
+			if rep.Name == m.Spec().Name {
 				a.typeIdx[m.ID()] = i
 				break
 			}
 		}
-		a.freeMap[m.ID()] = spec.MapSlots
-		a.freeReduce[m.ID()] = spec.ReduceSlots
-		awake.mapSlots += spec.MapSlots
-		awake.reduceSlots += spec.ReduceSlots
-		awake.freeMap += spec.MapSlots
-		awake.freeReduce += spec.ReduceSlots
-		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
 	}
+	d.resetAggregates()
 }
 
 // classOf derives a machine's availability class from its live state.
@@ -162,6 +170,8 @@ func (d *Driver) reclassify(m cluster.Machine) {
 	from.reduceSlots -= spec.ReduceSlots
 	from.freeMap -= a.freeMap[m.ID()]
 	from.freeReduce -= a.freeReduce[m.ID()]
+	from.mapHosts -= hosts(a.freeMap[m.ID()])
+	from.reduceHosts -= hosts(a.freeReduce[m.ID()])
 	if now == classDead {
 		a.freeReduceByType[a.typeIdx[m.ID()]] -= a.freeReduce[m.ID()]
 		a.freeMap[m.ID()] = 0
@@ -176,6 +186,8 @@ func (d *Driver) reclassify(m cluster.Machine) {
 	to.reduceSlots += spec.ReduceSlots
 	to.freeMap += a.freeMap[m.ID()]
 	to.freeReduce += a.freeReduce[m.ID()]
+	to.mapHosts += hosts(a.freeMap[m.ID()])
+	to.reduceHosts += hosts(a.freeReduce[m.ID()])
 	a.class[m.ID()] = now
 }
 
@@ -187,16 +199,22 @@ func (d *Driver) noteAvailabilityChange(m cluster.Machine) {
 }
 
 // noteSlotChange records a ±1 change in m's free slots of one kind and
-// forwards it to the scheduler's slot observer, if any.
+// forwards it to the scheduler's slot observer, if any. A change that
+// crosses between zero and positive moves m in or out of its class's
+// host count for the kind.
 func (d *Driver) noteSlotChange(m cluster.Machine, kind TaskKind, delta int) {
 	a := &d.agg
 	cl := &a.byClass[a.class[m.ID()]]
 	if kind == MapTask {
+		before := a.freeMap[m.ID()]
 		a.freeMap[m.ID()] += delta
 		cl.freeMap += delta
+		cl.mapHosts += hosts(a.freeMap[m.ID()]) - hosts(before)
 	} else {
+		before := a.freeReduce[m.ID()]
 		a.freeReduce[m.ID()] += delta
 		cl.freeReduce += delta
+		cl.reduceHosts += hosts(a.freeReduce[m.ID()]) - hosts(before)
 		a.freeReduceByType[a.typeIdx[m.ID()]] += delta
 	}
 	if d.slotObs != nil {
@@ -362,6 +380,8 @@ func (d *Driver) checkAggregates() error {
 		cl.reduceSlots += m.Spec().ReduceSlots
 		cl.freeMap += a.freeMap[m.ID()]
 		cl.freeReduce += a.freeReduce[m.ID()]
+		cl.mapHosts += hosts(a.freeMap[m.ID()])
+		cl.reduceHosts += hosts(a.freeReduce[m.ID()])
 		freeByType[a.typeIdx[m.ID()]] += m.FreeReduceSlots()
 	}
 	for c := machineClass(0); c < numClasses; c++ {

@@ -492,8 +492,11 @@ func (d *Driver) serveHeartbeats() {
 	machines := d.cluster.Machines()
 	n := len(machines)
 	d.tickOffset = (d.tickOffset + 1) % n
-	d.sweep(machines[d.tickOffset:])
-	d.sweep(machines[:d.tickOffset])
+	countable := d.offersCountable()
+	visitedMap, visitedReduce, counted := d.sweep(machines[d.tickOffset:], countable, 0, 0)
+	if !counted {
+		d.sweep(machines[:d.tickOffset], countable, visitedMap, visitedReduce)
+	}
 	// Machine sampling piggybacks on the heartbeat sweep: no extra engine
 	// events, so the (at, seq) order of the run is untouched.
 	if d.probe != nil && d.probe.ShouldSample() {
@@ -501,14 +504,42 @@ func (d *Driver) serveHeartbeats() {
 	}
 }
 
+// offersCountable reports whether this heartbeat may count its idle offers
+// instead of making them (see sweep). It needs the probe off (every offer
+// is a probe event), consolidation off and fault injection off
+// (blacklistUntil is nil exactly then), so no machine sleeps, dies or is
+// benched, and a QuietWhenIdle policy.
+func (d *Driver) offersCountable() bool {
+	if d.probe != nil || d.cfg.Power.Enabled || d.blacklistUntil != nil {
+		return false
+	}
+	_, ok := d.sched.(QuietWhenIdle)
+	return ok
+}
+
 // sweep offers every free slot of the given machines to the scheduler, in
 // slice order. Per-tick invariants (power management off, no blacklist,
 // probes disabled) are hoisted out of the per-machine body.
-func (d *Driver) sweep(machines []cluster.Machine) {
+//
+// When countable and both the pending-map and ready-reduce aggregates are
+// zero, every machine not yet served this heartbeat would get exactly one
+// nil offer per kind it has a free slot for. So the sweep adds those
+// offers from the awake class's host counts, minus visitedMap and
+// visitedReduce (the machines already served this heartbeat that still
+// hold a free slot of the kind), and returns counted = true: the heartbeat
+// is over. Otherwise it returns the visited counts grown by its own
+// machines, for the second half of the rotation.
+func (d *Driver) sweep(machines []cluster.Machine, countable bool, visitedMap, visitedReduce int) (int, int, bool) {
 	powerOn := d.cfg.Power.Enabled
 	blacklistOn := d.blacklistUntil != nil
 	probe := d.probe
 	for _, m := range machines {
+		if countable && d.agg.pendingMaps == 0 && d.agg.readyPendingReduces == 0 {
+			awake := &d.agg.byClass[classAwake]
+			d.stats.MapOffers += awake.mapHosts - visitedMap
+			d.stats.ReduceOffers += awake.reduceHosts - visitedReduce
+			return visitedMap, visitedReduce, true
+		}
 		if !m.Available() {
 			continue
 		}
@@ -547,7 +578,12 @@ func (d *Driver) sweep(machines []cluster.Machine) {
 			}
 			d.startReduce(t, m)
 		}
+		if countable {
+			visitedMap += hosts(m.FreeMapSlots())
+			visitedReduce += hosts(m.FreeReduceSlots())
+		}
 	}
+	return visitedMap, visitedReduce, false
 }
 
 // sampleMachines records one utilization/energy/slot sample per machine,

@@ -125,9 +125,9 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	return nil
 }
 
-// resetAggregates re-seeds the aggregate state for the fully-awake fleet,
-// reproducing initAggregates over the kept buffers. The type table
-// (typeReps, typeIdx) is a pure function of the cluster and stays.
+// resetAggregates seeds the aggregate state for the fully-awake fleet over
+// the buffers initAggregates allocated. The type table (typeReps, typeIdx)
+// is a pure function of the cluster and stays.
 func (d *Driver) resetAggregates() {
 	a := &d.agg
 	for i := range a.class {
@@ -150,6 +150,8 @@ func (d *Driver) resetAggregates() {
 		awake.reduceSlots += spec.ReduceSlots
 		awake.freeMap += spec.MapSlots
 		awake.freeReduce += spec.ReduceSlots
+		awake.mapHosts += hosts(spec.MapSlots)
+		awake.reduceHosts += hosts(spec.ReduceSlots)
 		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // Scheduler is the task-assignment policy plugged into the JobTracker.
-// AssignMap/AssignReduce are called once per free slot per heartbeat; a
-// scheduler hands back a task popped from some job's pending queue, or nil
-// to leave the slot idle until the next heartbeat (how E-Ant starves
+// AssignMap/AssignReduce are called once per free slot per heartbeat
+// (idle offers to a QuietWhenIdle policy may be counted instead); a
+// scheduler hands back a task popped from some job's pending queue, or
+// nil to leave the slot idle until the next heartbeat (how E-Ant starves
 // energy-inefficient machines). OnTaskComplete delivers the task-level
 // energy feedback each TaskTracker reports; OnControlTick fires every
 // control interval for policy refresh.
@@ -36,6 +37,19 @@ type Scheduler interface {
 // rescanning machines on every offer.
 type SlotObserver interface {
 	OnSlotFreeChange(ctx *Context, m cluster.Machine, kind TaskKind, delta int)
+}
+
+// QuietWhenIdle is an optional Scheduler extension, a marker the driver
+// detects by type assertion. Implementing it promises that AssignMap
+// returns nil with no side effect whenever ctx.PendingTasks(MapTask) == 0,
+// and AssignReduce likewise whenever ctx.ReadyReduceTasks() == 0. Once both
+// are zero, the driver may then count a heartbeat's remaining offers from
+// its free-slot host counts instead of calling the policy once per machine
+// and kind (see Driver.sweep). A policy that acts on empty queues (LATE
+// speculates) must not implement it, and a wrapper that forwards only
+// Scheduler hides it, so the wrapped policy is offered every slot.
+type QuietWhenIdle interface {
+	QuietWhenIdle()
 }
 
 // Context is the JobTracker state a scheduler may consult.

@@ -116,9 +116,12 @@ type Stats struct {
 	LocalMaps int
 	TotalMaps int
 
-	// MapOffers / ReduceOffers count scheduler slot offers (AssignMap /
-	// AssignReduce calls) — the hot-path operation the scale benchmarks
-	// divide by to report ns/offer.
+	// MapOffers / ReduceOffers count the slot offers made, one per free
+	// slot offered to the scheduler on a heartbeat. Most are AssignMap /
+	// AssignReduce calls; once both queues are empty, a QuietWhenIdle
+	// policy's remaining offers of the heartbeat are counted without a
+	// call, each one the nil answer the call would give. The scale
+	// benchmarks divide by their sum to report ns/offer.
 	MapOffers    int
 	ReduceOffers int
 

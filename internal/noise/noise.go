@@ -71,6 +71,9 @@ func (c Config) Enabled() bool {
 type Model struct {
 	cfg Config
 	rng *sim.RNG
+	// duration and measurement are the lognormal parameters of
+	// cfg.DurationCV and cfg.MeasurementCV, derived with cfg.
+	duration, measurement sim.Noise
 }
 
 // NewModel returns a noise model; cfg must validate.
@@ -78,7 +81,16 @@ func NewModel(cfg Config, rng *sim.RNG) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, rng: rng}, nil
+	m := &Model{rng: rng}
+	m.configure(cfg)
+	return m, nil
+}
+
+// configure adopts cfg and derives its lognormal parameters.
+func (m *Model) configure(cfg Config) {
+	m.cfg = cfg
+	m.duration = sim.NewNoise(cfg.DurationCV)
+	m.measurement = sim.NewNoise(cfg.MeasurementCV)
 }
 
 // MustNewModel is NewModel for static configurations.
@@ -99,7 +111,7 @@ func (m *Model) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	m.cfg = cfg
+	m.configure(cfg)
 	m.rng.Reseed(seed)
 	return nil
 }
@@ -123,7 +135,7 @@ func (m *Model) DurationFactor() float64 {
 // short tasks but capped at StragglerCapSeconds of absolute delay, the
 // effect speculative execution has on long-running stragglers.
 func (m *Model) DurationFactorFor(baseSecs float64) float64 {
-	f := m.rng.NoiseFactor(m.cfg.DurationCV)
+	f := m.rng.NoiseFrom(m.duration)
 	if m.rng.Bernoulli(m.cfg.StragglerProb) {
 		stretch := m.rng.Uniform(m.cfg.StragglerMin, m.cfg.StragglerMax)
 		extra := (stretch - 1) * baseSecs
@@ -141,5 +153,5 @@ func (m *Model) DurationFactorFor(baseSecs float64) float64 {
 // MeasurementFactor draws the multiplier applied to one reported
 // CPU-utilization sample.
 func (m *Model) MeasurementFactor() float64 {
-	return m.rng.NoiseFactor(m.cfg.MeasurementCV)
+	return m.rng.NoiseFrom(m.measurement)
 }

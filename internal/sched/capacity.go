@@ -66,10 +66,17 @@ func MustNewCapacity(queues []CapacityQueue, route func(*mapreduce.Job) int) *Ca
 	return c
 }
 
-var _ mapreduce.Scheduler = (*Capacity)(nil)
+var (
+	_ mapreduce.Scheduler     = (*Capacity)(nil)
+	_ mapreduce.QuietWhenIdle = (*Capacity)(nil)
+)
 
 // Name implements mapreduce.Scheduler.
 func (c *Capacity) Name() string { return "Capacity" }
+
+// QuietWhenIdle implements mapreduce.QuietWhenIdle: both Assign methods
+// return nil on an empty queue before ordering the queues.
+func (c *Capacity) QuietWhenIdle() {}
 
 // ResetForRun clears the per-run queue usage counters; queue declarations
 // and routing are configuration and stay.

@@ -37,10 +37,17 @@ func NewFairWithDelay(waitTicks int) *Fair {
 	return &Fair{LocalityWaitTicks: waitTicks}
 }
 
-var _ mapreduce.Scheduler = (*Fair)(nil)
+var (
+	_ mapreduce.Scheduler     = (*Fair)(nil)
+	_ mapreduce.QuietWhenIdle = (*Fair)(nil)
+)
 
 // Name implements mapreduce.Scheduler.
 func (f *Fair) Name() string { return "Fair" }
+
+// QuietWhenIdle implements mapreduce.QuietWhenIdle: both Assign methods
+// return nil on an empty queue before touching the skip counters.
+func (f *Fair) QuietWhenIdle() {}
 
 // ResetForRun clears the per-run delay-scheduling skip counters so the
 // same instance can drive another simulation from scratch.

@@ -16,10 +16,17 @@ type FIFO struct{}
 // NewFIFO returns a FIFO scheduler.
 func NewFIFO() *FIFO { return &FIFO{} }
 
-var _ mapreduce.Scheduler = (*FIFO)(nil)
+var (
+	_ mapreduce.Scheduler     = (*FIFO)(nil)
+	_ mapreduce.QuietWhenIdle = (*FIFO)(nil)
+)
 
 // Name implements mapreduce.Scheduler.
 func (f *FIFO) Name() string { return "FIFO" }
+
+// QuietWhenIdle implements mapreduce.QuietWhenIdle: both Assign methods
+// return nil untouched on an empty queue.
+func (f *FIFO) QuietWhenIdle() {}
 
 // ResetForRun is a no-op: FIFO carries no run state.
 func (f *FIFO) ResetForRun() {}

@@ -46,6 +46,17 @@ func TestLATEName(t *testing.T) {
 	}
 }
 
+// TestLATEIsNotQuietWhenIdle pins that the driver always walks LATE's
+// offers: LATE speculates on empty queues, so it must not declare
+// mapreduce.QuietWhenIdle, and its Fair is a named field, which keeps
+// Fair's marker from being promoted.
+func TestLATEIsNotQuietWhenIdle(t *testing.T) {
+	var s mapreduce.Scheduler = sched.NewLATE()
+	if _, ok := s.(mapreduce.QuietWhenIdle); ok {
+		t.Error("LATE implements mapreduce.QuietWhenIdle")
+	}
+}
+
 func TestLATECompletesAllJobsWithSpeculation(t *testing.T) {
 	stats := runLate(t, sched.NewLATE(), stragglerConfig(1))
 	if len(stats.Jobs) != 4 {

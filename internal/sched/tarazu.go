@@ -40,10 +40,18 @@ type Tarazu struct {
 // NewTarazu returns a Tarazu scheduler with the default 50 % slack.
 func NewTarazu() *Tarazu { return &Tarazu{slack: 1.5, localBoost: 2.0} }
 
-var _ mapreduce.Scheduler = (*Tarazu)(nil)
+var (
+	_ mapreduce.Scheduler     = (*Tarazu)(nil)
+	_ mapreduce.QuietWhenIdle = (*Tarazu)(nil)
+)
 
 // Name implements mapreduce.Scheduler.
 func (t *Tarazu) Name() string { return "Tarazu" }
+
+// QuietWhenIdle implements mapreduce.QuietWhenIdle: both Assign methods
+// return nil on an empty queue. The lazy init before that check reads only
+// the static fleet, so running it at a later offer changes nothing.
+func (t *Tarazu) QuietWhenIdle() {}
 
 // ResetForRun zeroes the per-run balancing counters. The capability shares
 // are a pure function of the cluster (which a warm rerun keeps) and stay.

@@ -97,14 +97,37 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.r.NormFloat64())
 }
 
+// Noise is the (μ, σ) of a mean-1 lognormal jitter with a fixed
+// coefficient of variation, computed once so repeated draws skip the
+// logarithm and square root. The zero value draws nothing and returns 1.
+type Noise struct {
+	mu, sigma float64
+	on        bool
+}
+
+// NewNoise returns the jitter parameters for coefficient of variation cv;
+// cv ≤ 0 disables the jitter.
+func NewNoise(cv float64) Noise {
+	if cv <= 0 {
+		return Noise{}
+	}
+	sigma2 := math.Log(1 + cv*cv)
+	return Noise{mu: -sigma2 / 2, sigma: math.Sqrt(sigma2), on: true}
+}
+
+// NoiseFrom draws one mean-1 lognormal jitter with parameters n. A disabled
+// n returns exactly 1 without consuming the stream.
+func (g *RNG) NoiseFrom(n Noise) float64 {
+	if !n.on {
+		return 1
+	}
+	return g.LogNormal(n.mu, n.sigma)
+}
+
 // NoiseFactor returns a mean-1 multiplicative lognormal jitter with the
 // given coefficient of variation cv. cv = 0 returns exactly 1.
 func (g *RNG) NoiseFactor(cv float64) float64 {
-	if cv <= 0 {
-		return 1
-	}
-	sigma2 := math.Log(1 + cv*cv)
-	return g.LogNormal(-sigma2/2, math.Sqrt(sigma2))
+	return g.NoiseFrom(NewNoise(cv))
 }
 
 // Bernoulli returns true with probability p.

@@ -63,6 +63,33 @@ func TestNoiseFactorZeroCV(t *testing.T) {
 	}
 }
 
+// TestNoiseFromMatchesLogNormalFormula checks hoisted jitter parameters
+// against the per-draw formula on a twin stream, bit for bit, and that a
+// disabled Noise (cv ≤ 0 or the zero value) returns 1 without consuming
+// the stream.
+func TestNoiseFromMatchesLogNormalFormula(t *testing.T) {
+	for _, cv := range []float64{1e-300, 0.1, 0.15, 0.3, 2} {
+		a, b := NewRNG(5), NewRNG(5)
+		n := NewNoise(cv)
+		sigma2 := math.Log(1 + cv*cv)
+		for i := 0; i < 100; i++ {
+			got, want := a.NoiseFrom(n), b.LogNormal(-sigma2/2, math.Sqrt(sigma2))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cv %v draw %d: NoiseFrom = %v, formula = %v", cv, i, got, want)
+			}
+		}
+	}
+	for _, n := range []Noise{NewNoise(0), NewNoise(-1), {}} {
+		a, b := NewRNG(9), NewRNG(9)
+		if f := a.NoiseFrom(n); f != 1 {
+			t.Errorf("disabled NoiseFrom = %v, want 1", f)
+		}
+		if a.Int63() != b.Int63() {
+			t.Error("disabled NoiseFrom consumed the stream")
+		}
+	}
+}
+
 func TestNoiseFactorAlwaysPositive(t *testing.T) {
 	g := NewRNG(3)
 	f := func(cv float64) bool {
