@@ -1,11 +1,15 @@
 package eant
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"eant/internal/cluster"
+	"eant/internal/mapreduce"
+	"eant/internal/sched"
+	"eant/internal/workload"
 )
 
 func quickSpec(s Scheduler) RunSpec {
@@ -122,6 +126,21 @@ func TestNewClusterRejectsOversizedFleet(t *testing.T) {
 	_, want := cluster.New(cluster.Group{Spec: spec, Count: math.MaxInt}, cluster.Group{Spec: spec, Count: math.MaxInt})
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("NewCluster error %v, cluster.New error %v; want the same non-nil error", err, want)
+	}
+}
+
+// TestRunRejectsOversizedJob checks that Run surfaces the driver's bound
+// on a job's replica entries (maps × replication ≤ MaxInt32) unchanged.
+func TestRunRejectsOversizedJob(t *testing.T) {
+	job := NewJob(1, Grep, workload.BlockMB*(math.MaxInt32/3+1), 0, 0)
+	_, err := Run(RunSpec{Cluster: PaperTestbed(), Scheduler: SchedulerFIFO, Jobs: []Job{job}})
+	d, derr := mapreduce.NewDriver(PaperTestbed(), sched.NewFIFO(), mapreduce.DefaultConfig())
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	_, want := d.Run([]workload.JobSpec{job}, -1)
+	if err == nil || want == nil || errors.Unwrap(err).Error() != want.Error() {
+		t.Errorf("Run error %v, driver error %v; want the same non-nil error", err, want)
 	}
 }
 

@@ -366,6 +366,11 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 		if err := specs[i].Validate(); err != nil {
 			return nil, err
 		}
+		// The locality index links replica entries with int32s.
+		if reps := d.ns.Replication(); specs[i].NumMaps > math.MaxInt32/reps {
+			return nil, fmt.Errorf("mapreduce: job %d has %d maps × %d replicas, more than the locality index's %d entries",
+				specs[i].ID, specs[i].NumMaps, reps, math.MaxInt32)
+		}
 	}
 
 	// Place inputs and schedule submissions. A warm driver (Reset) whose
@@ -394,13 +399,12 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: placing job %d: %w", spec.ID, err)
 		}
-		replicasOf := func(block int) []int { return file.Blocks[block] }
 		var job *Job
 		if warm {
 			job = d.jobs[i]
-			job.resetForRun(replicasOf)
+			job.resetForRun(file.Blocks)
 		} else {
-			job = newJob(spec, replicasOf, len(d.typeReps))
+			job = newJob(spec, file.Blocks, d.cluster.Size(), len(d.typeReps))
 			d.jobs = append(d.jobs, job)
 		}
 		d.engine.ScheduleKind(spec.Submit, d.evSubmit, 0, job)

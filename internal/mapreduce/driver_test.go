@@ -3,6 +3,7 @@ package mapreduce_test
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -376,6 +377,31 @@ func TestRunValidation(t *testing.T) {
 	bad := []workload.JobSpec{{ID: 0, App: workload.Wordcount, InputMB: -1}}
 	if _, err := d.Run(bad, -1); err == nil {
 		t.Error("invalid job accepted")
+	}
+}
+
+// TestRunBoundsLocalityIndex checks that a job whose replica entries
+// would overflow the locality index's int32 links is rejected before
+// placement allocates anything: at the default replication of 3 that is
+// any job of more than MaxInt32/3 maps, which JobSpec.Validate accepts.
+func TestRunBoundsLocalityIndex(t *testing.T) {
+	d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), mapreduce.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.NewJobSpec(1, workload.Grep, workload.BlockMB*(math.MaxInt32/3+1), 0, 0)
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec of %d maps invalid: %v", spec.NumMaps, err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = d.Run([]workload.JobSpec{spec}, -1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("a job of %d maps × 3 replicas ran", spec.NumMaps)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting a job of %d maps allocated %d bytes", spec.NumMaps, grew)
 	}
 }
 

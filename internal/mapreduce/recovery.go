@@ -226,7 +226,7 @@ func (d *Driver) failJob(j *Job) {
 	d.dropJobAggregates(j)
 	j.pendingHead = len(j.pendingMaps)
 	j.reduceHead = len(j.pendingReduces)
-	j.localPending = make(map[int][]int) //eant:alloc-ok job-failure path, rare by construction
+	j.clearLocal()
 
 	d.stats.JobsFailed++
 	d.stats.Jobs = append(d.stats.Jobs, JobResult{

@@ -160,11 +160,11 @@ func (d *Driver) resetAggregates() {
 // spec: every Task is overwritten with its newJob initial value (stale
 // pendingEvent handles are inert — the engine reset bumped their
 // generation), the pending FIFOs and locality index are rebuilt by
-// overwrite in newJob's exact order, and speculative clones (separate
-// allocations) are dropped with the cleared in-flight list. replicasOf
-// supplies the re-placed block locations; the reduce estimates are
-// re-tabulated at submission.
-func (j *Job) resetForRun(replicasOf func(block int) []int) {
+// overwrite in newJob's exact order into their retained arrays, and
+// speculative clones (separate allocations) are dropped with the cleared
+// in-flight list. blocks is the re-placed input file's replica lists; the
+// reduce estimates are re-tabulated at submission.
+func (j *Job) resetForRun(blocks [][]int) {
 	j.Submitted, j.FirstStart, j.MapsDoneAt, j.LastShuffleEnd, j.Finished = 0, 0, 0, 0, 0
 	j.mapsDone, j.reducesDone = 0, 0
 	j.started, j.done, j.failed = false, false, false
@@ -172,13 +172,6 @@ func (j *Job) resetForRun(replicasOf func(block int) []int) {
 	clear(j.inFlight)
 	j.inFlight = j.inFlight[:0]
 	clear(j.reduceEst)
-	// Truncate each locality queue in place. failJob replaces the whole map
-	// and popLocalMap nils drained entries; q[:0] of nil is nil, and the
-	// append below re-allocates only those queues.
-	//eant:unordered-ok each entry is truncated independently; nothing observes the key order
-	for id, q := range j.localPending {
-		j.localPending[id] = q[:0]
-	}
 	j.pendingMaps = j.pendingMaps[:0]
 	j.pendingHead = 0
 	for i := range j.Maps {
@@ -190,11 +183,9 @@ func (j *Job) resetForRun(replicasOf func(block int) []int) {
 			State:   TaskPending,
 		}
 		j.pendingMaps = append(j.pendingMaps, i)
-		j.mapReplicas[i] = replicasOf(i)
-		for _, machineID := range j.mapReplicas[i] {
-			j.localPending[machineID] = append(j.localPending[machineID], i)
-		}
 	}
+	j.mapReplicas = blocks
+	j.buildLocal(blocks)
 	j.pendingReduces = j.pendingReduces[:0]
 	j.reduceHead = 0
 	for i := range j.Reduces {

@@ -171,7 +171,11 @@ func (c *Context) PopReduce(j *Job) *Task {
 
 // Requeue returns an unstarted task popped this heartbeat back to its job
 // (the scheduler declined the assignment after inspecting it). requeue
-// always re-adds exactly one live entry, so the pending delta is +1.
+// always re-adds exactly one live entry, so the pending delta is +1. A map
+// popped through machine m's locality queue goes back to the job's FIFO
+// but not to m's queue; the queues of its other replica machines still
+// hold it. No built-in policy calls Requeue; the bench module's offer
+// fixture does, to restore the queues it popped.
 func (c *Context) Requeue(t *Task) {
 	t.Job.requeue(t)
 	c.driver.notePending(t.Job, t.Kind, 1)

@@ -191,16 +191,23 @@ type Job struct {
 	// past assigned entries lazily.
 	pendingMaps []int
 	pendingHead int
-	// localPending indexes pending map tasks by machine holding a replica.
-	// Entries go stale when a task is assigned elsewhere; consumers skip
-	// non-pending tasks when popping.
-	localPending map[int][]int
+	// The locality index queues, per machine, the pending maps with a
+	// replica there: localHead[m] and localTail[m] are the first and last
+	// entry of machine m's linked queue in local, -1 when it is empty.
+	// buildLocal lays each machine's initial queue out contiguously in map
+	// order; retried maps are appended and linked from the tail. Entries go
+	// stale when a task is assigned elsewhere; readers skip non-pending
+	// tasks.
+	localHead []int32
+	localTail []int32
+	local     []localEntry
 	// pendingReduces is a FIFO of reduce indices not yet assigned.
 	pendingReduces []int
 	reduceHead     int
-	// mapReplicas retains each map's block replica locations so retried
-	// tasks re-enter the locality index (the data survives a TaskTracker
-	// crash on the other replicas).
+	// mapReplicas aliases the input file's per-block replica lists so
+	// retried tasks re-enter the locality index (the data survives a
+	// TaskTracker crash on the other replicas). Only a later run's
+	// placement rewrites the file, and that run rebuilds or resets the job.
 	mapReplicas [][]int
 
 	// inFlight lists the in-flight attempts (originals and speculative
@@ -221,18 +228,25 @@ type Job struct {
 	reduceEst []float64
 }
 
-// newJob materializes tasks for a spec on a fleet with the given number of
-// machine types. Block replica locations are supplied per map index via
-// replicasOf (from the HDFS namespace).
-func newJob(spec workload.JobSpec, replicasOf func(block int) []int, types int) *Job {
+// localEntry is one link of a locality queue: a map index and the next
+// entry of the same machine's queue in Job.local, or -1.
+type localEntry struct {
+	task, next int32
+}
+
+// newJob materializes tasks for a spec on a fleet of the given size with
+// the given number of machine types. blocks lists each map's block replica
+// locations (the HDFS file's Blocks), which the job aliases.
+func newJob(spec workload.JobSpec, blocks [][]int, machines, types int) *Job {
 	j := &Job{
-		Spec:         spec,
-		localPending: make(map[int][]int),
-		reduceEst:    make([]float64, types),
+		Spec:        spec,
+		reduceEst:   make([]float64, types),
+		localHead:   make([]int32, machines),
+		localTail:   make([]int32, machines),
+		mapReplicas: blocks,
 	}
 	j.Maps = make([]Task, spec.NumMaps)
 	j.pendingMaps = make([]int, spec.NumMaps)
-	j.mapReplicas = make([][]int, spec.NumMaps)
 	for i := range j.Maps {
 		j.Maps[i] = Task{
 			Job:     j,
@@ -242,11 +256,8 @@ func newJob(spec workload.JobSpec, replicasOf func(block int) []int, types int) 
 			State:   TaskPending,
 		}
 		j.pendingMaps[i] = i
-		j.mapReplicas[i] = replicasOf(i)
-		for _, machineID := range j.mapReplicas[i] {
-			j.localPending[machineID] = append(j.localPending[machineID], i)
-		}
 	}
+	j.buildLocal(blocks)
 	j.Reduces = make([]Task, spec.NumReduces)
 	j.pendingReduces = make([]int, spec.NumReduces)
 	for i := range j.Reduces {
@@ -260,6 +271,68 @@ func newJob(spec workload.JobSpec, replicasOf func(block int) []int, types int) 
 		j.pendingReduces[i] = i
 	}
 	return j
+}
+
+// buildLocal rebuilds the locality index from blocks into the retained
+// arrays. A counting pass sizes each machine's queue, a prefix sum turns
+// the counts into offsets, and one fill in map order links every entry to
+// its successor, so machine m's queue is the contiguous run
+// local[localHead[m]..localTail[m]].
+func (j *Job) buildLocal(blocks [][]int) {
+	head, tail := j.localHead, j.localTail
+	clear(head)
+	total := 0
+	for _, reps := range blocks {
+		total += len(reps)
+		for _, m := range reps {
+			head[m]++
+		}
+	}
+	off := int32(0)
+	for m, n := range head {
+		head[m] = off
+		off += n
+	}
+	copy(tail, head)
+	if cap(j.local) < total {
+		j.local = make([]localEntry, total)
+	}
+	j.local = j.local[:total]
+	for i, reps := range blocks {
+		for _, m := range reps {
+			e := tail[m]
+			j.local[e] = localEntry{task: int32(i), next: e + 1}
+			tail[m] = e + 1
+		}
+	}
+	// tail[m] now ends machine m's run: close it, or mark it empty.
+	for m := range head {
+		if tail[m] == head[m] {
+			head[m], tail[m] = -1, -1
+			continue
+		}
+		tail[m]--
+		j.local[tail[m]].next = -1
+	}
+}
+
+// pushLocal appends map i to machine m's locality queue.
+func (j *Job) pushLocal(m, i int) {
+	e := int32(len(j.local))
+	j.local = append(j.local, localEntry{task: int32(i), next: -1})
+	if t := j.localTail[m]; t < 0 {
+		j.localHead[m] = e
+	} else {
+		j.local[t].next = e
+	}
+	j.localTail[m] = e
+}
+
+// clearLocal empties every machine's locality queue in place.
+func (j *Job) clearLocal() {
+	for m := range j.localHead {
+		j.localHead[m], j.localTail[m] = -1, -1
+	}
 }
 
 // Done reports whether every task has completed.
@@ -307,23 +380,23 @@ func (j *Job) removeInFlight(t *Task) {
 }
 
 // popLocalMap removes and returns a pending map task with a replica on
-// machineID, or nil.
+// machineID, or nil. It drops the returned entry and every stale entry
+// before it; a queue with no pending entry is emptied.
 func (j *Job) popLocalMap(machineID int) *Task {
-	queue := j.localPending[machineID]
-	if len(queue) == 0 {
-		// Absent and nil read the same; writing nil here would add a key
-		// for every machine that ever pulled one of j's maps remotely.
-		return nil
-	}
-	for len(queue) > 0 {
-		idx := queue[0]
-		queue = queue[1:]
-		if t := &j.Maps[idx]; t.State == TaskPending {
-			j.localPending[machineID] = queue
+	for e := j.localHead[machineID]; e >= 0; {
+		ent := j.local[e]
+		e = ent.next
+		if t := &j.Maps[ent.task]; t.State == TaskPending {
+			j.localHead[machineID] = e
+			if e < 0 {
+				j.localTail[machineID] = -1
+			}
 			return t
 		}
 	}
-	j.localPending[machineID] = nil
+	if j.localHead[machineID] >= 0 {
+		j.localHead[machineID], j.localTail[machineID] = -1, -1
+	}
 	return nil
 }
 
@@ -340,11 +413,12 @@ func (j *Job) popAnyMap() *Task {
 }
 
 // peekPendingLocalMap reports whether a pending map task has a replica on
-// machineID, without consuming it.
+// machineID. It drops nothing: a stale entry turns pending again when its
+// map is retried, and the next pop must find it there, ahead of the
+// retry's appended entry.
 func (j *Job) peekPendingLocalMap(machineID int) bool {
-	queue := j.localPending[machineID]
-	for _, idx := range queue {
-		if j.Maps[idx].State == TaskPending {
+	for e := j.localHead[machineID]; e >= 0; e = j.local[e].next {
+		if j.Maps[j.local[e].task].State == TaskPending {
 			return true
 		}
 	}
@@ -392,7 +466,7 @@ func (j *Job) requeueRetry(t *Task) {
 	if t.Kind == MapTask {
 		j.pendingMaps = append(j.pendingMaps, t.Index)
 		for _, machineID := range j.mapReplicas[t.Index] {
-			j.localPending[machineID] = append(j.localPending[machineID], t.Index)
+			j.pushLocal(machineID, t.Index)
 		}
 	} else {
 		j.pendingReduces = append(j.pendingReduces, t.Index)
