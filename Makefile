@@ -18,9 +18,8 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The eantlint multichecker: rngonly, noclock, maporder, floatsum,
-# statsmut, hotalloc, resetstate —
-# interprocedural since the call-graph layer landed, so the whole
-# module is analyzed as one unit.
+# statsmut, hotalloc — interprocedural since the call-graph layer
+# landed, so the whole module is analyzed as one unit.
 # Every finding exits non-zero with a file:line diagnostic; there is no
 # debt ledger.
 lint:

@@ -1,7 +1,7 @@
 // Command eantlint is the project's multichecker: it runs the
 // internal/analysis suite — rngonly, noclock, maporder, floatsum,
-// statsmut, hotalloc, resetstate — over the module and reports
-// violations of the simulator's determinism and hot-path contracts.
+// statsmut, hotalloc — over the module and reports violations of the
+// simulator's determinism and hot-path contracts.
 //
 // Usage:
 //

@@ -37,12 +37,12 @@ import (
 
 	"eant/internal/cluster"
 	"eant/internal/core"
+	"eant/internal/experiments"
 	"eant/internal/fault"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
 	"eant/internal/parallel"
 	"eant/internal/probe"
-	"eant/internal/sched"
 	"eant/internal/sim"
 	"eant/internal/workload"
 )
@@ -280,30 +280,11 @@ func eantParams(spec RunSpec) EAntParams {
 
 // newScheduler constructs a fresh scheduler instance for the spec.
 func newScheduler(spec RunSpec) (mapreduce.Scheduler, error) {
-	switch spec.Scheduler {
-	case SchedulerEAnt:
-		e, err := core.NewEAnt(eantParams(spec))
-		if err != nil {
-			return nil, fmt.Errorf("eant: %w", err)
-		}
-		return e, nil
-	case SchedulerFair:
-		return sched.NewFair(), nil
-	case SchedulerTarazu:
-		return sched.NewTarazu(), nil
-	case SchedulerFIFO:
-		return sched.NewFIFO(), nil
-	case SchedulerLATE:
-		return sched.NewLATE(), nil
-	case SchedulerCapacity:
-		s, err := sched.NewCapacity(nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("eant: %w", err)
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("eant: unknown scheduler %q", spec.Scheduler)
+	s, err := experiments.NewScheduler(experiments.SchedulerName(spec.Scheduler), eantParams(spec))
+	if err != nil {
+		return nil, fmt.Errorf("eant: %w", err)
 	}
+	return s, nil
 }
 
 // resetScheduler returns a cached scheduler instance to its pre-run state
@@ -315,15 +296,7 @@ func resetScheduler(s mapreduce.Scheduler, spec RunSpec) error {
 		if err := sc.ResetForRun(eantParams(spec)); err != nil {
 			return fmt.Errorf("eant: %w", err)
 		}
-	case *sched.Fair:
-		sc.ResetForRun()
-	case *sched.Tarazu:
-		sc.ResetForRun()
-	case *sched.LATE:
-		sc.ResetForRun()
-	case *sched.FIFO:
-		sc.ResetForRun()
-	case *sched.Capacity:
+	case interface{ ResetForRun() }:
 		sc.ResetForRun()
 	default:
 		return fmt.Errorf("eant: cannot reset scheduler %q for reuse", s.Name())

@@ -65,6 +65,53 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteInputs feeds NaN, infinite and overflowing
+// values through a RunSpec. Each must be rejected with an error before the
+// run starts, instead of panicking in the engine, stalling E-Ant or
+// reporting non-finite energy.
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	noise := func(set func(*NoiseConfig)) func(*RunSpec) {
+		return func(s *RunSpec) {
+			n := DefaultNoise()
+			set(&n)
+			s.Noise = &n
+		}
+	}
+	params := func(set func(*EAntParams)) func(*RunSpec) {
+		return func(s *RunSpec) {
+			p := DefaultEAntParams()
+			set(&p)
+			s.EAntParams = &p
+		}
+	}
+	cases := []struct {
+		name string
+		set  func(*RunSpec)
+	}{
+		{"DurationCV NaN", noise(func(n *NoiseConfig) { n.DurationCV = nan })},
+		{"DurationCV +Inf", noise(func(n *NoiseConfig) { n.DurationCV = inf })},
+		{"DurationCV square overflows", noise(func(n *NoiseConfig) { n.DurationCV = 1e155 })},
+		{"MeasurementCV NaN", noise(func(n *NoiseConfig) { n.MeasurementCV = nan })},
+		{"StragglerProb NaN", noise(func(n *NoiseConfig) { n.StragglerProb = nan })},
+		{"StragglerMax +Inf", noise(func(n *NoiseConfig) { n.StragglerMax = inf })},
+		{"SleepWatts NaN", func(s *RunSpec) { s.Consolidation = &Consolidation{SleepWatts: nan} }},
+		{"SleepWatts +Inf", func(s *RunSpec) { s.Consolidation = &Consolidation{SleepWatts: inf} }},
+		{"TaskFailProb NaN", func(s *RunSpec) { s.Faults = &FaultConfig{TaskFailProb: nan} }},
+		{"Rho NaN", params(func(p *EAntParams) { p.Rho = nan })},
+		{"Gamma NaN", params(func(p *EAntParams) { p.Gamma = nan })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := quickSpec(SchedulerEAnt)
+			tc.set(&spec)
+			if _, err := Run(spec); err == nil {
+				t.Error("Run accepted the spec")
+			}
+		})
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run(quickSpec(SchedulerEAnt))
 	if err != nil {

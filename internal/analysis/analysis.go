@@ -1,10 +1,9 @@
-// Package analysis is the simulator's static-analysis suite: seven
+// Package analysis is the simulator's static-analysis suite: six
 // analyzers that machine-check the determinism and hot-path contracts the
 // reproduction depends on (seeded runs must be bit-identical, the virtual
 // clock is the only clock, the PR-3 incremental aggregates must never
-// desynchronize from ground truth, warm-run Reset paths must account for
-// every field of the structs they reuse, and functions on the engine inner
-// loop must not allocate).
+// desynchronize from ground truth, and functions on the engine inner loop
+// must not allocate).
 //
 // Since PR 9 the suite is interprocedural: a Module bundles every loaded
 // package with a whole-program call graph (callgraph.go) and per-function
@@ -198,5 +197,5 @@ func sortDiags(diags []Diagnostic) {
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc, ResetState}
+	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc}
 }

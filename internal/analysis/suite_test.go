@@ -26,7 +26,6 @@ var fixtures = []struct {
 	{"statsmut_driver", analysis.StatsMut},
 	{"statsmut_sched", analysis.StatsMut},
 	{"hotalloc_hot", analysis.HotAlloc},
-	{"resetstate", analysis.ResetState},
 }
 
 func TestFixtures(t *testing.T) {
@@ -62,8 +61,8 @@ func TestSuiteComplete(t *testing.T) {
 		covered[f.analyzer.Name] = true
 	}
 	all := analysis.All()
-	if len(all) != 7 {
-		t.Fatalf("All() has %d analyzers, want 7", len(all))
+	if len(all) != 6 {
+		t.Fatalf("All() has %d analyzers, want 6", len(all))
 	}
 	for _, a := range all {
 		if !covered[a.Name] {

@@ -58,6 +58,11 @@ func (s *TypeSpec) PeakWatts() float64 { return s.IdleWatts + s.AlphaWatts }
 
 // Validate reports the first structural problem with the spec.
 func (s *TypeSpec) Validate() error {
+	for _, x := range [...]float64{s.SpeedFactor, s.DiskMBps, s.NetMBps, s.IdleWatts, s.AlphaWatts} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("cluster: spec %q has non-finite parameter %v", s.Name, x)
+		}
+	}
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("cluster: spec has empty name")
@@ -102,8 +107,8 @@ const (
 // false); slot occupancy is plain state mutated by the single-threaded
 // simulation loop, so Machine is not safe for concurrent use.
 type Machine struct {
-	c  *Cluster  //eant:reset-keep handle identity; per-machine state lives in the cluster columns
-	id MachineID //eant:reset-keep machine identity is fixed at construction
+	c  *Cluster
+	id MachineID
 }
 
 // Valid reports whether the handle refers to a machine (the zero Machine

@@ -27,6 +27,12 @@ func TestSpecValidateRejectsBadSpecs(t *testing.T) {
 		{"negative idle", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1, IdleWatts: -1, MapSlots: 1}},
 		{"zero map slots", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1}},
 		{"negative reduce slots", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1, MapSlots: 1, ReduceSlots: -1}},
+		{"NaN speed", TypeSpec{Name: "x", Cores: 1, SpeedFactor: math.NaN(), DiskMBps: 1, NetMBps: 1, MapSlots: 1}},
+		{"infinite speed", TypeSpec{Name: "x", Cores: 1, SpeedFactor: math.Inf(1), DiskMBps: 1, NetMBps: 1, MapSlots: 1}},
+		{"infinite disk", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: math.Inf(1), NetMBps: 1, MapSlots: 1}},
+		{"NaN network", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: math.NaN(), MapSlots: 1}},
+		{"NaN idle", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1, IdleWatts: math.NaN(), MapSlots: 1}},
+		{"infinite alpha", TypeSpec{Name: "x", Cores: 1, SpeedFactor: 1, DiskMBps: 1, NetMBps: 1, AlphaWatts: math.Inf(1), MapSlots: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -24,14 +24,14 @@ import (
 type Cluster struct {
 	// Interned type table and the per-machine index into it. Fixed at
 	// construction; spec pointers are shared across clones (immutable).
-	specs  []*TypeSpec //eant:reset-keep interned type table is immutable configuration
-	typeOf []TypeID    //eant:reset-keep machine→type mapping is fixed at construction
+	specs  []*TypeSpec
+	typeOf []TypeID
 
 	// Derived immutable columns, denormalized from the type table so the
 	// offer path (FreeMapSlots and friends) never chases a spec pointer.
-	specOf      []*TypeSpec //eant:reset-keep denormalized typeOf→specs view, immutable
-	mapSlots    []int16     //eant:reset-keep per-machine spec.MapSlots, immutable
-	reduceSlots []int16     //eant:reset-keep per-machine spec.ReduceSlots, immutable
+	specOf      []*TypeSpec
+	mapSlots    []int16
+	reduceSlots []int16
 
 	// Mutable state columns, zeroed by Reset.
 	runningMap    []int16
@@ -42,8 +42,8 @@ type Cluster struct {
 
 	// handles caches one Machine value per ID so Machines() returns a
 	// stable slice without per-call allocation.
-	handles []Machine            //eant:reset-keep handle cache over the fixed fleet
-	byType  map[string][]Machine //eant:reset-keep index over the fixed fleet; Reset clears the columns it points at
+	handles []Machine
+	byType  map[string][]Machine
 }
 
 // Group pairs a machine spec with a replica count.

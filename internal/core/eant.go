@@ -29,7 +29,6 @@ type EAnt struct {
 
 	// typeGroups caches machine IDs per hardware type for the
 	// machine-level exchange; built on first use.
-	//eant:reset-keep pure function of the cluster, which a Runner never swaps
 	typeGroups [][]int
 
 	// trackTrails enables per-control-tick snapshots of every colony's
@@ -41,11 +40,11 @@ type EAnt struct {
 	// assignment allocates nothing. Safe because a scheduler instance is
 	// owned by exactly one single-threaded driver (see DESIGN.md's
 	// concurrency model).
-	scratchJobs    []*mapreduce.Job //eant:reset-keep scratch, fully overwritten before every read
-	scratchCols    []*colony        //eant:reset-keep scratch, fully overwritten before every read
-	scratchWeights []float64        //eant:reset-keep scratch, fully overwritten before every read
-	scratchAvail   []bool           //eant:reset-keep scratch, fully overwritten before every read
-	unavailable    []bool           //eant:reset-keep maintained by OnMachineDown/Up, which replay from the driver's reset fault state
+	scratchJobs    []*mapreduce.Job
+	scratchCols    []*colony
+	scratchWeights []float64
+	scratchAvail   []bool
+	unavailable    []bool
 
 	// Per-control-interval index state. Trails only change at the control
 	// tick, so each map colony's trail-ranked host view (hostIndex) is
@@ -75,11 +74,11 @@ type hostIndex struct {
 	epoch  uint64 // availability epoch when built (crash/recover invalidates)
 	listed uint64 // e.tickSeq when appended to e.indexed
 
-	ids         []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	vals        []float64 //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	prefixSlots []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	rankOf      []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
-	freeBuckets []int     //eant:reset-keep rebuilt wholesale when the tick/epoch stamps mismatch
+	ids         []int
+	vals        []float64
+	prefixSlots []int
+	rankOf      []int
+	freeBuckets []int
 }
 
 // countAtLeast returns how many ranked machines have trail ≥ threshold.
@@ -105,10 +104,11 @@ func (e *EAnt) TrailHistory(k ColonyKey) []TrailSnapshot { return e.trails[k] }
 
 // NewEAnt returns an E-Ant scheduler with the given parameters.
 func NewEAnt(p Params) (*EAnt, error) {
-	if err := p.Validate(); err != nil {
+	e := new(EAnt)
+	if err := e.ResetForRun(p); err != nil {
 		return nil, err
 	}
-	return &EAnt{p: p}, nil
+	return e, nil
 }
 
 // MustNewEAnt is NewEAnt for known-valid parameters.
@@ -138,24 +138,22 @@ func (e *EAnt) QuietWhenIdle() {}
 // adopting new parameters (sweeps vary Beta and friends between runs of
 // one warm world). The pheromone matrix, the cached type groups and every
 // scratch buffer are kept; colonies are recycled through the matrix pool.
-// After the reset the first offer's init fast path still short-circuits
-// (mx stays non-nil), so state here must match a fresh initSlow exactly.
+// NewEAnt is ResetForRun on an empty scheduler and initSlow only allocates
+// storage, so a new scheduler and a reset one start a run alike.
 func (e *EAnt) ResetForRun(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	e.p = p
+	e.tickSeq = 1
+	clear(e.indexed)
+	e.indexed = e.indexed[:0]
+	clear(e.reduceMeans)
+	clear(e.activeScratch)
 	if e.mx != nil {
 		if err := e.mx.Clear(p); err != nil {
 			return err
 		}
-		e.tickSeq = 1
-		for i := range e.indexed {
-			e.indexed[i] = nil
-		}
-		e.indexed = e.indexed[:0]
-		clear(e.reduceMeans)
-		clear(e.activeScratch)
 	}
 	if e.trackTrails {
 		e.trails = make(map[ColonyKey][]TrailSnapshot)
@@ -214,7 +212,6 @@ func (e *EAnt) initSlow(ctx *mapreduce.Context) {
 		panic(err) // params were validated in NewEAnt
 	}
 	e.mx = mx
-	e.tickSeq = 1
 	e.reduceMeans = make(map[int]float64)
 	e.activeScratch = make(map[int]bool)
 	for _, name := range ctx.Cluster.TypeNames() {

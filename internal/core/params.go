@@ -10,7 +10,10 @@
 // noise-robustness exchange strategies of §IV-D.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params are E-Ant's tuning knobs. DefaultParams reproduces the paper's
 // configuration.
@@ -90,6 +93,11 @@ func DefaultParams() Params {
 
 // Validate reports the first problem with the parameters.
 func (p Params) Validate() error {
+	for _, x := range [...]float64{p.Rho, p.Beta, p.InitTau, p.MinTau, p.MaxTau, p.EtaMax, p.AcceptFloor, p.NegativeScale, p.Gamma} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: non-finite parameter %v", x)
+		}
+	}
 	switch {
 	case p.Rho < 0 || p.Rho > 1:
 		return fmt.Errorf("core: rho %v outside [0,1]", p.Rho)

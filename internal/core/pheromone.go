@@ -37,8 +37,8 @@ type colony struct {
 
 	// delta/count are Update scratch: per-machine deposit and feedback
 	// count for the current interval. Valid only while hasDelta is set.
-	delta    []float64 //eant:reset-keep Update scratch, valid only while hasDelta (which reuse clears)
-	count    []int     //eant:reset-keep Update scratch, valid only while hasDelta (which reuse clears)
+	delta    []float64
+	count    []int
 	hasDelta bool
 
 	// idx is the colony's per-control-interval host index (E-Ant's decline
@@ -61,7 +61,7 @@ type colony struct {
 // depending on Go's randomized map iteration.
 type Matrix struct {
 	p        Params
-	machines int //eant:reset-keep pure function of the cluster size, fixed for the matrix's lifetime
+	machines int
 	index    map[ColonyKey]int
 	cols     []*colony
 
@@ -76,7 +76,7 @@ type Matrix struct {
 	// update tick. Group cardinality is tiny (apps × two task kinds), so
 	// entries are found by linear scan — no per-tick map, no per-tick
 	// group-sum slices once the scratch has warmed.
-	exchScratch []exchGroup //eant:reset-keep pure scratch: rebuilt from length zero and re-zeroed at every update tick
+	exchScratch []exchGroup
 }
 
 // exchGroup accumulates one (app, kind) group's deposit sums during the
@@ -90,17 +90,14 @@ type exchGroup struct {
 
 // NewMatrix returns an empty pheromone matrix over the given machine count.
 func NewMatrix(machines int, p Params) (*Matrix, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	if machines <= 0 {
 		return nil, fmt.Errorf("core: matrix over %d machines", machines)
 	}
-	return &Matrix{
-		p:        p,
-		machines: machines,
-		index:    make(map[ColonyKey]int),
-	}, nil
+	mx := &Matrix{machines: machines, index: make(map[ColonyKey]int)}
+	if err := mx.Clear(p); err != nil {
+		return nil, err
+	}
+	return mx, nil
 }
 
 // Colonies returns the number of tracked colonies.
@@ -253,8 +250,8 @@ func (mx *Matrix) retire(gone func(ColonyKey) bool) {
 }
 
 // Clear retires every colony into the recycling pool and adopts the given
-// parameters, returning the matrix to the state NewMatrix(machines, p)
-// leaves it in while keeping every allocated buffer. p must validate.
+// parameters, keeping every allocated buffer; NewMatrix is Clear on an
+// empty matrix. p must validate.
 func (mx *Matrix) Clear(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err

@@ -52,6 +52,16 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.InitTau = 100 },
 		func(p *Params) { p.EtaMax = 0.5 },
 		func(p *Params) { p.AcceptFloor = 2 },
+		func(p *Params) { p.Rho = math.NaN() },
+		func(p *Params) { p.Beta = math.Inf(1) },
+		func(p *Params) { p.InitTau = math.NaN() },
+		func(p *Params) { p.MinTau = math.NaN() },
+		func(p *Params) { p.MaxTau = math.Inf(1) },
+		func(p *Params) { p.EtaMax = math.Inf(1) },
+		func(p *Params) { p.AcceptFloor = math.NaN() },
+		func(p *Params) { p.NegativeScale = math.NaN() },
+		func(p *Params) { p.Gamma = math.NaN() },
+		func(p *Params) { p.Gamma = math.Inf(1) },
 	}
 	for i, mutate := range mutations {
 		p := DefaultParams()

@@ -117,7 +117,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fault: negative MTBF %v", c.MachineMTBF)
 	case c.MachineMTTR < 0:
 		return fmt.Errorf("fault: negative MTTR %v", c.MachineMTTR)
-	case c.TaskFailProb < 0 || c.TaskFailProb > 1:
+	case !(c.TaskFailProb >= 0 && c.TaskFailProb <= 1): // NaN fails both
 		return fmt.Errorf("fault: task failure probability %v outside [0,1]", c.TaskFailProb)
 	case c.MaxAttempts < 0:
 		return fmt.Errorf("fault: negative max attempts %d", c.MaxAttempts)
@@ -140,32 +140,28 @@ func (c Config) Validate() error {
 
 // Injector answers the fault draws of one run: crash-process phase spans
 // and per-attempt failures. All randomness comes from the injector's own
-// RNG stream.
+// RNG stream. The zero Injector is empty storage: Reset configures it and
+// seeds its stream.
 type Injector struct {
 	cfg Config
-	rng *sim.RNG
+	rng sim.RNG
 }
 
-// NewInjector returns an injector for the given configuration; cfg must
-// validate. Defaults are applied for enabled configurations.
-func NewInjector(cfg Config, rng *sim.RNG) (*Injector, error) {
-	if err := cfg.Validate(); err != nil {
+// NewInjector returns an injector drawing from a stream seeded with seed;
+// cfg must validate.
+func NewInjector(cfg Config, seed int64) (*Injector, error) {
+	in := new(Injector)
+	if err := in.Reset(cfg, seed); err != nil {
 		return nil, err
 	}
-	if cfg.Enabled() {
-		cfg.SetDefaults()
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("fault: nil RNG")
-	}
-	return &Injector{cfg: cfg, rng: rng}, nil
+	return in, nil
 }
 
 // Config returns the injector's (defaulted) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// Reset reconfigures the injector in place and rewinds its RNG stream to
-// the given seed, exactly reproducing a fresh NewInjector(cfg, NewRNG(seed)).
+// Reset adopts cfg, with defaults applied when it is enabled, and rewinds
+// the RNG stream to the given seed, reusing the stream's generator.
 func (in *Injector) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err

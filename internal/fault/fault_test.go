@@ -1,11 +1,10 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
-
-	"eant/internal/sim"
 )
 
 func TestEventKindString(t *testing.T) {
@@ -57,6 +56,7 @@ func TestConfigValidate(t *testing.T) {
 		{"probLow", Config{TaskFailProb: -0.1}, false},
 		{"probHigh", Config{TaskFailProb: 1.1}, false},
 		{"probOne", Config{TaskFailProb: 1}, true},
+		{"probNaN", Config{TaskFailProb: math.NaN()}, false},
 		{"negAttempts", Config{MaxAttempts: -1}, false},
 		{"negThreshold", Config{BlacklistThreshold: -1}, false},
 		{"eventNegTime", Config{Scenario: []Event{{At: -time.Second, Machine: 0, Kind: Crash}}}, false},
@@ -100,13 +100,10 @@ func TestSetDefaultsFillsSecondaryKnobs(t *testing.T) {
 }
 
 func TestNewInjectorRejectsBadInput(t *testing.T) {
-	if _, err := NewInjector(Config{TaskFailProb: 2}, sim.NewRNG(1)); err == nil {
+	if _, err := NewInjector(Config{TaskFailProb: 2}, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewInjector(Config{}, nil); err == nil {
-		t.Error("nil RNG accepted")
-	}
-	inj, err := NewInjector(Config{MachineMTBF: time.Hour}, sim.NewRNG(1))
+	inj, err := NewInjector(Config{MachineMTBF: time.Hour}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +119,7 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 	// The no-op guarantee: with faults disabled, AttemptFails must not
 	// advance the stream (enabling the fault fork must never perturb runs
 	// that share the parent seed).
-	rng := sim.NewRNG(42)
-	inj, err := NewInjector(Config{}, rng)
+	inj, err := NewInjector(Config{}, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +128,12 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 			t.Fatal("disabled injector reported an attempt failure")
 		}
 	}
-	got := rng.Float64()
-	want := sim.NewRNG(42).Float64()
-	if got != want {
+	got := inj.FailurePoint()
+	fresh, err := NewInjector(Config{}, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.FailurePoint(); got != want {
 		t.Errorf("disabled injector consumed RNG state: %v != %v", got, want)
 	}
 }
@@ -143,7 +142,7 @@ func TestDisabledInjectorConsumesNoRNG(t *testing.T) {
 // machine's crash/recover chain.
 func phases(t *testing.T, cfg Config, seed int64, n int) []time.Duration {
 	t.Helper()
-	inj, err := NewInjector(cfg, sim.NewRNG(seed))
+	inj, err := NewInjector(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestStochasticTimelineIsDeterministic(t *testing.T) {
 func TestPhaseFloor(t *testing.T) {
 	// Absurdly small means must still yield phases of at least minPhase, so
 	// a machine can never flap within one event instant.
-	inj, err := NewInjector(Config{MachineMTBF: time.Nanosecond, MachineMTTR: time.Nanosecond}, sim.NewRNG(3))
+	inj, err := NewInjector(Config{MachineMTBF: time.Nanosecond, MachineMTTR: time.Nanosecond}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestPhaseFloor(t *testing.T) {
 }
 
 func TestFailurePointRange(t *testing.T) {
-	inj, err := NewInjector(Config{TaskFailProb: 0.5}, sim.NewRNG(11))
+	inj, err := NewInjector(Config{TaskFailProb: 0.5}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +212,7 @@ func TestFailurePointRange(t *testing.T) {
 }
 
 func TestAttemptFailsMatchesProbability(t *testing.T) {
-	inj, err := NewInjector(Config{TaskFailProb: 0.3}, sim.NewRNG(5))
+	inj, err := NewInjector(Config{TaskFailProb: 0.3}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

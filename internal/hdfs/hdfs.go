@@ -32,8 +32,8 @@ type File struct {
 // Namespace places and resolves input files. Not safe for concurrent use;
 // the simulation loop is single-threaded.
 type Namespace struct {
-	cluster     *cluster.Cluster //eant:reset-keep the namespace serves one fixed fleet for its lifetime
-	replication int              //eant:reset-keep configuration fixed at construction
+	cluster     *cluster.Cluster
+	replication int
 	files       map[int]*File
 	// blocksHeld counts replicas per machine, used to balance placement.
 	blocksHeld []int
@@ -42,49 +42,45 @@ type Namespace struct {
 	// covering, when set, constrains each block's first replica to these
 	// machines (the consolidation covering subset).
 	covering []int
-	rng      *sim.RNG
+	rng      sim.RNG
 	// recycled holds Files retired by Reset, keyed by job ID, so a warm
 	// rerun of the same workload re-places into the same backing arrays.
 	recycled map[int]*File
 }
 
-// NewNamespace returns an empty namespace over c. replication is clamped
-// to the cluster size.
-func NewNamespace(c *cluster.Cluster, replication int, rng *sim.RNG) *Namespace {
-	if replication <= 0 {
-		replication = DefaultReplication
+// NewNamespace returns an empty namespace over c whose placements draw
+// from a stream seeded with seed. replication is defaulted and clamped as
+// Reset does.
+func NewNamespace(c *cluster.Cluster, replication int, seed int64) *Namespace {
+	ns := &Namespace{
+		cluster:    c,
+		files:      make(map[int]*File),
+		blocksHeld: make([]int, c.Size()),
+		recycled:   make(map[int]*File),
 	}
-	if replication > c.Size() {
-		replication = c.Size()
-	}
-	return &Namespace{
-		cluster:     c,
-		replication: replication,
-		files:       make(map[int]*File),
-		blocksHeld:  make([]int, c.Size()),
-		rng:         rng,
-	}
+	ns.Reset(replication, seed)
+	return ns
 }
 
 // Replication returns the effective replica count.
 func (ns *Namespace) Replication() int { return ns.replication }
 
-// Reset empties the namespace and rewinds its RNG stream to the given
-// seed, so a subsequent identical Place sequence reproduces the original
-// placements bit for bit. Retired Files move to a recycling pool keyed by
-// job ID; exclusions and the covering constraint are dropped (the driver
-// re-applies them before placing).
-func (ns *Namespace) Reset(seed int64) {
-	if ns.recycled == nil {
-		ns.recycled = make(map[int]*File, len(ns.files))
+// Reset empties the namespace, adopts the replica count (DefaultReplication
+// when non-positive, clamped to the cluster size) and rewinds its RNG
+// stream to the given seed, so a subsequent identical Place sequence
+// reproduces the original placements bit for bit. Retired Files move to a
+// recycling pool keyed by job ID; exclusions and the covering constraint
+// are dropped (the driver re-applies them before placing).
+func (ns *Namespace) Reset(replication int, seed int64) {
+	if replication <= 0 {
+		replication = DefaultReplication
 	}
+	ns.replication = min(replication, ns.cluster.Size())
 	for id, f := range ns.files {
 		ns.recycled[id] = f
 	}
 	clear(ns.files)
-	for i := range ns.blocksHeld {
-		ns.blocksHeld[i] = 0
-	}
+	clear(ns.blocksHeld)
 	ns.excluded = nil
 	ns.covering = nil
 	ns.rng.Reseed(seed)

@@ -1,11 +1,11 @@
 package hdfs
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"eant/internal/cluster"
-	"eant/internal/sim"
 )
 
 func testCluster(n int) *cluster.Cluster {
@@ -13,7 +13,7 @@ func testCluster(n int) *cluster.Cluster {
 }
 
 func TestPlaceReplicasDistinct(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, sim.NewRNG(1))
+	ns := NewNamespace(testCluster(10), 3, 1)
 	f, err := ns.Place(1, 200)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
@@ -36,7 +36,7 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 }
 
 func TestPlaceAllocatesPerFileNotPerBlock(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, sim.NewRNG(1))
+	ns := NewNamespace(testCluster(10), 3, 1)
 	// The File, its block index and one replica array, however many blocks.
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := ns.Place(1, 200); err != nil {
@@ -51,7 +51,7 @@ func TestPlaceAllocatesPerFileNotPerBlock(t *testing.T) {
 
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
-	ns := NewNamespace(c, 3, sim.NewRNG(2))
+	ns := NewNamespace(c, 3, 2)
 	if _, err := ns.Place(1, 800); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPlaceBalanced(t *testing.T) {
 }
 
 func TestReplicationClampedToClusterSize(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 3, sim.NewRNG(3))
+	ns := NewNamespace(testCluster(2), 3, 3)
 	if ns.Replication() != 2 {
 		t.Fatalf("Replication() = %d, want clamped 2", ns.Replication())
 	}
@@ -81,14 +81,42 @@ func TestReplicationClampedToClusterSize(t *testing.T) {
 }
 
 func TestDefaultReplicationApplied(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 0, sim.NewRNG(4))
+	ns := NewNamespace(testCluster(5), 0, 4)
 	if ns.Replication() != DefaultReplication {
 		t.Errorf("Replication() = %d, want %d", ns.Replication(), DefaultReplication)
 	}
 }
 
+// TestResetAdoptsReplication checks that Reset applies the replica count
+// as NewNamespace does, so a reset namespace places like a new one.
+func TestResetAdoptsReplication(t *testing.T) {
+	c := testCluster(5)
+	ns := NewNamespace(c, 3, 1)
+	if _, err := ns.Place(1, 20); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{1, 0, 9} {
+		ns.Reset(r, 2)
+		fresh := NewNamespace(c, r, 2)
+		if ns.Replication() != fresh.Replication() {
+			t.Fatalf("Reset(%d): Replication() = %d, new namespace has %d", r, ns.Replication(), fresh.Replication())
+		}
+		got, err := ns.Place(1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Place(1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Blocks, want.Blocks) {
+			t.Errorf("Reset(%d): placement %v, new namespace placed %v", r, got.Blocks, want.Blocks)
+		}
+	}
+}
+
 func TestPlaceErrors(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, sim.NewRNG(5))
+	ns := NewNamespace(testCluster(5), 3, 5)
 	if _, err := ns.Place(1, 0); err == nil {
 		t.Error("zero blocks accepted")
 	}
@@ -101,7 +129,7 @@ func TestPlaceErrors(t *testing.T) {
 }
 
 func TestIsLocalMatchesReplicas(t *testing.T) {
-	ns := NewNamespace(testCluster(6), 3, sim.NewRNG(6))
+	ns := NewNamespace(testCluster(6), 3, 6)
 	if _, err := ns.Place(7, 50); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +148,7 @@ func TestIsLocalMatchesReplicas(t *testing.T) {
 }
 
 func TestRemoveReleasesLoad(t *testing.T) {
-	ns := NewNamespace(testCluster(4), 2, sim.NewRNG(7))
+	ns := NewNamespace(testCluster(4), 2, 7)
 	if _, err := ns.Place(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +165,7 @@ func TestRemoveReleasesLoad(t *testing.T) {
 }
 
 func TestUnplacedLookupsPanic(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 2, sim.NewRNG(8))
+	ns := NewNamespace(testCluster(3), 2, 8)
 	for _, fn := range []func(){
 		func() { ns.Replicas(1, 0) },
 		func() { ns.IsLocal(1, 0, 0) },
@@ -154,7 +182,7 @@ func TestUnplacedLookupsPanic(t *testing.T) {
 }
 
 func TestExcludeFromPlacement(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, sim.NewRNG(10))
+	ns := NewNamespace(testCluster(5), 3, 10)
 	ns.ExcludeFromPlacement(2)
 	f, err := ns.Place(1, 100)
 	if err != nil {
@@ -173,7 +201,7 @@ func TestExcludeFromPlacement(t *testing.T) {
 }
 
 func TestExcludeClampsReplication(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 3, sim.NewRNG(11))
+	ns := NewNamespace(testCluster(3), 3, 11)
 	ns.ExcludeFromPlacement(0)
 	f, err := ns.Place(1, 10)
 	if err != nil {
@@ -187,7 +215,7 @@ func TestExcludeClampsReplication(t *testing.T) {
 }
 
 func TestExcludeAllPanicsOnPlace(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, sim.NewRNG(12))
+	ns := NewNamespace(testCluster(2), 1, 12)
 	ns.ExcludeFromPlacement(0)
 	ns.ExcludeFromPlacement(1)
 	defer func() {
@@ -199,7 +227,7 @@ func TestExcludeAllPanicsOnPlace(t *testing.T) {
 }
 
 func TestExcludeInvalidMachinePanics(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, sim.NewRNG(13))
+	ns := NewNamespace(testCluster(2), 1, 13)
 	defer func() {
 		if recover() == nil {
 			t.Error("excluding nonexistent machine did not panic")
@@ -212,7 +240,7 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 	f := func(seed int64, blocks uint8, machines uint8) bool {
 		n := int(machines)%14 + 2
 		b := int(blocks)%60 + 1
-		ns := NewNamespace(testCluster(n), 3, sim.NewRNG(seed))
+		ns := NewNamespace(testCluster(n), 3, seed)
 		file, err := ns.Place(1, b)
 		if err != nil {
 			return false

@@ -104,7 +104,7 @@ type aggregates struct {
 }
 
 // initAggregates allocates the aggregate buffers and the type table for
-// the driver's fleet, then seeds them through resetAggregates.
+// the driver's fleet; Reset seeds them through resetAggregates.
 func (d *Driver) initAggregates() {
 	c := d.cluster
 	n := c.Size()
@@ -134,7 +134,6 @@ func (d *Driver) initAggregates() {
 			}
 		}
 	}
-	d.resetAggregates()
 }
 
 // classOf derives a machine's availability class from its live state.

@@ -141,6 +141,11 @@ func (c *Config) setDefaults() {
 
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
+	for _, x := range [...]float64{c.Slowstart, c.ForcedLocalFraction, c.NetShareDivisor, c.Power.SleepWatts} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("mapreduce: non-finite parameter %v", x)
+		}
+	}
 	if c.Slowstart > 1 {
 		return fmt.Errorf("mapreduce: slowstart %v > 1", c.Slowstart)
 	}
@@ -157,48 +162,40 @@ func (c Config) Validate() error {
 // jobs, serves TaskTracker heartbeats through the plugged Scheduler, runs
 // tasks to completion, and accounts energy.
 type Driver struct {
-	cfg     Config
+	runState
+
+	// The retained storage below is built once by NewDriver; Reset clears
+	// or re-derives every entry, so a new driver is empty storage reset
+	// once.
 	engine  *sim.Engine
 	cluster *cluster.Cluster
 	ns      *hdfs.Namespace
 	meter   *power.Meter
-	sched   Scheduler
-	noise   *noise.Model
-	local   *sim.RNG // locality-forcing stream
+	noise   noise.Model
+	faults  fault.Injector
+	local   sim.RNG // locality-forcing stream
 	ctx     *Context
-	// probe is the optional observability recorder; nil when disabled.
-	// Call sites guard with an explicit nil check so the disabled hot
-	// path computes no event arguments and allocates nothing.
-	probe *probe.Probe
 
-	jobs             []*Job //eant:reset-keep reused by Run's warm gate when the new specs match
-	active           []*Job
-	unsubmit         int
-	totalSlots       int
-	totalMapSlots    int
-	totalReduceSlots int
-	tickOffset       int
-
-	stats *Stats
+	// jobs is reused by Run's warm gate when the new specs match.
+	jobs   []*Job
+	active []*Job
 	// intervalAssign accumulates task starts per (job, machine) within
 	// the current control interval.
 	intervalAssign map[int]map[int]int
 
 	// covering marks always-on machines; lastBusy is when each machine
-	// last ran a task (consolidation policy state).
+	// last ran a task (consolidation policy state). Both are nil unless
+	// consolidation is on.
 	covering []bool
 	lastBusy []time.Duration
 
-	// faults injects machine crashes and attempt failures; blacklistUntil
-	// and failCount implement the JobTracker's per-machine failure
-	// blacklist (allocated only when fault injection is enabled).
-	faults         *fault.Injector
+	// blacklistUntil and failCount implement the JobTracker's per-machine
+	// failure blacklist; both are nil unless fault injection is on.
 	blacklistUntil []time.Duration
 	failCount      []int
 
 	// sampleBuf backs estimateJoules' per-completion sample slice (at most
 	// shuffle + compute), keeping the completion path allocation-free.
-	//eant:reset-keep per-completion scratch, fully overwritten before every read
 	sampleBuf [2]power.TaskSample
 
 	// agg is the incremental-statistics layer serving the scheduler hot
@@ -207,88 +204,82 @@ type Driver struct {
 	// map-service estimate per (app, type), indexed by estIndex, from the
 	// run's config.
 	agg      aggregates
-	typeReps []*cluster.TypeSpec //eant:reset-keep pure function of the cluster, which a driver never swaps
+	typeReps []*cluster.TypeSpec
 	mapEst   []float64
 
 	// done tallies completions per (type, app, kind) cell, indexed by
 	// doneIndex, and doneByMachine per machine ID, each cell summed in
 	// completion order; finalizeStats publishes them into Stats' maps.
-	// tasksDone is their running total, read by every control tick.
 	done          []EnergyPair
 	doneByMachine []int
-	tasksDone     int
 
-	// slotObs receives free-slot change notifications when the scheduler
-	// implements SlotObserver; onMutation is the test-only invariant hook
-	// (EnableInvariantChecks).
-	slotObs    SlotObserver
-	onMutation func(where string) //eant:reset-keep test-only hook installed for the driver's lifetime
+	// onMutation is the test-only invariant hook (EnableInvariantChecks).
+	onMutation func(where string)
 
 	// Typed event kinds (sim.RegisterKind jump table), one per event the
 	// driver schedules — heartbeat sweeps, control ticks, submissions,
 	// completion/failure timers, the reduce shuffle→compute transition and
 	// the fault process. Each carries at most an index and a task or job
 	// pointer, so scheduling one allocates nothing.
-	evHeartbeat     sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evControl       sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evSubmit        sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evComplete      sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evFail          sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evReduceCompute sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+	evHeartbeat     sim.EventKind
+	evControl       sim.EventKind
+	evSubmit        sim.EventKind
+	evComplete      sim.EventKind
+	evFail          sim.EventKind
+	evReduceCompute sim.EventKind
 	// Fault kinds: a stochastic crash or recovery carries the machine ID; a
 	// scripted event carries its index into cfg.Fault.Scenario.
-	evCrash    sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evRecover  sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
-	evScripted sim.EventKind //eant:reset-keep kind registration is per-driver-lifetime; Engine.Reset keeps the table
+	evCrash    sim.EventKind
+	evRecover  sim.EventKind
+	evScripted sim.EventKind
 
 	// victims is crashMachine's kill-list scratch.
-	victims []*Task //eant:reset-keep crash scratch, cleared after every use
+	victims []*Task
+}
+
+// runState is the driver's per-run state. Reset assigns it in one
+// statement, so a field added here starts every run at its zero value
+// with no reset code.
+type runState struct {
+	cfg   Config
+	sched Scheduler
+	// probe is the optional observability recorder; nil when disabled.
+	// Call sites guard with an explicit nil check so the disabled hot
+	// path computes no event arguments and allocates nothing.
+	probe *probe.Probe
+	// slotObs receives free-slot change notifications when the scheduler
+	// implements SlotObserver.
+	slotObs SlotObserver
+	stats   *Stats
+
+	unsubmit   int
+	tickOffset int
+	// tasksDone is the running total of the completion tallies, read by
+	// every control tick.
+	tasksDone int
+
+	totalSlots       int
+	totalMapSlots    int
+	totalReduceSlots int
 }
 
 // NewDriver wires a driver for one run. The scheduler must not be shared
 // across drivers.
 func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error) {
-	cfg.setDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if sched == nil {
-		return nil, fmt.Errorf("mapreduce: nil scheduler")
-	}
-	root := sim.NewRNG(cfg.Seed)
-	engine := sim.NewEngine()
-	// Calendar buckets sized to the dominant event period: heartbeats,
-	// completions and shuffle transitions land in the O(1) ring; control
-	// ticks and far-future submissions take the overflow band.
-	engine.SetBucketWidth(cfg.Heartbeat)
-	nm, err := noise.NewModel(cfg.Noise, root.Fork("noise"))
-	if err != nil {
-		return nil, err
-	}
-	inj, err := fault.NewInjector(cfg.Fault, root.Fork("fault"))
-	if err != nil {
-		return nil, err
-	}
 	d := &Driver{
-		cfg:              cfg,
-		engine:           engine,
-		cluster:          c,
-		ns:               hdfs.NewNamespace(c, cfg.Replication, root.Fork("hdfs")),
-		meter:            power.NewMeter(c),
-		sched:            sched,
-		noise:            nm,
-		local:            root.Fork("locality"),
-		totalSlots:       c.TotalSlots(),
-		totalMapSlots:    c.TotalMapSlots(),
-		totalReduceSlots: c.TotalReduceSlots(),
-		stats:            newStats(sched.Name()),
-		intervalAssign:   make(map[int]map[int]int),
-		faults:           inj,
-		probe:            cfg.Probe,
+		engine:         sim.NewEngine(),
+		cluster:        c,
+		ns:             hdfs.NewNamespace(c, hdfs.DefaultReplication, 0),
+		meter:          power.NewMeter(c),
+		intervalAssign: make(map[int]map[int]int),
 	}
-	if obs, ok := sched.(SlotObserver); ok {
-		d.slotObs = obs
+	d.ctx = &Context{
+		Cluster: c,
+		HDFS:    d.ns,
+		Rng:     new(sim.RNG),
+		driver:  d,
 	}
+	engine := d.engine
 	d.evHeartbeat = engine.RegisterKind(func(int, any) { d.heartbeatTick() })
 	d.evControl = engine.RegisterKind(func(int, any) { d.controlTickEvent() })
 	d.evSubmit = engine.RegisterKind(func(_ int, arg any) { d.submit(arg.(*Job)) })
@@ -315,37 +306,8 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 	})
 	d.initAggregates()
 	d.initTables()
-	if inj.Enabled() {
-		d.blacklistUntil = make([]time.Duration, c.Size())
-		d.failCount = make([]int, c.Size())
-	}
-	for _, typeName := range cfg.ComputeOnlyTypes {
-		for _, m := range c.ByType(typeName) {
-			d.ns.ExcludeFromPlacement(m.ID())
-		}
-	}
-	if cfg.Power.Enabled {
-		d.covering = make([]bool, c.Size())
-		d.lastBusy = make([]time.Duration, c.Size())
-		var coveringIDs []int
-		for _, name := range c.TypeNames() {
-			machines := c.ByType(name)
-			n := cfg.Power.CoveringPerType
-			if n > len(machines) {
-				n = len(machines)
-			}
-			for i := 0; i < n; i++ {
-				d.covering[machines[i].ID()] = true
-				coveringIDs = append(coveringIDs, machines[i].ID())
-			}
-		}
-		d.ns.PreferFirstReplicaOn(coveringIDs)
-	}
-	d.ctx = &Context{
-		Cluster: c,
-		HDFS:    d.ns,
-		Rng:     root.Fork("sched"),
-		driver:  d,
+	if err := d.Reset(sched, cfg); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
@@ -1109,18 +1071,17 @@ func (d *Driver) finalizeStats() {
 }
 
 // initTables sizes the per-(app, type) estimate table and the completion
-// tallies, then fills the estimates. Reset refills both in place.
+// tallies; Reset fills them.
 func (d *Driver) initTables() {
 	apps, types := len(workload.Apps()), len(d.typeReps)
 	d.mapEst = make([]float64, apps*types)
 	d.done = make([]EnergyPair, 2*apps*types)
 	d.doneByMachine = make([]int, d.cluster.Size())
-	d.tabulateEstimates()
 }
 
-// tabulateEstimates fills mapEst from the current config. NewDriver and
-// every Reset recompute the whole table, so it never outlives the config
-// it was computed from.
+// tabulateEstimates fills mapEst from the current config. Every Reset
+// recomputes the whole table, so it never outlives the config it was
+// computed from.
 func (d *Driver) tabulateEstimates() {
 	for _, app := range workload.Apps() {
 		prof := workload.ProfileOf(app)

@@ -2,20 +2,19 @@ package mapreduce
 
 import (
 	"fmt"
-	"time"
 
 	"eant/internal/sim"
 )
 
-// This file is the driver's warm-run path: Reset returns an already-built
-// driver to the state NewDriver(cluster, sched, cfg) leaves it in, reusing
+// This file is the driver's run-reset path, which NewDriver also ends in:
+// Reset returns a built driver to the state every run starts from, reusing
 // every long-lived allocation — the engine's calendar queue and event pool,
 // the cluster and meter arrays, the HDFS namespace (with retired files
 // recycled by job ID), the aggregate buffers, and (via Run's warm gate) the
-// Job/Task structures themselves. A warm run must be byte-identical to a
-// cold one: every RNG stream is rewound to the label-derived seed NewDriver
-// would fork, and every piece of state either reproduces its freshly
-// constructed value exactly or is re-derived by the same code path.
+// Job/Task structures themselves. A warm run is byte-identical to a cold
+// one because a cold driver is empty storage put through this same Reset:
+// every RNG stream is reseeded from its label-derived seed, and the
+// per-run state is assigned whole.
 
 // Reset rewires the driver for another run with the given scheduler and
 // configuration. The cluster is kept (machines reset in place); the job
@@ -30,99 +29,83 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	if sched == nil {
 		return fmt.Errorf("mapreduce: nil scheduler")
 	}
-	d.cfg = cfg
+	slotObs, _ := sched.(SlotObserver)
+	d.runState = runState{
+		cfg:              cfg,
+		sched:            sched,
+		probe:            cfg.Probe,
+		slotObs:          slotObs,
+		stats:            newStats(sched.Name()),
+		totalSlots:       d.cluster.TotalSlots(),
+		totalMapSlots:    d.cluster.TotalMapSlots(),
+		totalReduceSlots: d.cluster.TotalReduceSlots(),
+	}
 
-	// ForkSeed(seed, label) is exactly the seed NewRNG(seed).Fork(label)
-	// produces, and is independent of fork order, so rewinding each stream
-	// reproduces NewDriver's root-fork tree without a root RNG.
+	// Calendar buckets sized to the dominant event period: heartbeats,
+	// completions and shuffle transitions land in the O(1) ring; control
+	// ticks and far-future submissions take the overflow band.
 	d.engine.Reset()
 	d.engine.SetBucketWidth(cfg.Heartbeat)
 	d.cluster.Reset()
 	d.meter.Reset()
+	// Each stream is seeded with ForkSeed(seed, label), the seed
+	// NewRNG(seed).Fork(label) would give it.
 	if err := d.noise.Reset(cfg.Noise, sim.ForkSeed(cfg.Seed, "noise")); err != nil {
 		return err
 	}
 	if err := d.faults.Reset(cfg.Fault, sim.ForkSeed(cfg.Seed, "fault")); err != nil {
 		return err
 	}
-	d.ns.Reset(sim.ForkSeed(cfg.Seed, "hdfs"))
+	d.ns.Reset(cfg.Replication, sim.ForkSeed(cfg.Seed, "hdfs"))
 	d.local.Reseed(sim.ForkSeed(cfg.Seed, "locality"))
 	d.ctx.Rng.Reseed(sim.ForkSeed(cfg.Seed, "sched"))
 
-	d.sched = sched
-	d.probe = cfg.Probe
-	d.slotObs = nil
-	if obs, ok := sched.(SlotObserver); ok {
-		d.slotObs = obs
-	}
-	d.totalSlots = d.cluster.TotalSlots()
-	d.totalMapSlots = d.cluster.TotalMapSlots()
-	d.totalReduceSlots = d.cluster.TotalReduceSlots()
-	d.stats = newStats(sched.Name())
 	clear(d.intervalAssign)
-	d.unsubmit = 0
-	d.tickOffset = 0
-	for i := range d.active {
-		d.active[i] = nil
-	}
+	clear(d.active)
 	d.active = d.active[:0]
+	n := d.cluster.Size()
+	d.blacklistUntil = zeroed(d.blacklistUntil, n, d.faults.Enabled())
+	d.failCount = zeroed(d.failCount, n, d.faults.Enabled())
+	d.covering = zeroed(d.covering, n, cfg.Power.Enabled)
+	d.lastBusy = zeroed(d.lastBusy, n, cfg.Power.Enabled)
 
-	if d.faults.Enabled() {
-		if d.blacklistUntil == nil {
-			d.blacklistUntil = make([]time.Duration, d.cluster.Size())
-			d.failCount = make([]int, d.cluster.Size())
-		} else {
-			for i := range d.blacklistUntil {
-				d.blacklistUntil[i] = 0
-				d.failCount[i] = 0
-			}
-		}
-	} else {
-		d.blacklistUntil = nil
-		d.failCount = nil
-	}
-
-	// Placement constraints were dropped by ns.Reset; re-derive them in
-	// NewDriver's order (exclusions, then the covering subset).
+	// Placement constraints were dropped by ns.Reset: exclusions first,
+	// then the covering subset.
 	for _, typeName := range cfg.ComputeOnlyTypes {
 		for _, m := range d.cluster.ByType(typeName) {
 			d.ns.ExcludeFromPlacement(m.ID())
 		}
 	}
 	if cfg.Power.Enabled {
-		if d.covering == nil {
-			d.covering = make([]bool, d.cluster.Size())
-			d.lastBusy = make([]time.Duration, d.cluster.Size())
-		} else {
-			for i := range d.covering {
-				d.covering[i] = false
-				d.lastBusy[i] = 0
-			}
-		}
 		var coveringIDs []int
 		for _, name := range d.cluster.TypeNames() {
 			machines := d.cluster.ByType(name)
-			n := cfg.Power.CoveringPerType
-			if n > len(machines) {
-				n = len(machines)
-			}
-			for i := 0; i < n; i++ {
-				d.covering[machines[i].ID()] = true
-				coveringIDs = append(coveringIDs, machines[i].ID())
+			for _, m := range machines[:min(cfg.Power.CoveringPerType, len(machines))] {
+				d.covering[m.ID()] = true
+				coveringIDs = append(coveringIDs, m.ID())
 			}
 		}
 		d.ns.PreferFirstReplicaOn(coveringIDs)
-	} else {
-		d.covering = nil
-		d.lastBusy = nil
 	}
 
 	d.tabulateEstimates()
 	clear(d.done)
 	clear(d.doneByMachine)
-	d.tasksDone = 0
 	d.resetAggregates()
 	return nil
+}
+
+// zeroed returns nil when off; when on, it returns s cleared in place, or
+// n fresh zeros if s is nil.
+func zeroed[T any](s []T, n int, on bool) []T {
+	switch {
+	case !on:
+		return nil
+	case s == nil:
+		return make([]T, n)
+	}
+	clear(s)
+	return s
 }
 
 // resetAggregates seeds the aggregate state for the fully-awake fleet over
@@ -156,24 +139,30 @@ func (d *Driver) resetAggregates() {
 	}
 }
 
-// resetForRun rebuilds j's run state in place for a warm rerun of the same
-// spec: every Task is overwritten with its newJob initial value (stale
-// pendingEvent handles are inert — the engine reset bumped their
-// generation), the pending FIFOs and locality index are rebuilt by
-// overwrite in newJob's exact order into their retained arrays, and
-// speculative clones (separate allocations) are dropped with the cleared
-// in-flight list. blocks is the re-placed input file's replica lists; the
-// reduce estimates are re-tabulated at submission.
+// resetForRun returns j to the state its spec starts a run in, over its
+// retained storage. The literal names only the retained fields, so every
+// other field, progress and timestamps included, starts at zero. Every
+// Task is overwritten with its initial value (stale pendingEvent handles
+// are inert — the engine reset bumped their generation), and speculative
+// clones (separate allocations) are dropped with the cleared in-flight
+// list. blocks is the input file's replica lists, which the job aliases;
+// the reduce estimates are tabulated at submission.
 func (j *Job) resetForRun(blocks [][]int) {
-	j.Submitted, j.FirstStart, j.MapsDoneAt, j.LastShuffleEnd, j.Finished = 0, 0, 0, 0, 0
-	j.mapsDone, j.reducesDone = 0, 0
-	j.started, j.done, j.failed = false, false, false
-	j.reduceGateOpen = false
 	clear(j.inFlight)
-	j.inFlight = j.inFlight[:0]
 	clear(j.reduceEst)
-	j.pendingMaps = j.pendingMaps[:0]
-	j.pendingHead = 0
+	*j = Job{
+		Spec:           j.Spec,
+		Maps:           j.Maps,
+		Reduces:        j.Reduces,
+		pendingMaps:    j.pendingMaps[:0],
+		pendingReduces: j.pendingReduces[:0],
+		localHead:      j.localHead,
+		localTail:      j.localTail,
+		local:          j.local,
+		mapReplicas:    blocks,
+		inFlight:       j.inFlight[:0],
+		reduceEst:      j.reduceEst,
+	}
 	for i := range j.Maps {
 		j.Maps[i] = Task{
 			Job:     j,
@@ -184,10 +173,7 @@ func (j *Job) resetForRun(blocks [][]int) {
 		}
 		j.pendingMaps = append(j.pendingMaps, i)
 	}
-	j.mapReplicas = blocks
 	j.buildLocal(blocks)
-	j.pendingReduces = j.pendingReduces[:0]
-	j.reduceHead = 0
 	for i := range j.Reduces {
 		j.Reduces[i] = Task{
 			Job:     j,

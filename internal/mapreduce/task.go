@@ -235,41 +235,21 @@ type localEntry struct {
 }
 
 // newJob materializes tasks for a spec on a fleet of the given size with
-// the given number of machine types. blocks lists each map's block replica
-// locations (the HDFS file's Blocks), which the job aliases.
+// the given number of machine types: it allocates the job's storage and
+// resets it for a run. blocks lists each map's block replica locations
+// (the HDFS file's Blocks), which the job aliases.
 func newJob(spec workload.JobSpec, blocks [][]int, machines, types int) *Job {
 	j := &Job{
-		Spec:        spec,
-		reduceEst:   make([]float64, types),
-		localHead:   make([]int32, machines),
-		localTail:   make([]int32, machines),
-		mapReplicas: blocks,
+		Spec:           spec,
+		Maps:           make([]Task, spec.NumMaps),
+		Reduces:        make([]Task, spec.NumReduces),
+		pendingMaps:    make([]int, 0, spec.NumMaps),
+		pendingReduces: make([]int, 0, spec.NumReduces),
+		localHead:      make([]int32, machines),
+		localTail:      make([]int32, machines),
+		reduceEst:      make([]float64, types),
 	}
-	j.Maps = make([]Task, spec.NumMaps)
-	j.pendingMaps = make([]int, spec.NumMaps)
-	for i := range j.Maps {
-		j.Maps[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    MapTask,
-			InputMB: spec.MapInputMB(i),
-			State:   TaskPending,
-		}
-		j.pendingMaps[i] = i
-	}
-	j.buildLocal(blocks)
-	j.Reduces = make([]Task, spec.NumReduces)
-	j.pendingReduces = make([]int, spec.NumReduces)
-	for i := range j.Reduces {
-		j.Reduces[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    ReduceTask,
-			InputMB: spec.ShuffleMBPerReduce(),
-			State:   TaskPending,
-		}
-		j.pendingReduces[i] = i
-	}
+	j.resetForRun(blocks)
 	return j
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"math"
 	"testing"
 
 	"eant/internal/workload"
@@ -161,6 +162,23 @@ func TestConfigValidate(t *testing.T) {
 	bad.ForcedLocalFraction = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("forced local fraction > 1 accepted")
+	}
+	nonFinite := []func(*Config){
+		func(c *Config) { c.Slowstart = math.NaN() },
+		func(c *Config) { c.Slowstart = math.Inf(-1) },
+		func(c *Config) { c.ForcedLocalFraction = math.NaN() },
+		func(c *Config) { c.ForcedLocalFraction = math.Inf(-1) },
+		func(c *Config) { c.NetShareDivisor = math.NaN() },
+		func(c *Config) { c.NetShareDivisor = math.Inf(1) },
+		func(c *Config) { c.Power.SleepWatts = math.NaN() },
+		func(c *Config) { c.Power.SleepWatts = math.Inf(1) },
+	}
+	for i, set := range nonFinite {
+		bad = DefaultConfig()
+		set(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("non-finite case %d accepted", i)
+		}
 	}
 }
 

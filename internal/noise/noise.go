@@ -10,6 +10,7 @@ package noise
 
 import (
 	"fmt"
+	"math"
 
 	"eant/internal/sim"
 )
@@ -49,11 +50,22 @@ func Default() Config {
 // Off returns the no-noise configuration.
 func Off() Config { return Config{} }
 
+// maxCV is the largest coefficient of variation whose square, which the
+// lognormal parameters are derived from, is finite.
+var maxCV = math.Sqrt(math.MaxFloat64)
+
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
+	for _, x := range [...]float64{c.DurationCV, c.MeasurementCV, c.StragglerProb, c.StragglerMin, c.StragglerMax} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("noise: non-finite parameter %v", x)
+		}
+	}
 	switch {
 	case c.DurationCV < 0 || c.MeasurementCV < 0:
 		return fmt.Errorf("noise: negative coefficient of variation")
+	case c.DurationCV > maxCV || c.MeasurementCV > maxCV:
+		return fmt.Errorf("noise: coefficient of variation above %g", maxCV)
 	case c.StragglerProb < 0 || c.StragglerProb > 1:
 		return fmt.Errorf("noise: straggler probability %v outside [0,1]", c.StragglerProb)
 	case c.StragglerProb > 0 && (c.StragglerMin < 1 || c.StragglerMax < c.StragglerMin):
@@ -67,35 +79,29 @@ func (c Config) Enabled() bool {
 	return c.DurationCV > 0 || c.StragglerProb > 0 || c.MeasurementCV > 0
 }
 
-// Model draws noise factors from a dedicated RNG stream.
+// Model draws noise factors from a dedicated RNG stream. The zero Model is
+// empty storage: Reset configures it and seeds its stream.
 type Model struct {
 	cfg Config
-	rng *sim.RNG
+	rng sim.RNG
 	// duration and measurement are the lognormal parameters of
 	// cfg.DurationCV and cfg.MeasurementCV, derived with cfg.
 	duration, measurement sim.Noise
 }
 
-// NewModel returns a noise model; cfg must validate.
-func NewModel(cfg Config, rng *sim.RNG) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+// NewModel returns a noise model drawing from a stream seeded with seed;
+// cfg must validate.
+func NewModel(cfg Config, seed int64) (*Model, error) {
+	m := new(Model)
+	if err := m.Reset(cfg, seed); err != nil {
 		return nil, err
 	}
-	m := &Model{rng: rng}
-	m.configure(cfg)
 	return m, nil
 }
 
-// configure adopts cfg and derives its lognormal parameters.
-func (m *Model) configure(cfg Config) {
-	m.cfg = cfg
-	m.duration = sim.NewNoise(cfg.DurationCV)
-	m.measurement = sim.NewNoise(cfg.MeasurementCV)
-}
-
 // MustNewModel is NewModel for static configurations.
-func MustNewModel(cfg Config, rng *sim.RNG) *Model {
-	m, err := NewModel(cfg, rng)
+func MustNewModel(cfg Config, seed int64) *Model {
+	m, err := NewModel(cfg, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -105,13 +111,15 @@ func MustNewModel(cfg Config, rng *sim.RNG) *Model {
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Reset reconfigures the model in place and rewinds its RNG stream to the
-// given seed, exactly reproducing a fresh NewModel(cfg, NewRNG(seed)).
+// Reset adopts cfg, derives its lognormal parameters and rewinds the RNG
+// stream to the given seed, reusing the stream's generator.
 func (m *Model) Reset(cfg Config, seed int64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	m.configure(cfg)
+	m.cfg = cfg
+	m.duration = sim.NewNoise(cfg.DurationCV)
+	m.measurement = sim.NewNoise(cfg.MeasurementCV)
 	m.rng.Reseed(seed)
 	return nil
 }

@@ -3,8 +3,6 @@ package noise
 import (
 	"math"
 	"testing"
-
-	"eant/internal/sim"
 )
 
 func TestValidate(t *testing.T) {
@@ -20,6 +18,13 @@ func TestValidate(t *testing.T) {
 		{StragglerProb: 1.5},
 		{StragglerProb: 0.1, StragglerMin: 0.5, StragglerMax: 2},
 		{StragglerProb: 0.1, StragglerMin: 3, StragglerMax: 2},
+		{DurationCV: math.NaN()},
+		{DurationCV: math.Inf(1)},
+		{DurationCV: 1e155},
+		{MeasurementCV: math.NaN()},
+		{StragglerProb: math.NaN()},
+		{StragglerMin: math.NaN()},
+		{StragglerProb: 0.1, StragglerMin: 1, StragglerMax: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -41,13 +46,13 @@ func TestEnabled(t *testing.T) {
 }
 
 func TestNewModelRejectsInvalid(t *testing.T) {
-	if _, err := NewModel(Config{DurationCV: -1}, sim.NewRNG(1)); err == nil {
+	if _, err := NewModel(Config{DurationCV: -1}, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
 
 func TestOffModelIsDeterministic(t *testing.T) {
-	m := MustNewModel(Off(), sim.NewRNG(1))
+	m := MustNewModel(Off(), 1)
 	for i := 0; i < 100; i++ {
 		if f := m.DurationFactor(); f != 1 {
 			t.Fatalf("DurationFactor = %v with noise off", f)
@@ -59,7 +64,7 @@ func TestOffModelIsDeterministic(t *testing.T) {
 }
 
 func TestDurationFactorStatistics(t *testing.T) {
-	m := MustNewModel(Default(), sim.NewRNG(2))
+	m := MustNewModel(Default(), 2)
 	const n = 100000
 	var sum float64
 	stragglers := 0
@@ -85,7 +90,7 @@ func TestDurationFactorStatistics(t *testing.T) {
 }
 
 func TestMeasurementFactorMeanOne(t *testing.T) {
-	m := MustNewModel(Default(), sim.NewRNG(3))
+	m := MustNewModel(Default(), 3)
 	const n = 100000
 	var sum float64
 	for i := 0; i < n; i++ {
@@ -101,8 +106,8 @@ func TestMeasurementFactorMeanOne(t *testing.T) {
 }
 
 func TestModelsWithSameSeedAgree(t *testing.T) {
-	a := MustNewModel(Default(), sim.NewRNG(7))
-	b := MustNewModel(Default(), sim.NewRNG(7))
+	a := MustNewModel(Default(), 7)
+	b := MustNewModel(Default(), 7)
 	for i := 0; i < 1000; i++ {
 		if a.DurationFactor() != b.DurationFactor() {
 			t.Fatal("identically-seeded models diverged")

@@ -26,9 +26,9 @@ import (
 type Meter struct {
 	lastSync  []time.Duration
 	joules    []float64
-	utilSecs  []float64        // ∫U dt, for time-averaged CPU utilization (Fig. 8b)
-	busySlots []float64        // ∫(occupied slots) dt — set via NoteSlots by the driver
-	cluster   *cluster.Cluster //eant:reset-keep the meter covers one fixed fleet for its lifetime
+	utilSecs  []float64 // ∫U dt, for time-averaged CPU utilization (Fig. 8b)
+	busySlots []float64 // ∫(occupied slots) dt — set via NoteSlots by the driver
+	cluster   *cluster.Cluster
 }
 
 // NewMeter returns a meter covering every machine in c, starting at time 0.

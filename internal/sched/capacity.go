@@ -13,10 +13,9 @@ import (
 // idle capacity beyond their guarantee and are preempted back to it only
 // by attrition (running tasks finish). Within a queue, jobs run FIFO.
 type Capacity struct {
-	queues []CapacityQueue //eant:reset-keep queue declarations are configuration fixed at construction
+	queues []CapacityQueue
 	// route maps a job to a queue index; default routes by JobID modulo
 	// queue count.
-	//eant:reset-keep routing policy is configuration fixed at construction
 	route func(*mapreduce.Job) int
 
 	// usage[queueIdx] counts running tasks per queue.
@@ -24,8 +23,8 @@ type Capacity struct {
 
 	// queueOrder scratch, reused across slot offers (one scheduler per
 	// single-threaded driver).
-	idx     []int     //eant:reset-keep per-offer scratch, fully overwritten before every read
-	deficit []float64 //eant:reset-keep per-offer scratch, fully overwritten before every read
+	idx     []int
+	deficit []float64
 }
 
 // CapacityQueue declares one queue's share of the slot pool.

@@ -17,7 +17,6 @@ import (
 type Fair struct {
 	// LocalityWaitTicks is how many consecutive non-local offers a job
 	// declines before running remotely. Zero disables delay scheduling.
-	//eant:reset-keep configuration fixed at construction
 	LocalityWaitTicks int
 
 	// skipped counts consecutive non-local offers per job ID.

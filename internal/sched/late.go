@@ -21,11 +21,9 @@ type LATE struct {
 
 	// SpeculationFactor is the elapsed/expected ratio beyond which an
 	// attempt counts as a straggler. Hadoop's heuristic is ~1.2–1.5.
-	//eant:reset-keep configuration fixed at construction
 	SpeculationFactor float64
 	// MaxSpeculativeFraction bounds in-flight clones per job, as a
 	// fraction of the job's running attempts (minimum 1).
-	//eant:reset-keep configuration fixed at construction
 	MaxSpeculativeFraction float64
 }
 

@@ -21,7 +21,6 @@ type Tarazu struct {
 
 	// capShare[machineID] is the machine's fraction of fleet compute
 	// capability, computed lazily on first assignment.
-	//eant:reset-keep pure function of the cluster, which a driver never swaps
 	capShare []float64
 	// started[machineID] counts map tasks this scheduler has placed.
 	started      []int
@@ -29,11 +28,9 @@ type Tarazu struct {
 
 	// slack is the tolerated overshoot above the capability share before
 	// remote tasks are declined. 1.0 is strict proportionality.
-	//eant:reset-keep configuration fixed at construction
 	slack float64
 	// localBoost multiplies a job's affinity score when it has a
 	// data-local task on the offering machine.
-	//eant:reset-keep configuration fixed at construction
 	localBoost float64
 }
 

@@ -119,14 +119,14 @@ const maxFreeEvents = 8192
 // they fire.
 type Engine struct {
 	now     time.Duration
-	width   time.Duration //eant:reset-keep bucket width is configuration; the driver re-asserts it via SetBucketWidth
-	curBi   int64         // absolute index of the active bucket
+	width   time.Duration
+	curBi   int64 // absolute index of the active bucket
 	buckets [numBuckets][]*event
-	ringN   int            // events (incl. cancelled) in ring buckets
-	active  []*event       // min-heap: active bucket + pulled overflow
-	over    []*event       // min-heap: events at or beyond the ring window
-	free    []*event       // recycled event structs
-	kinds   []TypedHandler //eant:reset-keep registered kind table lives as long as its driver
+	ringN   int      // events (incl. cancelled) in ring buckets
+	active  []*event // min-heap: active bucket + pulled overflow
+	over    []*event // min-heap: events at or beyond the ring window
+	free    []*event // recycled event structs
+	kinds   []TypedHandler
 	seq     uint64
 	fired   uint64
 	queued  int // events in the queue, including cancelled ones

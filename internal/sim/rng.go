@@ -9,7 +9,8 @@ import (
 // deterministic fork mechanism, so each subsystem (noise, workload
 // generation, scheduling) draws from an independent stream derived from one
 // master seed. Forked streams are stable across runs and insensitive to the
-// order in which *other* streams are consumed.
+// order in which *other* streams are consumed. The zero RNG is unseeded
+// storage: Reseed it before the first draw.
 type RNG struct {
 	r *rand.Rand
 	// seed retained so Fork can derive child seeds deterministically.
@@ -18,7 +19,9 @@ type RNG struct {
 
 // NewRNG returns a source seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed)), seed: seed}
+	g := new(RNG)
+	g.Reseed(seed)
+	return g
 }
 
 // Fork derives an independent stream for the named subsystem. The child
@@ -36,10 +39,14 @@ func ForkSeed(parent int64, label string) int64 {
 }
 
 // Reseed rewinds the stream to the state NewRNG(seed) starts in, reusing
-// the underlying generator. After Reseed the draw sequence is identical to
-// a freshly constructed stream's.
+// the underlying generator once there is one. After Reseed the draw
+// sequence is identical to a freshly constructed stream's.
 func (g *RNG) Reseed(seed int64) {
-	g.r.Seed(seed)
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(seed))
+	} else {
+		g.r.Seed(seed)
+	}
 	g.seed = seed
 }
 

@@ -29,6 +29,24 @@ func TestRNGForkIndependentOfSiblingConsumption(t *testing.T) {
 	}
 }
 
+// TestRNGReseedMatchesFork pins the identity a reset driver relies on: a
+// used stream, or an unseeded zero RNG, reseeded with ForkSeed(seed,
+// label) draws exactly like NewRNG(seed).Fork(label).
+func TestRNGReseedMatchesFork(t *testing.T) {
+	used := NewRNG(3)
+	used.Float64()
+	var zero RNG
+	used.Reseed(ForkSeed(9, "hdfs"))
+	zero.Reseed(ForkSeed(9, "hdfs"))
+	want := NewRNG(9).Fork("hdfs")
+	for i := 0; i < 50; i++ {
+		w := want.Float64()
+		if used.Float64() != w || zero.Float64() != w {
+			t.Fatal("reseeded stream diverged from a fresh fork")
+		}
+	}
+}
+
 func TestRNGForkLabelsDiffer(t *testing.T) {
 	g := NewRNG(7)
 	a, b := g.Fork("a"), g.Fork("b")
