@@ -1,6 +1,6 @@
 # Convenience entry points mirroring the CI pipeline. `make lint` is the
-# local pre-push check for the determinism/hot-path contracts; see
-# DESIGN.md §12 for what each analyzer enforces.
+# local pre-push check for the determinism contracts; see DESIGN.md §12
+# for what each analyzer enforces.
 
 GO ?= go
 
@@ -17,11 +17,9 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The eantlint multichecker: rngonly, noclock, maporder, floatsum,
-# statsmut, hotalloc — interprocedural since the call-graph layer
-# landed, so the whole module is analyzed as one unit.
-# Every finding exits non-zero with a file:line diagnostic; there is no
-# debt ledger.
+# The eantlint multichecker: five analyzers (rngonly, noclock, maporder,
+# floatsum, statsmut), each checking one package at a time. Every finding
+# exits non-zero with a file:line diagnostic; there is no debt ledger.
 lint:
 	$(GO) run ./cmd/eantlint ./...
 

@@ -1,18 +1,16 @@
 // Command eantlint is the project's multichecker: it runs the
 // internal/analysis suite — rngonly, noclock, maporder, floatsum,
-// statsmut, hotalloc — over the module and reports violations of the
-// simulator's determinism and hot-path contracts.
+// statsmut — over the module and reports violations of the simulator's
+// determinism contracts.
 //
 // Usage:
 //
 //	eantlint [-format text|github] [-analyzers] [packages...]
 //
-// The whole module is always loaded and analyzed as one unit — the suite
-// is interprocedural since PR 9, so facts (taint, hotness) must be
-// computed over every package before any one of them can be judged.
-// Package arguments only filter which packages' diagnostics are
-// *reported*: "eantlint internal/analysis" prints findings in that
-// package alone, computed with full whole-program context.
+// Every analyzer checks one package at a time. The module is loaded and
+// type-checked once, dependencies first; package arguments select which
+// packages are analyzed ("eantlint internal/analysis" checks that package
+// alone), and no arguments or "./..." selects them all.
 //
 // -format=github emits GitHub Actions workflow annotations
 // (::error file=...,line=...). -analyzers lists the suite and exits.
@@ -73,22 +71,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The whole module is loaded regardless of the package filter: hot
-	// roots live in sim/mapreduce/core and taints cross package
-	// boundaries, so per-function facts are only correct with every
-	// package in the graph.
-	loader := analysis.NewLoader()
-	pkgs, err := loader.LoadAll(root)
+	pkgs, err := analysis.NewLoader().LoadAll(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "eantlint: %v\n", err)
 		return 2
 	}
-	diags, err := analysis.RunModule(analysis.NewModule(pkgs), analysis.All())
+	diags, err := analysis.Run(keepDirs(pkgs, dirs), analysis.All())
 	if err != nil {
 		fmt.Fprintf(stderr, "eantlint: %v\n", err)
 		return 2
 	}
-	diags = filterDirs(diags, dirs)
 	for _, d := range diags {
 		fmt.Fprintln(stdout, formatDiag(*format, root, d))
 	}
@@ -99,17 +91,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// filterDirs keeps diagnostics whose file lives directly in one of the
-// selected package directories.
-func filterDirs(diags []analysis.Diagnostic, dirs [][2]string) []analysis.Diagnostic {
+// keepDirs returns the packages that live in one of the selected
+// package directories.
+func keepDirs(pkgs []*analysis.Package, dirs [][2]string) []*analysis.Package {
 	selected := make(map[string]bool, len(dirs))
 	for _, dp := range dirs {
 		selected[dp[0]] = true
 	}
-	out := diags[:0]
-	for _, d := range diags {
-		if selected[filepath.Dir(d.Pos.Filename)] {
-			out = append(out, d)
+	var out []*analysis.Package
+	for _, p := range pkgs {
+		if selected[p.Dir] {
+			out = append(out, p)
 		}
 	}
 	return out

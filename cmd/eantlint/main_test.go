@@ -11,7 +11,7 @@ import (
 // TestRepoIsClean is the acceptance smoke test: the suite must exit 0 on
 // the repository itself. Every rule violation is either fixed or carries
 // a justification annotation; a regression here means new code broke a
-// determinism or hot-path contract.
+// determinism contract.
 func TestRepoIsClean(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run(nil, &out, &errOut); code != 0 {

@@ -1,17 +1,10 @@
-// Package analysis is the simulator's static-analysis suite: six
-// analyzers that machine-check the determinism and hot-path contracts the
+// Package analysis is the simulator's static-analysis suite: five
+// per-package analyzers that machine-check the determinism contracts the
 // reproduction depends on (seeded runs must be bit-identical, the virtual
-// clock is the only clock, the PR-3 incremental aggregates must never
-// desynchronize from ground truth, and functions on the engine inner loop
-// must not allocate).
-//
-// Since PR 9 the suite is interprocedural: a Module bundles every loaded
-// package with a whole-program call graph (callgraph.go) and per-function
-// facts computed by fixpoint (facts.go, reach.go) — "nondeterministic"
-// taint flowing callee→caller and "hot" reachability flowing from the
-// engine inner loop caller→callee. noclock/rngonly flag the call site
-// that imports a taint from an unchecked package, and hotalloc flags
-// allocating constructs in any hot function.
+// clock is the only clock, and the PR-3 incremental aggregates must never
+// desynchronize from ground truth). The hot path's no-allocation contract
+// is not checked here: the root package measures it on warm runs
+// (TestWarmRunAllocsBounded, DESIGN.md §16).
 //
 // The framework deliberately mirrors the core shapes of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — so each
@@ -24,11 +17,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 )
 
 // An Analyzer is one named check. Run inspects a single type-checked
@@ -61,10 +55,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Mod is the module-wide view: all packages under analysis plus the
-	// call graph and propagated facts. Never nil — single-package Run
-	// wraps its package in a one-package Module.
-	Mod *Module
 
 	pkg    *Package
 	report func(Diagnostic)
@@ -105,97 +95,40 @@ func (p *Pass) Annotation(pos token.Pos, name string) (reason string, ok bool) {
 	return "", false
 }
 
-// A Module is the interprocedural unit of analysis: every package loaded
-// for one run, the whole-program call graph over them, and the
-// per-function facts propagated to fixpoint. Analyzers reach it through
-// Pass.Mod.
-type Module struct {
-	// Pkgs is sorted by import path.
-	Pkgs  []*Package
-	Graph *CallGraph
-}
-
-// NewModule builds the call graph over pkgs and computes facts. The input
-// may arrive in any order; the Module's view is sorted by import path.
-func NewModule(pkgs []*Package) *Module {
-	g := BuildGraph(pkgs)
-	g.computeFacts()
-	return &Module{Pkgs: g.pkgs, Graph: g}
-}
-
-// checksPath reports whether a package with the given import path is part
-// of this module — i.e. its own body is under analysis, so taints inside
-// it are flagged directly rather than at call sites that import them.
-func (m *Module) checksPath(path string) bool {
-	for _, p := range m.Pkgs {
-		if p.Path == path {
-			return true
-		}
-	}
-	return false
-}
-
-// Run applies each analyzer to the single package pkg. The package is
-// wrapped in a one-package Module so fact-consuming analyzers see a
-// (degenerate) call graph; cross-package propagation needs RunModule.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return runPass(NewModule([]*Package{pkg}), pkg, analyzers)
-}
-
-// RunModule applies each analyzer to every package of m and returns all
-// findings sorted by position, then analyzer name — a stable order
-// independent of analyzer and package scheduling.
-func RunModule(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run applies each analyzer to every package and returns all findings
+// sorted by position, analyzer name and message — an order independent
+// of analyzer and package order.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, pkg := range m.Pkgs {
-		ds, err := runPass(m, pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, ds...)
-	}
-	sortDiags(diags)
-	return diags, nil
-}
-
-func runPass(m *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Mod:      m,
-			pkg:      pkg,
-			report:   func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer: a,
+				Fset:     pkg.Fset,
+				Files:    pkg.Files,
+				Pkg:      pkg.Types,
+				Info:     pkg.Info,
+				pkg:      pkg,
+				report:   func(d Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+			}
 		}
 	}
-	sortDiags(diags)
-	return diags, nil
-}
-
-func sortDiags(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+			cmp.Compare(a.Message, b.Message),
+		)
 	})
+	return diags, nil
 }
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut, HotAlloc}
+	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut}
 }

@@ -12,8 +12,8 @@
 // Any diagnostic on a line without a matching expectation, and any
 // expectation without a matching diagnostic, fails the test. Fixture
 // packages may override their import path with "//eantlint:path", which
-// is how path-scoped analyzers (noclock, floatsum's equality rule,
-// statsmut) are exercised from testdata.
+// is how path-scoped analyzers (noclock, rngonly's internal/sim rule,
+// floatsum's equality rule, statsmut) are exercised from testdata.
 package analysistest
 
 import (
@@ -55,7 +55,7 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, err := analysis.Run(pkg, analyzers)
+	diags, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
@@ -65,46 +65,6 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 		t.Fatal(err)
 	}
 
-	for _, d := range diags {
-		if !claim(wants, filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message) {
-			t.Errorf("unexpected diagnostic at %s:%d: %s (%s)",
-				filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message, d.Analyzer)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("%s:%d: expected diagnostic matching %s, got none", w.file, w.line, w.raw)
-		}
-	}
-}
-
-// RunModule loads several fixture directories as one module — listed
-// dependency-first, so a later fixture can import an earlier one by its
-// "fixture/<base>" path — applies the analyzers with cross-package fact
-// propagation, and checks "// want" expectations across every directory.
-// This is the harness for the interprocedural fixtures: the old
-// single-package Run wraps its fixture in a degenerate one-package
-// module and cannot see taints that cross fixture boundaries.
-func RunModule(t *testing.T, dirs []string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	var pkgs []*analysis.Package
-	var wants []*want
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir, "fixture/"+filepath.Base(dir))
-		if err != nil {
-			t.Fatalf("loading fixture %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-		ws, err := parseWants(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants = append(wants, ws...)
-	}
-	diags, err := analysis.RunModule(analysis.NewModule(pkgs), analyzers)
-	if err != nil {
-		t.Fatalf("running analyzers on %v: %v", dirs, err)
-	}
 	for _, d := range diags {
 		if !claim(wants, filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message) {
 			t.Errorf("unexpected diagnostic at %s:%d: %s (%s)",

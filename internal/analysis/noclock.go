@@ -5,15 +5,6 @@ import (
 	"strings"
 )
 
-// clockAllowlist names the internal packages permitted to read the wall
-// clock. Only the parallel runner's plumbing qualifies (worker pools and
-// profiling hooks live at the process boundary); everything else inside
-// internal/ runs on the simulator's virtual clock. cmd/ and examples/ are
-// process entry points and are exempt wholesale.
-var clockAllowlist = map[string]bool{
-	"eant/internal/parallel": true,
-}
-
 // wallClockFuncs are the time-package calls that observe or schedule on
 // the wall clock. Pure constructors like time.Duration arithmetic and
 // formatting are fine — the contract is about *reading* real time.
@@ -29,37 +20,23 @@ var wallClockFuncs = map[string]bool{
 	"Sleep":     true,
 }
 
-// NoClock enforces the virtual-clock contract: simulation packages under
-// internal/ must not read the wall clock — sim.Engine owns time. A
-// time.Now snuck into a scheduler or experiment would make runs
-// irreproducible in a way seeded tests cannot reliably catch.
-//
-// The check is interprocedural: direct time.Now/time.Since calls are
-// flagged where they occur, and calls into *unchecked* packages (the
-// clock allowlist, cmd/, anything outside internal/) whose callees
-// transitively reach the wall clock are flagged at the call site that
-// imports the taint, with the witness chain in the message. Escape with
-// "//eant:clock-ok <reason>" on the call.
+// NoClock enforces the virtual-clock contract: packages under internal/
+// must not read the wall clock — sim.Engine owns time. A time.Now snuck
+// into a scheduler or experiment would make runs irreproducible in a way
+// seeded tests cannot reliably catch. Every internal package is checked,
+// the worker pool included; cmd/, examples/ and bench/ are process entry
+// points (main packages nothing can import) and read wall time freely.
 var NoClock = &Analyzer{
 	Name: "noclock",
-	Doc:  "forbid wall-clock reads (time.Now, time.Since, timers) in internal simulation packages, including transitively through unchecked packages; the sim engine owns time",
+	Doc:  "forbid wall-clock reads (time.Now, time.Since, timers) in internal/ packages; the sim engine owns time",
 	Run:  runNoClock,
-}
-
-// clockChecked reports whether a package's own body is subject to the
-// intra-package noclock rule — taints inside it are flagged directly
-// there, so edges into it need no frontier report.
-func clockChecked(path string) bool {
-	return strings.HasPrefix(path, "eant/internal/") && !clockAllowlist[path]
 }
 
 func runNoClock(pass *Pass) error {
 	path := pass.Path()
-	if !clockChecked(path) {
+	if !strings.HasPrefix(path, "eant/internal/") {
 		return nil
 	}
-	reportTransitiveTaint(pass, TaintClock, clockChecked, "clock-ok",
-		"use the sim engine's virtual clock")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -68,7 +45,7 @@ func runNoClock(pass *Pass) error {
 			}
 			pkg, name, ok := pass.calleePkgFunc(call)
 			if ok && pkg == "time" && wallClockFuncs[name] {
-				pass.Reportf(call.Pos(), "wall-clock call time.%s in simulation package %s: use the sim engine's virtual clock (wall time is allowed only in cmd/ and the internal/parallel allowlist)", name, path)
+				pass.Reportf(call.Pos(), "wall-clock call time.%s in simulation package %s: use the sim engine's virtual clock (wall time is allowed only in cmd/, examples/ and bench/)", name, path)
 			}
 			return true
 		})

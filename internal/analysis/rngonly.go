@@ -1,12 +1,15 @@
 package analysis
 
-import "strconv"
+import (
+	"go/ast"
+	"go/types"
+	"strconv"
+	"strings"
+)
 
-// rngExempt is the one package allowed to touch the raw generators: it
+// rngPkg is the one package allowed to import the raw generators: it
 // defines sim.RNG, the seeded, forkable stream every subsystem draws from.
-var rngExempt = map[string]bool{
-	"eant/internal/sim": true,
-}
+const rngPkg = "eant/internal/sim"
 
 // bannedRand are the import paths that introduce randomness outside the
 // simulator's seeded streams. crypto/rand is banned outright: it is
@@ -23,33 +26,23 @@ var bannedRand = map[string]string{
 // randomness flows through sim.RNG so that one master seed determines
 // every stream and golden outputs replay bit-for-bit.
 //
-// The import ban is intra-package; on top of it, calls into *unchecked*
-// packages (the sim exemption, cmd/, anything outside internal/) whose
-// callees transitively draw from the global math/rand generators or
-// crypto/rand are flagged at the call site that imports the taint.
-// Constructors over explicit sources (rand.New(rand.NewSource(seed))) do
-// not taint — they are exactly how the seeded sim.RNG streams are built.
-// Escape with "//eant:rand-ok <reason>" on the call.
+// Inside internal/sim the imports are allowed, but only for seeded
+// construction: every crypto/rand reference is flagged, and so is every
+// math/rand or math/rand/v2 reference other than a New* constructor or a
+// type or constant name (a global draw such as rand.Float64). Any global
+// draw another package could reach has to start in sim, so it is flagged
+// where it starts.
 var RngOnly = &Analyzer{
 	Name: "rngonly",
-	Doc:  "forbid math/rand and crypto/rand imports outside internal/sim, and calls that transitively draw global randomness; randomness must flow through sim.RNG",
+	Doc:  "forbid math/rand and crypto/rand imports outside internal/sim, and any use inside it but seeded construction; randomness must flow through sim.RNG",
 	Run:  runRngOnly,
 }
 
-// rngChecked reports whether a package's own body is subject to the
-// intra-package import ban. Unlike the clock rule, the randomness ban
-// covers everything — cmd/ entry points included; only the sim.RNG
-// wrapper package touches raw generators.
-func rngChecked(path string) bool {
-	return !rngExempt[path]
-}
-
 func runRngOnly(pass *Pass) error {
-	if !rngChecked(pass.Path()) {
+	if pass.Path() == rngPkg {
+		checkSeededOnly(pass)
 		return nil
 	}
-	reportTransitiveTaint(pass, TaintRand, rngChecked, "rand-ok",
-		"route the draw through sim.RNG (forked from the run seed)")
 	for _, f := range pass.Files {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
@@ -64,4 +57,32 @@ func runRngOnly(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// checkSeededOnly flags the generator-package references in internal/sim
+// that are not seeded construction.
+func checkSeededOnly(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			path := pass.importedPkg(sel.X)
+			if _, banned := bannedRand[path]; !banned {
+				return true
+			}
+			if path != "crypto/rand" {
+				switch pass.ObjectOf(sel.Sel).(type) {
+				case *types.TypeName, *types.Const:
+					return true
+				}
+				if strings.HasPrefix(sel.Sel.Name, "New") {
+					return true
+				}
+			}
+			pass.Reportf(sel.Pos(), "%s.%s in internal/sim is not seeded construction: draw from a generator built over an explicit seed", path, sel.Sel.Name)
+			return true
+		})
+	}
 }

@@ -25,7 +25,6 @@ var fixtures = []struct {
 	{"floatsum_eq", analysis.FloatSum},
 	{"statsmut_driver", analysis.StatsMut},
 	{"statsmut_sched", analysis.StatsMut},
-	{"hotalloc_hot", analysis.HotAlloc},
 }
 
 func TestFixtures(t *testing.T) {
@@ -36,23 +35,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestInterprocFixtures loads multi-package fixture modules — dependency
-// first — and checks that taints and hotness cross the package boundary:
-// the transitive catches the per-package analyzers miss.
-func TestInterprocFixtures(t *testing.T) {
-	base := filepath.Join("testdata", "src")
-	t.Run("noclock+hotalloc", func(t *testing.T) {
-		analysistest.RunModule(t,
-			[]string{filepath.Join(base, "interproc_dep"), filepath.Join(base, "interproc_root")},
-			analysis.NoClock, analysis.HotAlloc)
-	})
-	t.Run("rngonly", func(t *testing.T) {
-		analysistest.RunModule(t,
-			[]string{filepath.Join(base, "interproc_rng_dep"), filepath.Join(base, "interproc_rng_root")},
-			analysis.RngOnly)
-	})
-}
-
 // TestSuiteComplete pins the suite roster: adding an analyzer without
 // wiring a fixture (or dropping one from All) is a test failure.
 func TestSuiteComplete(t *testing.T) {
@@ -61,8 +43,8 @@ func TestSuiteComplete(t *testing.T) {
 		covered[f.analyzer.Name] = true
 	}
 	all := analysis.All()
-	if len(all) != 6 {
-		t.Fatalf("All() has %d analyzers, want 6", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() has %d analyzers, want 5", len(all))
 	}
 	for _, a := range all {
 		if !covered[a.Name] {

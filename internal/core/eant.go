@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,7 +85,7 @@ type hostIndex struct {
 
 // countAtLeast returns how many ranked machines have trail ≥ threshold.
 func (idx *hostIndex) countAtLeast(threshold float64) int {
-	return sort.Search(len(idx.vals), func(i int) bool { return idx.vals[i] < threshold }) //eant:alloc-ok non-escaping predicate, stack-allocated
+	return sort.Search(len(idx.vals), func(i int) bool { return idx.vals[i] < threshold })
 }
 
 // TrailSnapshot is one colony's pheromone row at a control tick.
@@ -201,11 +203,7 @@ func (e *EAnt) init(ctx *mapreduce.Context) {
 	}
 }
 
-// initSlow performs the one-time construction. Excluded from the hot set:
-// it runs exactly once per run, so its allocations (and the cold helpers
-// only it reaches, like Cluster.TypeNames) are not steady-state work.
-//
-//eant:hot-stop one-time lazy construction, not steady-state work
+// initSlow performs the one-time construction.
 func (e *EAnt) initSlow(ctx *mapreduce.Context) {
 	mx, err := NewMatrix(ctx.Cluster.Size(), e.p)
 	if err != nil {
@@ -419,7 +417,7 @@ func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
 	}
 	machines := ctx.Cluster.Machines()
 	if cap(idx.rankOf) < len(machines) {
-		idx.rankOf = make([]int, len(machines)) //eant:alloc-ok grows once to fleet size, then reused every interval
+		idx.rankOf = make([]int, len(machines))
 	}
 	idx.rankOf = idx.rankOf[:len(machines)]
 	for i := range idx.rankOf {
@@ -432,12 +430,14 @@ func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
 		}
 	}
 	row := c.row
-	sort.Slice(ids, func(a, b int) bool { //eant:alloc-ok per-interval index rebuild, not per-offer; comparator does not escape
-		//eant:float-eq-ok sort tie-break: exact equality routes ties to the deterministic ID fallback
-		if row[ids[a]] != row[ids[b]] {
-			return row[ids[a]] > row[ids[b]]
+	slices.SortFunc(ids, func(a, b int) int {
+		switch {
+		case row[a] > row[b]:
+			return -1
+		case row[a] < row[b]:
+			return 1
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 	idx.ids = ids
 	idx.vals = idx.vals[:0]
@@ -642,11 +642,11 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 			delete(e.reduceMeans, id)
 		}
 	}
-	e.mx.RetireInactive(func(jobID int) bool { return active[jobID] }) //eant:alloc-ok per-control-tick predicate, not per-offer
+	e.mx.RetireInactive(func(jobID int) bool { return active[jobID] })
 	// Crashed machines' trails are frozen out of the exchange and left to
 	// evaporate (nil when the fleet is healthy, preserving Update exactly).
 	if e.unavailable == nil {
-		e.unavailable = make([]bool, ctx.Cluster.Size()) //eant:alloc-ok lazy one-time init, amortized across the run
+		e.unavailable = make([]bool, ctx.Cluster.Size())
 	}
 	anyDown := false
 	for i := range e.unavailable {

@@ -105,7 +105,7 @@ func (mx *Matrix) Colonies() int { return len(mx.cols) }
 
 // Keys returns the tracked colony keys in insertion order.
 func (mx *Matrix) Keys() []ColonyKey {
-	out := make([]ColonyKey, len(mx.cols)) //eant:alloc-ok copy-out diagnostic API, used at control ticks and in tests, not per offer
+	out := make([]ColonyKey, len(mx.cols))
 	for i, c := range mx.cols {
 		out[i] = c.key
 	}
@@ -137,7 +137,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 			c.idx.tick, c.idx.epoch, c.idx.listed = 0, 0, 0
 		}
 	} else {
-		c = &colony{row: make([]float64, mx.machines)} //eant:alloc-ok first touch of a colony only; warm reruns recycle the pool
+		c = &colony{row: make([]float64, mx.machines)}
 	}
 	c.key = key
 	row := c.row
@@ -180,7 +180,7 @@ func (mx *Matrix) Tau(key ColonyKey, machineID int) float64 {
 
 // Row returns a copy of the colony's pheromone vector.
 func (mx *Matrix) Row(key ColonyKey) []float64 {
-	out := make([]float64, mx.machines) //eant:alloc-ok copy-out diagnostic API, used at control ticks and in tests, not per offer
+	out := make([]float64, mx.machines)
 	copy(out, mx.row(key))
 	return out
 }
@@ -227,7 +227,7 @@ func (mx *Matrix) Retire(jobID int) {
 // RetireInactive drops every colony whose job fails the liveness check,
 // in one pass over the table.
 func (mx *Matrix) RetireInactive(active func(jobID int) bool) {
-	mx.retire(func(k ColonyKey) bool { return !active(k.JobID) }) //eant:alloc-ok per-control-tick predicate wrapper, not per-offer
+	mx.retire(func(k ColonyKey) bool { return !active(k.JobID) })
 }
 
 // retire compacts the colony table, dropping entries matching gone.
@@ -294,7 +294,7 @@ func (mx *Matrix) Update(typeGroups [][]int) {
 // A nil unavailable slice means every machine is up and reproduces Update
 // exactly.
 func (mx *Matrix) UpdateWithAvailability(typeGroups [][]int, unavailable []bool) {
-	down := func(id int) bool { //eant:alloc-ok non-escaping local predicate, stack-allocated
+	down := func(id int) bool {
 		return unavailable != nil && id < len(unavailable) && unavailable[id]
 	}
 
@@ -314,8 +314,8 @@ func (mx *Matrix) UpdateWithAvailability(typeGroups [][]int, unavailable []bool)
 		}
 		avg := sum / float64(len(c.pending))
 		if c.delta == nil {
-			c.delta = make([]float64, mx.machines) //eant:alloc-ok lazy once per colony, reused every interval
-			c.count = make([]int, mx.machines)     //eant:alloc-ok lazy once per colony, reused every interval
+			c.delta = make([]float64, mx.machines)
+			c.count = make([]int, mx.machines)
 		} else {
 			for i := range c.delta {
 				c.delta[i] = 0
@@ -417,7 +417,7 @@ func (mx *Matrix) UpdateWithAvailability(typeGroups [][]int, unavailable []bool)
 					if len(groups) < cap(groups) {
 						groups = groups[:len(groups)+1]
 					} else {
-						groups = append(groups, exchGroup{}) //eant:alloc-ok scratch grows to the (app, kind) cardinality once; reused every tick after
+						groups = append(groups, exchGroup{})
 					}
 					gi = len(groups) - 1
 					g := &groups[gi]
@@ -426,7 +426,7 @@ func (mx *Matrix) UpdateWithAvailability(typeGroups [][]int, unavailable []bool)
 						g.sum = nil
 					}
 					if g.sum == nil {
-						g.sum = make([]float64, mx.machines) //eant:alloc-ok first touch of a scratch group only; warm ticks reuse the slice
+						g.sum = make([]float64, mx.machines)
 					} else {
 						for i := range g.sum {
 							g.sum[i] = 0
@@ -525,8 +525,8 @@ func RouletteSelect(rng *sim.RNG, weights []float64, available []bool) int {
 	if available != nil && len(available) != len(weights) {
 		panic(fmt.Sprintf("core: RouletteSelect with %d weights but %d availability flags", len(weights), len(available)))
 	}
-	eligible := func(i int) bool { return available == nil || available[i] } //eant:alloc-ok non-escaping local closure, stack-allocated
-	eff := func(i int) float64 {                                             //eant:alloc-ok non-escaping local closure, stack-allocated
+	eligible := func(i int) bool { return available == nil || available[i] }
+	eff := func(i int) float64 {
 		w := weights[i]
 		if !eligible(i) || w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return 0

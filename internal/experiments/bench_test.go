@@ -12,9 +12,9 @@ import (
 )
 
 // benchCampaign runs one full MSD campaign per iteration and reports
-// allocations, so hot-path allocation fixes (the eantlint hotalloc
-// analyzer's targets) show up as allocs/op deltas end to end rather than
-// in microbenchmarks that miss cross-layer effects.
+// allocations, so hot-path allocation fixes show up as allocs/op deltas
+// end to end rather than in microbenchmarks that miss cross-layer
+// effects.
 func benchCampaign(b *testing.B, mk func() mapreduce.Scheduler) {
 	b.Helper()
 	jobs, err := msdJobs(30, DefaultSeed)

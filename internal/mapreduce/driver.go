@@ -611,7 +611,7 @@ func (d *Driver) controlTick() {
 	if d.cfg.KeepAssignmentHistory {
 		snap := IntervalAssignments{At: d.engine.Now(), Counts: d.intervalAssign}
 		d.stats.Assignments = append(d.stats.Assignments, snap)
-		d.intervalAssign = make(map[int]map[int]int) //eant:alloc-ok KeepAssignmentHistory opt-in, once per control tick
+		d.intervalAssign = make(map[int]map[int]int)
 	}
 	if d.probe != nil {
 		d.probe.ControlTick(d.engine.Now(), d.meter.TotalJoules(), d.tasksDone)
@@ -946,7 +946,7 @@ func (d *Driver) estimateJoules(t *Task) float64 {
 	// intervals reports k samples, so the reconstructed duration is the
 	// actual one rounded to the nearest heartbeat multiple (unbiased for
 	// short tasks, unlike rounding up).
-	quantize := func(secs float64) time.Duration { //eant:alloc-ok non-escaping local closure, stack-allocated
+	quantize := func(secs float64) time.Duration {
 		n := math.Round(secs / dt.Seconds())
 		if n < 1 {
 			n = 1
@@ -998,7 +998,7 @@ func (d *Driver) noteStart(t *Task, m cluster.Machine) {
 	if d.cfg.KeepAssignmentHistory {
 		byMachine := d.intervalAssign[j.Spec.ID]
 		if byMachine == nil {
-			byMachine = make(map[int]int) //eant:alloc-ok KeepAssignmentHistory opt-in, once per (job, interval)
+			byMachine = make(map[int]int)
 			d.intervalAssign[j.Spec.ID] = byMachine
 		}
 		byMachine[m.ID()]++

@@ -217,7 +217,7 @@ func (d *Driver) failJob(j *Job) {
 		d.probe.JobDone(j.Finished, j.Spec.ID, true, j.MapsDoneAt, j.LastShuffleEnd)
 	}
 
-	attempts := append(j.RunningAttempts(MapTask), j.RunningAttempts(ReduceTask)...)
+	attempts := j.AppendRunningAttempts(j.AppendRunningAttempts(nil, MapTask), ReduceTask)
 	for _, t := range attempts {
 		d.detachRunning(t)
 		t.State = TaskKilled

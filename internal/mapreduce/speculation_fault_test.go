@@ -25,7 +25,7 @@ func (s *eagerCloner) Name() string { return "eager-clone" }
 
 func (s *eagerCloner) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.Task {
 	for _, j := range ctx.ActiveJobs() {
-		for _, t := range j.RunningAttempts(mapreduce.MapTask) {
+		for _, t := range j.AppendRunningAttempts(nil, mapreduce.MapTask) {
 			if t.Machine.Valid() && t.Machine.ID() != m.ID() {
 				if c := ctx.CloneForSpeculation(t); c != nil {
 					return c

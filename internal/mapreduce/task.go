@@ -7,8 +7,9 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"eant/internal/cluster"
@@ -145,7 +146,7 @@ func (t *Task) resetForRetry() {
 
 // ID returns a stable task identifier: "job3/map/17".
 func (t *Task) ID() string {
-	return fmt.Sprintf("job%d/%s/%d", t.Job.Spec.ID, t.Kind, t.Index) //eant:alloc-ok diagnostic identifier, built on retry/trace paths only
+	return fmt.Sprintf("job%d/%s/%d", t.Job.Spec.ID, t.Kind, t.Index)
 }
 
 // Duration returns the task's total service time; valid once done.
@@ -417,22 +418,30 @@ func (j *Job) popReduce() *Task {
 	return nil
 }
 
-// RunningAttempts returns the job's in-flight attempts of one kind,
-// ordered by (task index, speculative flag) for deterministic iteration.
-func (j *Job) RunningAttempts(kind TaskKind) []*Task {
-	out := make([]*Task, 0, len(j.inFlight)) //eant:alloc-ok speculation/recovery scan, per control tick at most
+// AppendRunningAttempts appends the job's in-flight attempts of one kind
+// to dst and returns the extended slice. Only the appended part is
+// sorted, by task index with an original before its clone; a task has at
+// most one clone, so the order is total and iteration deterministic.
+func (j *Job) AppendRunningAttempts(dst []*Task, kind TaskKind) []*Task {
+	n := len(dst)
 	for _, t := range j.inFlight {
 		if t.Kind == kind {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { //eant:alloc-ok speculation/recovery scan, per control tick at most
-		if out[a].Index != out[b].Index {
-			return out[a].Index < out[b].Index
+	slices.SortFunc(dst[n:], func(a, b *Task) int {
+		if a.Index != b.Index {
+			return cmp.Compare(a.Index, b.Index)
 		}
-		return !out[a].Speculative() && out[b].Speculative()
+		switch {
+		case a.Speculative() == b.Speculative():
+			return 0
+		case b.Speculative():
+			return -1
+		}
+		return 1
 	})
-	return out
+	return dst
 }
 
 // requeueRetry returns a reset task to the pending pools after an attempt

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"eant/internal/workload"
@@ -115,6 +116,59 @@ func TestPeekPendingLocalMap(t *testing.T) {
 	if j.peekPendingLocalMap(2) {
 		t.Error("peek found task that is no longer pending")
 	}
+}
+
+// TestAppendRunningAttempts checks the speculation scan's contract: the
+// appended attempts are sorted by task index with an original before its
+// clone, the prefix of dst is left as it was, and attempts of the other
+// kind are excluded.
+func TestAppendRunningAttempts(t *testing.T) {
+	spec := workload.NewJobSpec(1, workload.Terasort, 256, 2, 0) // 4 maps
+	j := newJob(spec, replicasAll(4, 1), 1, 1)
+	clone := func(orig *Task) *Task {
+		return &Task{Job: j, Index: orig.Index, Kind: orig.Kind, original: orig}
+	}
+	m0, m1, m3 := &j.Maps[0], &j.Maps[1], &j.Maps[3]
+	r0, r1 := &j.Reduces[0], &j.Reduces[1]
+	m1c, r1c := clone(m1), clone(r1)
+	for _, a := range []*Task{m3, r1c, m1c, r0, m1, m0, r1} {
+		j.addInFlight(a)
+	}
+	mapsOnly := newJob(spec, replicasAll(4, 1), 1, 1)
+	mapsOnly.addInFlight(&mapsOnly.Maps[2])
+
+	// prefix has spare capacity, so the appended part shares its array.
+	prefix := func() []*Task { return append(make([]*Task, 0, 8), r1c, m3) }
+	for _, c := range []struct {
+		name string
+		job  *Job
+		dst  []*Task
+		kind TaskKind
+		want []*Task
+	}{
+		{"maps", j, nil, MapTask, []*Task{m0, m1, m1c, m3}},
+		{"reduces", j, nil, ReduceTask, []*Task{r0, r1, r1c}},
+		{"after unsorted prefix", j, prefix(), MapTask, []*Task{r1c, m3, m0, m1, m1c, m3}},
+		{"no attempts of kind", mapsOnly, prefix(), ReduceTask, []*Task{r1c, m3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.job.AppendRunningAttempts(c.dst, c.kind); !slices.Equal(got, c.want) {
+				t.Errorf("got %v, want %v", attemptNames(got), attemptNames(c.want))
+			}
+		})
+	}
+}
+
+// attemptNames renders attempts as task IDs, marking clones.
+func attemptNames(ts []*Task) []string {
+	out := make([]string, len(ts))
+	for i, t := range ts {
+		out[i] = t.ID()
+		if t.Speculative() {
+			out[i] += "(clone)"
+		}
+	}
+	return out
 }
 
 func TestRequeueRestoresTask(t *testing.T) {

@@ -154,7 +154,7 @@ func (p *Probe) record(ev Event) {
 	}
 	if p.stream != nil && p.sErr == nil {
 		if err := p.stream.Encode(ev); err != nil {
-			p.sErr = fmt.Errorf("probe: stream: %w", err) //eant:alloc-ok stream-failure path, fires at most once
+			p.sErr = fmt.Errorf("probe: stream: %w", err)
 		}
 	}
 }
@@ -226,7 +226,7 @@ func (p *Probe) TrailRow(at time.Duration, jobID int, kind int8, app string, row
 	if p == nil {
 		return
 	}
-	cp := make([]float64, len(row)) //eant:alloc-ok opt-in trail probe, per colony per control tick
+	cp := make([]float64, len(row))
 	copy(cp, row)
 	p.record(Event{At: at, Kind: KindTrailRow, TaskKind: kind, JobID: int32(jobID), Label: app, Row: cp})
 }

@@ -89,8 +89,8 @@ func (c *Capacity) ResetForRun() {
 func (c *Capacity) queueOrder(ctx *mapreduce.Context) []int {
 	total := float64(ctx.TotalSlots())
 	if c.idx == nil {
-		c.idx = make([]int, len(c.queues))         //eant:alloc-ok lazy one-time init, amortized across the run
-		c.deficit = make([]float64, len(c.queues)) //eant:alloc-ok lazy one-time init, amortized across the run
+		c.idx = make([]int, len(c.queues))
+		c.deficit = make([]float64, len(c.queues))
 	}
 	idx, deficit := c.idx, c.deficit
 	for i := range c.queues {
@@ -143,7 +143,7 @@ func (c *Capacity) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapr
 	if ctx.ReadyReduceTasks() == 0 {
 		return nil
 	}
-	j, qi := c.assign(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) }) //eant:alloc-ok non-escaping predicate, stack-allocated
+	j, qi := c.assign(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) })
 	if j == nil {
 		return nil
 	}

@@ -91,12 +91,12 @@ func (f *Fair) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.T
 	// Delay scheduling: walk jobs in deficit order; take the first with
 	// local work, let others accrue skips until their wait expires.
 	if f.skipped == nil {
-		f.skipped = make(map[int]int) //eant:alloc-ok lazy one-time init, amortized across the run
-		f.considered = map[int]bool{} //eant:alloc-ok lazy one-time init, amortized across the run
+		f.skipped = make(map[int]int)
+		f.considered = map[int]bool{}
 	}
 	clear(f.considered)
 	for {
-		j := neediest(ctx, func(j *mapreduce.Job) bool { //eant:alloc-ok non-escaping predicate, stack-allocated
+		j := neediest(ctx, func(j *mapreduce.Job) bool {
 			return j.PendingMaps() > 0 && !f.considered[j.Spec.ID]
 		})
 		if j == nil {
@@ -120,7 +120,7 @@ func (f *Fair) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduc
 	if ctx.ReadyReduceTasks() == 0 {
 		return nil
 	}
-	j := neediest(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) }) //eant:alloc-ok non-escaping predicate, stack-allocated
+	j := neediest(ctx, func(j *mapreduce.Job) bool { return ctx.ReduceReady(j) })
 	if j == nil {
 		return nil
 	}

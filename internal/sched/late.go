@@ -25,6 +25,9 @@ type LATE struct {
 	// MaxSpeculativeFraction bounds in-flight clones per job, as a
 	// fraction of the job's running attempts (minimum 1).
 	MaxSpeculativeFraction float64
+
+	// attempts is speculate's scratch buffer, reused on every offer.
+	attempts []*mapreduce.Task
 }
 
 // NewLATE returns a LATE scheduler with Hadoop-like defaults.
@@ -67,7 +70,8 @@ func (l *LATE) speculate(ctx *mapreduce.Context, m cluster.Machine, kind mapredu
 	var worst *mapreduce.Task
 	worstRatio := l.SpeculationFactor
 	for _, j := range ctx.ActiveJobs() {
-		attempts := j.RunningAttempts(kind)
+		attempts := j.AppendRunningAttempts(l.attempts[:0], kind)
+		l.attempts = attempts
 		if len(attempts) == 0 {
 			continue
 		}

@@ -198,7 +198,7 @@ func (c *cloneEverything) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *
 		return t
 	}
 	for _, j := range ctx.ActiveJobs() {
-		for _, t := range j.RunningAttempts(mapreduce.MapTask) {
+		for _, t := range j.AppendRunningAttempts(nil, mapreduce.MapTask) {
 			if clone := ctx.CloneForSpeculation(t); clone != nil {
 				return clone
 			}

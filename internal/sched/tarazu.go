@@ -60,10 +60,7 @@ func (t *Tarazu) ResetForRun() {
 	t.totalStarted = 0
 }
 
-// init builds the per-machine capability shares once; excluded from the
-// hot set because it runs exactly once per run.
-//
-//eant:hot-stop one-time lazy construction, not steady-state work
+// init builds the per-machine capability shares once per run.
 func (t *Tarazu) init(ctx *mapreduce.Context) {
 	if t.capShare != nil {
 		return

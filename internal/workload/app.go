@@ -32,7 +32,7 @@ func (a App) String() string {
 	case Terasort:
 		return "Terasort"
 	default:
-		return fmt.Sprintf("App(%d)", int(a)) //eant:alloc-ok diagnostic fallback for out-of-range values, unreachable for real apps
+		return fmt.Sprintf("App(%d)", int(a))
 	}
 }
 

@@ -264,3 +264,80 @@ func TestRunnerValidation(t *testing.T) {
 		t.Errorf("nil-cluster spec rejected: %v", err)
 	}
 }
+
+// TestWarmRunAllocsBounded is the measured allocation contract (DESIGN.md
+// §16): on a warm Runner, a run's heap allocations do not grow with its
+// heartbeats, offers, tasks or control ticks. Every policy runs plain,
+// with faults and with consolidation; each testbed case makes at least
+// 16 000 offers, completes 6 000 tasks and spans about 200 control ticks
+// and 680 heartbeat sweeps, so one allocation per tick, sweep, offer or
+// task breaks the bound. The 1024-machine E-Ant cell adds the fleet-wide
+// warm reset, where one allocation per machine breaks it. Each
+// speculative clone is one Task by design (Context.CloneForSpeculation),
+// so clones are subtracted: they scale with stragglers, not offers. The
+// opt-in recording paths (probe, KeepTaskRecords, KeepAssignmentHistory)
+// allocate by design and are not in the table.
+func TestWarmRunAllocsBounded(t *testing.T) {
+	const bound = 100
+	type allocCase struct {
+		name string
+		spec RunSpec
+	}
+	testbed := PaperTestbed()
+	variants := []struct {
+		name string
+		set  func(*RunSpec)
+	}{
+		{"plain", func(*RunSpec) {}},
+		{"faults", func(s *RunSpec) {
+			s.Faults = &FaultConfig{MachineMTBF: 2 * time.Hour, MachineMTTR: 5 * time.Minute, TaskFailProb: 0.02}
+		}},
+		{"consolidation", func(s *RunSpec) { s.Consolidation = &Consolidation{} }},
+	}
+	var cases []allocCase
+	for _, s := range Schedulers() {
+		for _, v := range variants {
+			spec := RunSpec{
+				Cluster:         testbed,
+				Scheduler:       s,
+				Jobs:            MSDWorkload(30, 1),
+				Seed:            1,
+				ControlInterval: 10 * time.Second,
+			}
+			v.set(&spec)
+			cases = append(cases, allocCase{string(s) + "/" + v.name, spec})
+		}
+	}
+	// BenchmarkScale's machines=1024/jobs=5 cell.
+	cases = append(cases, allocCase{"E-Ant/machines=1024/jobs=5", RunSpec{
+		Cluster:   scaledTestbed(t, 64),
+		Scheduler: SchedulerEAnt,
+		Jobs:      MSDWorkload(5, 7),
+		Seed:      7,
+	}})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			runner, err := NewRunner(c.spec.Cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runner.Run(c.spec); err != nil { // prime: build + first run
+				t.Fatal(err)
+			}
+			var res *Result
+			allocs := testing.AllocsPerRun(2, func() {
+				if res, err = runner.Run(c.spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+			clones := res.Stats.SpeculativeStarted
+			t.Logf("%.0f allocs per warm run, %d speculative clones, %d offers, %d maps, %d control ticks",
+				allocs, clones, res.Stats.MapOffers+res.Stats.ReduceOffers, res.Stats.TotalMaps, len(res.Stats.Timeline))
+			if allocs-float64(clones) > bound {
+				t.Errorf("warm run allocates %.0f times (%d of them speculative clones); the bound is %d plus one per clone",
+					allocs, clones, bound)
+			}
+		})
+	}
+}
