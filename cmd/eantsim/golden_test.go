@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // they replace, so any byte of drift here is a behavior change, not a
 // performance change.
 var goldenExperiments = []string{
-	"fig8", "fig11a", "fig11b", "fig12a", "fig12b", "failures",
+	"fig8", "fig10", "fig11a", "fig11b", "fig12a", "fig12b", "failures",
 }
 
 func TestGoldenExperimentOutputs(t *testing.T) {

@@ -65,6 +65,16 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSubHeartbeatControlInterval checks that a control interval
+// shorter than the heartbeat is refused before the run starts; a 1 ns
+// interval on the testbed used to run without end.
+func TestRunRejectsSubHeartbeatControlInterval(t *testing.T) {
+	spec := RunSpec{Cluster: PaperTestbed(), Scheduler: SchedulerEAnt, Jobs: MSDWorkload(6, 1), ControlInterval: time.Nanosecond}
+	if _, err := Run(spec); err == nil {
+		t.Error("1 ns control interval accepted")
+	}
+}
+
 // TestRunRejectsNonFiniteInputs feeds NaN, infinite and overflowing
 // values through a RunSpec. Each must be rejected with an error before the
 // run starts, instead of panicking in the engine, stalling E-Ant or

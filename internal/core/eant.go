@@ -29,9 +29,9 @@ type EAnt struct {
 	p  Params
 	mx *Matrix
 
-	// typeGroups caches machine IDs per hardware type for the
-	// machine-level exchange; built on first use.
-	typeGroups [][]int
+	// etaMaxPow is EtaMax^β, the Eq. 8 heuristic factor of every
+	// data-local candidate (η = ∞ capped at EtaMax), fixed per run.
+	etaMaxPow float64
 
 	// trackTrails enables per-control-tick snapshots of every colony's
 	// trail row, for convergence studies (Fig. 11).
@@ -138,8 +138,8 @@ func (e *EAnt) QuietWhenIdle() {}
 // ResetForRun returns the scheduler to its pre-run state in place so the
 // same instance can drive another simulation over the same cluster,
 // adopting new parameters (sweeps vary Beta and friends between runs of
-// one warm world). The pheromone matrix, the cached type groups and every
-// scratch buffer are kept; colonies are recycled through the matrix pool.
+// one warm world). The pheromone matrix and every scratch buffer are kept;
+// colonies are recycled through the matrix pool.
 // NewEAnt is ResetForRun on an empty scheduler and initSlow only allocates
 // storage, so a new scheduler and a reset one start a run alike.
 func (e *EAnt) ResetForRun(p Params) error {
@@ -147,6 +147,7 @@ func (e *EAnt) ResetForRun(p Params) error {
 		return err
 	}
 	e.p = p
+	e.etaMaxPow = math.Pow(p.EtaMax, p.Beta)
 	e.tickSeq = 1
 	clear(e.indexed)
 	e.indexed = e.indexed[:0]
@@ -203,22 +204,25 @@ func (e *EAnt) init(ctx *mapreduce.Context) {
 	}
 }
 
-// initSlow performs the one-time construction.
+// initSlow performs the one-time construction. The matrix's machine groups
+// (the machine-level exchange's homogeneous groups) are the fleet's
+// hardware types, in cluster.ByType order.
 func (e *EAnt) initSlow(ctx *mapreduce.Context) {
-	mx, err := NewMatrix(ctx.Cluster.Size(), e.p)
-	if err != nil {
-		panic(err) // params were validated in NewEAnt
-	}
-	e.mx = mx
-	e.reduceMeans = make(map[int]float64)
-	e.activeScratch = make(map[int]bool)
+	var groups [][]int
 	for _, name := range ctx.Cluster.TypeNames() {
 		var ids []int
 		for _, m := range ctx.Cluster.ByType(name) {
 			ids = append(ids, m.ID())
 		}
-		e.typeGroups = append(e.typeGroups, ids)
+		groups = append(groups, ids)
 	}
+	mx, err := NewMatrix(ctx.Cluster.Size(), groups, e.p)
+	if err != nil {
+		panic(err) // params were validated in NewEAnt; groups partition the fleet
+	}
+	e.mx = mx
+	e.reduceMeans = make(map[int]float64)
+	e.activeScratch = make(map[int]bool)
 }
 
 // key builds the colony key for a job's tasks of one kind.
@@ -261,10 +265,12 @@ func (e *EAnt) eta(ctx *mapreduce.Context, j *mapreduce.Job) float64 {
 	return FairnessEta(ctx.FairShare(j), float64(j.Running()), float64(ctx.TotalSlots()), e.p.EtaMax)
 }
 
-// weight evaluates the Eq. 8 numerator τ(j,m)·η(j,m)^β. Following Eq. 7,
-// η is the (capped) locality bonus when the job holds a local block on
-// the machine, and the fairness deficit otherwise; β controls how hard
-// heuristic information overrides the energy trails.
+// weight evaluates the Eq. 8 numerator τ(j,m)·η(j,m)^β, bit-identical to
+// HeuristicWeight. Following Eq. 7, η is the (capped) locality bonus when
+// the job holds a local block on the machine, and the fairness deficit
+// otherwise; β controls how hard heuristic information overrides the
+// energy trails. The locality power is fixed per run and the fairness
+// power memoized per colony, so most offers evaluate no math.Pow.
 // The colony is pre-resolved by selectColony: one candidate-order map
 // lookup per offer instead of one per weight/accept evaluation.
 func (e *EAnt) weight(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, kind mapreduce.TaskKind, m cluster.Machine) float64 {
@@ -272,11 +278,10 @@ func (e *EAnt) weight(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, kind 
 	if e.p.Beta <= 0 {
 		return tau
 	}
-	eta := e.eta(ctx, j)
 	if kind == mapreduce.MapTask && ctx.HasLocalMap(j, m) {
-		eta = e.p.EtaMax
+		return tau * e.etaMaxPow
 	}
-	return HeuristicWeight(tau, eta, e.p.Beta)
+	return tau * c.powEta(e.eta(ctx, j), e.p.Beta)
 }
 
 // pickIndex draws one still-available candidate index by roulette over the
@@ -644,7 +649,7 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	}
 	e.mx.RetireInactive(func(jobID int) bool { return active[jobID] })
 	// Crashed machines' trails are frozen out of the exchange and left to
-	// evaporate (nil when the fleet is healthy, preserving Update exactly).
+	// evaporate (nil when the fleet is healthy).
 	if e.unavailable == nil {
 		e.unavailable = make([]bool, ctx.Cluster.Size())
 	}
@@ -662,7 +667,7 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	if anyDown {
 		unavailable = e.unavailable
 	}
-	e.mx.UpdateWithAvailability(e.typeGroups, unavailable)
+	e.mx.Update(unavailable)
 	if e.trackTrails {
 		for _, k := range e.mx.Keys() {
 			e.trails[k] = append(e.trails[k], TrailSnapshot{

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"eant/internal/mapreduce"
 	"eant/internal/sim"
@@ -35,17 +36,35 @@ type colony struct {
 	row     []float64
 	pending []reward
 
-	// delta/count are Update scratch: per-machine deposit and feedback
-	// count for the current interval. Valid only while hasDelta is set.
+	// delta/count are Update scratch: per-trail-class deposit and feedback
+	// count for the current interval, and pair the colony's entry in
+	// Matrix.pairs. Valid only while hasDelta is set.
 	delta    []float64
 	count    []int
+	pair     int
 	hasDelta bool
+
+	// etaBits/etaPow memoize the colony's last fairness η (by its bits) and
+	// η^β for E-Ant's offer path. η > 0, so the zeroed memo never hits.
+	etaBits uint64
+	etaPow  float64
 
 	// idx is the colony's per-control-interval host index (E-Ant's decline
 	// guard): trails only change at the control tick, so the trail-ranked
 	// machine view is rebuilt at most once per colony per interval. Owned
 	// and stamped by EAnt (see eant.go); buffers are reused across rebuilds.
 	idx *hostIndex
+}
+
+// powEta returns η^β, memoized on η's bits: β is fixed for a colony's life
+// (a parameter change goes through Matrix.Clear, which recycles every
+// colony), and a job's η only moves when its occupancy or the active job
+// set does, so consecutive offers mostly reuse the last power.
+func (c *colony) powEta(eta, beta float64) float64 {
+	if b := math.Float64bits(eta); b != c.etaBits {
+		c.etaBits, c.etaPow = b, math.Pow(eta, beta)
+	}
+	return c.etaPow
 }
 
 // Matrix holds pheromone trails per colony over the machine set and folds
@@ -59,10 +78,14 @@ type colony struct {
 // in Update iterates the table in insertion order — float accumulation
 // order is fixed, so runs are bit-for-bit reproducible instead of
 // depending on Go's randomized map iteration.
+//
+// Update computes each trail once per trail class: a set of machines on
+// which every colony's trail is provably equal (DESIGN.md §18). Rows stay
+// dense; Update writes each class value into every member's entry.
 type Matrix struct {
 	p        Params
 	machines int
-	index    map[ColonyKey]int
+	index    map[uint64]int
 	cols     []*colony
 
 	// pool recycles retired colonies (their row/pending/delta/count/idx
@@ -71,29 +94,86 @@ type Matrix struct {
 	// colony is observationally identical to a fresh one.
 	pool []*colony
 
-	// exchScratch is the job-level exchange fold's reusable accumulator:
-	// one entry per (app, kind) group, rebuilt from length zero every
-	// update tick. Group cardinality is tiny (apps × two task kinds), so
-	// entries are found by linear scan — no per-tick map, no per-tick
-	// group-sum slices once the scratch has warmed.
-	exchScratch []exchGroup
+	// groups lists the machine IDs of each homogeneous hardware group, in
+	// the order the machine-level exchange sums them; fixed at NewMatrix.
+	groups [][]int
+
+	// Trail classes. classOf maps a machine to its class; each class has a
+	// representative member whose row entry is the class value, a size and
+	// the group its members belong to (-1: none). Clear restores the
+	// starting partition and Update splits off machines seen down; classes
+	// never merge.
+	classOf    []int
+	classRep   []int
+	classSize  []int
+	classGroup []int
+
+	// Update scratch, retained across ticks and runs: the fleet-sized raw
+	// reward sums and counts (zero between colonies), the machine-level
+	// exchange fold per group, each class's new value, and the per-(app,
+	// kind) folds.
+	raw      []float64
+	rawN     []int
+	exch     []groupFold
+	classVal []float64
+	pairs    []pairFold
 }
 
-// exchGroup accumulates one (app, kind) group's deposit sums during the
-// job-level exchange stage of an update tick.
-type exchGroup struct {
+// groupFold is one machine group's machine-level exchange fold for one
+// colony: the raw reward sum, the task count and how many members
+// produced feedback.
+type groupFold struct {
+	sum            float64
+	tasks, members int
+}
+
+// pairFold accumulates one (app, kind) pair's per-class folds during an
+// update tick: the job-level exchange sum over the pair's colonies, and the
+// Eq. 6 competitor sum over the same kind's colonies of other apps. Pair
+// cardinality is tiny (apps × two task kinds), so entries are found by
+// linear scan and reused across ticks.
+type pairFold struct {
 	app   workload.App
 	kind  mapreduce.TaskKind
 	sum   []float64
 	count int
+	comp  []float64
+	compN int
 }
 
 // NewMatrix returns an empty pheromone matrix over the given machine count.
-func NewMatrix(machines int, p Params) (*Matrix, error) {
+// groups lists the machine IDs of each homogeneous hardware group, the
+// machine-level exchange's unit; a machine may be in at most one group,
+// and a machine in none exchanges with no other.
+func NewMatrix(machines int, groups [][]int, p Params) (*Matrix, error) {
 	if machines <= 0 {
 		return nil, fmt.Errorf("core: matrix over %d machines", machines)
 	}
-	mx := &Matrix{machines: machines, index: make(map[ColonyKey]int)}
+	mx := &Matrix{
+		machines:   machines,
+		index:      make(map[uint64]int),
+		groups:     make([][]int, len(groups)),
+		classOf:    make([]int, machines),
+		classRep:   make([]int, 0, machines),
+		classSize:  make([]int, 0, machines),
+		classGroup: make([]int, 0, machines),
+		raw:        make([]float64, machines),
+		rawN:       make([]int, machines),
+		exch:       make([]groupFold, len(groups)),
+	}
+	listed := make([]bool, machines)
+	for g, ids := range groups {
+		for _, id := range ids {
+			if id < 0 || id >= machines {
+				return nil, fmt.Errorf("core: group %d lists machine %d of %d", g, id, machines)
+			}
+			if listed[id] {
+				return nil, fmt.Errorf("core: machine %d listed twice in groups", id)
+			}
+			listed[id] = true
+		}
+		mx.groups[g] = slices.Clone(ids)
+	}
 	if err := mx.Clear(p); err != nil {
 		return nil, err
 	}
@@ -112,12 +192,20 @@ func (mx *Matrix) Keys() []ColonyKey {
 	return out
 }
 
+// colonyIndexKey packs a colony key into the index's map key: the job ID's
+// low 32 bits (JobSpec.Validate bounds job IDs to int32), the app and the
+// kind. Hashing one word per lookup is cheaper than hashing the struct.
+func colonyIndexKey(k ColonyKey) uint64 {
+	return uint64(uint32(k.JobID))<<32 | uint64(uint16(k.App))<<16 | uint64(uint16(k.Kind))
+}
+
 // colonyFor returns the colony's state, creating it on first touch. A new
 // colony warm-starts from existing same-(app, kind) colonies when
 // job-level exchange is enabled — the sharing of experience that makes
 // small-job convergence fast (Fig. 11b).
 func (mx *Matrix) colonyFor(key ColonyKey) *colony {
-	if i, ok := mx.index[key]; ok {
+	ik := colonyIndexKey(key)
+	if i, ok := mx.index[ik]; ok {
 		return mx.cols[i]
 	}
 	var c *colony
@@ -130,6 +218,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 		}
 		c.pending = c.pending[:0]
 		c.hasDelta = false
+		c.etaBits, c.etaPow = 0, 0
 		if c.idx != nil {
 			// The index stamps compare against the owning EAnt's tickSeq
 			// and availability epoch, both of which restart on a warm run;
@@ -162,7 +251,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 			row[i] = mx.p.InitTau
 		}
 	}
-	mx.index[key] = len(mx.cols)
+	mx.index[ik] = len(mx.cols)
 	mx.cols = append(mx.cols, c)
 	return c
 }
@@ -236,11 +325,11 @@ func (mx *Matrix) retire(gone func(ColonyKey) bool) {
 	kept := mx.cols[:0]
 	for _, c := range mx.cols {
 		if gone(c.key) {
-			delete(mx.index, c.key)
+			delete(mx.index, colonyIndexKey(c.key))
 			mx.pool = append(mx.pool, c)
 			continue
 		}
-		mx.index[c.key] = len(kept)
+		mx.index[colonyIndexKey(c.key)] = len(kept)
 		kept = append(kept, c)
 	}
 	for i := len(kept); i < len(mx.cols); i++ {
@@ -249,9 +338,9 @@ func (mx *Matrix) retire(gone func(ColonyKey) bool) {
 	mx.cols = kept
 }
 
-// Clear retires every colony into the recycling pool and adopts the given
-// parameters, keeping every allocated buffer; NewMatrix is Clear on an
-// empty matrix. p must validate.
+// Clear retires every colony into the recycling pool, adopts the given
+// parameters and restores the starting trail classes, keeping every
+// allocated buffer; NewMatrix is Clear on an empty matrix. p must validate.
 func (mx *Matrix) Clear(p Params) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -263,7 +352,67 @@ func (mx *Matrix) Clear(p Params) error {
 	}
 	mx.cols = mx.cols[:0]
 	clear(mx.index)
+	// The starting partition depends on MachineExchange, which may change
+	// between runs: one class per group under machine-level exchange, and
+	// one per machine otherwise or outside every group.
+	mx.classRep, mx.classSize, mx.classGroup = mx.classRep[:0], mx.classSize[:0], mx.classGroup[:0]
+	for m := range mx.classOf {
+		mx.classOf[m] = -1
+	}
+	if p.MachineExchange {
+		for g, ids := range mx.groups {
+			if len(ids) == 0 {
+				continue
+			}
+			for _, id := range ids {
+				mx.classOf[id] = len(mx.classRep)
+			}
+			mx.addClass(ids[0], len(ids), g)
+		}
+	}
+	for m, k := range mx.classOf {
+		if k < 0 {
+			mx.classOf[m] = len(mx.classRep)
+			mx.addClass(m, 1, -1)
+		}
+	}
 	return nil
+}
+
+// addClass appends a trail class; the caller has pointed classOf at it.
+func (mx *Matrix) addClass(rep, size, group int) {
+	mx.classRep = append(mx.classRep, rep)
+	mx.classSize = append(mx.classSize, size)
+	mx.classGroup = append(mx.classGroup, group)
+}
+
+// splitDown moves every machine flagged unavailable that still shares a
+// class into a class of its own for the rest of the run: a down machine
+// gets no deposit and evaporates alone, so from this tick on its trail
+// diverges from its group's.
+func (mx *Matrix) splitDown(unavailable []bool) {
+	for m, down := range unavailable[:min(len(unavailable), mx.machines)] {
+		k := mx.classOf[m]
+		if !down || mx.classSize[k] == 1 {
+			continue
+		}
+		mx.classSize[k]--
+		mx.classOf[m] = len(mx.classRep)
+		mx.addClass(m, 1, mx.classGroup[k])
+		if mx.classRep[k] == m {
+			mx.classRep[k] = slices.Index(mx.classOf, k)
+		}
+	}
+}
+
+// classBuf returns s with one entry per trail class (contents
+// unspecified). Classes only split and never outnumber the machines, so a
+// buffer is allocated once at fleet size and never regrown.
+func classBuf[T any](s []T, mx *Matrix) []T {
+	if cap(s) < mx.machines {
+		s = make([]T, mx.machines)
+	}
+	return s[:len(mx.classRep)]
 }
 
 // Update folds the interval's feedback into the trails:
@@ -271,7 +420,7 @@ func (mx *Matrix) Clear(p Params) error {
 //  1. Raw rewards per path (Eq. 5): Δτ(j,m) = Σ_tasks avgE_j / E_task,
 //     where avgE_j is the mean energy of the colony's completed tasks.
 //  2. Machine-level exchange (§IV-D): Δτ averaged across each homogeneous
-//     machine group (typeGroups) that produced any feedback.
+//     machine group (NewMatrix's groups) that produced any feedback.
 //  3. Job-level exchange (§IV-D): Δτ averaged across colonies of the same
 //     (app, kind).
 //  4. Negative feedback (Eq. 6): competing colonies are penalized on the
@@ -280,230 +429,240 @@ func (mx *Matrix) Clear(p Params) error {
 //     row is rescaled to mean 1 (assignment probabilities are
 //     scale-invariant; rescaling keeps trails inside the clamp range).
 //
-// typeGroups lists machine IDs per homogeneous hardware group.
-func (mx *Matrix) Update(typeGroups [][]int) {
-	mx.UpdateWithAvailability(typeGroups, nil)
-}
-
-// UpdateWithAvailability is Update with machine availability (fault
-// injection): a machine with unavailable[id] set receives no deposit, no
-// share of the exchange averages and no negative feedback — its trails only
-// evaporate toward the floor, so every colony gradually forgets a crashed
-// machine until it recovers and produces fresh feedback. Rewards already
-// recorded for tasks that completed on a since-crashed machine are dropped.
-// A nil unavailable slice means every machine is up and reproduces Update
-// exactly.
-func (mx *Matrix) UpdateWithAvailability(typeGroups [][]int, unavailable []bool) {
+// unavailable flags crashed machines (fault injection; nil or short means
+// up): a down machine receives no deposit, no share of the exchange
+// averages and no negative feedback — its trails only evaporate toward
+// the floor, so every colony gradually forgets a crashed machine until it
+// recovers and produces fresh feedback. Rewards already recorded for tasks
+// that completed on a since-crashed machine are dropped.
+//
+// Every stage runs once per trail class, in the float order of a
+// per-machine fold, so the rows are bit-identical to computing each
+// machine on its own (FuzzTrailClassUpdate holds the two equal).
+func (mx *Matrix) Update(unavailable []bool) {
 	down := func(id int) bool {
 		return unavailable != nil && id < len(unavailable) && unavailable[id]
 	}
+	mx.splitDown(unavailable)
+	mx.classVal = classBuf(mx.classVal, mx)
 
-	// Stage 1: raw per-path rewards. With SumDeposits the deposit is the
-	// literal Eq. 4/5 sum Σ_n avgE/E_n, which also encodes completion
-	// counts; the default averages the per-task experiences and sharpens
-	// the ratio with Gamma, so trails read as pure relative energy
-	// efficiency.
+	// Stages 1–2: per-class deposits of every colony with feedback.
+	withDelta := 0
 	for _, c := range mx.cols {
-		if len(c.pending) == 0 {
-			c.hasDelta = false
-			continue
-		}
-		var sum float64
-		for _, r := range c.pending {
-			sum += r.joules
-		}
-		avg := sum / float64(len(c.pending))
-		if c.delta == nil {
-			c.delta = make([]float64, mx.machines)
-			c.count = make([]int, mx.machines)
-		} else {
-			for i := range c.delta {
-				c.delta[i] = 0
-				c.count[i] = 0
-			}
-		}
-		for _, r := range c.pending {
-			if down(r.machineID) {
-				continue
-			}
-			c.delta[r.machineID] += avg / r.joules
-			c.count[r.machineID]++
-		}
-		c.hasDelta = true
-	}
-
-	// Stage 2: machine-level exchange — pool experiences across each
-	// homogeneous hardware group ("the average available experiences of
-	// the completed tasks that visited those homogeneous machines").
-	if mx.p.MachineExchange {
-		for _, c := range mx.cols {
-			if !c.hasDelta {
-				continue
-			}
-			d, n := c.delta, c.count
-			for _, group := range typeGroups {
-				var sum float64
-				tasks := 0
-				members := 0
-				for _, id := range group {
-					sum += d[id]
-					tasks += n[id]
-					if n[id] > 0 {
-						members++
-					}
-				}
-				if tasks == 0 {
-					continue
-				}
-				for _, id := range group {
-					if down(id) {
-						continue
-					}
-					if mx.p.SumDeposits {
-						// Average the per-machine sums over members
-						// that produced feedback.
-						d[id] = sum / float64(members)
-						n[id] = tasks / members
-					} else {
-						d[id] = sum
-						n[id] = tasks
-					}
-				}
-			}
+		c.hasDelta = len(c.pending) > 0
+		if c.hasDelta {
+			mx.deposit(c, down)
+			withDelta++
 		}
 	}
 
-	// Reduce sums to mean-experience deposits unless running the literal
-	// Eq. 4/5 sum form, and apply the sharpening exponent.
-	if !mx.p.SumDeposits {
-		for _, c := range mx.cols {
-			if !c.hasDelta {
-				continue
-			}
-			for i := range c.delta {
-				if c.count[i] > 0 {
-					c.delta[i] = math.Pow(c.delta[i]/float64(c.count[i]), mx.p.Gamma)
-				}
-			}
-		}
+	// Stages 3–4: the cross-colony folds, once per (app, kind) pair.
+	if withDelta > 0 && ((mx.p.JobExchange && withDelta > 1) || mx.p.NegativeFeedback) {
+		mx.foldPairs(withDelta)
 	}
 
-	// Stage 3: job-level exchange. Group sums accumulate in table
-	// (insertion) order, so the float folds are deterministic. Scratch
-	// entries (and their sum slices) are reused across ticks: the group
-	// cardinality is apps × kinds, so the linear scans stay cheap and the
-	// steady state allocates nothing.
-	if mx.p.JobExchange {
-		withDelta := 0
-		for _, c := range mx.cols {
-			if c.hasDelta {
-				withDelta++
-			}
-		}
-		if withDelta > 1 {
-			groups := mx.exchScratch[:0]
-			for _, c := range mx.cols {
-				if !c.hasDelta {
-					continue
-				}
-				gi := -1
-				for i := range groups {
-					if groups[i].app == c.key.App && groups[i].kind == c.key.Kind {
-						gi = i
-						break
-					}
-				}
-				if gi == -1 {
-					if len(groups) < cap(groups) {
-						groups = groups[:len(groups)+1]
-					} else {
-						groups = append(groups, exchGroup{})
-					}
-					gi = len(groups) - 1
-					g := &groups[gi]
-					g.app, g.kind, g.count = c.key.App, c.key.Kind, 0
-					if len(g.sum) != mx.machines {
-						g.sum = nil
-					}
-					if g.sum == nil {
-						g.sum = make([]float64, mx.machines)
-					} else {
-						for i := range g.sum {
-							g.sum[i] = 0
-						}
-					}
-				}
-				g := &groups[gi]
-				for i, v := range c.delta {
-					g.sum[i] += v
-				}
-				g.count++
-			}
-			mx.exchScratch = groups
-			for _, c := range mx.cols {
-				if !c.hasDelta {
-					continue
-				}
-				var g *exchGroup
-				for i := range groups {
-					if groups[i].app == c.key.App && groups[i].kind == c.key.Kind {
-						g = &groups[i]
-						break
-					}
-				}
-				n := float64(g.count)
-				for i := range c.delta {
-					c.delta[i] = g.sum[i] / n
-				}
-			}
-		}
-	}
-
-	// Stage 4+5: per-colony evaporation, deposit, negative feedback.
+	// Stage 5: per-colony evaporation and deposit.
 	for _, c := range mx.cols {
-		row := c.row
-		for m := 0; m < mx.machines; m++ {
-			if down(m) {
-				// Crashed machine: pure evaporation toward the floor.
-				row[m] = clamp((1-mx.p.Rho)*row[m], mx.p.MinTau, mx.p.MaxTau)
-				continue
-			}
-			dep := 0.0
-			if c.hasDelta {
-				dep = c.delta[m]
-			}
-			//eant:float-eq-ok 0 is an exact "no deposit" sentinel assigned above, never the result of accumulation
-			if mx.p.NegativeFeedback && dep != 0 {
-				// Eq. 6: competitors' rewards on this machine push this
-				// colony away from it. Only colonies with *different*
-				// resource demands (different app) compete — same-app
-				// colonies are the "homogeneous jobs" the job-level
-				// exchange pools, not rivals. The penalty is the mean
-				// competitor reward scaled by NegativeScale, applied only
-				// where this colony had its own experience (dep != 0) so
-				// idle paths are not dragged below the floor.
-				var competitor float64
-				n := 0
-				for _, oc := range mx.cols {
-					if !oc.hasDelta || oc.key.Kind != c.key.Kind || oc.key.App == c.key.App {
-						continue
-					}
-					competitor += oc.delta[m]
-					n++
-				}
-				if n > 0 {
-					dep -= mx.p.NegativeScale * competitor / float64(n)
-				}
-			}
-			v := (1-mx.p.Rho)*row[m] + mx.p.Rho*dep
-			row[m] = clamp(v, mx.p.MinTau, mx.p.MaxTau)
-		}
-		normalizeMean(row, mx.p.MinTau, mx.p.MaxTau)
+		mx.updateRow(c, down)
 	}
 
 	for _, c := range mx.cols {
 		c.pending = c.pending[:0]
 		c.hasDelta = false
+	}
+}
+
+// deposit sets c's per-class deposit and feedback count for the interval:
+// raw rewards per machine, the machine-level exchange, and the reduction of
+// sums to Gamma-sharpened mean experiences. With SumDeposits the deposit is
+// the literal Eq. 4/5 sum Σ_n avgE/E_n, which also encodes completion
+// counts; the default averages the per-task experiences and sharpens the
+// ratio with Gamma, so trails read as pure relative energy efficiency.
+func (mx *Matrix) deposit(c *colony, down func(int) bool) {
+	var sum float64
+	for _, r := range c.pending {
+		sum += r.joules
+	}
+	avg := sum / float64(len(c.pending))
+	raw, rawN := mx.raw, mx.rawN
+	for _, r := range c.pending {
+		if down(r.machineID) {
+			continue
+		}
+		raw[r.machineID] += avg / r.joules
+		rawN[r.machineID]++
+	}
+
+	// Machine-level exchange — pool experiences across each homogeneous
+	// hardware group ("the average available experiences of the completed
+	// tasks that visited those homogeneous machines"). Every up class of a
+	// group with feedback takes the group's pooled value; down classes
+	// take none.
+	exchange := mx.p.MachineExchange
+	if exchange {
+		for g, ids := range mx.groups {
+			f := groupFold{}
+			for _, id := range ids {
+				f.sum += raw[id]
+				f.tasks += rawN[id]
+				if rawN[id] > 0 {
+					f.members++
+				}
+			}
+			mx.exch[g] = f
+		}
+	}
+
+	c.delta = classBuf(c.delta, mx)
+	c.count = classBuf(c.count, mx)
+	for k, m := range mx.classRep {
+		d, n := raw[m], rawN[m]
+		if g := mx.classGroup[k]; exchange && g >= 0 && mx.exch[g].tasks > 0 && !down(m) {
+			f := mx.exch[g]
+			if mx.p.SumDeposits {
+				// Average the per-machine sums over members that
+				// produced feedback.
+				d, n = f.sum/float64(f.members), f.tasks/f.members
+			} else {
+				d, n = f.sum, f.tasks
+			}
+		}
+		if !mx.p.SumDeposits && n > 0 {
+			d = math.Pow(d/float64(n), mx.p.Gamma)
+		}
+		c.delta[k], c.count[k] = d, n
+	}
+
+	for _, r := range c.pending {
+		raw[r.machineID], rawN[r.machineID] = 0, 0
+	}
+}
+
+// foldPairs runs the job-level exchange and the Eq. 6 competitor fold
+// over the colonies with feedback. Both depend only on a colony's (app,
+// kind), so each pair's sums are folded once per class, over colonies in
+// table (insertion) order: the float folds are deterministic and equal to
+// folding them per colony and machine.
+func (mx *Matrix) foldPairs(withDelta int) {
+	pairs := mx.pairs[:0]
+	for _, c := range mx.cols {
+		if !c.hasDelta {
+			continue
+		}
+		c.pair = -1
+		for i := range pairs {
+			if pairs[i].app == c.key.App && pairs[i].kind == c.key.Kind {
+				c.pair = i
+				break
+			}
+		}
+		if c.pair >= 0 {
+			continue
+		}
+		if len(pairs) < cap(pairs) {
+			pairs = pairs[:len(pairs)+1]
+		} else {
+			pairs = append(pairs, pairFold{})
+		}
+		c.pair = len(pairs) - 1
+		pf := &pairs[c.pair]
+		pf.app, pf.kind, pf.count, pf.compN = c.key.App, c.key.Kind, 0, 0
+		pf.sum = classBuf(pf.sum, mx)
+		pf.comp = classBuf(pf.comp, mx)
+		clear(pf.sum)
+		clear(pf.comp)
+	}
+	mx.pairs = pairs
+
+	if mx.p.JobExchange && withDelta > 1 {
+		for _, c := range mx.cols {
+			if !c.hasDelta {
+				continue
+			}
+			pf := &pairs[c.pair]
+			for k, v := range c.delta {
+				pf.sum[k] += v
+			}
+			pf.count++
+		}
+		for _, c := range mx.cols {
+			if !c.hasDelta {
+				continue
+			}
+			pf := &pairs[c.pair]
+			n := float64(pf.count)
+			for k := range c.delta {
+				c.delta[k] = pf.sum[k] / n
+			}
+		}
+	}
+
+	if mx.p.NegativeFeedback {
+		// Eq. 6: competitors' rewards on a machine push a colony away from
+		// it. Only colonies with *different* resource demands (different
+		// app) of the same task kind compete — same-app colonies are the
+		// "homogeneous jobs" the job-level exchange pools, not rivals.
+		for i := range pairs {
+			pf := &pairs[i]
+			for _, oc := range mx.cols {
+				if !oc.hasDelta || oc.key.Kind != pf.kind || oc.key.App == pf.app {
+					continue
+				}
+				for k, v := range oc.delta {
+					pf.comp[k] += v
+				}
+				pf.compN++
+			}
+		}
+	}
+}
+
+// updateRow applies Eq. 4 to c's row once per class — a down class only
+// evaporates — then rescales the row to mean 1 and writes each class value
+// into its members' entries. The mean sums the class values over machines
+// in ID order, the order a per-machine row sum adds them in.
+func (mx *Matrix) updateRow(c *colony, down func(int) bool) {
+	rho, lo, hi := mx.p.Rho, mx.p.MinTau, mx.p.MaxTau
+	var comp []float64
+	compN := 0
+	if mx.p.NegativeFeedback && c.hasDelta {
+		pf := &mx.pairs[c.pair]
+		comp, compN = pf.comp, pf.compN
+	}
+	row, val := c.row, mx.classVal
+	for k, m := range mx.classRep {
+		if down(m) {
+			// Crashed machine: pure evaporation toward the floor.
+			val[k] = clamp((1-rho)*row[m], lo, hi)
+			continue
+		}
+		dep := 0.0
+		if c.hasDelta {
+			dep = c.delta[k]
+		}
+		//eant:float-eq-ok 0 is an exact "no deposit" sentinel assigned above, never the result of accumulation
+		if compN > 0 && dep != 0 {
+			// The penalty is the mean competitor reward scaled by
+			// NegativeScale, applied only where this colony had its own
+			// experience (dep != 0) so idle paths are not dragged below
+			// the floor.
+			dep -= mx.p.NegativeScale * comp[k] / float64(compN)
+		}
+		v := (1-rho)*row[m] + rho*dep
+		val[k] = clamp(v, lo, hi)
+	}
+
+	var sum float64
+	for _, k := range mx.classOf {
+		sum += val[k]
+	}
+	if mean := sum / float64(mx.machines); mean > 0 {
+		for k, v := range val {
+			val[k] = clamp(v/mean, lo, hi)
+		}
+	}
+	for m, k := range mx.classOf {
+		row[m] = val[k]
 	}
 }
 
@@ -650,21 +809,6 @@ func SelectionProbabilities(weights []float64, available []bool) []float64 {
 	return p
 }
 
-// normalizeMean rescales row to mean 1, then re-clamps.
-func normalizeMean(row []float64, lo, hi float64) {
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	mean := sum / float64(len(row))
-	if mean <= 0 {
-		return
-	}
-	for i := range row {
-		row[i] = clamp(row[i]/mean, lo, hi)
-	}
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo
@@ -673,11 +817,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -31,7 +31,7 @@ func paperForm() Params {
 
 func mustMatrix(t *testing.T, machines int, p Params) *Matrix {
 	t.Helper()
-	mx, err := NewMatrix(machines, p)
+	mx, err := NewMatrix(machines, nil, p)
 	if err != nil {
 		t.Fatalf("NewMatrix: %v", err)
 	}
@@ -73,13 +73,26 @@ func TestParamsValidate(t *testing.T) {
 }
 
 func TestNewMatrixValidation(t *testing.T) {
-	if _, err := NewMatrix(0, DefaultParams()); err == nil {
+	if _, err := NewMatrix(0, nil, DefaultParams()); err == nil {
 		t.Error("zero machines accepted")
 	}
 	bad := DefaultParams()
 	bad.Rho = 2
-	if _, err := NewMatrix(3, bad); err == nil {
+	if _, err := NewMatrix(3, nil, bad); err == nil {
 		t.Error("invalid params accepted")
+	}
+	for _, groups := range [][][]int{
+		{{0, 1}, {1, 2}}, // overlapping groups
+		{{0, 0}},         // an ID listed twice
+		{{0, 3}},         // out of range
+		{{-1}},           // negative
+	} {
+		if _, err := NewMatrix(3, groups, DefaultParams()); err == nil {
+			t.Errorf("groups %v accepted", groups)
+		}
+	}
+	if _, err := NewMatrix(3, [][]int{{2, 0}, {}, {1}}, DefaultParams()); err != nil {
+		t.Errorf("disjoint groups rejected: %v", err)
 	}
 }
 
@@ -164,7 +177,7 @@ func TestUpdateClampsToBounds(t *testing.T) {
 func TestPheromonePositivityProperty(t *testing.T) {
 	p := noExchange()
 	f := func(joules []float64, machines []uint8) bool {
-		mx, err := NewMatrix(4, p)
+		mx, err := NewMatrix(4, nil, p)
 		if err != nil {
 			return false
 		}
@@ -193,14 +206,16 @@ func TestPheromonePositivityProperty(t *testing.T) {
 func TestMachineLevelExchangeSharesWithinGroup(t *testing.T) {
 	p := noExchange()
 	p.MachineExchange = true
-	mx := mustMatrix(t, 4, p)
-	k := mapColony(1, workload.Wordcount)
 	// Machines 0,1 are one hardware type; 2,3 another. Feedback lands
 	// only on machine 0 and machine 2.
+	mx, err := NewMatrix(4, [][]int{{0, 1}, {2, 3}}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mapColony(1, workload.Wordcount)
 	mx.Feedback(k, 0, 100) // efficient
 	mx.Feedback(k, 2, 400) // inefficient
-	groups := [][]int{{0, 1}, {2, 3}}
-	mx.Update(groups)
+	mx.Update(nil)
 
 	if a, b := mx.Tau(k, 0), mx.Tau(k, 1); math.Abs(a-b) > 1e-9 {
 		t.Errorf("group members diverged: %v vs %v", a, b)

@@ -102,12 +102,19 @@ func (p *PowerMgmt) setDefaults() {
 	}
 }
 
+// The heartbeat and control-interval defaults, taken by a zero (or
+// negative) Config field.
+const (
+	defaultHeartbeat       = 3 * time.Second
+	defaultControlInterval = 5 * time.Minute
+)
+
 // DefaultConfig returns the paper's setup: 3 s heartbeats, 5 min control
 // interval, full map barrier, replication 3, no noise.
 func DefaultConfig() Config {
 	return Config{
-		Heartbeat:           3 * time.Second,
-		ControlInterval:     5 * time.Minute,
+		Heartbeat:           defaultHeartbeat,
+		ControlInterval:     defaultControlInterval,
 		Slowstart:           1.0,
 		Replication:         hdfs.DefaultReplication,
 		ForcedLocalFraction: -1,
@@ -117,10 +124,10 @@ func DefaultConfig() Config {
 
 func (c *Config) setDefaults() {
 	if c.Heartbeat <= 0 {
-		c.Heartbeat = 3 * time.Second
+		c.Heartbeat = defaultHeartbeat
 	}
 	if c.ControlInterval <= 0 {
-		c.ControlInterval = 5 * time.Minute
+		c.ControlInterval = defaultControlInterval
 	}
 	if c.Slowstart <= 0 {
 		c.Slowstart = 1.0
@@ -151,6 +158,19 @@ func (c Config) Validate() error {
 	}
 	if c.ForcedLocalFraction > 1 {
 		return fmt.Errorf("mapreduce: forced local fraction %v > 1", c.ForcedLocalFraction)
+	}
+	// The policy is refreshed once per control interval and serves the
+	// heartbeats inside it, so an interval shorter than a heartbeat serves
+	// none (and floods the engine with control ticks).
+	heartbeat, interval := c.Heartbeat, c.ControlInterval
+	if heartbeat <= 0 {
+		heartbeat = defaultHeartbeat
+	}
+	if interval <= 0 {
+		interval = defaultControlInterval
+	}
+	if interval < heartbeat {
+		return fmt.Errorf("mapreduce: control interval %v shorter than heartbeat %v", interval, heartbeat)
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return err

@@ -25,6 +25,7 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(int64(1), int64(1), -inf, -inf, inf, 0.0, inf, inf, inf, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
 	f.Add(int64(1), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, nan, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
 	f.Add(int64(1), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, 0.0, int64(0), int64(0), nan, 0, 0, int64(0), int64(1), int64(1), -1)
+	f.Add(int64(3_000_000_000), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
 	f.Fuzz(func(t *testing.T,
 		heartbeat, controlInterval int64,
 		slowstart, forcedLocal, durationCV, stragglerProb, measurementCV, netShare, sleepWatts float64,
@@ -63,6 +64,17 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if err := cfg.Validate(); err != nil {
 			return // rejected configurations need no further guarantees
+		}
+		// Zero or negative durations take DefaultConfig's values.
+		hb, ci := cfg.Heartbeat, cfg.ControlInterval
+		if hb <= 0 {
+			hb = mapreduce.DefaultConfig().Heartbeat
+		}
+		if ci <= 0 {
+			ci = mapreduce.DefaultConfig().ControlInterval
+		}
+		if ci < hb {
+			t.Fatalf("Validate accepted control interval %v below heartbeat %v (%+v)", ci, hb, cfg)
 		}
 		for _, x := range []float64{cfg.Slowstart, cfg.ForcedLocalFraction, cfg.NetShareDivisor, cfg.Power.SleepWatts,
 			cfg.Noise.DurationCV, cfg.Noise.StragglerProb, cfg.Noise.MeasurementCV, cfg.Fault.TaskFailProb} {
