@@ -22,24 +22,21 @@
 //	            identical either way)
 //	-cpuprofile F  write a pprof CPU profile of the experiment to F
 //	-memprofile F  write a pprof heap profile (after the run) to F
-//	-probe-interval N  enable in-engine probes, sampling machines every N
-//	            heartbeats; output stays byte-identical (golden-enforced)
-//	-probe-trails      record pheromone snapshots at every control tick
+//	-probe-interval N  sample machines every N heartbeats (default 1)
+//	-probe-trails      record pheromone rows at every control tick
 //	-timeline F write a Chrome trace-event / Perfetto timeline to F
-//	            ('trace' experiment)
 //	-probe-report F  write the probe histogram report as JSON to F
-//	            ('trace' experiment)
 //
-// The 'trace' experiment runs one MSD campaign (-jobs, -seed, -sched) and
-// writes its probe event stream to stdout as JSON Lines: every offer,
-// draw, assignment, task completion with its Eq. 2 energy, control tick
-// with the fleet energy, and job submit/done with its phase timeline.
-// Machines are sampled every heartbeat unless -probe-interval says
-// otherwise.
+// The four probe flags apply to the 'trace' experiment only. It runs one
+// MSD campaign (-jobs, -seed, -sched) and writes its probe event stream to
+// stdout as JSON Lines: every offer, draw, assignment, task completion
+// with its Eq. 2 energy, control tick with the fleet energy, and job
+// submit/done with its phase timeline.
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -75,8 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("parallel", 0, "worker cap for experiment sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-	probeInterval := fs.Int("probe-interval", 0, "sample every machine's utilization/energy/slots every N heartbeats (0 = off); enables in-engine probes for any experiment without changing its output")
-	probeTrails := fs.Bool("probe-trails", false, "record per-control-tick pheromone-matrix snapshots (enables probes)")
+	probeInterval := fs.Int("probe-interval", 0, "sample every machine's utilization/energy/slots every N heartbeats (0 = every heartbeat; 'trace' experiment only)")
+	probeTrails := fs.Bool("probe-trails", false, "record per-control-tick pheromone-matrix snapshots ('trace' experiment only)")
 	timelineFile := fs.String("timeline", "", "write a Chrome trace-event / Perfetto timeline to this file ('trace' experiment only)")
 	reportFile := fs.String("probe-report", "", "write the probe's histogram report as JSON to this file ('trace' experiment only)")
 	fs.Usage = func() {
@@ -94,13 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	parallel.SetDefaultWorkers(*workers)
 
-	// Probes observe without perturbing: any experiment may run with them
-	// on, and its table output stays byte-identical (golden-enforced).
-	// Always reset afterwards — the test harness calls run() repeatedly in
-	// one process.
-	if *probeInterval > 0 || *probeTrails {
-		experiments.SetCampaignProbe(&probe.Config{SampleEvery: *probeInterval, Trails: *probeTrails})
-		defer experiments.SetCampaignProbe(nil)
+	if name != "trace" && (*probeInterval != 0 || *probeTrails || *timelineFile != "" || *reportFile != "") {
+		fmt.Fprintf(stderr, "eantsim: -probe-interval, -probe-trails, -timeline and -probe-report only apply to the 'trace' experiment (it runs a single campaign and exports its probe events)\n")
+		return 2
 	}
 
 	if *cpuProfile != "" {
@@ -167,11 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *timelineFile != "" || *reportFile != "" {
-		fmt.Fprintf(stderr, "eantsim: -timeline/-probe-report only apply to the 'trace' experiment (it runs a single campaign; sweeps would interleave streams)\n")
-		return 2
-	}
-
 	runOne := func(name string) error {
 		tables, err := tablesFor(name, *jobs, *seed)
 		if err != nil {
@@ -399,7 +387,8 @@ type probeSinks struct {
 }
 
 // emitTrace runs one MSD campaign with a probe attached, streaming its
-// events to w as JSON Lines, then writes the configured file sinks.
+// events to w as JSON Lines through the probe's sink, then writes the
+// configured file sinks from the probe's ring and report.
 func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeSinks) error {
 	msd, err := workload.GenerateMSD(workload.MSDConfig{
 		Jobs: jobs, Scale: experiments.ScaleDown, MeanInterarrival: 45 * time.Second,
@@ -412,8 +401,16 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	cfg.Seed = seed
 	cfg.Noise = noise.Default()
 
+	// The first write error stops the stream; it is reported after the
+	// run, which it never interrupts.
 	bw := bufio.NewWriter(w)
-	pcfg := probe.Config{SampleEvery: sinks.Interval, Trails: sinks.Trails, Stream: bw}
+	enc := json.NewEncoder(bw)
+	var streamErr error
+	pcfg := probe.Config{SampleEvery: sinks.Interval, Trails: sinks.Trails, Sink: func(ev probe.Event) {
+		if streamErr == nil {
+			streamErr = enc.Encode(ev)
+		}
+	}}
 	if pcfg.SampleEvery <= 0 {
 		pcfg.SampleEvery = 1 // the stream samples every heartbeat by default
 	}
@@ -433,8 +430,8 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	if err != nil {
 		return err
 	}
-	if err := p.Err(); err != nil {
-		return err
+	if streamErr != nil {
+		return fmt.Errorf("probe: stream: %w", streamErr)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("probe: stream: %w", err)

@@ -254,7 +254,7 @@ type RunSpec struct {
 type Consolidation = mapreduce.PowerMgmt
 
 // Result is the outcome of a Run. Stats exposes the full per-run
-// statistics (task tallies, timelines, per-machine energy).
+// statistics (task tallies, per-job results, per-machine energy).
 type Result struct {
 	// TotalJoules is fleet-wide metered energy over the campaign.
 	TotalJoules float64

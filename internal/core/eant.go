@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"eant/internal/cluster"
 	"eant/internal/mapreduce"
@@ -32,11 +31,6 @@ type EAnt struct {
 	// etaMaxPow is EtaMax^β, the Eq. 8 heuristic factor of every
 	// data-local candidate (η = ∞ capped at EtaMax), fixed per run.
 	etaMaxPow float64
-
-	// trackTrails enables per-control-tick snapshots of every colony's
-	// trail row, for convergence studies (Fig. 11).
-	trackTrails bool
-	trails      map[ColonyKey][]TrailSnapshot
 
 	// Heartbeat-path scratch, reused across slot offers so steady-state
 	// assignment allocates nothing. Safe because a scheduler instance is
@@ -87,22 +81,6 @@ type hostIndex struct {
 func (idx *hostIndex) countAtLeast(threshold float64) int {
 	return sort.Search(len(idx.vals), func(i int) bool { return idx.vals[i] < threshold })
 }
-
-// TrailSnapshot is one colony's pheromone row at a control tick.
-type TrailSnapshot struct {
-	At  time.Duration
-	Row []float64
-}
-
-// TrackTrails enables trail-history recording; call before the run.
-func (e *EAnt) TrackTrails() {
-	e.trackTrails = true
-	e.trails = make(map[ColonyKey][]TrailSnapshot)
-}
-
-// TrailHistory returns the recorded snapshots for a colony (nil when
-// tracking was off or the colony never formed).
-func (e *EAnt) TrailHistory(k ColonyKey) []TrailSnapshot { return e.trails[k] }
 
 // NewEAnt returns an E-Ant scheduler with the given parameters.
 func NewEAnt(p Params) (*EAnt, error) {
@@ -157,9 +135,6 @@ func (e *EAnt) ResetForRun(p Params) error {
 		if err := e.mx.Clear(p); err != nil {
 			return err
 		}
-	}
-	if e.trackTrails {
-		e.trails = make(map[ColonyKey][]TrailSnapshot)
 	}
 	return nil
 }
@@ -668,14 +643,6 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 		unavailable = e.unavailable
 	}
 	e.mx.Update(unavailable)
-	if e.trackTrails {
-		for _, k := range e.mx.Keys() {
-			e.trails[k] = append(e.trails[k], TrailSnapshot{
-				At:  ctx.Now(),
-				Row: e.mx.Row(k),
-			})
-		}
-	}
 	// Pheromone-matrix snapshot for the observability layer: one row per
 	// colony, in the matrix's insertion order (deterministic).
 	if pr := ctx.Probe(); pr.TrailsEnabled() {

@@ -24,13 +24,11 @@ func benchCampaign(b *testing.B, mk func() mapreduce.Scheduler) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := Campaign{
-			Cluster:  cluster.Testbed(),
-			Instance: mk(),
-			Jobs:     jobs,
-			Config:   defaultDriverConfig(),
+		d, err := mapreduce.NewDriver(cluster.Testbed(), mk(), defaultDriverConfig())
+		if err != nil {
+			b.Fatal(err)
 		}
-		if _, err := c.Run(); err != nil {
+		if _, err := d.Run(jobs, 48*time.Hour); err != nil {
 			b.Fatal(err)
 		}
 	}

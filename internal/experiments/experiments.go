@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"eant/internal/cluster"
@@ -77,13 +76,9 @@ type Campaign struct {
 	Cluster *cluster.Cluster
 	Sched   SchedulerName
 	Params  core.Params
-	// Instance, when non-nil, is used instead of constructing a scheduler
-	// from Sched/Params — for experiments that need to inspect scheduler
-	// state (e.g. pheromone trails) after the run.
-	Instance mapreduce.Scheduler
-	Jobs     []workload.JobSpec
-	Config   mapreduce.Config
-	Horizon  time.Duration
+	Jobs    []workload.JobSpec
+	Config  mapreduce.Config
+	Horizon time.Duration
 }
 
 // defaultDriverConfig is the experiment-wide driver configuration: paper
@@ -96,50 +91,25 @@ func defaultDriverConfig() mapreduce.Config {
 	return cfg
 }
 
-// campaignProbe, when set, attaches a freshly-built probe to every
-// campaign that does not already carry one. Per-campaign instances keep
-// parallel sweeps race-free: a probe is single-threaded by contract.
-var campaignProbe atomic.Pointer[probe.Config]
-
-// SetCampaignProbe installs an observability-probe template applied to
-// every subsequently started Campaign (nil uninstalls it). Each campaign
-// gets its own probe instance built from the template; the Stream sink is
-// dropped because experiment sweeps fan campaigns out across workers,
-// where interleaved per-run streams would be nondeterministic. A probe set
-// explicitly on Campaign.Config.Probe always wins. The probes are pure
-// observers, so experiment output is byte-identical with or without them
-// (golden-enforced).
-func SetCampaignProbe(cfg *probe.Config) {
-	if cfg == nil {
-		campaignProbe.Store(nil)
-		return
+// foldProbe builds the probe of one run whose events an experiment folds
+// as they are recorded: every event goes to fold, and since fold, not the
+// ring, is the consumer, the ring holds one event instead of the default
+// 65 536. Each run gets its own probe, so parallel cells share nothing.
+func foldProbe(trails bool, fold func(probe.Event)) *probe.Probe {
+	p, err := probe.New(probe.Config{RingSize: 1, Trails: trails, Sink: fold})
+	if err != nil {
+		panic(err) // a one-event ring and default bounds are always valid
 	}
-	cp := *cfg
-	cp.Stream = nil
-	campaignProbe.Store(&cp)
+	return p
 }
 
 // Run executes the campaign and returns its statistics.
 func (c Campaign) Run() (*mapreduce.Stats, error) {
-	s := c.Instance
-	if s == nil {
-		var err error
-		s, err = NewScheduler(c.Sched, c.Params)
-		if err != nil {
-			return nil, err
-		}
+	s, err := NewScheduler(c.Sched, c.Params)
+	if err != nil {
+		return nil, err
 	}
-	cfg := c.Config
-	if cfg.Probe == nil {
-		if tmpl := campaignProbe.Load(); tmpl != nil {
-			p, err := probe.New(*tmpl)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: campaign probe: %w", err)
-			}
-			cfg.Probe = p
-		}
-	}
-	d, err := mapreduce.NewDriver(c.Cluster, s, cfg)
+	d, err := mapreduce.NewDriver(c.Cluster, s, c.Config)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"eant/internal/cluster"
 	"eant/internal/core"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
@@ -43,25 +42,6 @@ func TestOpenLoopTasks(t *testing.T) {
 	}
 	if got := openLoopTasks(workload.Grep, 0, time.Minute); got != nil {
 		t.Error("zero rate should yield no jobs")
-	}
-}
-
-func TestCampaignRunsInstance(t *testing.T) {
-	eant := core.MustNewEAnt(core.DefaultParams())
-	eant.TrackTrails()
-	cfg := defaultDriverConfig()
-	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Grep, 640, 2, 0)}
-	stats, err := Campaign{
-		Cluster:  cluster.Testbed(),
-		Instance: eant,
-		Jobs:     jobs,
-		Config:   cfg,
-	}.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if stats.Scheduler != "E-Ant" {
-		t.Errorf("ran %s, want E-Ant instance", stats.Scheduler)
 	}
 }
 

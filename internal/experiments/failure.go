@@ -9,6 +9,7 @@ import (
 	"eant/internal/fault"
 	"eant/internal/metrics"
 	"eant/internal/parallel"
+	"eant/internal/probe"
 	"eant/internal/tabwrite"
 )
 
@@ -101,7 +102,6 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 		mtbf := cfg.MTBFs[i%len(cfg.MTBFs)]
 		dcfg := defaultDriverConfig()
 		dcfg.Seed = cfg.Seed
-		dcfg.KeepAssignmentHistory = true
 		if mtbf > 0 {
 			dcfg.Fault = fault.Config{
 				MachineMTBF:  mtbf,
@@ -109,6 +109,14 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 				TaskFailProb: cfg.TaskFailProb,
 			}
 		}
+		// The convergence detector reads the task starts and the control
+		// ticks that close each interval.
+		var events []probe.Event
+		dcfg.Probe = foldProbe(false, func(ev probe.Event) {
+			if ev.Kind == probe.KindAssign || ev.Kind == probe.KindControlTick {
+				events = append(events, ev)
+			}
+		})
 		stats, err := Campaign{
 			Cluster: cluster.Testbed(),
 			Sched:   schedName,
@@ -130,7 +138,7 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 			MapOutputsLost:     stats.MapOutputsLost,
 			JobsFailed:         stats.JobsFailed,
 		}
-		p.Convergence, p.ConvergedJobs = metrics.MeanConvergenceTime(stats.Assignments, jobIDs, 0.8)
+		p.Convergence, p.ConvergedJobs = metrics.MeanConvergenceTime(events, jobIDs, 0.8)
 		return p, nil
 	})
 	if err != nil {

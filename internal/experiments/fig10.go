@@ -6,6 +6,7 @@ import (
 
 	"eant/internal/cluster"
 	"eant/internal/core"
+	"eant/internal/probe"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -92,19 +93,21 @@ func Fig10() (*Fig10Result, error) {
 			// evaluation noise (cf. the Fig. 7 scatter).
 			cfg.Noise.MeasurementCV = 0.35
 			cfg.Noise.DurationCV = 0.25
-			stats, err := Campaign{
+			// Each control tick reports the fleet energy it synced.
+			var joules []float64
+			cfg.Probe = foldProbe(false, func(ev probe.Event) {
+				if ev.Kind == probe.KindControlTick {
+					joules = append(joules, ev.A)
+					if tickSpan == 0 {
+						tickSpan = ev.At
+					}
+				}
+			})
+			if _, err := (Campaign{
 				Cluster: cluster.Testbed(), Sched: sched, Params: p,
 				Jobs: msd, Config: cfg,
-			}.Run()
-			if err != nil {
+			}).Run(); err != nil {
 				return nil, err
-			}
-			joules := make([]float64, len(stats.Timeline))
-			for i, pt := range stats.Timeline {
-				joules[i] = pt.TotalJoules
-			}
-			if tickSpan == 0 && len(stats.Timeline) > 0 {
-				tickSpan = stats.Timeline[0].At
 			}
 			return joules, nil
 		}

@@ -9,6 +9,7 @@ import (
 	"eant/internal/mapreduce"
 	"eant/internal/metrics"
 	"eant/internal/parallel"
+	"eant/internal/probe"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -37,15 +38,24 @@ type Fig11Result struct {
 	Rows  []Fig11Row
 }
 
-// trailTimes splits a snapshot history into aligned time/row slices.
-func trailTimes(history []core.TrailSnapshot) ([]time.Duration, [][]float64) {
-	times := make([]time.Duration, len(history))
-	rows := make([][]float64, len(history))
-	for i, s := range history {
-		times[i] = s.At
-		rows[i] = s.Row
-	}
-	return times, rows
+// colonyTrail is one colony's pheromone row at each control tick of a run.
+type colonyTrail struct {
+	times []time.Duration
+	rows  [][]float64
+}
+
+// job0MapTrail builds a run's probe whose sink keeps the trail rows of job
+// 0's map colony, whose application is app.
+func job0MapTrail(app workload.App) (*probe.Probe, *colonyTrail) {
+	tr := new(colonyTrail)
+	label := app.String()
+	p := foldProbe(true, func(ev probe.Event) {
+		if ev.Kind == probe.KindTrailRow && ev.JobID == 0 && ev.TaskKind == int8(mapreduce.MapTask) && ev.Label == label {
+			tr.times = append(tr.times, ev.At)
+			tr.rows = append(tr.rows, ev.Row)
+		}
+	})
+	return p, tr
 }
 
 // Fig11a reproduces the machine-heterogeneity impact on search speed: a
@@ -77,20 +87,18 @@ func Fig11a() (*Fig11Result, error) {
 		for g := range group {
 			group[g] = g
 		}
-		eant := core.MustNewEAnt(core.DefaultParams())
-		eant.TrackTrails()
 		cfg := defaultDriverConfig()
 		cfg.Seed = seed
 		cfg.ControlInterval = convergenceInterval
+		var trail *colonyTrail
+		cfg.Probe, trail = job0MapTrail(workload.Wordcount)
 		// 800 map tasks: many waves across every fleet size.
 		jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 800*workload.BlockMB, 8, 0)}
-		if _, err := (Campaign{Cluster: c, Instance: eant, Jobs: jobs, Config: cfg}).Run(); err != nil {
+		if _, err := (Campaign{Cluster: c, Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg}).Run(); err != nil {
 			return convProbe{}, fmt.Errorf("fig11a: k=%d: %w", k, err)
 		}
-		key := core.ColonyKey{JobID: 0, App: workload.Wordcount, Kind: mapreduce.MapTask}
-		times, rows := trailTimes(eant.TrailHistory(key))
 		var p convProbe
-		p.At, p.OK = metrics.TrailConvergenceOn(times, rows, group, TrailTolerance)
+		p.At, p.OK = metrics.TrailConvergenceOn(trail.times, trail.rows, group, TrailTolerance)
 		return p, nil
 	})
 	if err != nil {
@@ -138,11 +146,13 @@ func Fig11b() (*Fig11Result, error) {
 	cells, err := parallel.Map(len(levels)*seeds, 0, func(i int) (convProbe, error) {
 		n := levels[i/seeds]
 		seed := int64(i%seeds) + 1
-		eant := core.MustNewEAnt(core.DefaultParams())
-		eant.TrackTrails()
 		cfg := defaultDriverConfig()
 		cfg.Seed = seed
 		cfg.ControlInterval = convergenceInterval
+		// Probe job 0's map colony; with job-level exchange its trail
+		// pools all n Grep jobs' experiences.
+		var trail *colonyTrail
+		cfg.Probe, trail = job0MapTrail(workload.Grep)
 		// n Grep probes (IDs 0..n-1) against a fixed 30-job mixed
 		// background that keeps the cluster contended.
 		jobs := workload.Batch(workload.Grep, n, 50*workload.BlockMB, 2, 0)
@@ -153,15 +163,11 @@ func Fig11b() (*Fig11Result, error) {
 			}
 			jobs = append(jobs, workload.NewJobSpec(n+b, app, 50*workload.BlockMB, 2, 0))
 		}
-		if _, err := (Campaign{Cluster: cluster.Testbed(), Instance: eant, Jobs: jobs, Config: cfg}).Run(); err != nil {
+		if _, err := (Campaign{Cluster: cluster.Testbed(), Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg}).Run(); err != nil {
 			return convProbe{}, fmt.Errorf("fig11b: n=%d: %w", n, err)
 		}
-		// Probe job 0's map colony; with job-level exchange its trail
-		// pools all n Grep jobs' experiences.
-		key := core.ColonyKey{JobID: 0, App: workload.Grep, Kind: mapreduce.MapTask}
-		times, rows := trailTimes(eant.TrailHistory(key))
 		var p convProbe
-		p.At, p.OK = metrics.TrailConvergence(times, rows, TrailTolerance)
+		p.At, p.OK = metrics.TrailConvergence(trail.times, trail.rows, TrailTolerance)
 		return p, nil
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"eant/internal/cluster"
 	"eant/internal/mapreduce"
@@ -183,5 +182,3 @@ func median(xs []float64) float64 {
 	}
 	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
-
-var _ = time.Second

@@ -34,8 +34,6 @@ type Config struct {
 	Seed int64
 	// KeepTaskRecords retains a TaskRecord per completed task.
 	KeepTaskRecords bool
-	// KeepAssignmentHistory retains per-interval assignment snapshots.
-	KeepAssignmentHistory bool
 	// ForcedLocalFraction, when in [0, 1], overrides HDFS lookups: each
 	// map task is local with this probability. Used by the Fig. 6
 	// data-locality study. Negative (default) uses real placement.
@@ -199,9 +197,6 @@ type Driver struct {
 	// jobs is reused by Run's warm gate when the new specs match.
 	jobs   []*Job
 	active []*Job
-	// intervalAssign accumulates task starts per (job, machine) within
-	// the current control interval.
-	intervalAssign map[int]map[int]int
 
 	// covering marks always-on machines; lastBusy is when each machine
 	// last ran a task (consolidation policy state). Both are nil unless
@@ -287,11 +282,10 @@ type runState struct {
 // across drivers.
 func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error) {
 	d := &Driver{
-		engine:         sim.NewEngine(),
-		cluster:        c,
-		ns:             hdfs.NewNamespace(c, hdfs.DefaultReplication, 0),
-		meter:          power.NewMeter(c),
-		intervalAssign: make(map[int]map[int]int),
+		engine:  sim.NewEngine(),
+		cluster: c,
+		ns:      hdfs.NewNamespace(c, hdfs.DefaultReplication, 0),
+		meter:   power.NewMeter(c),
 	}
 	d.ctx = &Context{
 		Cluster: c,
@@ -623,16 +617,6 @@ func (d *Driver) wakeIfNeeded(m cluster.Machine) float64 {
 
 func (d *Driver) controlTick() {
 	d.meter.SyncAll(d.engine.Now())
-	d.stats.Timeline = append(d.stats.Timeline, EnergyPoint{
-		At:          d.engine.Now(),
-		TotalJoules: d.meter.TotalJoules(),
-		TasksDone:   d.tasksDone,
-	})
-	if d.cfg.KeepAssignmentHistory {
-		snap := IntervalAssignments{At: d.engine.Now(), Counts: d.intervalAssign}
-		d.stats.Assignments = append(d.stats.Assignments, snap)
-		d.intervalAssign = make(map[int]map[int]int)
-	}
 	if d.probe != nil {
 		d.probe.ControlTick(d.engine.Now(), d.meter.TotalJoules(), d.tasksDone)
 	}
@@ -1014,14 +998,6 @@ func (d *Driver) noteStart(t *Task, m cluster.Machine) {
 	j.addInFlight(t)
 	if d.lastBusy != nil {
 		d.lastBusy[m.ID()] = d.engine.Now()
-	}
-	if d.cfg.KeepAssignmentHistory {
-		byMachine := d.intervalAssign[j.Spec.ID]
-		if byMachine == nil {
-			byMachine = make(map[int]int)
-			d.intervalAssign[j.Spec.ID] = byMachine
-		}
-		byMachine[m.ID()]++
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"eant/internal/fault"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
+	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/workload"
 )
@@ -37,6 +38,22 @@ func run(t *testing.T, c *cluster.Cluster, s mapreduce.Scheduler, cfg mapreduce.
 		t.Fatalf("Run: %v", err)
 	}
 	return stats
+}
+
+// collect returns a probe whose sink appends every event of the given kind
+// to out. The sink, not the ring, is the consumer, so the ring holds one
+// event.
+func collect(t testing.TB, kind probe.Kind, out *[]probe.Event) *probe.Probe {
+	t.Helper()
+	p, err := probe.New(probe.Config{RingSize: 1, Sink: func(ev probe.Event) {
+		if ev.Kind == kind {
+			*out = append(*out, ev)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestSingleJobCompletes(t *testing.T) {
@@ -188,7 +205,6 @@ func faultyConfig(seed int64) mapreduce.Config {
 	cfg.Noise = noise.Default()
 	cfg.Seed = seed
 	cfg.KeepTaskRecords = true
-	cfg.KeepAssignmentHistory = true
 	cfg.ControlInterval = time.Minute
 	cfg.Fault = fault.Config{
 		MachineMTBF:  4 * time.Minute,
@@ -416,43 +432,28 @@ func TestNewDriverValidation(t *testing.T) {
 	}
 }
 
+// TestTimelineRecordsControlTicks: every control interval closes with a
+// control_tick event carrying the fleet energy, which never decreases.
 func TestTimelineRecordsControlTicks(t *testing.T) {
+	var ticks []probe.Event
 	cfg := mapreduce.DefaultConfig()
 	cfg.ControlInterval = time.Minute
+	cfg.Probe = collect(t, probe.KindControlTick, &ticks)
 	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 12800, 4, 0)}
 	stats := run(t, smallCluster(), sched.NewFair(), cfg, jobs)
-	if len(stats.Timeline) == 0 {
-		t.Fatal("no timeline snapshots recorded")
+	if len(ticks) == 0 {
+		t.Fatal("no control ticks recorded")
 	}
-	for i := 1; i < len(stats.Timeline); i++ {
-		if stats.Timeline[i].TotalJoules < stats.Timeline[i-1].TotalJoules {
-			t.Error("timeline energy not monotone")
+	for i, ev := range ticks {
+		if want := time.Duration(i+1) * cfg.ControlInterval; ev.At != want {
+			t.Errorf("tick %d at %v, want %v", i, ev.At, want)
 		}
-		if stats.Timeline[i].At <= stats.Timeline[i-1].At {
-			t.Error("timeline times not increasing")
-		}
-	}
-}
-
-func TestAssignmentHistoryRecorded(t *testing.T) {
-	cfg := mapreduce.DefaultConfig()
-	cfg.ControlInterval = 30 * time.Second
-	cfg.KeepAssignmentHistory = true
-	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 12800, 4, 0)}
-	stats := run(t, smallCluster(), sched.NewFair(), cfg, jobs)
-	if len(stats.Assignments) == 0 {
-		t.Fatal("no assignment snapshots recorded")
-	}
-	total := 0
-	for _, snap := range stats.Assignments {
-		for _, byMachine := range snap.Counts {
-			for _, n := range byMachine {
-				total += n
-			}
+		if i > 0 && ev.A < ticks[i-1].A {
+			t.Error("control-tick energy not monotone")
 		}
 	}
-	if total == 0 {
-		t.Error("assignment snapshots are all empty")
+	if last := ticks[len(ticks)-1].A; last > stats.TotalJoules {
+		t.Errorf("last tick read %v J, more than the run's %v J", last, stats.TotalJoules)
 	}
 }
 

@@ -233,15 +233,12 @@ func TestFaultConfigValidationSurfaces(t *testing.T) {
 // the driver, for its engine counters and stats.
 func idleFaultRun(t *testing.T, fc fault.Config, seed int64, horizon time.Duration) ([]fault.Event, *mapreduce.Driver, *mapreduce.Stats) {
 	t.Helper()
-	p, err := probe.New(probe.Config{RingSize: 1 << 14})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var states []probe.Event
 	cfg := mapreduce.DefaultConfig()
 	cfg.Heartbeat = 30 * time.Second
 	cfg.Seed = seed
 	cfg.Fault = fc
-	cfg.Probe = p
+	cfg.Probe = collect(t, probe.KindMachineState, &states)
 	d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,14 +249,8 @@ func idleFaultRun(t *testing.T, fc fault.Config, seed int64, horizon time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Dropped() != 0 {
-		t.Fatalf("probe ring dropped %d events", p.Dropped())
-	}
 	var timeline []fault.Event
-	for _, ev := range p.Events() {
-		if ev.Kind != probe.KindMachineState {
-			continue
-		}
+	for _, ev := range states {
 		switch ev.Label {
 		case "crash":
 			timeline = append(timeline, fault.Event{At: ev.At, Machine: int(ev.MachineID), Kind: fault.Crash})

@@ -60,7 +60,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	d.local.Reseed(sim.ForkSeed(cfg.Seed, "locality"))
 	d.ctx.Rng.Reseed(sim.ForkSeed(cfg.Seed, "sched"))
 
-	clear(d.intervalAssign)
 	clear(d.active)
 	d.active = d.active[:0]
 	n := d.cluster.Size()

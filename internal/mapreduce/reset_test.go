@@ -28,7 +28,6 @@ var configFields = []struct {
 	{"Replication", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Replication = 1 }},
 	{"Seed", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Seed++ }},
 	{"KeepTaskRecords", func(c *mapreduce.Config, _ *cluster.Cluster) { c.KeepTaskRecords = true }},
-	{"KeepAssignmentHistory", func(c *mapreduce.Config, _ *cluster.Cluster) { c.KeepAssignmentHistory = true }},
 	{"ForcedLocalFraction", func(c *mapreduce.Config, _ *cluster.Cluster) { c.ForcedLocalFraction = 0.5 }},
 	{"NetShareDivisor", func(c *mapreduce.Config, _ *cluster.Cluster) { c.NetShareDivisor = 8 }},
 	{"ComputeOnlyTypes", func(c *mapreduce.Config, fleet *cluster.Cluster) {

@@ -62,22 +62,6 @@ func (r JobResult) ReduceSeconds() float64 {
 	return (r.Finished - end).Seconds()
 }
 
-// EnergyPoint is a cluster-energy snapshot taken at a control tick,
-// feeding the Fig. 10 savings-over-time series.
-type EnergyPoint struct {
-	At          time.Duration
-	TotalJoules float64
-	TasksDone   int
-}
-
-// IntervalAssignments snapshots, for one control interval, how many tasks
-// of each job started on each machine: map[jobID]map[machineID]count.
-// The Fig. 11 convergence detector consumes consecutive snapshots.
-type IntervalAssignments struct {
-	At     time.Duration
-	Counts map[int]map[int]int
-}
-
 // AppKindKey groups completed-task tallies per machine type.
 type AppKindKey struct {
 	MachineType string
@@ -150,12 +134,6 @@ type Stats struct {
 	MapOutputsLost     int
 	Blacklists         int
 	JobsFailed         int
-
-	// Timeline holds per-control-tick energy snapshots (Fig. 10).
-	Timeline []EnergyPoint
-	// Assignments holds per-interval assignment distributions (Fig. 11),
-	// recorded only when Config.KeepAssignmentHistory is set.
-	Assignments []IntervalAssignments
 
 	// MachineJoules and MachineAvgUtil are filled from the power meter at
 	// the end of the run.

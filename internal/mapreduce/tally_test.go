@@ -11,6 +11,7 @@ import (
 	"eant/internal/fault"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
+	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/workload"
 )
@@ -35,11 +36,12 @@ func newEAnt(t *testing.T) *core.EAnt {
 	return e
 }
 
-// checkTallies compares the run's completion tallies with an independent
-// oracle: the task records folded in record (completion) order, the order
-// in which the driver accumulates each cell, so even the float sums must
-// match to the bit.
-func checkTallies(t *testing.T, s *mapreduce.Stats) {
+// checkTallies compares the run's completion tallies, and the task counts
+// its control_tick events carry, with an independent oracle: the task
+// records folded in record (completion) order, the order in which the
+// driver accumulates each cell, so even the float sums must match to the
+// bit.
+func checkTallies(t *testing.T, s *mapreduce.Stats, ticks []probe.Event) {
 	t.Helper()
 	if len(s.Tasks) == 0 {
 		t.Fatal("no task records")
@@ -79,20 +81,34 @@ func checkTallies(t *testing.T, s *mapreduce.Stats) {
 	}
 	// Each control tick reads the running total: every completion strictly
 	// before the tick, and at most those at its instant.
-	for _, p := range s.Timeline {
+	if len(ticks) == 0 {
+		t.Error("no control ticks")
+	}
+	for _, ev := range ticks {
 		before, upTo := 0, 0
 		for _, r := range s.Tasks {
-			if r.Finish < p.At {
+			if r.Finish < ev.At {
 				before++
 			}
-			if r.Finish <= p.At {
+			if r.Finish <= ev.At {
 				upTo++
 			}
 		}
-		if p.TasksDone < before || p.TasksDone > upTo {
-			t.Errorf("tick at %v counts %d tasks done, records say %d..%d", p.At, p.TasksDone, before, upTo)
+		if done := int(ev.N); done < before || done > upTo {
+			t.Errorf("tick at %v counts %d tasks done, records say %d..%d", ev.At, done, before, upTo)
 		}
 	}
+}
+
+// talliedRun runs jobs on the testbed with a probe keeping the control
+// ticks, and checks the run's tallies.
+func talliedRun(t *testing.T, s mapreduce.Scheduler, cfg mapreduce.Config, jobs []workload.JobSpec) *mapreduce.Stats {
+	t.Helper()
+	var ticks []probe.Event
+	cfg.Probe = collect(t, probe.KindControlTick, &ticks)
+	stats := run(t, cluster.Testbed(), s, cfg, jobs)
+	checkTallies(t, stats, ticks)
+	return stats
 }
 
 func TestCompletionTalliesMatchRecords(t *testing.T) {
@@ -105,24 +121,23 @@ func TestCompletionTalliesMatchRecords(t *testing.T) {
 		return cfg
 	}
 	t.Run("Fair", func(t *testing.T) {
-		checkTallies(t, run(t, cluster.Testbed(), sched.NewFair(), base(), mixedJobs()))
+		talliedRun(t, sched.NewFair(), base(), mixedJobs())
 	})
 	t.Run("Tarazu", func(t *testing.T) {
-		checkTallies(t, run(t, cluster.Testbed(), sched.NewTarazu(), base(), mixedJobs()))
+		talliedRun(t, sched.NewTarazu(), base(), mixedJobs())
 	})
 	t.Run("E-Ant", func(t *testing.T) {
-		checkTallies(t, run(t, cluster.Testbed(), newEAnt(t), base(), mixedJobs()))
+		talliedRun(t, newEAnt(t), base(), mixedJobs())
 	})
 	t.Run("LATE speculation", func(t *testing.T) {
 		cfg := base()
 		cfg.Seed = 1
 		cfg.Noise = noise.Config{DurationCV: 0.1, StragglerProb: 0.25, StragglerMin: 4, StragglerMax: 6}
 		jobs := workload.Batch(workload.Wordcount, 4, 3200, 4, 10*time.Second)
-		s := run(t, cluster.Testbed(), sched.NewLATE(), cfg, jobs)
+		s := talliedRun(t, sched.NewLATE(), cfg, jobs)
 		if s.SpeculativeStarted == 0 || s.SpeculativeKilled == 0 {
 			t.Fatalf("no speculation raced: %d started, %d killed", s.SpeculativeStarted, s.SpeculativeKilled)
 		}
-		checkTallies(t, s)
 	})
 	t.Run("E-Ant faults and consolidation", func(t *testing.T) {
 		cfg := base()
@@ -135,11 +150,10 @@ func TestCompletionTalliesMatchRecords(t *testing.T) {
 			BlacklistThreshold: 2,
 			BlacklistCooldown:  time.Minute,
 		}
-		s := run(t, cluster.Testbed(), newEAnt(t), cfg, mixedJobs())
+		s := talliedRun(t, newEAnt(t), cfg, mixedJobs())
 		if s.Crashes == 0 || s.TaskFailures == 0 || s.Sleeps == 0 {
 			t.Fatalf("quiet run: %d crashes, %d attempt failures, %d sleeps", s.Crashes, s.TaskFailures, s.Sleeps)
 		}
-		checkTallies(t, s)
 	})
 }
 

@@ -126,16 +126,16 @@ func TestTrailConvergenceOnDegenerateInputs(t *testing.T) {
 }
 
 func TestMeanConvergenceTimeNoJobsConverge(t *testing.T) {
-	snaps := []mapreduce.IntervalAssignments{
-		{At: time.Minute, Counts: map[int]map[int]int{0: {0: 5}}},
-		{At: 2 * time.Minute, Counts: map[int]map[int]int{0: {1: 5}}},
-	}
+	evs := history(
+		[]start{{0, 0, 5}},
+		[]start{{0, 1, 5}},
+	)
 	// Job 0 flips machines (never stable); job 9 never appears.
-	mean, n := MeanConvergenceTime(snaps, []int{0, 9}, 0.8)
+	mean, n := MeanConvergenceTime(evs, []int{0, 9}, 0.8)
 	if mean != 0 || n != 0 {
 		t.Errorf("got (%v, %d), want (0, 0)", mean, n)
 	}
-	if mean, n = MeanConvergenceTime(snaps, nil, 0.8); mean != 0 || n != 0 {
+	if mean, n = MeanConvergenceTime(evs, nil, 0.8); mean != 0 || n != 0 {
 		t.Errorf("empty job list: got (%v, %d), want (0, 0)", mean, n)
 	}
 }

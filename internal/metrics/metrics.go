@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"eant/internal/mapreduce"
+	"eant/internal/probe"
 )
 
 // NRMSE returns the root-mean-square error between predicted and actual,
@@ -112,39 +113,44 @@ func EnergySavingPercent(aJoules, bJoules float64) float64 {
 	return 100 * (aJoules - bJoules) / aJoules
 }
 
-// ConvergenceTime scans per-interval assignment snapshots for the first
+// ConvergenceTime scans a run's probe events for the first control
 // interval at which job jobID's assignment is "stable" per the paper's
 // §VI-C criterion: at least stableFraction (0.8) of the interval's tasks
-// revisit the machines used in the previous interval. It returns the
-// virtual time of that interval and true, or zero and false if the job
-// never stabilizes.
-func ConvergenceTime(snapshots []mapreduce.IntervalAssignments, jobID int, stableFraction float64) (time.Duration, bool) {
-	var prev map[int]int
-	for _, snap := range snapshots {
-		cur := snap.Counts[jobID]
-		if len(cur) == 0 {
-			// No assignments this interval; keep the previous
-			// distribution for comparison.
-			continue
-		}
-		if prev != nil {
-			total := 0
-			revisit := 0
-			for machineID, n := range cur {
-				total += n
-				if p := prev[machineID]; p > 0 {
-					if n < p {
-						revisit += n
-					} else {
-						revisit += p
+// revisit the machines used in the previous interval. An interval's tasks
+// are the job's assign events recorded before the control_tick event that
+// closes it; assigns after the last tick close no interval. It returns the
+// time of that closing tick and true, or zero and false if the job never
+// stabilizes.
+func ConvergenceTime(events []probe.Event, jobID int, stableFraction float64) (time.Duration, bool) {
+	// prev and cur count the job's task starts per machine; prev is empty
+	// until an interval with assignments has closed.
+	prev, cur := map[int32]int{}, map[int32]int{}
+	for _, ev := range events {
+		switch {
+		case ev.Kind == probe.KindAssign && int(ev.JobID) == jobID:
+			cur[ev.MachineID]++
+		case ev.Kind == probe.KindControlTick:
+			if len(cur) == 0 {
+				// No assignments this interval; keep the previous
+				// distribution for comparison.
+				continue
+			}
+			if len(prev) > 0 {
+				total := 0
+				revisit := 0
+				for machineID, n := range cur {
+					total += n
+					if p := prev[machineID]; p > 0 {
+						revisit += min(n, p)
 					}
 				}
+				if float64(revisit)/float64(total) >= stableFraction {
+					return ev.At, true
+				}
 			}
-			if total > 0 && float64(revisit)/float64(total) >= stableFraction {
-				return snap.At, true
-			}
+			prev, cur = cur, prev
+			clear(cur)
 		}
-		prev = cur
 	}
 	return 0, false
 }
@@ -197,11 +203,11 @@ func TrailConvergenceOn(times []time.Duration, rows [][]float64, machineIDs []in
 
 // MeanConvergenceTime averages ConvergenceTime over the given job IDs,
 // counting only jobs that converged; the second return is how many did.
-func MeanConvergenceTime(snapshots []mapreduce.IntervalAssignments, jobIDs []int, stableFraction float64) (time.Duration, int) {
+func MeanConvergenceTime(events []probe.Event, jobIDs []int, stableFraction float64) (time.Duration, int) {
 	var sum time.Duration
 	n := 0
 	for _, id := range jobIDs {
-		if at, ok := ConvergenceTime(snapshots, id, stableFraction); ok {
+		if at, ok := ConvergenceTime(events, id, stableFraction); ok {
 			sum += at
 			n++
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"eant/internal/mapreduce"
+	"eant/internal/probe"
 	"eant/internal/workload"
 )
 
@@ -154,28 +155,34 @@ func TestEnergySavingPercent(t *testing.T) {
 	}
 }
 
-func snaps(at []time.Duration, counts []map[int]int, jobID int) []mapreduce.IntervalAssignments {
-	out := make([]mapreduce.IntervalAssignments, len(at))
-	for i := range at {
-		out[i] = mapreduce.IntervalAssignments{
-			At:     at[i],
-			Counts: map[int]map[int]int{jobID: counts[i]},
+// start is n task starts of one job on one machine.
+type start struct{ job, machine, n int }
+
+// history renders control intervals as the probe events ConvergenceTime
+// reads: interval i's assign events, then the control_tick closing it at
+// minute i+1.
+func history(intervals ...[]start) []probe.Event {
+	var evs []probe.Event
+	for i, iv := range intervals {
+		for _, s := range iv {
+			for k := 0; k < s.n; k++ {
+				evs = append(evs, probe.Event{Kind: probe.KindAssign, JobID: int32(s.job), MachineID: int32(s.machine)})
+			}
 		}
+		evs = append(evs, probe.Event{At: time.Duration(i+1) * time.Minute, Kind: probe.KindControlTick})
 	}
-	return out
+	return evs
 }
 
 func TestConvergenceTimeDetectsStability(t *testing.T) {
 	// Interval 1: all on machine 0. Interval 2: split. Interval 3: 9/10
 	// revisit interval 2's machines → stable at interval 3.
-	s := snaps(
-		[]time.Duration{time.Minute, 2 * time.Minute, 3 * time.Minute},
-		[]map[int]int{
-			{0: 10},
-			{1: 5, 2: 5},
-			{1: 5, 2: 4, 3: 1},
-		}, 7)
-	at, ok := ConvergenceTime(s, 7, 0.8)
+	evs := history(
+		[]start{{7, 0, 10}},
+		[]start{{7, 1, 5}, {7, 2, 5}},
+		[]start{{7, 1, 5}, {7, 2, 4}, {7, 3, 1}},
+	)
+	at, ok := ConvergenceTime(evs, 7, 0.8)
 	if !ok {
 		t.Fatal("stable assignment not detected")
 	}
@@ -185,37 +192,63 @@ func TestConvergenceTimeDetectsStability(t *testing.T) {
 }
 
 func TestConvergenceTimeNeverStable(t *testing.T) {
-	s := snaps(
-		[]time.Duration{time.Minute, 2 * time.Minute, 3 * time.Minute},
-		[]map[int]int{
-			{0: 10},
-			{1: 10},
-			{2: 10},
-		}, 7)
-	if _, ok := ConvergenceTime(s, 7, 0.8); ok {
+	evs := history(
+		[]start{{7, 0, 10}},
+		[]start{{7, 1, 10}},
+		[]start{{7, 2, 10}},
+	)
+	if _, ok := ConvergenceTime(evs, 7, 0.8); ok {
 		t.Error("oscillating assignment reported stable")
 	}
 }
 
 func TestConvergenceTimeSkipsEmptyIntervals(t *testing.T) {
-	s := []mapreduce.IntervalAssignments{
-		{At: time.Minute, Counts: map[int]map[int]int{7: {0: 10}}},
-		{At: 2 * time.Minute, Counts: map[int]map[int]int{}},
-		{At: 3 * time.Minute, Counts: map[int]map[int]int{7: {0: 10}}},
-	}
-	at, ok := ConvergenceTime(s, 7, 0.8)
+	// The empty second interval keeps the first as the comparison base.
+	evs := history(
+		[]start{{7, 0, 10}},
+		nil,
+		[]start{{7, 0, 10}},
+	)
+	at, ok := ConvergenceTime(evs, 7, 0.8)
 	if !ok || at != 3*time.Minute {
 		t.Errorf("convergence = %v,%v; want 3m,true", at, ok)
 	}
 }
 
-func TestMeanConvergenceTime(t *testing.T) {
-	s := []mapreduce.IntervalAssignments{
-		{At: time.Minute, Counts: map[int]map[int]int{1: {0: 10}, 2: {0: 10}}},
-		{At: 2 * time.Minute, Counts: map[int]map[int]int{1: {0: 10}, 2: {5: 10}}},
-		{At: 3 * time.Minute, Counts: map[int]map[int]int{2: {5: 10}}},
+// TestConvergenceTimeIgnoresUnclosedAssigns: task starts after the last
+// control tick close no interval, so they cannot make the job stable.
+func TestConvergenceTimeIgnoresUnclosedAssigns(t *testing.T) {
+	evs := history([]start{{7, 0, 10}})
+	evs = append(evs, history([]start{{7, 0, 10}})[:10]...)
+	if at, ok := ConvergenceTime(evs, 7, 0.8); ok {
+		t.Errorf("converged at %v on assigns no tick closed", at)
 	}
-	mean, n := MeanConvergenceTime(s, []int{1, 2, 99}, 0.8)
+}
+
+// TestConvergenceTimeIgnoresOtherJobs: another job's starts in the same
+// intervals neither dilute nor fill the measured job's distribution.
+func TestConvergenceTimeIgnoresOtherJobs(t *testing.T) {
+	evs := history(
+		[]start{{7, 0, 10}, {8, 5, 30}},
+		[]start{{8, 0, 30}},
+		[]start{{7, 0, 10}, {8, 1, 30}},
+	)
+	at, ok := ConvergenceTime(evs, 7, 0.8)
+	if !ok || at != 3*time.Minute {
+		t.Errorf("convergence = %v,%v; want 3m,true", at, ok)
+	}
+	if _, ok := ConvergenceTime(evs, 8, 0.8); ok {
+		t.Error("job 8 moves every interval but was reported stable")
+	}
+}
+
+func TestMeanConvergenceTime(t *testing.T) {
+	evs := history(
+		[]start{{1, 0, 10}, {2, 0, 10}},
+		[]start{{1, 0, 10}, {2, 5, 10}},
+		[]start{{2, 5, 10}},
+	)
+	mean, n := MeanConvergenceTime(evs, []int{1, 2, 99}, 0.8)
 	if n != 2 {
 		t.Fatalf("converged count = %d, want 2", n)
 	}

@@ -1,8 +1,9 @@
-// Package probe is the simulator's live observability layer: a
-// ring-buffer-backed recorder of structured decision events (slot offer →
-// roulette draw → assignment), per-control-tick pheromone snapshots, and
-// per-machine utilization/energy time series, all stamped with the
-// simulated clock — never the wall clock.
+// Package probe is the simulator's live observability layer: a recorder of
+// structured decision events (slot offer → roulette draw → assignment),
+// per-control-tick pheromone snapshots, and per-machine utilization/energy
+// time series, all stamped with the simulated clock — never the wall
+// clock. Events are kept in a bounded ring and passed, as they are
+// recorded, to an optional in-process sink that sees every one of them.
 //
 // The package is a pure observer with a hard determinism contract: a probe
 // never draws from a random stream, never schedules an engine event, and
@@ -22,9 +23,7 @@
 package probe
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -54,10 +53,12 @@ type Config struct {
 	SampleEvery int
 	// Trails records each colony's pheromone row at every control tick.
 	Trails bool
-	// Stream, when non-nil, receives every event as one JSON line at
-	// record time (before any ring overwrite). Write errors are sticky and
-	// reported by Err; they never interrupt the simulation.
-	Stream io.Writer
+	// Sink, when non-nil, is called with every event at record time, in
+	// sequence order and before any ring overwrite, so it sees the whole
+	// run whatever the ring size. It runs on the driver's goroutine. A
+	// trail_row event's Row is allocated for that event alone and belongs
+	// to the sink, which must not modify it: the ring holds the same slice.
+	Sink func(Event)
 	// EnergyBounds, WaitBounds and GapBounds override the default
 	// histogram bucket boundaries (strictly ascending, all positive).
 	EnergyBounds []float64
@@ -72,8 +73,7 @@ type Config struct {
 type Probe struct {
 	ring    []Event
 	seq     uint64 // events recorded so far; next event's sequence number
-	stream  *json.Encoder
-	sErr    error
+	sink    func(Event)
 	sampleN int
 	hb      int
 	trails  bool
@@ -116,14 +116,12 @@ func New(cfg Config) (*Probe, error) {
 	}
 	p := &Probe{
 		ring:    make([]Event, 0, size),
+		sink:    cfg.Sink,
 		sampleN: cfg.SampleEvery,
 		trails:  cfg.Trails,
 		energy:  energy,
 		wait:    wait,
 		gap:     gap,
-	}
-	if cfg.Stream != nil {
-		p.stream = json.NewEncoder(cfg.Stream)
 	}
 	return p, nil
 }
@@ -134,28 +132,18 @@ func (p *Probe) Enabled() bool { return p != nil }
 // TrailsEnabled reports whether pheromone-row snapshots are wanted.
 func (p *Probe) TrailsEnabled() bool { return p != nil && p.trails }
 
-// Err returns the first streaming-sink write error, if any.
-func (p *Probe) Err() error {
-	if p == nil {
-		return nil
-	}
-	return p.sErr
-}
-
-// record appends ev to the ring (overwriting the oldest event once full)
-// and mirrors it to the streaming sink.
+// record passes ev to the sink and appends it to the ring, overwriting
+// the oldest event once the ring is full.
 func (p *Probe) record(ev Event) {
 	ev.Seq = p.seq
 	p.seq++
+	if p.sink != nil {
+		p.sink(ev)
+	}
 	if len(p.ring) < cap(p.ring) {
 		p.ring = append(p.ring, ev)
 	} else {
 		p.ring[ev.Seq%uint64(cap(p.ring))] = ev
-	}
-	if p.stream != nil && p.sErr == nil {
-		if err := p.stream.Encode(ev); err != nil {
-			p.sErr = fmt.Errorf("probe: stream: %w", err)
-		}
 	}
 }
 

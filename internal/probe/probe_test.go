@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,22 @@ func mustProbe(t testing.TB, cfg Config) *Probe {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// jsonLines is the JSON Lines export eantsim's trace experiment builds as
+// a probe sink: one encoded line per event, the first error kept and every
+// later event dropped.
+type jsonLines struct {
+	enc *json.Encoder
+	err error
+}
+
+func newJSONLines(w io.Writer) *jsonLines { return &jsonLines{enc: json.NewEncoder(w)} }
+
+func (s *jsonLines) sink(ev Event) {
+	if s.err == nil {
+		s.err = s.enc.Encode(ev)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -56,7 +74,7 @@ func TestNilProbeIsNoOp(t *testing.T) {
 	if p.ShouldSample() {
 		t.Error("nil probe should never sample")
 	}
-	if p.Err() != nil || p.Recorded() != 0 || p.Dropped() != 0 || p.Events() != nil {
+	if p.Recorded() != 0 || p.Dropped() != 0 || p.Events() != nil {
 		t.Error("nil probe accessors should return zero values")
 	}
 	r := p.Report()
@@ -185,14 +203,48 @@ func TestTrailRowCopies(t *testing.T) {
 	}
 }
 
+// TestSinkSeesEveryEvent: the sink receives every event at record time,
+// in sequence order, however small the ring; a trail_row event's Row stays
+// the sink's after the caller reuses its slice and the ring drops the
+// event.
+func TestSinkSeesEveryEvent(t *testing.T) {
+	var got []Event
+	p := mustProbe(t, Config{RingSize: 2, Trails: true, Sink: func(ev Event) { got = append(got, ev) }})
+	row := []float64{1, 2, 3}
+	p.TrailRow(time.Second, 4, 1, "sort", row)
+	row[0] = 99
+	for i := 1; i < 10; i++ {
+		p.ControlTick(time.Duration(i)*time.Second, float64(i), i)
+	}
+	if len(got) != 10 {
+		t.Fatalf("sink saw %d events, want 10", len(got))
+	}
+	for i, ev := range got {
+		if ev.Seq != uint64(i) {
+			t.Errorf("sink event %d has Seq %d", i, ev.Seq)
+		}
+	}
+	if got[0].Kind != KindTrailRow || !reflect.DeepEqual(got[0].Row, []float64{1, 2, 3}) {
+		t.Errorf("retained trail_row event = %+v, want row [1 2 3]", got[0])
+	}
+	ring := p.Events()
+	if len(ring) != 2 || ring[0].Seq != 8 || ring[1].Seq != 9 || p.Dropped() != 8 {
+		t.Errorf("ring kept %d events (dropped %d), want seq 8 and 9", len(ring), p.Dropped())
+	}
+	if !reflect.DeepEqual(ring, got[8:]) {
+		t.Error("ring and sink disagree on the last two events")
+	}
+}
+
 func TestStreamJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	p := mustProbe(t, Config{Stream: &buf})
+	s := newJSONLines(&buf)
+	p := mustProbe(t, Config{Sink: s.sink})
 	p.JobSubmit(90*time.Second, 3, "grep", 8, 1)
 	p.Draw(91*time.Second, 2, 3, 0, 1.5, 0.75, true)
 	p.Complete(100*time.Second, 3, 0, 2, 2, 50, 55, 9)
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
@@ -247,11 +299,12 @@ func TestStreamJSONL(t *testing.T) {
 // flag, rendered even when zero (a failed job may never reach its barrier).
 func TestStreamJobDoneTimeline(t *testing.T) {
 	var buf bytes.Buffer
-	p := mustProbe(t, Config{Stream: &buf})
+	s := newJSONLines(&buf)
+	p := mustProbe(t, Config{Sink: s.sink})
 	p.JobDone(300*time.Second, 4, false, 120*time.Second, 150*time.Second)
 	p.JobDone(310*time.Second, 5, true, 0, 0)
-	if p.Err() != nil {
-		t.Fatal(p.Err())
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	want := []string{
@@ -279,24 +332,27 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestStreamErrorSticky: a sink whose writer fails keeps its first error,
+// and the probe keeps recording past it.
 func TestStreamErrorSticky(t *testing.T) {
-	p := mustProbe(t, Config{Stream: &failWriter{n: 1}})
+	s := newJSONLines(&failWriter{n: 1})
+	p := mustProbe(t, Config{Sink: s.sink})
 	p.ControlTick(0, 0, 0)
-	if p.Err() != nil {
-		t.Fatalf("first write should succeed: %v", p.Err())
+	if s.err != nil {
+		t.Fatalf("first write should succeed: %v", s.err)
 	}
 	p.ControlTick(time.Second, 1, 1)
-	err := p.Err()
-	if err == nil || !strings.Contains(err.Error(), "probe: stream:") {
-		t.Fatalf("want wrapped sticky error, got %v", err)
+	err := s.err
+	if err == nil || err.Error() != "disk full" {
+		t.Fatalf("want the writer's error, got %v", err)
 	}
 	// Later records must not clear or replace the error, and the ring keeps
 	// recording regardless.
 	p.ControlTick(2*time.Second, 2, 2)
-	if p.Err() != err {
+	if s.err != err {
 		t.Error("stream error should be sticky")
 	}
-	if p.Recorded() != 3 {
+	if p.Recorded() != 3 || len(p.Events()) != 3 {
 		t.Errorf("ring should keep recording past stream errors; Recorded=%d", p.Recorded())
 	}
 }

@@ -2,78 +2,93 @@ package eant
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// newSweepProbe builds a fresh fully-enabled probe writing its JSONL
-// stream into the returned buffer.
-func newSweepProbe(t testing.TB) (*Probe, *bytes.Buffer) {
+// sweepStream is a probe's JSON Lines export, built as eantsim's trace
+// experiment builds it: a sink encoding one line per event that keeps the
+// first error.
+type sweepStream struct {
+	buf bytes.Buffer
+	err error
+}
+
+// bytes returns the stream, failing t on an encoding error.
+func (s *sweepStream) bytes(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	p, err := NewProbe(ProbeConfig{SampleEvery: 1, Trails: true, Stream: &buf})
+	if s.err != nil {
+		t.Fatalf("probe stream: %v", s.err)
+	}
+	return s.buf.Bytes()
+}
+
+// newSweepProbe builds a fresh fully-enabled probe whose sink writes its
+// JSON Lines stream into the returned sweepStream.
+func newSweepProbe(t testing.TB) (*Probe, *sweepStream) {
+	t.Helper()
+	s := new(sweepStream)
+	enc := json.NewEncoder(&s.buf)
+	p, err := NewProbe(ProbeConfig{SampleEvery: 1, Trails: true, Sink: func(ev ProbeEvent) {
+		if s.err == nil {
+			s.err = enc.Encode(ev)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, &buf
+	return p, s
 }
 
 // TestProbeDoesNotPerturbStats is the API-level statement of the
-// observability contract: attaching a fully-enabled probe to a run leaves
-// the entire Stats record — every counter, timeline and per-machine energy
-// figure — deeply equal to the probe-free run's.
+// observability contract: attaching a fully-enabled probe (every event
+// streamed, machines sampled every heartbeat, trail rows at every tick) to
+// a run leaves the entire Stats record — every counter, task record and
+// per-machine energy figure — deeply equal to the probe-free run's. Every
+// policy runs plain and with faults, whose recovery paths (crash, recover,
+// blacklist, job failure) carry their own hooks.
 func TestProbeDoesNotPerturbStats(t *testing.T) {
 	jobs := MSDWorkload(12, 9)
-	base := RunSpec{
-		Cluster:         scaledTestbed(t, 1),
-		Scheduler:       SchedulerEAnt,
-		Jobs:            jobs,
-		Seed:            9,
-		KeepTaskRecords: true,
-	}
-	bare, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed := base
-	probed.Cluster = base.Cluster.Clone()
-	p, _ := newSweepProbe(t)
-	probed.Probe = p
-	withProbe, err := Run(probed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Recorded() == 0 {
-		t.Fatal("probe recorded nothing; the hooks are not wired")
-	}
-	if !reflect.DeepEqual(bare.Stats, withProbe.Stats) {
-		t.Errorf("probe perturbed Stats: joules %v vs %v, makespan %v vs %v",
-			bare.Stats.TotalJoules, withProbe.Stats.TotalJoules,
-			bare.Stats.Horizon, withProbe.Stats.Horizon)
-	}
-
-	// Fault-injected runs must be equally unperturbed: the recovery paths
-	// (crash, recover, blacklist, job failure) carry their own hooks.
-	faulty := base
-	faulty.Cluster = base.Cluster.Clone()
-	faulty.Faults = &FaultConfig{
+	faults := &FaultConfig{
 		MachineMTBF: 2 * time.Hour, MachineMTTR: 5 * time.Minute, TaskFailProb: 0.02,
 	}
-	bareF, err := Run(faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultyProbed := faulty
-	faultyProbed.Cluster = base.Cluster.Clone()
-	pf, _ := newSweepProbe(t)
-	faultyProbed.Probe = pf
-	withProbeF, err := Run(faultyProbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bareF.Stats, withProbeF.Stats) {
-		t.Error("probe perturbed Stats of a fault-injected run")
+	for _, s := range Schedulers() {
+		for _, v := range []struct {
+			name   string
+			faults *FaultConfig
+		}{{"plain", nil}, {"faults", faults}} {
+			t.Run(string(s)+"/"+v.name, func(t *testing.T) {
+				base := RunSpec{
+					Cluster:         scaledTestbed(t, 1),
+					Scheduler:       s,
+					Jobs:            jobs,
+					Seed:            9,
+					KeepTaskRecords: true,
+					Faults:          v.faults,
+				}
+				bare, err := Run(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				probed := base
+				probed.Cluster = base.Cluster.Clone()
+				probed.Probe, _ = newSweepProbe(t)
+				withProbe, err := Run(probed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if probed.Probe.Recorded() == 0 {
+					t.Fatal("probe recorded nothing; the hooks are not wired")
+				}
+				if !reflect.DeepEqual(bare.Stats, withProbe.Stats) {
+					t.Errorf("probe perturbed Stats: joules %v vs %v, makespan %v vs %v",
+						bare.Stats.TotalJoules, withProbe.Stats.TotalJoules,
+						bare.Stats.Horizon, withProbe.Stats.Horizon)
+				}
+			})
+		}
 	}
 }
 
@@ -90,7 +105,7 @@ func TestProbeSweepParallel(t *testing.T) {
 	}
 	type cell struct {
 		spec   RunSpec
-		stream *bytes.Buffer
+		stream *sweepStream
 	}
 	var cells []cell
 	for _, jobs := range []int{5, 20} {
@@ -119,9 +134,6 @@ func TestProbeSweepParallel(t *testing.T) {
 
 	parReports := make([]ProbeReport, len(cells))
 	for i, c := range cells {
-		if err := c.spec.Probe.Err(); err != nil {
-			t.Fatalf("cell %d stream error: %v", i, err)
-		}
 		parReports[i] = c.spec.Probe.Report()
 	}
 
@@ -140,7 +152,7 @@ func TestProbeSweepParallel(t *testing.T) {
 		if par[i].TotalJoules != seq.TotalJoules || par[i].Makespan != seq.Makespan {
 			t.Errorf("cell %d: parallel run diverged from sequential", i)
 		}
-		if !bytes.Equal(c.stream.Bytes(), buf.Bytes()) {
+		if !bytes.Equal(c.stream.bytes(t), buf.bytes(t)) {
 			t.Errorf("cell %d: probe JSONL stream differs between parallel and sequential runs", i)
 		}
 		if !reflect.DeepEqual(c.spec.Probe.Report(), p.Report()) {

@@ -18,9 +18,9 @@ import (
 type warmCase struct {
 	name  string
 	specs []RunSpec
-	// probed attaches a fully-enabled probe (JSONL stream included) to
-	// every run of the case; streams and reports must match byte-for-byte
-	// between cold and warm.
+	// probed attaches a fully-enabled probe, its sink writing the JSON
+	// Lines stream, to every run of the case; streams and reports must
+	// match byte-for-byte between cold and warm.
 	probed bool
 }
 
@@ -101,7 +101,7 @@ func TestWarmEqualsCold(t *testing.T) {
 			runSpec := func(spec RunSpec, warm *Runner) output {
 				t.Helper()
 				var out output
-				var buf *bytes.Buffer
+				var buf *sweepStream
 				if c.probed {
 					spec.Probe, buf = newSweepProbe(t)
 				}
@@ -116,10 +116,7 @@ func TestWarmEqualsCold(t *testing.T) {
 					t.Fatal(err)
 				}
 				if c.probed {
-					if err := spec.Probe.Err(); err != nil {
-						t.Fatalf("probe stream: %v", err)
-					}
-					out.stream = buf.Bytes()
+					out.stream = buf.bytes(t)
 					out.report = spec.Probe.Report()
 				}
 				return out
@@ -182,7 +179,7 @@ func TestWarmAfterFailedRun(t *testing.T) {
 	cut := full
 	cut.Horizon = 8 * time.Minute
 	for _, spec := range []RunSpec{cut, full} {
-		var warmBuf, coldBuf *bytes.Buffer
+		var warmBuf, coldBuf *sweepStream
 		spec.Probe, warmBuf = newSweepProbe(t)
 		warm, err := runner.Run(spec)
 		if err != nil {
@@ -198,7 +195,7 @@ func TestWarmAfterFailedRun(t *testing.T) {
 			t.Errorf("horizon %v: warm Stats diverged from cold: joules %v vs %v, makespan %v vs %v",
 				spec.Horizon, warm.Stats.TotalJoules, cold.Stats.TotalJoules, warm.Stats.Horizon, cold.Stats.Horizon)
 		}
-		if !bytes.Equal(coldBuf.Bytes(), warmBuf.Bytes()) {
+		if !bytes.Equal(coldBuf.bytes(t), warmBuf.bytes(t)) {
 			t.Errorf("horizon %v: warm probe stream differs from cold", spec.Horizon)
 		}
 	}
@@ -275,8 +272,8 @@ func TestRunnerValidation(t *testing.T) {
 // warm reset, where one allocation per machine breaks it. Each
 // speculative clone is one Task by design (Context.CloneForSpeculation),
 // so clones are subtracted: they scale with stragglers, not offers. The
-// opt-in recording paths (probe, KeepTaskRecords, KeepAssignmentHistory)
-// allocate by design and are not in the table.
+// opt-in recording paths (probe, KeepTaskRecords) allocate by design and
+// are not in the table.
 func TestWarmRunAllocsBounded(t *testing.T) {
 	const bound = 100
 	type allocCase struct {
@@ -332,8 +329,8 @@ func TestWarmRunAllocsBounded(t *testing.T) {
 				}
 			})
 			clones := res.Stats.SpeculativeStarted
-			t.Logf("%.0f allocs per warm run, %d speculative clones, %d offers, %d maps, %d control ticks",
-				allocs, clones, res.Stats.MapOffers+res.Stats.ReduceOffers, res.Stats.TotalMaps, len(res.Stats.Timeline))
+			t.Logf("%.0f allocs per warm run, %d speculative clones, %d offers, %d maps",
+				allocs, clones, res.Stats.MapOffers+res.Stats.ReduceOffers, res.Stats.TotalMaps)
 			if allocs-float64(clones) > bound {
 				t.Errorf("warm run allocates %.0f times (%d of them speculative clones); the bound is %d plus one per clone",
 					allocs, clones, bound)
