@@ -58,8 +58,8 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkScale$$' -benchtime=10x -benchmem -count=$(COUNT) .
 	$(GO) test -run xxx -bench 'BenchmarkRunManyWarm$$' -benchtime=20x -benchmem -count=$(COUNT) .
 
-# Per-package statement coverage for the observability packages and the
-# world-state core; CI enforces floors on these (see
+# Per-package statement coverage for the observability packages, the
+# world-state core and the driver; CI enforces floors on these (see
 # .github/workflows/ci.yml).
 cover:
-	$(GO) test -cover ./internal/probe ./internal/metrics ./internal/cluster
+	$(GO) test -cover ./internal/probe ./internal/metrics ./internal/cluster ./internal/mapreduce

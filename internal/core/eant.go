@@ -644,10 +644,11 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	}
 	e.mx.Update(unavailable)
 	// Pheromone-matrix snapshot for the observability layer: one row per
-	// colony, in the matrix's insertion order (deterministic).
+	// colony, in the matrix's insertion order (deterministic). TrailRow
+	// copies each live row, so that copy is the only one.
 	if pr := ctx.Probe(); pr.TrailsEnabled() {
-		for _, k := range e.mx.Keys() {
-			pr.TrailRow(ctx.Now(), k.JobID, int8(k.Kind), k.App.String(), e.mx.Row(k))
+		for _, c := range e.mx.cols {
+			pr.TrailRow(ctx.Now(), c.key.JobID, int8(c.key.Kind), c.key.App.String(), c.row)
 		}
 	}
 }

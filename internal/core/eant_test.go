@@ -8,6 +8,7 @@ import (
 	"eant/internal/core"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
+	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/sim"
 	"eant/internal/workload"
@@ -199,5 +200,56 @@ func TestEAntExchangeOffStillCompletes(t *testing.T) {
 	stats := runSched(t, cluster.Testbed(), core.MustNewEAnt(p), mixedJobs(6), 19)
 	if len(stats.Jobs) != 6 {
 		t.Fatalf("no-exchange E-Ant finished %d/6 jobs", len(stats.Jobs))
+	}
+}
+
+// tickGrab is E-Ant that keeps the context of its last control tick.
+type tickGrab struct {
+	*core.EAnt
+	ctx *mapreduce.Context
+}
+
+func (g *tickGrab) OnControlTick(ctx *mapreduce.Context) {
+	g.ctx = ctx
+	g.EAnt.OnControlTick(ctx)
+}
+
+// TestTrailProbedTickCopiesEachRowOnce pins the cost of a Trails-probed
+// control tick: the probe's copy of each colony's row is the only
+// allocation, so a tick allocates at most one slice per trail_row event.
+func TestTrailProbedTickCopiesEachRowOnce(t *testing.T) {
+	rows := 0
+	pr, err := probe.New(probe.Config{RingSize: 1, Trails: true, Sink: func(ev probe.Event) {
+		if ev.Kind == probe.KindTrailRow {
+			rows++
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &tickGrab{EAnt: core.MustNewEAnt(core.DefaultParams())}
+	cfg := mapreduce.DefaultConfig()
+	cfg.ControlInterval = 30 * time.Second
+	cfg.Probe = pr
+	d, err := mapreduce.NewDriver(cluster.Testbed(), g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the run while jobs are active, so the matrix holds live colonies.
+	if _, err := d.Run(mixedJobs(6), 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if g.ctx == nil {
+		t.Fatal("no control tick in the run")
+	}
+	rows = 0
+	g.EAnt.OnControlTick(g.ctx)
+	perTick := rows
+	if perTick == 0 {
+		t.Fatal("a probed tick recorded no trail_row event")
+	}
+	allocs := testing.AllocsPerRun(20, func() { g.EAnt.OnControlTick(g.ctx) })
+	if allocs > float64(perTick) {
+		t.Errorf("a probed control tick allocates %.0f times for %d trail rows", allocs, perTick)
 	}
 }

@@ -183,15 +183,6 @@ func NewMatrix(machines int, groups [][]int, p Params) (*Matrix, error) {
 // Colonies returns the number of tracked colonies.
 func (mx *Matrix) Colonies() int { return len(mx.cols) }
 
-// Keys returns the tracked colony keys in insertion order.
-func (mx *Matrix) Keys() []ColonyKey {
-	out := make([]ColonyKey, len(mx.cols))
-	for i, c := range mx.cols {
-		out[i] = c.key
-	}
-	return out
-}
-
 // colonyIndexKey packs a colony key into the index's map key: the job ID's
 // low 32 bits (JobSpec.Validate bounds job IDs to int32), the app and the
 // kind. Hashing one word per lookup is cheaper than hashing the struct.

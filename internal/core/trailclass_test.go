@@ -299,15 +299,15 @@ func FuzzTrailClassUpdate(f *testing.F) {
 			got.Update(mask)
 			denseUpdate(want, groups, mask)
 
-			gk, wk := got.Keys(), want.Keys()
-			if len(gk) != len(wk) {
-				t.Fatalf("tick %d: %d colonies, want %d", tick, len(gk), len(wk))
+			if len(got.cols) != len(want.cols) {
+				t.Fatalf("tick %d: %d colonies, want %d", tick, len(got.cols), len(want.cols))
 			}
-			for i, k := range gk {
-				if k != wk[i] {
-					t.Fatalf("tick %d: colony %d is %+v, want %+v", tick, i, k, wk[i])
+			for i, c := range got.cols {
+				k := c.key
+				if k != want.cols[i].key {
+					t.Fatalf("tick %d: colony %d is %+v, want %+v", tick, i, k, want.cols[i].key)
 				}
-				g, w := got.row(k), want.row(k)
+				g, w := c.row, want.cols[i].row
 				for m := range g {
 					if math.Float64bits(g[m]) != math.Float64bits(w[m]) {
 						t.Fatalf("tick %d, colony %+v, machine %d: trail %v, want %v (params %+v, groups %v)",

@@ -24,11 +24,14 @@ import (
 //     the gate; it is re-derived whenever mapsDone changes, including the
 //     decrease in reexecuteLostMaps).
 //   - class[id] is the machine's availability class with precedence
-//     dead > asleep > blacklisted > awake. A blacklist expiry is a
-//     time-based transition with no event attached, so class may lag as
-//     blacklisted past the cooldown until the next heartbeat reconciles
-//     it — harmless, because every consumer reads awake+blacklisted
-//     summed (a blacklisted machine still holds slots and finishes work).
+//     dead > asleep-and-blacklisted > asleep > blacklisted > awake. A
+//     blacklist expiry is a time-based transition with no event attached,
+//     so class may lag as blacklisted (asleep or not) past the cooldown.
+//     The lag ends at the next heartbeat, which reconciles every expired
+//     blacklist from the expiry queue before it serves or counts any
+//     machine. Between heartbeats it is invisible: AwakeSlots reads
+//     awake+blacklisted summed (a blacklisted machine still holds slots
+//     and finishes work), and no other consumer reads the classes.
 //   - freeMap[id]/freeReduce[id] mirror Machine.FreeXSlots() (0 while
 //     dead); byClass buckets sum capacity and accounted free slots over
 //     the machines currently in each class, and count the class's
@@ -38,6 +41,11 @@ import (
 //     (dead machines contribute 0), in sorted type-name order.
 //   - every job's inFlight lists exactly its running or shuffling attempts
 //     (speculative clones included), each at its flightPos.
+//   - with consolidation on, every sleep candidate (available, awake, idle
+//     and not covering) is in the sleep queue keyed at or before its
+//     lastBusy; with fault injection on, every machine with a live
+//     blacklist, or a class still saying blacklisted, is in the expiry
+//     queue keyed at or before its blacklist expiry.
 //
 // Note the pending counters deliberately reproduce the lazy-queue
 // semantics of Job.PendingMaps(): popping a map through the locality
@@ -53,6 +61,11 @@ const (
 	classAwake machineClass = iota
 	classAsleep
 	classBlacklisted
+	// classAsleepBlacklisted holds machines that fell asleep while
+	// blacklisted (the sweep runs maybeSleep before the blacklist check,
+	// and the cooldown may outlast the idle timeout): asleep, yet offered
+	// nothing until the blacklist runs out.
+	classAsleepBlacklisted
 	classDead
 	numClasses
 )
@@ -141,6 +154,8 @@ func (d *Driver) classOf(m cluster.Machine) machineClass {
 	switch {
 	case !m.Available():
 		return classDead
+	case m.Asleep() && d.blacklisted(m.ID()):
+		return classAsleepBlacklisted
 	case m.Asleep():
 		return classAsleep
 	case d.blacklisted(m.ID()):
@@ -152,10 +167,11 @@ func (d *Driver) classOf(m cluster.Machine) machineClass {
 
 // reclassify moves m's capacity and free-slot contributions into its
 // current availability class. Call after any transition: sleep/wake,
-// crash/recover, blacklisting. Entering the dead class zeroes the
-// machine's accounted free slots (a crashed machine holds none — the
-// driver detaches every running attempt before Machine.Fail, so at that
-// point free == capacity); leaving it restores them to full capacity.
+// crash/recover, blacklisting, blacklist expiry. Entering the dead class
+// zeroes the machine's accounted free slots (a crashed machine holds none
+// — the driver detaches every running attempt before Machine.Fail, so at
+// that point free == capacity); leaving it restores them to full
+// capacity.
 func (d *Driver) reclassify(m cluster.Machine) {
 	a := &d.agg
 	old := a.class[m.ID()]
@@ -200,7 +216,8 @@ func (d *Driver) noteAvailabilityChange(m cluster.Machine) {
 // noteSlotChange records a ±1 change in m's free slots of one kind and
 // forwards it to the scheduler's slot observer, if any. A change that
 // crosses between zero and positive moves m in or out of its class's
-// host count for the kind.
+// host count for the kind, and a release that leaves m idle makes it a
+// sleep candidate.
 func (d *Driver) noteSlotChange(m cluster.Machine, kind TaskKind, delta int) {
 	a := &d.agg
 	cl := &a.byClass[a.class[m.ID()]]
@@ -215,6 +232,9 @@ func (d *Driver) noteSlotChange(m cluster.Machine, kind TaskKind, delta int) {
 		cl.freeReduce += delta
 		cl.reduceHosts += hosts(a.freeReduce[m.ID()]) - hosts(before)
 		a.freeReduceByType[a.typeIdx[m.ID()]] += delta
+	}
+	if delta > 0 {
+		d.queueSleep(m)
 	}
 	if d.slotObs != nil {
 		d.slotObs.OnSlotFreeChange(d.ctx, m, kind, delta)
@@ -301,24 +321,13 @@ func (j *Job) checkInFlight() error {
 			return fmt.Errorf("%s listed in flight in state %d", t.ID(), t.State)
 		}
 	}
-	listed := func(t *Task) error {
-		if t.State != TaskRunning && t.State != TaskShuffling {
-			return nil
-		}
-		if t.flightPos >= len(j.inFlight) || j.inFlight[t.flightPos] != t {
-			return fmt.Errorf("%s (speculative %v) in flight but not listed", t.ID(), t.Speculative())
-		}
-		return nil
-	}
-	for _, tasks := range [][]Task{j.Maps, j.Reduces} {
+	for _, tasks := range [2][]Task{j.Maps, j.Reduces} {
 		for i := range tasks {
-			t := &tasks[i]
-			if err := listed(t); err != nil {
-				return err
-			}
-			if t.clone != nil {
-				if err := listed(t.clone); err != nil {
-					return err
+			// The attempt and its speculative clone, if any.
+			for t := &tasks[i]; t != nil; t = t.clone {
+				if (t.State == TaskRunning || t.State == TaskShuffling) &&
+					(t.flightPos >= len(j.inFlight) || j.inFlight[t.flightPos] != t) {
+					return fmt.Errorf("%s (speculative %v) in flight but not listed", t.ID(), t.Speculative())
 				}
 			}
 		}
@@ -364,8 +373,9 @@ func (d *Driver) checkAggregates() error {
 		want := d.classOf(m)
 		got := a.class[m.ID()]
 		// A blacklist expiry has no event; the class may lag until the
-		// next heartbeat reconciles it. Only that one direction may lag.
-		if got != want && !(got == classBlacklisted && want == classAwake) {
+		// next heartbeat reconciles it. Only that direction may lag.
+		if got != want && !(got == classBlacklisted && want == classAwake) &&
+			!(got == classAsleepBlacklisted && want == classAsleep) {
 			return fmt.Errorf("%s class %d, derived %d", m, got, want)
 		}
 		if a.freeMap[m.ID()] != m.FreeMapSlots() {
@@ -391,6 +401,38 @@ func (d *Driver) checkAggregates() error {
 	for t, free := range freeByType {
 		if free != a.freeReduceByType[t] {
 			return fmt.Errorf("type %d free reduce slots %d, recomputed %d", t, a.freeReduceByType[t], free)
+		}
+	}
+	return d.checkQueues()
+}
+
+// checkQueues verifies that the sleep and expiry queues hold every machine
+// the counted idle sweep needs from them (see sweep): a heap entry keyed at
+// or before the time it waits on, so popping the due entries finds it.
+func (d *Driver) checkQueues() error {
+	if d.lastBusy != nil {
+		keys, err := d.sleepQ.keys()
+		if err != nil {
+			return fmt.Errorf("sleep queue: %w", err)
+		}
+		for _, m := range d.cluster.Machines() {
+			id := m.ID()
+			if d.sleepCandidate(m) && !(d.sleepQ.queued[id] && keys[id] <= d.lastBusy[id]) {
+				return fmt.Errorf("%s idle since %v: sleep queue has %v (queued %v)", m, d.lastBusy[id], keys[id], d.sleepQ.queued[id])
+			}
+		}
+	}
+	if d.blacklistUntil != nil {
+		keys, err := d.expiryQ.keys()
+		if err != nil {
+			return fmt.Errorf("expiry queue: %w", err)
+		}
+		for _, m := range d.cluster.Machines() {
+			id := m.ID()
+			benched := d.blacklisted(id) || d.agg.class[id] == classBlacklisted || d.agg.class[id] == classAsleepBlacklisted
+			if benched && !(d.expiryQ.queued[id] && keys[id] <= d.blacklistUntil[id]) {
+				return fmt.Errorf("%s blacklisted until %v: expiry queue has %v (queued %v)", m, d.blacklistUntil[id], keys[id], d.expiryQ.queued[id])
+			}
 		}
 	}
 	return nil

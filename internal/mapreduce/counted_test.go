@@ -67,6 +67,45 @@ func paperMix(factor int) *cluster.Cluster {
 	)
 }
 
+// variant is a fault and consolidation setting the counted sweep must
+// match the walk under.
+type variant struct {
+	name string
+	set  func(*mapreduce.Config)
+}
+
+// churnFaults is the churn benchmark workload's fault setting.
+var churnFaults = fault.Config{
+	MachineMTBF:        2 * time.Hour,
+	MachineMTTR:        2 * time.Minute,
+	TaskFailProb:       0.02,
+	BlacklistThreshold: 3,
+}
+
+// variants lists plain runs first, then the fault and consolidation
+// settings. The last two reach both ways a counted sweep can go wrong: a
+// blacklist that outlasts the idle timeout puts benched machines to sleep
+// (asleep, yet offered nothing), and jobs failed by their first attempt
+// failure free slots without touching lastBusy (machines go idle out of
+// lastBusy order).
+func variants() []variant {
+	return []variant{
+		{"plain", func(*mapreduce.Config) {}},
+		{"churn", func(c *mapreduce.Config) { c.Fault, c.Power.Enabled = churnFaults, true }},
+		{"faults", func(c *mapreduce.Config) { c.Fault = churnFaults }},
+		{"consolidation", func(c *mapreduce.Config) { c.Power.Enabled = true }},
+		{"doomed jobs", func(c *mapreduce.Config) {
+			c.Fault = fault.Config{TaskFailProb: 0.3, MaxAttempts: 1, BlacklistThreshold: 1, BlacklistCooldown: 20 * time.Second}
+			c.Power.Enabled = true
+		}},
+		{"long blacklists", func(c *mapreduce.Config) {
+			c.Fault = fault.Config{MachineMTBF: 30 * time.Minute, MachineMTTR: 2 * time.Minute, TaskFailProb: 0.02,
+				BlacklistThreshold: 1, BlacklistCooldown: 5 * time.Minute}
+			c.Power.Enabled = true
+		}},
+	}
+}
+
 // msdJobs draws n MSD jobs at 1/64 scale with 45 s mean inter-arrival.
 func msdJobs(tb testing.TB, n int, seed int64) []workload.JobSpec {
 	tb.Helper()
@@ -120,22 +159,27 @@ func countedAndWalked(tb testing.TB, d *mapreduce.Driver, s, s2 mapreduce.Schedu
 }
 
 // TestCountedOffersMatchWalked checks the counted idle-offer path against
-// the walk it replaces: for every QuietWhenIdle policy, on the paper's
-// testbed and on a 1024-machine fleet, the Stats of a counted run must
-// deep-equal those of the same run with every offer made (MapOffers and
-// ReduceOffers included). Each fleet's runs share one warm driver, so
-// every Reset must re-derive whether offers are countable. The testbed's
-// driver also checks its aggregates, host counts included, after every
-// event (at 1024 machines that recompute would dominate the suite).
+// the walk it replaces: for every QuietWhenIdle policy, the Stats of a
+// counted run must deep-equal those of the same run with every offer made
+// (MapOffers and ReduceOffers included). Plain runs go on the paper's
+// testbed and a 1024-machine fleet, the fault and consolidation variants on
+// the testbed and a 256-machine fleet. Each fleet's runs share one warm
+// driver, so every Reset must re-derive whether offers are countable and
+// rebuild the sleep and expiry queues. The testbed's driver also checks its
+// aggregates, host counts and queues included, after every event (on the
+// wide fleets that recompute would dominate the suite).
 func TestCountedOffersMatchWalked(t *testing.T) {
+	all := variants()
 	fleets := []struct {
-		name    string
-		c       *cluster.Cluster
-		checked bool
-		jobs    int
+		name     string
+		c        *cluster.Cluster
+		checked  bool
+		jobs     int
+		variants []variant
 	}{
-		{"testbed", cluster.Testbed(), true, 6},
-		{"1024 machines", paperMix(64), false, 20},
+		{"testbed", cluster.Testbed(), true, 6, all},
+		{"1024 machines", paperMix(64), false, 20, all[:1]},
+		{"256 machines", paperMix(16), false, 20, all[1:]},
 	}
 	runs := []struct {
 		seed    int64
@@ -143,20 +187,24 @@ func TestCountedOffersMatchWalked(t *testing.T) {
 	}{{1, -1}, {2, -1}, {3, -1}, {1, 10 * time.Minute}}
 	for _, fl := range fleets {
 		t.Run(fl.name, func(t *testing.T) {
+			t.Parallel()
 			d := newDriver(t, fl.c, fl.checked)
-			for _, p := range quietPolicies() {
-				for _, r := range runs {
-					cfg := mapreduce.DefaultConfig()
-					cfg.Seed = r.seed
-					cfg.Noise = noise.Default()
-					cfg.KeepTaskRecords = true
-					counted, all := countedAndWalked(t, d, p.build(), p.build(), cfg, msdJobs(t, fl.jobs, r.seed), r.horizon)
-					if all.MapOffers == 0 {
-						t.Fatalf("%s seed %d: walked run made no map offer", p.name, r.seed)
-					}
-					if !reflect.DeepEqual(counted, all) {
-						t.Errorf("%s seed %d horizon %v: counted Stats differ from walked (offers %s)",
-							p.name, r.seed, r.horizon, offerDiff(counted, all))
+			for _, v := range fl.variants {
+				for _, p := range quietPolicies() {
+					for _, r := range runs {
+						cfg := mapreduce.DefaultConfig()
+						cfg.Seed = r.seed
+						cfg.Noise = noise.Default()
+						cfg.KeepTaskRecords = true
+						v.set(&cfg)
+						counted, walked := countedAndWalked(t, d, p.build(), p.build(), cfg, msdJobs(t, fl.jobs, r.seed), r.horizon)
+						if walked.MapOffers == 0 {
+							t.Fatalf("%s %s seed %d: walked run made no map offer", v.name, p.name, r.seed)
+						}
+						if !reflect.DeepEqual(counted, walked) {
+							t.Errorf("%s %s seed %d horizon %v: counted Stats differ from walked (offers %s)",
+								v.name, p.name, r.seed, r.horizon, offerDiff(counted, walked))
+						}
 					}
 				}
 			}
@@ -165,10 +213,11 @@ func TestCountedOffersMatchWalked(t *testing.T) {
 }
 
 // TestOfferCountingEligibility pins when a driver may count idle offers:
-// for every QuietWhenIdle policy under the default configuration, and in
-// none of the cases that force the walk. Each case is checked on a cold
-// driver and on one warm driver that Reset brings to the case from a
-// countable configuration and back.
+// for every QuietWhenIdle policy under the default configuration, under
+// consolidation and fault injection, and in none of the cases that force
+// the walk (a probe, LATE, a wrapper hiding the marker). Each case is
+// checked on a cold driver and on one warm driver that Reset brings to the
+// case from a countable configuration and back.
 func TestOfferCountingEligibility(t *testing.T) {
 	pr, err := probe.New(probe.Config{})
 	if err != nil {
@@ -187,12 +236,12 @@ func TestOfferCountingEligibility(t *testing.T) {
 	}
 	cases = append(cases,
 		eligibilityCase{"probe", fair, func(c *mapreduce.Config) { c.Probe = pr }, false},
-		eligibilityCase{"consolidation", fair, func(c *mapreduce.Config) { c.Power.Enabled = true }, false},
-		eligibilityCase{"MachineMTBF alone", fair, func(c *mapreduce.Config) { c.Fault.MachineMTBF = time.Hour }, false},
-		eligibilityCase{"TaskFailProb alone", fair, func(c *mapreduce.Config) { c.Fault.TaskFailProb = 0.01 }, false},
+		eligibilityCase{"consolidation", fair, func(c *mapreduce.Config) { c.Power.Enabled = true }, true},
+		eligibilityCase{"MachineMTBF alone", fair, func(c *mapreduce.Config) { c.Fault.MachineMTBF = time.Hour }, true},
+		eligibilityCase{"TaskFailProb alone", fair, func(c *mapreduce.Config) { c.Fault.TaskFailProb = 0.01 }, true},
 		eligibilityCase{"scripted scenario alone", fair, func(c *mapreduce.Config) {
 			c.Fault.Scenario = []fault.Event{{At: time.Minute, Machine: 0, Kind: fault.Crash}}
-		}, false},
+		}, true},
 		eligibilityCase{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }, nil, false},
 		eligibilityCase{"wrapped Fair", func() mapreduce.Scheduler { return hideQuiet(sched.NewFair()) }, nil, false},
 		eligibilityCase{"wrapped E-Ant", func() mapreduce.Scheduler { return hideQuiet(core.MustNewEAnt(core.DefaultParams())) }, nil, false},
@@ -232,26 +281,37 @@ func TestOfferCountingEligibility(t *testing.T) {
 
 // FuzzIdleOfferCounting compares the counted and walked heartbeat paths on
 // generated scenarios: a seed, a paper-mix fleet of 16 to 128 machines, a
-// QuietWhenIdle policy and 1 to 40 MSD jobs. Both runs must give
-// deep-equal Stats. The driver runs unchecked: per-event aggregate
-// recomputes cost more than an order of magnitude in executions per
-// second, and TestCountedOffersMatchWalked covers them.
+// QuietWhenIdle policy, 1 to 40 MSD jobs and a variant (plain, churn's
+// faults and consolidation, faults only, consolidation only, doomed jobs,
+// long blacklists). Both runs must give deep-equal Stats. The driver runs
+// unchecked: per-event aggregate recomputes cost more than an order of
+// magnitude in executions per second, and TestCountedOffersMatchWalked
+// covers them.
 func FuzzIdleOfferCounting(f *testing.F) {
-	f.Add(int64(7), uint8(0), uint8(1), uint8(11))
-	f.Add(int64(11), uint8(7), uint8(5), uint8(39))
-	f.Add(int64(-3), uint8(3), uint8(2), uint8(0))
-	policies := quietPolicies()
-	f.Fuzz(func(t *testing.T, seed int64, factor, policy, jobs uint8) {
+	f.Add(int64(7), uint8(0), uint8(1), uint8(11), uint8(0))
+	f.Add(int64(11), uint8(7), uint8(5), uint8(39), uint8(0))
+	f.Add(int64(-3), uint8(3), uint8(2), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(5), uint8(29), uint8(1))
+	f.Add(int64(5), uint8(2), uint8(1), uint8(19), uint8(2))
+	f.Add(int64(3), uint8(1), uint8(3), uint8(19), uint8(3))
+	f.Add(int64(9), uint8(1), uint8(5), uint8(29), uint8(4))
+	f.Add(int64(2), uint8(3), uint8(1), uint8(29), uint8(4))
+	f.Add(int64(4), uint8(1), uint8(5), uint8(29), uint8(5))
+	f.Add(int64(8), uint8(3), uint8(0), uint8(39), uint8(5))
+	policies, vars := quietPolicies(), variants()
+	f.Fuzz(func(t *testing.T, seed int64, factor, policy, jobs, variant uint8) {
 		p := policies[int(policy)%len(policies)]
+		v := vars[int(variant)%len(vars)]
 		fleet := paperMix(1 + int(factor)%8)
 		specs := msdJobs(t, 1+int(jobs)%40, seed)
 		cfg := mapreduce.DefaultConfig()
 		cfg.Seed = seed
 		cfg.Noise = noise.Default()
-		counted, all := countedAndWalked(t, newDriver(t, fleet, false), p.build(), p.build(), cfg, specs, -1)
-		if !reflect.DeepEqual(counted, all) {
-			t.Errorf("%s on %d machines, %d jobs, seed %d: counted Stats differ from walked (offers %s)",
-				p.name, fleet.Size(), len(specs), seed, offerDiff(counted, all))
+		v.set(&cfg)
+		counted, walked := countedAndWalked(t, newDriver(t, fleet, false), p.build(), p.build(), cfg, specs, -1)
+		if !reflect.DeepEqual(counted, walked) {
+			t.Errorf("%s %s on %d machines, %d jobs, seed %d: counted Stats differ from walked (offers %s)",
+				v.name, p.name, fleet.Size(), len(specs), seed, offerDiff(counted, walked))
 		}
 	})
 }

@@ -199,15 +199,19 @@ type Driver struct {
 	active []*Job
 
 	// covering marks always-on machines; lastBusy is when each machine
-	// last ran a task (consolidation policy state). Both are nil unless
-	// consolidation is on.
+	// last ran a task (consolidation policy state); sleepQ queues the
+	// sleep candidates by lastBusy for the counted idle sweep. All three
+	// are empty unless consolidation is on.
 	covering []bool
 	lastBusy []time.Duration
+	sleepQ   machineQueue
 
 	// blacklistUntil and failCount implement the JobTracker's per-machine
-	// failure blacklist; both are nil unless fault injection is on.
+	// failure blacklist, and expiryQ queues the blacklisted machines by
+	// expiry; all three are empty unless fault injection is on.
 	blacklistUntil []time.Duration
 	failCount      []int
+	expiryQ        machineQueue
 
 	// sampleBuf backs estimateJoules' per-completion sample slice (at most
 	// shuffle + compute), keeping the completion path allocation-free.
@@ -472,6 +476,7 @@ func (d *Driver) serveHeartbeats() {
 	machines := d.cluster.Machines()
 	n := len(machines)
 	d.tickOffset = (d.tickOffset + 1) % n
+	d.expireBlacklists()
 	countable := d.offersCountable()
 	visitedMap, visitedReduce, counted := d.sweep(machines[d.tickOffset:], countable, 0, 0)
 	if !counted {
@@ -486,11 +491,9 @@ func (d *Driver) serveHeartbeats() {
 
 // offersCountable reports whether this heartbeat may count its idle offers
 // instead of making them (see sweep). It needs the probe off (every offer
-// is a probe event), consolidation off and fault injection off
-// (blacklistUntil is nil exactly then), so no machine sleeps, dies or is
-// benched, and a QuietWhenIdle policy.
+// is a probe event) and a QuietWhenIdle policy.
 func (d *Driver) offersCountable() bool {
-	if d.probe != nil || d.cfg.Power.Enabled || d.blacklistUntil != nil {
+	if d.probe != nil {
 		return false
 	}
 	_, ok := d.sched.(QuietWhenIdle)
@@ -498,37 +501,33 @@ func (d *Driver) offersCountable() bool {
 }
 
 // sweep offers every free slot of the given machines to the scheduler, in
-// slice order. Per-tick invariants (power management off, no blacklist,
-// probes disabled) are hoisted out of the per-machine body.
+// slice order. Per-tick invariants (power management, blacklist, probe)
+// are hoisted out of the per-machine body.
 //
 // When countable and both the pending-map and ready-reduce aggregates are
-// zero, every machine not yet served this heartbeat would get exactly one
-// nil offer per kind it has a free slot for. So the sweep adds those
-// offers from the awake class's host counts, minus visitedMap and
-// visitedReduce (the machines already served this heartbeat that still
-// hold a free slot of the kind), and returns counted = true: the heartbeat
-// is over. Otherwise it returns the visited counts grown by its own
-// machines, for the second half of the rotation.
+// zero, the sweep finishes the heartbeat without visiting the machines not
+// yet served. It puts to sleep those the walk would (sleepDue), then adds
+// the offers each would get, one nil offer per kind it has a free slot
+// for: the awake and asleep classes' host counts (dead and blacklisted
+// machines get none), minus visitedMap and visitedReduce (the machines
+// already served this heartbeat that still hold a free slot of the kind).
+// It returns counted = true: the heartbeat is over. Otherwise it returns
+// the visited counts grown by its own machines, for the second half of the
+// rotation.
 func (d *Driver) sweep(machines []cluster.Machine, countable bool, visitedMap, visitedReduce int) (int, int, bool) {
 	powerOn := d.cfg.Power.Enabled
 	blacklistOn := d.blacklistUntil != nil
 	probe := d.probe
 	for _, m := range machines {
 		if countable && d.agg.pendingMaps == 0 && d.agg.readyPendingReduces == 0 {
-			awake := &d.agg.byClass[classAwake]
-			d.stats.MapOffers += awake.mapHosts - visitedMap
-			d.stats.ReduceOffers += awake.reduceHosts - visitedReduce
+			d.sleepDue()
+			awake, asleep := &d.agg.byClass[classAwake], &d.agg.byClass[classAsleep]
+			d.stats.MapOffers += awake.mapHosts + asleep.mapHosts - visitedMap
+			d.stats.ReduceOffers += awake.reduceHosts + asleep.reduceHosts - visitedReduce
 			return visitedMap, visitedReduce, true
 		}
 		if !m.Available() {
 			continue
-		}
-		if blacklistOn {
-			// Blacklist expiry is a time-based transition with no event
-			// attached; reconcile the availability class at the heartbeat.
-			if d.agg.class[m.ID()] == classBlacklisted && !d.blacklisted(m.ID()) {
-				d.reclassify(m)
-			}
 		}
 		if powerOn {
 			d.maybeSleep(m)
@@ -579,13 +578,43 @@ func (d *Driver) sampleMachines() {
 	}
 }
 
-// maybeSleep powers m down when consolidation is on, it has been fully
-// idle past the timeout, and it is not a covering machine.
-func (d *Driver) maybeSleep(m cluster.Machine) {
-	if !d.cfg.Power.Enabled || m.Asleep() || m.Running() > 0 || d.covering[m.ID()] {
-		return
+// sleepCandidate reports whether m may sleep once idle long enough:
+// consolidation is on and m is available, awake, idle and not covering.
+func (d *Driver) sleepCandidate(m cluster.Machine) bool {
+	return d.lastBusy != nil && m.Available() && !m.Asleep() && m.Running() == 0 && !d.covering[m.ID()]
+}
+
+// queueSleep adds m to the sleep queue, keyed by its lastBusy, if it is a
+// sleep candidate.
+func (d *Driver) queueSleep(m cluster.Machine) {
+	if d.sleepCandidate(m) {
+		d.sleepQ.push(m.ID(), d.lastBusy[m.ID()])
 	}
-	if d.engine.Now()-d.lastBusy[m.ID()] < d.cfg.Power.IdleTimeout {
+}
+
+// sleepDue puts to sleep every machine that maybeSleep would: each sleep
+// candidate idle for at least IdleTimeout. Every candidate is queued keyed
+// at or before its lastBusy, so popping the entries due by that key finds
+// them all. A popped machine that is still a candidate but idle for less
+// than the timeout (busy again since it was queued, or freed with a newer
+// lastBusy) goes back under its current lastBusy; one that is busy, asleep
+// or dead drops out until it becomes a candidate again. Machines do not go
+// idle in lastBusy order (failJob and killTask free slots without touching
+// it), which is why this is a heap, not a FIFO. With consolidation off the
+// queue is empty.
+func (d *Driver) sleepDue() {
+	limit := d.engine.Now() - d.cfg.Power.IdleTimeout
+	for id, ok := d.sleepQ.popDue(limit); ok; id, ok = d.sleepQ.popDue(limit) {
+		m := d.cluster.Machine(id)
+		d.maybeSleep(m)
+		d.queueSleep(m)
+	}
+}
+
+// maybeSleep powers m down when it is a sleep candidate that has been
+// fully idle past the timeout.
+func (d *Driver) maybeSleep(m cluster.Machine) {
+	if !d.sleepCandidate(m) || d.engine.Now()-d.lastBusy[m.ID()] < d.cfg.Power.IdleTimeout {
 		return
 	}
 	d.meter.Sync(m, d.engine.Now())
@@ -611,6 +640,7 @@ func (d *Driver) wakeIfNeeded(m cluster.Machine) float64 {
 		d.probe.MachineState(d.engine.Now(), m.ID(), "wake")
 	}
 	d.reclassify(m)
+	d.queueSleep(m) // idle until the incoming task takes its slot
 	d.mutated("wake")
 	return d.cfg.Power.WakeLatency.Seconds()
 }
@@ -811,12 +841,14 @@ func (d *Driver) completeTask(t *Task) {
 	case ReduceTask:
 		m.ReleaseReduce(t.trueUtil)
 	}
-	d.noteSlotChange(m, t.Kind, 1)
-	t.State = TaskDone
-	t.Finish = now
+	// lastBusy before the release: a release that leaves m idle queues it
+	// for sleep under its lastBusy.
 	if d.lastBusy != nil {
 		d.lastBusy[m.ID()] = now
 	}
+	d.noteSlotChange(m, t.Kind, 1)
+	t.State = TaskDone
+	t.Finish = now
 
 	t.EstJoules = d.estimateJoules(t)
 	t.TrueJoules = d.trueJoules(t)

@@ -20,10 +20,11 @@ import (
 // failed once the retry budget (mapred.map.max.attempts) is exhausted.
 func (d *Driver) failAttempt(t *Task) {
 	m := t.Machine
-	d.detachRunning(t)
+	// lastBusy before the release, as in completeTask.
 	if d.lastBusy != nil {
 		d.lastBusy[m.ID()] = d.engine.Now()
 	}
+	d.detachRunning(t)
 	d.stats.TaskFailures++
 	d.noteMachineFailure(m)
 
@@ -199,6 +200,7 @@ func (d *Driver) recoverMachine(id int) {
 		d.probe.MachineState(now, m.ID(), "recover")
 	}
 	d.noteAvailabilityChange(m)
+	d.queueSleep(m)
 	d.stats.Recoveries++
 	d.mutated("recover")
 }
@@ -260,12 +262,29 @@ func (d *Driver) noteMachineFailure(m cluster.Machine) {
 	d.failCount[m.ID()]++
 	if d.failCount[m.ID()] >= cfg.BlacklistThreshold {
 		d.blacklistUntil[m.ID()] = d.engine.Now() + cfg.BlacklistCooldown
+		d.expiryQ.push(m.ID(), d.blacklistUntil[m.ID()])
 		d.failCount[m.ID()] = 0
 		d.stats.Blacklists++
 		if d.probe != nil {
 			d.probe.MachineState(d.engine.Now(), m.ID(), "blacklist")
 		}
 		d.reclassify(m)
+	}
+}
+
+// expireBlacklists reconciles the class of every machine whose blacklist
+// has run out, so no machine is served or counted as benched past its
+// cooldown. A popped machine benched again since it was queued (the
+// queue keeps one entry per machine) goes back under its new expiry. With
+// fault injection off the queue is empty.
+func (d *Driver) expireBlacklists() {
+	now := d.engine.Now()
+	for id, ok := d.expiryQ.popDue(now); ok; id, ok = d.expiryQ.popDue(now) {
+		if d.blacklisted(id) {
+			d.expiryQ.push(id, d.blacklistUntil[id])
+			continue
+		}
+		d.reclassify(d.cluster.Machine(id))
 	}
 }
 

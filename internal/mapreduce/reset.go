@@ -86,6 +86,12 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 		}
 		d.ns.PreferFirstReplicaOn(coveringIDs)
 	}
+	// Every machine starts awake and idle since time 0.
+	d.sleepQ.reset(n, cfg.Power.Enabled)
+	for _, m := range d.cluster.Machines() {
+		d.queueSleep(m)
+	}
+	d.expiryQ.reset(n, d.faults.Enabled())
 
 	d.tabulateEstimates()
 	clear(d.done)

@@ -45,9 +45,11 @@ type SlotObserver interface {
 // and AssignReduce likewise whenever ctx.ReadyReduceTasks() == 0. Once both
 // are zero, the driver may then count a heartbeat's remaining offers from
 // its free-slot host counts instead of calling the policy once per machine
-// and kind (see Driver.sweep). A policy that acts on empty queues (LATE
-// speculates) must not implement it, and a wrapper that forwards only
-// Scheduler hides it, so the wrapped policy is offered every slot.
+// and kind (see Driver.sweep), with or without fault injection and
+// consolidation; only an attached probe, which records every offer, makes
+// it call. A policy that acts on empty queues (LATE speculates) must not
+// implement it, and a wrapper that forwards only Scheduler hides it, so
+// the wrapped policy is offered every slot.
 type QuietWhenIdle interface {
 	QuietWhenIdle()
 }

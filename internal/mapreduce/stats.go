@@ -101,11 +101,13 @@ type Stats struct {
 	TotalMaps int
 
 	// MapOffers / ReduceOffers count the slot offers made, one per free
-	// slot offered to the scheduler on a heartbeat. Most are AssignMap /
+	// slot offered to the scheduler on a heartbeat; dead and blacklisted
+	// machines get none, asleep ones do. Most are AssignMap /
 	// AssignReduce calls; once both queues are empty, a QuietWhenIdle
 	// policy's remaining offers of the heartbeat are counted without a
-	// call, each one the nil answer the call would give. The scale
-	// benchmarks divide by their sum to report ns/offer.
+	// call, each one the nil answer the call would give, under fault
+	// injection and consolidation too (only a probe forces the calls).
+	// The scale benchmarks divide by their sum to report ns/offer.
 	MapOffers    int
 	ReduceOffers int
 

@@ -265,10 +265,12 @@ func TestRunnerValidation(t *testing.T) {
 // TestWarmRunAllocsBounded is the measured allocation contract (DESIGN.md
 // §16): on a warm Runner, a run's heap allocations do not grow with its
 // heartbeats, offers, tasks or control ticks. Every policy runs plain,
-// with faults and with consolidation; each testbed case makes at least
-// 16 000 offers, completes 6 000 tasks and spans about 200 control ticks
-// and 680 heartbeat sweeps, so one allocation per tick, sweep, offer or
-// task breaks the bound. The 1024-machine E-Ant cell adds the fleet-wide
+// with faults, with consolidation, and as churn: faults with blacklisting
+// plus consolidation, which keeps the driver's sleep and blacklist-expiry
+// queues busy, so they must be storage that Reset retains. Each testbed
+// case makes at least 16 000 offers, completes 6 000 tasks and spans
+// about 200 control ticks and 680 heartbeat sweeps, so one allocation per
+// tick, sweep, offer or task breaks the bound. The 1024-machine E-Ant cell adds the fleet-wide
 // warm reset, where one allocation per machine breaks it. Each
 // speculative clone is one Task by design (Context.CloneForSpeculation),
 // so clones are subtracted: they scale with stragglers, not offers. The
@@ -290,6 +292,10 @@ func TestWarmRunAllocsBounded(t *testing.T) {
 			s.Faults = &FaultConfig{MachineMTBF: 2 * time.Hour, MachineMTTR: 5 * time.Minute, TaskFailProb: 0.02}
 		}},
 		{"consolidation", func(s *RunSpec) { s.Consolidation = &Consolidation{} }},
+		{"churn", func(s *RunSpec) {
+			s.Faults = &FaultConfig{MachineMTBF: 2 * time.Hour, MachineMTTR: 5 * time.Minute, TaskFailProb: 0.02, BlacklistThreshold: 3}
+			s.Consolidation = &Consolidation{}
+		}},
 	}
 	var cases []allocCase
 	for _, s := range Schedulers() {
