@@ -327,48 +327,56 @@ func tablesFor(name string, jobs int, seed int64) ([]*tabwrite.Table, error) {
 	}
 }
 
+// msdCampaign is one MSD campaign on the testbed in the experiments'
+// setup: the workload of seed's "experiments" stream at the given mean
+// interarrival, the scaled control interval, evaluation noise and driver
+// seed seed. The caller sets the scheduler.
+func msdCampaign(jobs int, seed int64, interarrival time.Duration) (experiments.Campaign, error) {
+	msd, err := workload.GenerateMSD(workload.MSDConfig{
+		Jobs: jobs, Scale: experiments.ScaleDown, MeanInterarrival: interarrival,
+	}, sim.NewRNG(seed).Fork("experiments"))
+	if err != nil {
+		return experiments.Campaign{}, err
+	}
+	cfg := mapreduce.DefaultConfig()
+	cfg.ControlInterval = experiments.DefaultControlInterval
+	cfg.Seed = seed
+	cfg.Noise = noise.Default()
+	return experiments.Campaign{Cluster: cluster.Testbed(), Params: core.DefaultParams(), Jobs: msd, Config: cfg}, nil
+}
+
 // sweepTable grids E-Ant's (ρ, β) space on one MSD workload, reporting
 // total energy per cell relative to the Fair baseline.
 func sweepTable(jobs int, seed int64) (*tabwrite.Table, error) {
-	msd, err := workload.GenerateMSD(workload.MSDConfig{
-		Jobs: jobs, Scale: experiments.ScaleDown, MeanInterarrival: 30 * time.Second,
-	}, sim.NewRNG(seed).Fork("experiments"))
-	if err != nil {
-		return nil, err
-	}
-	runWith := func(schedName experiments.SchedulerName, params core.Params) (float64, error) {
-		cfg := mapreduce.DefaultConfig()
-		cfg.ControlInterval = experiments.DefaultControlInterval
-		cfg.Seed = seed
-		cfg.Noise = noise.Default()
-		stats, err := experiments.Campaign{
-			Cluster: cluster.Testbed(), Sched: schedName, Params: params,
-			Jobs: msd, Config: cfg,
-		}.Run()
-		if err != nil {
-			return 0, err
-		}
-		return stats.TotalJoules, nil
-	}
-	baseline, err := runWith(experiments.SchedFair, core.DefaultParams())
+	base, err := msdCampaign(jobs, seed, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	rhos := []float64{0.2, 0.5, 0.8}
 	betas := []float64{0, 0.1, 0.2, 0.4}
+	campaigns := []experiments.Campaign{base}
+	campaigns[0].Sched = experiments.SchedFair
+	for _, rho := range rhos {
+		for _, beta := range betas {
+			c := base
+			c.Sched = experiments.SchedEAnt
+			c.Params.Rho = rho
+			c.Params.Beta = beta
+			campaigns = append(campaigns, c)
+		}
+	}
+	cells, err := experiments.RunAll(campaigns, 0)
+	if err != nil {
+		return nil, err
+	}
+	baseline := cells[0].TotalJoules
 	t := tabwrite.New(
 		fmt.Sprintf("E-Ant (ρ, β) sweep — %d MSD jobs, seed %d; cells: saving vs Fair %%", jobs, seed),
 		"rho \\ beta", "0", "0.1", "0.2", "0.4")
-	for _, rho := range rhos {
+	for ri, rho := range rhos {
 		row := []any{fmt.Sprintf("%.1f", rho)}
-		for _, beta := range betas {
-			params := core.DefaultParams()
-			params.Rho = rho
-			params.Beta = beta
-			j, err := runWith(experiments.SchedEAnt, params)
-			if err != nil {
-				return nil, err
-			}
+		for bi := range betas {
+			j := cells[1+ri*len(betas)+bi].TotalJoules
 			row = append(row, tabwrite.Cell(100*(baseline-j)/baseline, 1))
 		}
 		t.AddRow(row...)
@@ -390,16 +398,11 @@ type probeSinks struct {
 // events to w as JSON Lines through the probe's sink, then writes the
 // configured file sinks from the probe's ring and report.
 func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeSinks) error {
-	msd, err := workload.GenerateMSD(workload.MSDConfig{
-		Jobs: jobs, Scale: experiments.ScaleDown, MeanInterarrival: 45 * time.Second,
-	}, sim.NewRNG(seed).Fork("experiments"))
+	c, err := msdCampaign(jobs, seed, 45*time.Second)
 	if err != nil {
 		return err
 	}
-	cfg := mapreduce.DefaultConfig()
-	cfg.ControlInterval = experiments.DefaultControlInterval
-	cfg.Seed = seed
-	cfg.Noise = noise.Default()
+	c.Sched = experiments.SchedulerName(schedName)
 
 	// The first write error stops the stream; it is reported after the
 	// run, which it never interrupts.
@@ -418,16 +421,10 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	if err != nil {
 		return err
 	}
+	cfg := c.Config
 	cfg.Probe = p
-
-	_, err = experiments.Campaign{
-		Cluster: cluster.Testbed(),
-		Sched:   experiments.SchedulerName(schedName),
-		Params:  core.DefaultParams(),
-		Jobs:    msd,
-		Config:  cfg,
-	}.Run()
-	if err != nil {
+	c.Config = cfg
+	if _, err := experiments.RunAll([]experiments.Campaign{c}, 0); err != nil {
 		return err
 	}
 	if streamErr != nil {
@@ -465,40 +462,46 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	return nil
 }
 
-// compareTable runs a quick ad-hoc MSD comparison across all schedulers.
+// compareTable runs a quick ad-hoc MSD comparison across the Fig. 8
+// schedulers on seed's workload.
 func compareTable(jobs int, seed int64) ([]*tabwrite.Table, error) {
-	cfg := experiments.Fig8Config{
-		Jobs:             jobs,
-		Seeds:            1,
-		MeanInterarrival: 45 * time.Second,
-	}
-	r, err := experiments.Fig8(cfg)
+	base, err := msdCampaign(jobs, seed, 45*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	t := tabwrite.New(
-		fmt.Sprintf("Scheduler comparison — %d MSD jobs, seed %d", jobs, seed),
-		"scheduler", "total KJ", "makespan", "saving vs Fair %")
-	fair := r.Result(experiments.SchedFair)
-	var rows []struct {
-		name   string
+	scheds := []experiments.SchedulerName{experiments.SchedFIFO, experiments.SchedFair, experiments.SchedTarazu, experiments.SchedEAnt}
+	campaigns := make([]experiments.Campaign, len(scheds))
+	for i, name := range scheds {
+		campaigns[i] = base
+		campaigns[i].Sched = name
+	}
+	cells, err := experiments.RunAll(campaigns, 0)
+	if err != nil {
+		return nil, err
+	}
+	type row struct {
+		name   experiments.SchedulerName
 		joules float64
 		span   time.Duration
 	}
-	for _, sr := range r.Results {
-		rows = append(rows, struct {
-			name   string
-			joules float64
-			span   time.Duration
-		}{string(sr.Sched), sr.TotalJoules, sr.Makespan})
+	rows := make([]row, len(scheds))
+	var fair float64
+	for i, name := range scheds {
+		rows[i] = row{name, cells[i].TotalJoules, cells[i].Horizon}
+		if name == experiments.SchedFair {
+			fair = cells[i].TotalJoules
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].joules < rows[j].joules })
-	for _, row := range rows {
+	t := tabwrite.New(
+		fmt.Sprintf("Scheduler comparison — %d MSD jobs, seed %d", jobs, seed),
+		"scheduler", "total KJ", "makespan", "saving vs Fair %")
+	for _, r := range rows {
 		saving := "-"
-		if fair != nil && fair.TotalJoules > 0 && row.name != string(experiments.SchedFair) {
-			saving = tabwrite.Cell(100*(fair.TotalJoules-row.joules)/fair.TotalJoules, 1)
+		if fair > 0 && r.name != experiments.SchedFair {
+			saving = tabwrite.Cell(100*(fair-r.joules)/fair, 1)
 		}
-		t.AddRow(row.name, tabwrite.Cell(row.joules/1000, 0), row.span.Round(time.Second).String(), saving)
+		t.AddRow(string(r.name), tabwrite.Cell(r.joules/1000, 0), r.span.Round(time.Second).String(), saving)
 	}
 	return []*tabwrite.Table{t}, nil
 }

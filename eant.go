@@ -41,7 +41,6 @@ import (
 	"eant/internal/fault"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
-	"eant/internal/parallel"
 	"eant/internal/probe"
 	"eant/internal/sim"
 	"eant/internal/workload"
@@ -270,38 +269,27 @@ type Result struct {
 	Stats *mapreduce.Stats
 }
 
-// eantParams resolves the E-Ant parameters of a spec.
-func eantParams(spec RunSpec) EAntParams {
+// specCampaign checks a spec and translates it into the campaign it
+// runs.
+func specCampaign(spec RunSpec) (experiments.Campaign, error) {
+	if spec.Cluster == nil {
+		return experiments.Campaign{}, fmt.Errorf("eant: RunSpec.Cluster is required")
+	}
+	if len(spec.Jobs) == 0 {
+		return experiments.Campaign{}, fmt.Errorf("eant: RunSpec.Jobs is empty")
+	}
+	params := core.DefaultParams()
 	if spec.EAntParams != nil {
-		return *spec.EAntParams
+		params = *spec.EAntParams
 	}
-	return core.DefaultParams()
-}
-
-// newScheduler constructs a fresh scheduler instance for the spec.
-func newScheduler(spec RunSpec) (mapreduce.Scheduler, error) {
-	s, err := experiments.NewScheduler(experiments.SchedulerName(spec.Scheduler), eantParams(spec))
-	if err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	return s, nil
-}
-
-// resetScheduler returns a cached scheduler instance to its pre-run state
-// for the given spec, adopting the spec's parameters where the policy has
-// any (E-Ant sweeps vary them between runs of one warm world).
-func resetScheduler(s mapreduce.Scheduler, spec RunSpec) error {
-	switch sc := s.(type) {
-	case *core.EAnt:
-		if err := sc.ResetForRun(eantParams(spec)); err != nil {
-			return fmt.Errorf("eant: %w", err)
-		}
-	case interface{ ResetForRun() }:
-		sc.ResetForRun()
-	default:
-		return fmt.Errorf("eant: cannot reset scheduler %q for reuse", s.Name())
-	}
-	return nil
+	return experiments.Campaign{
+		Cluster: spec.Cluster,
+		Sched:   experiments.SchedulerName(spec.Scheduler),
+		Params:  params,
+		Jobs:    spec.Jobs,
+		Config:  specConfig(spec),
+		Horizon: spec.Horizon,
+	}, nil
 }
 
 // specConfig translates a RunSpec into the driver configuration.
@@ -330,14 +318,6 @@ func specConfig(spec RunSpec) mapreduce.Config {
 	return cfg
 }
 
-// specHorizon resolves the spec's virtual-duration cap.
-func specHorizon(spec RunSpec) time.Duration {
-	if spec.Horizon > 0 {
-		return spec.Horizon
-	}
-	return 48 * time.Hour
-}
-
 // resultFromStats wraps a run's statistics as the public Result.
 func resultFromStats(stats *mapreduce.Stats) *Result {
 	return &Result{
@@ -350,27 +330,13 @@ func resultFromStats(stats *mapreduce.Stats) *Result {
 	}
 }
 
-// Run executes the campaign described by spec.
+// Run executes the campaign described by spec on a world of its own.
 func Run(spec RunSpec) (*Result, error) {
-	if spec.Cluster == nil {
-		return nil, fmt.Errorf("eant: RunSpec.Cluster is required")
-	}
-	if len(spec.Jobs) == 0 {
-		return nil, fmt.Errorf("eant: RunSpec.Jobs is empty")
-	}
-	s, err := newScheduler(spec)
+	results, err := RunMany([]RunSpec{spec}, 1)
 	if err != nil {
 		return nil, err
 	}
-	driver, err := mapreduce.NewDriver(spec.Cluster, s, specConfig(spec))
-	if err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	stats, err := driver.Run(spec.Jobs, specHorizon(spec))
-	if err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	return resultFromStats(stats), nil
+	return results[0], nil
 }
 
 // Runner is a reusable simulation world: it owns a private clone of one
@@ -384,14 +350,10 @@ func Run(spec RunSpec) (*Result, error) {
 // (golden-enforced): each reset rewinds the RNG streams to the seeds a
 // fresh driver would fork and returns every piece of retained state to
 // its freshly-constructed value. A Runner is not safe for concurrent use;
-// RunMany keeps one per worker.
+// RunMany keeps one world per worker.
 type Runner struct {
-	source  *Cluster // the caller's cluster, identity-checked in Run
-	cluster *Cluster // private clone the runs execute on
-	driver  *mapreduce.Driver
-	// scheds caches one scheduler instance per policy, reset between runs
-	// (an E-Ant kept warm retains its pooled colonies and scratch buffers).
-	scheds map[Scheduler]mapreduce.Scheduler
+	source *Cluster // the caller's cluster, identity-checked in Run
+	world  *experiments.World
 }
 
 // NewRunner builds a reusable world over c. The cluster is cloned once;
@@ -400,11 +362,11 @@ func NewRunner(c *Cluster) (*Runner, error) {
 	if c == nil {
 		return nil, fmt.Errorf("eant: NewRunner with nil cluster")
 	}
-	return &Runner{
-		source:  c,
-		cluster: c.Clone(),
-		scheds:  make(map[Scheduler]mapreduce.Scheduler),
-	}, nil
+	w, err := experiments.NewWorld(c)
+	if err != nil {
+		return nil, fmt.Errorf("eant: %w", err)
+	}
+	return &Runner{source: c, world: w}, nil
 }
 
 // Run executes one campaign on the warm world. spec.Cluster must be nil
@@ -412,88 +374,60 @@ func NewRunner(c *Cluster) (*Runner, error) {
 // may change freely between runs (scheduler, jobs, seed, noise, faults,
 // consolidation, probe).
 func (r *Runner) Run(spec RunSpec) (*Result, error) {
-	if spec.Cluster != nil && spec.Cluster != r.source {
+	if spec.Cluster == nil {
+		spec.Cluster = r.source
+	} else if spec.Cluster != r.source {
 		return nil, fmt.Errorf("eant: Runner.Run with a different cluster than NewRunner")
 	}
-	if len(spec.Jobs) == 0 {
-		return nil, fmt.Errorf("eant: RunSpec.Jobs is empty")
-	}
-	s, err := r.schedulerFor(spec)
+	c, err := specCampaign(spec)
 	if err != nil {
 		return nil, err
 	}
-	cfg := specConfig(spec)
-	if r.driver == nil {
-		d, err := mapreduce.NewDriver(r.cluster, s, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("eant: %w", err)
-		}
-		r.driver = d
-	} else if err := r.driver.Reset(s, cfg); err != nil {
-		return nil, fmt.Errorf("eant: %w", err)
-	}
-	stats, err := r.driver.Run(spec.Jobs, specHorizon(spec))
+	stats, err := r.world.Run(c)
 	if err != nil {
 		return nil, fmt.Errorf("eant: %w", err)
 	}
 	return resultFromStats(stats), nil
 }
 
-// schedulerFor returns the cached, freshly-reset scheduler for the spec's
-// policy, constructing and caching it on first use.
-func (r *Runner) schedulerFor(spec RunSpec) (mapreduce.Scheduler, error) {
-	if s, ok := r.scheds[spec.Scheduler]; ok {
-		if err := resetScheduler(s, spec); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	s, err := newScheduler(spec)
-	if err != nil {
-		return nil, err
-	}
-	r.scheds[spec.Scheduler] = s
-	return s, nil
-}
-
 // RunMany executes independent campaigns concurrently on a bounded worker
 // pool and returns their results in spec order. workers <= 0 uses the
 // process default (GOMAXPROCS, or the eantsim -parallel setting);
 // workers == 1 runs sequentially. Each result is bit-identical to what a
-// sequential Run of the same spec produces: every run owns its engine,
-// RNG streams and scheduler, and result ordering never depends on
-// completion timing. On error, RunMany reports the error of the
-// lowest-index failing spec.
+// sequential Run of the same spec produces, and result ordering never
+// depends on completion timing. On error, RunMany reports the error of
+// the lowest-index failing spec.
 //
-// Each worker keeps one warm Runner and resets it between the specs it
-// claims, so consecutive runs over the same cluster rebuild nothing —
-// sweeps pay the world-construction cost at most once per worker. A spec
-// naming a different cluster than the worker's current Runner rebuilds
-// that worker's world; interleaved-cluster sweeps therefore still work,
-// just without reuse across the switches. Clusters are always cloned into
-// the Runners, so concurrent runs never share machine state and the
-// caller's clusters are never mutated.
+// The specs run through experiments.RunAll, which keeps one warm world
+// per worker and rebuilds it only when a spec names another cluster, so
+// sweeps over one fleet pay the world-construction cost at most once per
+// worker. Clusters are always cloned into the worlds, so concurrent runs
+// never share machine state and the caller's clusters are never mutated.
 func RunMany(specs []RunSpec, workers int) ([]*Result, error) {
-	type slot struct {
-		source *Cluster
-		runner *Runner
+	// Only the specs before the first invalid one run, so a lower spec
+	// that fails at run time is still the one reported.
+	campaigns := make([]experiments.Campaign, 0, len(specs))
+	var invalid error
+	for _, spec := range specs {
+		c, err := specCampaign(spec)
+		if err != nil {
+			invalid = err
+			break
+		}
+		campaigns = append(campaigns, c)
 	}
-	slots := make([]slot, parallel.Workers(len(specs), workers))
-	return parallel.MapWorkers(len(specs), workers, func(worker, i int) (*Result, error) {
-		spec := specs[i]
-		if spec.Cluster == nil {
-			return nil, fmt.Errorf("eant: RunSpec.Cluster is required")
-		}
-		sl := &slots[worker]
-		if sl.runner == nil || sl.source != spec.Cluster {
-			r, err := NewRunner(spec.Cluster)
-			if err != nil {
-				return nil, err
-			}
-			sl.source, sl.runner = spec.Cluster, r
-		}
-		return sl.runner.Run(spec)
-	})
+	stats, err := experiments.RunAll(campaigns, workers)
+	if err != nil {
+		return nil, fmt.Errorf("eant: %w", err)
+	}
+	if invalid != nil {
+		return nil, invalid
+	}
+	results := make([]*Result, len(stats))
+	for i, s := range stats {
+		results[i] = resultFromStats(s)
+	}
+	return results, nil
 }
 
 // Compare runs the same jobs under several schedulers (concurrently, on

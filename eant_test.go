@@ -3,6 +3,7 @@ package eant
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,6 +199,38 @@ func TestRunRejectsOversizedJob(t *testing.T) {
 	_, want := d.Run([]workload.JobSpec{job}, -1)
 	if err == nil || want == nil || errors.Unwrap(err).Error() != want.Error() {
 		t.Errorf("Run error %v, driver error %v; want the same non-nil error", err, want)
+	}
+}
+
+// TestRunManyReportsLowestFailingSpec checks RunMany's error contract: the
+// error of the lowest-index failing spec, wrapped once, whether that spec
+// fails its checks (nil cluster, no jobs) or fails in the driver while a
+// later spec would fail its checks.
+func TestRunManyReportsLowestFailingSpec(t *testing.T) {
+	dup := MSDWorkload(6, 12)
+	dup[4].ID = dup[1].ID
+	placing := RunSpec{Cluster: PaperTestbed(), Scheduler: SchedulerFair, Jobs: dup, Seed: 12}
+	noCluster := quickSpec(SchedulerFair)
+	noCluster.Cluster = nil
+	noJobs := quickSpec(SchedulerFair)
+	noJobs.Jobs = nil
+	cases := []struct {
+		name  string
+		specs []RunSpec
+		want  string
+	}{
+		{"driver error before nil cluster", []RunSpec{quickSpec(SchedulerFIFO), placing, noCluster}, "eant: mapreduce: placing job"},
+		{"driver error before no jobs", []RunSpec{placing, noJobs}, "eant: mapreduce: placing job"},
+		{"nil cluster before driver error", []RunSpec{noCluster, placing}, "eant: RunSpec.Cluster is required"},
+		{"no jobs after a good spec", []RunSpec{quickSpec(SchedulerFIFO), noJobs}, "eant: RunSpec.Jobs is empty"},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 4} {
+			_, err := RunMany(tc.specs, workers)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) || strings.Count(err.Error(), "eant: ") != 1 {
+				t.Errorf("%s, %d workers: err = %v, want one %q prefix", tc.name, workers, err, tc.want)
+			}
+		}
 	}
 }
 

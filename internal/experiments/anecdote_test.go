@@ -24,10 +24,11 @@ func TestSection1Anecdote(t *testing.T) {
 		cfg.ForcedLocalFraction = 1
 		inputMB := 50.0 * 1024 / ScaleDown
 		jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, inputMB, 2, 0)}
-		stats, err := Campaign{Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg}.Run()
+		cells, err := RunAll([]Campaign{{Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg}}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
+		stats := cells[0]
 		if len(stats.Jobs) != 1 {
 			t.Fatalf("%s: job did not finish", spec.Name)
 		}

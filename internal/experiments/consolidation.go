@@ -7,7 +7,6 @@ import (
 	"eant/internal/cluster"
 	"eant/internal/core"
 	"eant/internal/mapreduce"
-	"eant/internal/parallel"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -41,37 +40,37 @@ func Consolidation() (*ConsolidationResult, error) {
 	const seeds = 3
 	modes := []bool{false, true}
 	scheds := []SchedulerName{SchedFair, SchedEAnt}
-	res := &ConsolidationResult{}
-	cells, err := parallel.Map(len(modes)*len(scheds)*seeds, 0, func(i int) (*mapreduce.Stats, error) {
-		consolidated := modes[i/(len(scheds)*seeds)]
-		name := scheds[(i/seeds)%len(scheds)]
-		seed := int64(i%seeds) + 1
-		jobs, err := workload.GenerateMSD(workload.MSDConfig{
-			Jobs: jobCount, Scale: ScaleDown,
-			// Light load: lulls between arrivals are where
-			// machines can sleep.
-			MeanInterarrival: 90 * time.Second,
-		}, newRNG(seed))
-		if err != nil {
-			return nil, fmt.Errorf("consolidation: %w", err)
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	for _, consolidated := range modes {
+		for _, name := range scheds {
+			for seed := int64(1); seed <= seeds; seed++ {
+				jobs, err := workload.GenerateMSD(workload.MSDConfig{
+					Jobs: jobCount, Scale: ScaleDown,
+					// Light load: lulls between arrivals are where
+					// machines can sleep.
+					MeanInterarrival: 90 * time.Second,
+				}, newRNG(seed))
+				if err != nil {
+					return nil, fmt.Errorf("consolidation: %w", err)
+				}
+				cfg := defaultDriverConfig()
+				cfg.Seed = seed
+				if consolidated {
+					cfg.Power = mapreduce.PowerMgmt{Enabled: true}
+				}
+				campaigns = append(campaigns, Campaign{
+					Cluster: testbed, Sched: name,
+					Params: core.DefaultParams(), Jobs: jobs, Config: cfg,
+				})
+			}
 		}
-		cfg := defaultDriverConfig()
-		cfg.Seed = seed
-		if consolidated {
-			cfg.Power = mapreduce.PowerMgmt{Enabled: true}
-		}
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: name,
-			Params: core.DefaultParams(), Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("consolidation: %s: %w", name, err)
-		}
-		return stats, nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("consolidation: %w", err)
+	}
+	res := &ConsolidationResult{}
 	i := 0
 	for _, consolidated := range modes {
 		for _, name := range scheds {

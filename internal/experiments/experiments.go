@@ -4,6 +4,11 @@
 // runs the simulation, and returns typed rows with a Table() renderer that
 // prints the same series the paper plots.
 //
+// Running. A harness builds its grid of (scheduler, level, seed) cells as
+// one []Campaign sharing one cluster value per fleet, runs it with one
+// RunAll call, the only way a campaign runs here and in the root package,
+// and folds the returned statistics in grid order.
+//
 // Scaling. The paper's testbed ran 300 GB inputs and a 5-minute control
 // interval for hours; the default configurations here shrink inputs by
 // ScaleDown (64×) and the control interval proportionally, so the full
@@ -20,6 +25,7 @@ import (
 	"eant/internal/core"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
+	"eant/internal/parallel"
 	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/sim"
@@ -71,7 +77,8 @@ func NewScheduler(name SchedulerName, params core.Params) (mapreduce.Scheduler, 
 	}
 }
 
-// Campaign describes one simulated cluster run.
+// Campaign describes one simulated cluster run. A Horizon of zero or
+// less runs to completion, capped at 48 h as a runaway guard.
 type Campaign struct {
 	Cluster *cluster.Cluster
 	Sched   SchedulerName
@@ -79,6 +86,107 @@ type Campaign struct {
 	Jobs    []workload.JobSpec
 	Config  mapreduce.Config
 	Horizon time.Duration
+}
+
+// World is a reusable simulation world: a private clone of one cluster,
+// the driver built over it by the first run and reset before each later
+// one, and one scheduler per policy, reset before each run (an E-Ant kept
+// warm retains its pooled colonies and scratch buffers). Every run is
+// bit-identical to the same campaign on a new World. A World is not safe
+// for concurrent use; RunAll keeps one per worker.
+type World struct {
+	source  *cluster.Cluster // the cluster every campaign must name
+	cluster *cluster.Cluster // private clone the runs execute on
+	driver  *mapreduce.Driver
+	scheds  map[SchedulerName]mapreduce.Scheduler
+}
+
+// NewWorld builds a world over c. The cluster is cloned once; later
+// mutations of c are not observed.
+func NewWorld(c *cluster.Cluster) (*World, error) {
+	if c == nil {
+		return nil, fmt.Errorf("experiments: NewWorld with nil cluster")
+	}
+	return &World{
+		source:  c,
+		cluster: c.Clone(),
+		scheds:  make(map[SchedulerName]mapreduce.Scheduler),
+	}, nil
+}
+
+// Run executes one campaign, which must name the world's cluster, and
+// returns its statistics. Scheduler and driver errors are returned as
+// they are, so a caller's wrap is the only one.
+func (w *World) Run(c Campaign) (*mapreduce.Stats, error) {
+	if c.Cluster != w.source {
+		return nil, fmt.Errorf("experiments: campaign cluster is not the world's")
+	}
+	s, err := w.scheduler(c)
+	if err != nil {
+		return nil, err
+	}
+	if w.driver == nil {
+		if w.driver, err = mapreduce.NewDriver(w.cluster, s, c.Config); err != nil {
+			return nil, err
+		}
+	} else if err := w.driver.Reset(s, c.Config); err != nil {
+		return nil, err
+	}
+	horizon := c.Horizon
+	if horizon <= 0 {
+		horizon = 48 * time.Hour
+	}
+	return w.driver.Run(c.Jobs, horizon)
+}
+
+// scheduler returns the world's scheduler for the campaign's policy,
+// building it on first use and otherwise resetting it to its pre-run
+// state with the campaign's parameters.
+func (w *World) scheduler(c Campaign) (mapreduce.Scheduler, error) {
+	s, ok := w.scheds[c.Sched]
+	if !ok {
+		s, err := NewScheduler(c.Sched, c.Params)
+		if err != nil {
+			return nil, err
+		}
+		w.scheds[c.Sched] = s
+		return s, nil
+	}
+	switch sc := s.(type) {
+	case *core.EAnt:
+		if err := sc.ResetForRun(c.Params); err != nil {
+			return nil, err
+		}
+	case interface{ ResetForRun() }:
+		sc.ResetForRun()
+	default:
+		return nil, fmt.Errorf("experiments: cannot reset scheduler %q for reuse", s.Name())
+	}
+	return s, nil
+}
+
+// RunAll runs the campaigns on at most workers goroutines (workers <= 0
+// means parallel.DefaultWorkers(); 1 runs them in order on the calling
+// goroutine) and returns their statistics in campaign order. Each worker
+// keeps one World, which it replaces when a campaign names another
+// cluster. Workers decide only when a campaign runs, never what it
+// computes, so the statistics are bit-identical for every worker count.
+// On error RunAll returns the error of the lowest-index failing
+// campaign, as World.Run gave it.
+func RunAll(campaigns []Campaign, workers int) ([]*mapreduce.Stats, error) {
+	worlds := make([]*World, parallel.Workers(len(campaigns), workers))
+	return parallel.MapWorkers(len(campaigns), workers, func(worker, i int) (*mapreduce.Stats, error) {
+		c := campaigns[i]
+		w := worlds[worker]
+		if w == nil || w.source != c.Cluster {
+			var err error
+			if w, err = NewWorld(c.Cluster); err != nil {
+				return nil, err
+			}
+			worlds[worker] = w
+		}
+		return w.Run(c)
+	})
 }
 
 // defaultDriverConfig is the experiment-wide driver configuration: paper
@@ -101,27 +209,6 @@ func foldProbe(trails bool, fold func(probe.Event)) *probe.Probe {
 		panic(err) // a one-event ring and default bounds are always valid
 	}
 	return p
-}
-
-// Run executes the campaign and returns its statistics.
-func (c Campaign) Run() (*mapreduce.Stats, error) {
-	s, err := NewScheduler(c.Sched, c.Params)
-	if err != nil {
-		return nil, err
-	}
-	d, err := mapreduce.NewDriver(c.Cluster, s, c.Config)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	horizon := c.Horizon
-	if horizon == 0 {
-		horizon = 48 * time.Hour
-	}
-	stats, err := d.Run(c.Jobs, horizon)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: campaign %s: %w", c.Sched, err)
-	}
-	return stats, nil
 }
 
 // openLoopTasks builds the §II motivation workload: single-block map-only

@@ -8,7 +8,6 @@ import (
 	"eant/internal/core"
 	"eant/internal/fault"
 	"eant/internal/metrics"
-	"eant/internal/parallel"
 	"eant/internal/probe"
 	"eant/internal/tabwrite"
 )
@@ -94,57 +93,53 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 	for i := range jobs {
 		jobIDs[i] = jobs[i].ID
 	}
-	res := &FailureSweepResult{Cfg: cfg}
 	// The jobs slice is shared read-only across cells: JobSpec is a pure
 	// value and Driver.Run copies each spec.
-	points, err := parallel.Map(len(cfg.Schedulers)*len(cfg.MTBFs), 0, func(i int) (FailurePoint, error) {
-		schedName := cfg.Schedulers[i/len(cfg.MTBFs)]
-		mtbf := cfg.MTBFs[i%len(cfg.MTBFs)]
-		dcfg := defaultDriverConfig()
-		dcfg.Seed = cfg.Seed
-		if mtbf > 0 {
-			dcfg.Fault = fault.Config{
-				MachineMTBF:  mtbf,
-				MachineMTTR:  cfg.MTTR,
-				TaskFailProb: cfg.TaskFailProb,
+	testbed := cluster.Testbed()
+	res := &FailureSweepResult{Cfg: cfg}
+	var campaigns []Campaign
+	var events []*[]probe.Event
+	for _, schedName := range cfg.Schedulers {
+		for _, mtbf := range cfg.MTBFs {
+			dcfg := defaultDriverConfig()
+			dcfg.Seed = cfg.Seed
+			if mtbf > 0 {
+				dcfg.Fault = fault.Config{
+					MachineMTBF:  mtbf,
+					MachineMTTR:  cfg.MTTR,
+					TaskFailProb: cfg.TaskFailProb,
+				}
 			}
+			// The convergence detector reads the task starts and the
+			// control ticks that close each interval.
+			evs := new([]probe.Event)
+			dcfg.Probe = foldProbe(false, func(ev probe.Event) {
+				if ev.Kind == probe.KindAssign || ev.Kind == probe.KindControlTick {
+					*evs = append(*evs, ev)
+				}
+			})
+			events = append(events, evs)
+			res.Points = append(res.Points, FailurePoint{Sched: schedName, MTBF: mtbf})
+			campaigns = append(campaigns, Campaign{
+				Cluster: testbed, Sched: schedName, Params: core.DefaultParams(), Jobs: jobs, Config: dcfg,
+			})
 		}
-		// The convergence detector reads the task starts and the control
-		// ticks that close each interval.
-		var events []probe.Event
-		dcfg.Probe = foldProbe(false, func(ev probe.Event) {
-			if ev.Kind == probe.KindAssign || ev.Kind == probe.KindControlTick {
-				events = append(events, ev)
-			}
-		})
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(),
-			Sched:   schedName,
-			Params:  core.DefaultParams(),
-			Jobs:    jobs,
-			Config:  dcfg,
-		}.Run()
-		if err != nil {
-			return FailurePoint{}, fmt.Errorf("failure sweep: %s mtbf=%v: %w", schedName, mtbf, err)
-		}
-		p := FailurePoint{
-			Sched:              schedName,
-			MTBF:               mtbf,
-			TotalJoules:        stats.TotalJoules,
-			Makespan:           stats.Horizon,
-			Crashes:            stats.Crashes,
-			TaskFailures:       stats.TaskFailures,
-			TasksKilledByCrash: stats.TasksKilledByCrash,
-			MapOutputsLost:     stats.MapOutputsLost,
-			JobsFailed:         stats.JobsFailed,
-		}
-		p.Convergence, p.ConvergedJobs = metrics.MeanConvergenceTime(events, jobIDs, 0.8)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.Points = points
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("failure sweep: %w", err)
+	}
+	for i, stats := range cells {
+		p := &res.Points[i]
+		p.TotalJoules = stats.TotalJoules
+		p.Makespan = stats.Horizon
+		p.Crashes = stats.Crashes
+		p.TaskFailures = stats.TaskFailures
+		p.TasksKilledByCrash = stats.TasksKilledByCrash
+		p.MapOutputsLost = stats.MapOutputsLost
+		p.JobsFailed = stats.JobsFailed
+		p.Convergence, p.ConvergedJobs = metrics.MeanConvergenceTime(*events[i], jobIDs, 0.8)
+	}
 	return res, nil
 }
 

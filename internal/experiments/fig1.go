@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"eant/internal/cluster"
-	"eant/internal/mapreduce"
 	"eant/internal/metrics"
 	"eant/internal/noise"
 	"eant/internal/tabwrite"
@@ -33,65 +33,76 @@ type Fig1aResult struct {
 	Crossover float64
 }
 
-// runOpenLoop drives one machine type with single-block map tasks of app
-// at the given rate and measures its energy efficiency.
-func runOpenLoop(spec *cluster.TypeSpec, app workload.App, perMinute float64, span time.Duration) (EfficiencyPoint, error) {
-	// §II measures machine capability, not a slot-capped TaskTracker:
-	// concurrency scales with cores.
-	cap := cluster.Capability(spec)
-	c := cluster.MustNew(cluster.Group{Spec: cap, Count: 1})
-	cfg := defaultDriverConfig()
-	cfg.Noise = noise.Off()
-	// The §II study measures machine capability; input locality is not
-	// the variable, so every read is local.
-	cfg.ForcedLocalFraction = 1
+// openLoopCell is one run of the motivation study: one machine of a type
+// fed single-block map tasks of an application at a fixed rate.
+type openLoopCell struct {
+	spec *cluster.TypeSpec
+	app  workload.App
+	rate float64 // tasks per minute
+}
 
-	jobs := openLoopTasks(app, perMinute, span)
-	stats, err := Campaign{
-		Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg,
-		// Cut off shortly after the arrival span: under overload the
-		// backlog is unbounded and the steady-state rates are what the
-		// paper measures.
-		Horizon: span + 30*time.Second,
-	}.Run()
+// runOpenLoop runs the cells over the given arrival span, one
+// one-machine fleet per machine type, and measures each cell's energy
+// efficiency.
+func runOpenLoop(cells []openLoopCell, span time.Duration) ([]EfficiencyPoint, error) {
+	fleets := make(map[*cluster.TypeSpec]*cluster.Cluster)
+	campaigns := make([]Campaign, len(cells))
+	for i, cell := range cells {
+		if fleets[cell.spec] == nil {
+			// §II measures machine capability, not a slot-capped
+			// TaskTracker: concurrency scales with cores.
+			fleets[cell.spec] = cluster.MustNew(cluster.Group{Spec: cluster.Capability(cell.spec), Count: 1})
+		}
+		cfg := defaultDriverConfig()
+		cfg.Noise = noise.Off()
+		// The §II study measures machine capability; input locality is
+		// not the variable, so every read is local.
+		cfg.ForcedLocalFraction = 1
+		campaigns[i] = Campaign{
+			Cluster: fleets[cell.spec], Sched: SchedFIFO, Jobs: openLoopTasks(cell.app, cell.rate, span), Config: cfg,
+			// Cut off shortly after the arrival span: under overload the
+			// backlog is unbounded and the steady-state rates are what
+			// the paper measures.
+			Horizon: span + 30*time.Second,
+		}
+	}
+	runs, err := RunAll(campaigns, 0)
 	if err != nil {
-		return EfficiencyPoint{}, err
+		return nil, err
 	}
-	p := EfficiencyPoint{
-		Series:      cap.Name,
-		RatePerMin:  perMinute,
-		TasksDone:   stats.TasksDone(),
-		Elapsed:     stats.Horizon,
-		Joules:      stats.TotalJoules,
-		IdleJoules:  spec.IdleWatts * stats.Horizon.Seconds(),
-		TputPerWatt: metrics.ThroughputPerWatt(stats.TasksDone(), stats.Horizon, stats.TotalJoules),
+	points := make([]EfficiencyPoint, len(cells))
+	for i, stats := range runs {
+		points[i] = EfficiencyPoint{
+			Series:      cells[i].spec.Name,
+			RatePerMin:  cells[i].rate,
+			TasksDone:   stats.TasksDone(),
+			Elapsed:     stats.Horizon,
+			Joules:      stats.TotalJoules,
+			IdleJoules:  cells[i].spec.IdleWatts * stats.Horizon.Seconds(),
+			TputPerWatt: metrics.ThroughputPerWatt(stats.TasksDone(), stats.Horizon, stats.TotalJoules),
+		}
 	}
-	return p, nil
+	return points, nil
 }
 
 // Fig1a reproduces the heterogeneous-platform study: Wordcount tasks at
 // 5–25 task/min on the Core i7 desktop vs the Xeon E5 server.
 func Fig1a() (*Fig1aResult, error) {
 	rates := []float64{5, 8, 10, 12, 13, 14, 15, 20, 25}
-	const span = 30 * time.Minute
-	res := &Fig1aResult{}
-	byRate := make(map[float64]map[string]float64)
+	var cells []openLoopCell
 	for _, spec := range []*cluster.TypeSpec{cluster.SpecDesktop, cluster.SpecXeonE5} {
 		for _, rate := range rates {
-			p, err := runOpenLoop(spec, workload.Wordcount, rate, span)
-			if err != nil {
-				return nil, fmt.Errorf("fig1a: %w", err)
-			}
-			res.Points = append(res.Points, p)
-			if byRate[rate] == nil {
-				byRate[rate] = make(map[string]float64)
-			}
-			byRate[rate][spec.Name] = p.TputPerWatt
+			cells = append(cells, openLoopCell{spec, workload.Wordcount, rate})
 		}
 	}
-	for _, rate := range rates {
-		m := byRate[rate]
-		if m["XeonE5"] >= m["Desktop"] {
+	points, err := runOpenLoop(cells, 30*time.Minute)
+	if err != nil {
+		return nil, fmt.Errorf("fig1a: %w", err)
+	}
+	res := &Fig1aResult{Points: points}
+	desktop, xeon := points[:len(rates)], points[len(rates):]
+	for i, rate := range rates {
+		if xeon[i].TputPerWatt >= desktop[i].TputPerWatt {
 			res.Crossover = rate
 			break
 		}
@@ -124,25 +135,29 @@ type Fig1bResult struct{ Rows []Fig1bRow }
 
 // Fig1b reproduces the power-consumption breakdown at 10 and 20 task/min.
 func Fig1b() (*Fig1bResult, error) {
-	res := &Fig1bResult{}
-	const span = 30 * time.Minute
-	for _, load := range []struct {
+	loads := []struct {
 		name string
 		rate float64
-	}{{"light", 10}, {"heavy", 20}} {
+	}{{"light", 10}, {"heavy", 20}}
+	var cells []openLoopCell
+	for _, load := range loads {
 		for _, spec := range []*cluster.TypeSpec{cluster.SpecDesktop, cluster.SpecXeonE5} {
-			p, err := runOpenLoop(spec, workload.Wordcount, load.rate, span)
-			if err != nil {
-				return nil, fmt.Errorf("fig1b: %w", err)
-			}
-			secs := p.Elapsed.Seconds()
-			res.Rows = append(res.Rows, Fig1bRow{
-				Machine:       spec.Name,
-				Load:          load.name,
-				IdleWatts:     p.IdleJoules / secs,
-				WorkloadWatts: (p.Joules - p.IdleJoules) / secs,
-			})
+			cells = append(cells, openLoopCell{spec, workload.Wordcount, load.rate})
 		}
+	}
+	points, err := runOpenLoop(cells, 30*time.Minute)
+	if err != nil {
+		return nil, fmt.Errorf("fig1b: %w", err)
+	}
+	res := &Fig1bResult{}
+	for i, p := range points {
+		secs := p.Elapsed.Seconds()
+		res.Rows = append(res.Rows, Fig1bRow{
+			Machine:       p.Series,
+			Load:          loads[i/2].name,
+			IdleWatts:     p.IdleJoules / secs,
+			WorkloadWatts: (p.Joules - p.IdleJoules) / secs,
+		})
 	}
 	return res, nil
 }
@@ -169,21 +184,23 @@ type Fig1cResult struct {
 // at 20, 35 and 25 task/min respectively.
 func Fig1c() (*Fig1cResult, error) {
 	rates := []float64{10, 15, 20, 25, 30, 35, 40, 45, 50}
-	const span = 20 * time.Minute
-	res := &Fig1cResult{PeakRate: make(map[workload.App]float64)}
+	var cells []openLoopCell
 	for _, app := range workload.Apps() {
-		var series []EfficiencyPoint
-		best := 0.0
 		for _, rate := range rates {
-			p, err := runOpenLoop(cluster.SpecXeonE5, app, rate, span)
-			if err != nil {
-				return nil, fmt.Errorf("fig1c: %w", err)
-			}
-			p.Series = app.String()
-			series = append(series, p)
-			if p.TputPerWatt > best {
-				best = p.TputPerWatt
-			}
+			cells = append(cells, openLoopCell{cluster.SpecXeonE5, app, rate})
+		}
+	}
+	points, err := runOpenLoop(cells, 20*time.Minute)
+	if err != nil {
+		return nil, fmt.Errorf("fig1c: %w", err)
+	}
+	res := &Fig1cResult{PeakRate: make(map[workload.App]float64)}
+	for ai, app := range workload.Apps() {
+		series := points[ai*len(rates) : (ai+1)*len(rates)]
+		best := 0.0
+		for i := range series {
+			series[i].Series = app.String()
+			best = math.Max(best, series[i].TputPerWatt)
 		}
 		// The "peak" rate is the knee: the lowest rate reaching 98% of
 		// the series maximum (the curves flatten at machine saturation).
@@ -226,20 +243,23 @@ type Fig1dResult struct{ Rows []Fig1dRow }
 // normalized to sum to 1. Wordcount is map-dominated; Grep and Terasort
 // are shuffle/reduce-heavy.
 func Fig1d() (*Fig1dResult, error) {
-	res := &Fig1dResult{}
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
 	for _, app := range workload.Apps() {
 		cfg := defaultDriverConfig()
 		cfg.Noise = noise.Off()
 		// 300 GB in the paper; ScaleDown shrinks it to ~4.7 GB.
 		inputMB := 300.0 * 1024 / ScaleDown
 		jobs := []workload.JobSpec{workload.NewJobSpec(0, app, inputMB, 8, 0)}
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedFIFO, Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig1d: %w", err)
-		}
-		r := stats.Jobs[0]
+		campaigns = append(campaigns, Campaign{Cluster: testbed, Sched: SchedFIFO, Jobs: jobs, Config: cfg})
+	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig1d: %w", err)
+	}
+	res := &Fig1dResult{}
+	for i, app := range workload.Apps() {
+		r := cells[i].Jobs[0]
 		total := r.MapSeconds() + r.ShuffleSeconds() + r.ReduceSeconds()
 		if total <= 0 {
 			return nil, fmt.Errorf("fig1d: %v job has zero phase time", app)
@@ -273,5 +293,3 @@ func (r *Fig1dResult) Table() *tabwrite.Table {
 	}
 	return t
 }
-
-var _ = mapreduce.MapTask // keep import while harnesses grow

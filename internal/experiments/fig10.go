@@ -61,6 +61,7 @@ func Fig10() (*Fig10Result, error) {
 	type series = []float64
 	baseline := series{}
 	varSeries := make(map[ExchangeVariant]series)
+	// tickSpan is the first tick of the first run, seed 1's baseline.
 	var tickSpan time.Duration
 
 	accumulate := func(dst series, src []float64) series {
@@ -78,6 +79,9 @@ func Fig10() (*Fig10Result, error) {
 		return out
 	}
 
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	var runs []*[]float64
 	for seed := int64(1); seed <= seeds; seed++ {
 		msd, err := workload.GenerateMSD(workload.MSDConfig{
 			Jobs: jobs, Scale: ScaleDown, MeanInterarrival: 30 * time.Second,
@@ -85,7 +89,7 @@ func Fig10() (*Fig10Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig10: %w", err)
 		}
-		run := func(sched SchedulerName, p core.Params) ([]float64, error) {
+		add := func(sched SchedulerName, p core.Params) {
 			cfg := defaultDriverConfig()
 			cfg.Seed = seed
 			// The exchange strategies exist to defeat estimator noise;
@@ -94,35 +98,32 @@ func Fig10() (*Fig10Result, error) {
 			cfg.Noise.MeasurementCV = 0.35
 			cfg.Noise.DurationCV = 0.25
 			// Each control tick reports the fleet energy it synced.
-			var joules []float64
+			joules, first := new([]float64), len(runs) == 0
 			cfg.Probe = foldProbe(false, func(ev probe.Event) {
 				if ev.Kind == probe.KindControlTick {
-					joules = append(joules, ev.A)
-					if tickSpan == 0 {
+					*joules = append(*joules, ev.A)
+					if first && tickSpan == 0 {
 						tickSpan = ev.At
 					}
 				}
 			})
-			if _, err := (Campaign{
-				Cluster: cluster.Testbed(), Sched: sched, Params: p,
-				Jobs: msd, Config: cfg,
-			}).Run(); err != nil {
-				return nil, err
-			}
-			return joules, nil
+			campaigns = append(campaigns, Campaign{Cluster: testbed, Sched: sched, Params: p, Jobs: msd, Config: cfg})
+			runs = append(runs, joules)
 		}
-		base, err := run(SchedFIFO, core.Params{})
-		if err != nil {
-			return nil, fmt.Errorf("fig10: baseline: %w", err)
-		}
-		baseline = accumulate(baseline, base)
+		add(SchedFIFO, core.Params{})
 		for _, v := range variants {
-			j, err := run(SchedEAnt, v.params())
-			if err != nil {
-				return nil, fmt.Errorf("fig10: %s: %w", v, err)
-			}
-			varSeries[v] = accumulate(varSeries[v], j)
+			add(SchedEAnt, v.params())
 		}
+	}
+	if _, err := RunAll(campaigns, 0); err != nil {
+		return nil, fmt.Errorf("fig10: %w", err)
+	}
+	for len(runs) > 0 {
+		baseline = accumulate(baseline, *runs[0])
+		for i, v := range variants {
+			varSeries[v] = accumulate(varSeries[v], *runs[1+i])
+		}
+		runs = runs[1+len(variants):]
 	}
 
 	res := &Fig10Result{

@@ -8,7 +8,6 @@ import (
 	"eant/internal/core"
 	"eant/internal/mapreduce"
 	"eant/internal/metrics"
-	"eant/internal/parallel"
 	"eant/internal/probe"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
@@ -65,20 +64,34 @@ func job0MapTrail(app workload.App) (*probe.Probe, *colonyTrail) {
 // the machine-level exchange more samples per interval, so the trails
 // settle sooner despite system noise.
 func Fig11a() (*Fig11Result, error) {
-	res := &Fig11Result{Label: "homogeneous machines"}
 	levels := []int{1, 2, 3, 8}
 	const seeds = 5
-	// Each (level, seed) cell builds its own cluster and scheduler and runs
-	// independently; aggregation below preserves the sequential seed order.
-	cells, err := parallel.Map(len(levels)*seeds, 0, func(i int) (convProbe, error) {
-		k := levels[i/seeds]
-		seed := int64(i%seeds) + 1
+	var campaigns []Campaign
+	var trails []*colonyTrail
+	for _, k := range levels {
 		c := cluster.MustNew(
 			cluster.Group{Spec: cluster.SpecDesktop, Count: k},
 			cluster.Group{Spec: cluster.SpecT420, Count: 2},
 			cluster.Group{Spec: cluster.SpecT110, Count: 2},
 			cluster.Group{Spec: cluster.SpecAtom, Count: 1},
 		)
+		// 800 map tasks: many waves across every fleet size.
+		jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 800*workload.BlockMB, 8, 0)}
+		for seed := int64(1); seed <= seeds; seed++ {
+			cfg := defaultDriverConfig()
+			cfg.Seed = seed
+			cfg.ControlInterval = convergenceInterval
+			var trail *colonyTrail
+			cfg.Probe, trail = job0MapTrail(workload.Wordcount)
+			campaigns = append(campaigns, Campaign{Cluster: c, Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg})
+			trails = append(trails, trail)
+		}
+	}
+	if _, err := RunAll(campaigns, 0); err != nil {
+		return nil, fmt.Errorf("fig11a: %w", err)
+	}
+	res := &Fig11Result{Label: "homogeneous machines"}
+	for li, k := range levels {
 		// The homogeneous group under study is the desktops (IDs 0..k-1 by
 		// construction order); stability is measured on their trail
 		// entries — the question is how fast the policy for *that* group
@@ -87,42 +100,21 @@ func Fig11a() (*Fig11Result, error) {
 		for g := range group {
 			group[g] = g
 		}
-		cfg := defaultDriverConfig()
-		cfg.Seed = seed
-		cfg.ControlInterval = convergenceInterval
-		var trail *colonyTrail
-		cfg.Probe, trail = job0MapTrail(workload.Wordcount)
-		// 800 map tasks: many waves across every fleet size.
-		jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 800*workload.BlockMB, 8, 0)}
-		if _, err := (Campaign{Cluster: c, Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg}).Run(); err != nil {
-			return convProbe{}, fmt.Errorf("fig11a: k=%d: %w", k, err)
-		}
-		var p convProbe
-		p.At, p.OK = metrics.TrailConvergenceOn(trail.times, trail.rows, group, TrailTolerance)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for li, k := range levels {
-		res.Rows = append(res.Rows, convRow(k, cells[li*seeds:(li+1)*seeds]))
+		res.Rows = append(res.Rows, convRow(k, trails[li*seeds:(li+1)*seeds], func(tr *colonyTrail) (time.Duration, bool) {
+			return metrics.TrailConvergenceOn(tr.times, tr.rows, group, TrailTolerance)
+		}))
 	}
 	return res, nil
 }
 
-// convProbe is one seed's convergence measurement.
-type convProbe struct {
-	At time.Duration
-	OK bool
-}
-
-// convRow averages the converged probes of one homogeneity level.
-func convRow(count int, probes []convProbe) Fig11Row {
+// convRow averages the convergence times of one homogeneity level's runs
+// over the runs whose trail converged.
+func convRow(count int, trails []*colonyTrail, converge func(*colonyTrail) (time.Duration, bool)) Fig11Row {
 	var sum time.Duration
 	converged := 0
-	for _, p := range probes {
-		if p.OK {
-			sum += p.At
+	for _, tr := range trails {
+		if at, ok := converge(tr); ok {
+			sum += at
 			converged++
 		}
 	}
@@ -140,19 +132,12 @@ func convRow(count int, probes []convProbe) Fig11Row {
 // cluster's completed-task feedback grows with it, so the pooled trail
 // settles sooner.
 func Fig11b() (*Fig11Result, error) {
-	res := &Fig11Result{Label: "homogeneous jobs"}
 	levels := []int{10, 20, 30, 40}
 	const seeds = 5
-	cells, err := parallel.Map(len(levels)*seeds, 0, func(i int) (convProbe, error) {
-		n := levels[i/seeds]
-		seed := int64(i%seeds) + 1
-		cfg := defaultDriverConfig()
-		cfg.Seed = seed
-		cfg.ControlInterval = convergenceInterval
-		// Probe job 0's map colony; with job-level exchange its trail
-		// pools all n Grep jobs' experiences.
-		var trail *colonyTrail
-		cfg.Probe, trail = job0MapTrail(workload.Grep)
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	var trails []*colonyTrail
+	for _, n := range levels {
 		// n Grep probes (IDs 0..n-1) against a fixed 30-job mixed
 		// background that keeps the cluster contended.
 		jobs := workload.Batch(workload.Grep, n, 50*workload.BlockMB, 2, 0)
@@ -163,18 +148,26 @@ func Fig11b() (*Fig11Result, error) {
 			}
 			jobs = append(jobs, workload.NewJobSpec(n+b, app, 50*workload.BlockMB, 2, 0))
 		}
-		if _, err := (Campaign{Cluster: cluster.Testbed(), Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg}).Run(); err != nil {
-			return convProbe{}, fmt.Errorf("fig11b: n=%d: %w", n, err)
+		for seed := int64(1); seed <= seeds; seed++ {
+			cfg := defaultDriverConfig()
+			cfg.Seed = seed
+			cfg.ControlInterval = convergenceInterval
+			// Probe job 0's map colony; with job-level exchange its trail
+			// pools all n Grep jobs' experiences.
+			var trail *colonyTrail
+			cfg.Probe, trail = job0MapTrail(workload.Grep)
+			campaigns = append(campaigns, Campaign{Cluster: testbed, Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg})
+			trails = append(trails, trail)
 		}
-		var p convProbe
-		p.At, p.OK = metrics.TrailConvergence(trail.times, trail.rows, TrailTolerance)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	if _, err := RunAll(campaigns, 0); err != nil {
+		return nil, fmt.Errorf("fig11b: %w", err)
+	}
+	res := &Fig11Result{Label: "homogeneous jobs"}
 	for li, n := range levels {
-		res.Rows = append(res.Rows, convRow(n, cells[li*seeds:(li+1)*seeds]))
+		res.Rows = append(res.Rows, convRow(n, trails[li*seeds:(li+1)*seeds], func(tr *colonyTrail) (time.Duration, bool) {
+			return metrics.TrailConvergence(tr.times, tr.rows, TrailTolerance)
+		}))
 	}
 	return res, nil
 }

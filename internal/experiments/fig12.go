@@ -9,7 +9,6 @@ import (
 	"eant/internal/mapreduce"
 	"eant/internal/metrics"
 	"eant/internal/noise"
-	"eant/internal/parallel"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -43,29 +42,6 @@ func sensitivityConfig(seed int64) mapreduce.Config {
 	return cfg
 }
 
-// standaloneTimes runs each job alone on the testbed and returns its
-// baseline completion time, for slowdown normalization [18].
-func standaloneTimes(jobs []workload.JobSpec) (map[int]time.Duration, error) {
-	out := make(map[int]time.Duration, len(jobs))
-	for _, j := range jobs {
-		solo := j
-		solo.Submit = 0
-		cfg := defaultDriverConfig()
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedFIFO,
-			Jobs: []workload.JobSpec{solo}, Config: cfg,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("standalone job %d: %w", j.ID, err)
-		}
-		if len(stats.Jobs) != 1 {
-			return nil, fmt.Errorf("standalone job %d did not finish", j.ID)
-		}
-		out[j.ID] = stats.Jobs[0].CompletionTime()
-	}
-	return out, nil
-}
-
 // Fig12a reproduces the β sensitivity study: energy saving over default
 // Hadoop and job fairness (inverse slowdown variance) for β from 0 to
 // 0.4. The paper's saving peaks at β ≈ 0.1 (β = 0 also abandons data
@@ -73,72 +49,73 @@ func standaloneTimes(jobs []workload.JobSpec) (map[int]time.Duration, error) {
 func Fig12a() (*Fig12aResult, error) {
 	const seeds = 8
 	betas := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	res := &Fig12aResult{}
-	// Per-seed prep: the workload, the standalone baselines and the FIFO
-	// reference run depend only on the seed, never on β, so each is
-	// computed once and shared read-only across the β cells. (The earlier
-	// sequential code recomputed them per β with identical results — this
-	// alone cuts the sweep's work ~5×.)
-	type prep struct {
-		jobs       []workload.JobSpec
-		standalone map[int]time.Duration
-		baseJoules float64
-	}
-	preps, err := parallel.Map(seeds, 0, func(s int) (prep, error) {
+	testbed := cluster.Testbed()
+	// The workload, each job's standalone run (its baseline completion
+	// time, for slowdown normalization [18]) and the FIFO reference run
+	// depend only on the seed, never on β, so each seed's runs come
+	// first, once, ahead of the β cells.
+	seedJobs := make([][]workload.JobSpec, seeds)
+	var campaigns []Campaign
+	for s := range seedJobs {
 		seed := int64(s) + 1
 		jobs, err := sensitivityWorkload(seed)
 		if err != nil {
-			return prep{}, fmt.Errorf("fig12a: %w", err)
+			return nil, fmt.Errorf("fig12a: %w", err)
 		}
-		standalone, err := standaloneTimes(jobs)
-		if err != nil {
-			return prep{}, fmt.Errorf("fig12a: %w", err)
+		seedJobs[s] = jobs
+		for _, solo := range jobs {
+			solo.Submit = 0
+			campaigns = append(campaigns, Campaign{
+				Cluster: testbed, Sched: SchedFIFO,
+				Jobs: []workload.JobSpec{solo}, Config: defaultDriverConfig(),
+			})
 		}
-		base, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedFIFO, Jobs: jobs,
-			Config: sensitivityConfig(seed),
-		}.Run()
-		if err != nil {
-			return prep{}, fmt.Errorf("fig12a: baseline: %w", err)
-		}
-		return prep{jobs: jobs, standalone: standalone, baseJoules: base.TotalJoules}, nil
-	})
-	if err != nil {
-		return nil, err
+		campaigns = append(campaigns, Campaign{
+			Cluster: testbed, Sched: SchedFIFO, Jobs: jobs, Config: sensitivityConfig(seed),
+		})
 	}
-	type cell struct{ saving, fairness float64 }
-	cells, err := parallel.Map(len(betas)*seeds, 0, func(i int) (cell, error) {
-		beta := betas[i/seeds]
-		s := i % seeds
-		p := preps[s]
+	for _, beta := range betas {
 		params := core.DefaultParams()
 		params.Beta = beta
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedEAnt, Params: params,
-			Jobs: p.jobs, Config: sensitivityConfig(int64(s) + 1),
-		}.Run()
-		if err != nil {
-			return cell{}, fmt.Errorf("fig12a: beta %v: %w", beta, err)
+		for s, jobs := range seedJobs {
+			campaigns = append(campaigns, Campaign{
+				Cluster: testbed, Sched: SchedEAnt, Params: params,
+				Jobs: jobs, Config: sensitivityConfig(int64(s) + 1),
+			})
 		}
-		slowdowns, err := metrics.Slowdowns(stats.Jobs, func(r mapreduce.JobResult) time.Duration {
-			return p.standalone[r.Spec.ID]
-		})
-		if err != nil {
-			return cell{}, fmt.Errorf("fig12a: %w", err)
-		}
-		return cell{
-			saving:   (p.baseJoules - stats.TotalJoules) / 1000,
-			fairness: metrics.Fairness(slowdowns),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig12a: %w", err)
+	}
+	standalone := make([]map[int]time.Duration, seeds)
+	baseJoules := make([]float64, seeds)
+	for s, jobs := range seedJobs {
+		standalone[s] = make(map[int]time.Duration, len(jobs))
+		for _, j := range jobs {
+			solo := cells[0]
+			cells = cells[1:]
+			if len(solo.Jobs) != 1 {
+				return nil, fmt.Errorf("fig12a: standalone job %d did not finish", j.ID)
+			}
+			standalone[s][j.ID] = solo.Jobs[0].CompletionTime()
+		}
+		baseJoules[s] = cells[0].TotalJoules
+		cells = cells[1:]
+	}
+	res := &Fig12aResult{}
 	for bi, beta := range betas {
 		var savingSum, fairSum float64
 		for s := 0; s < seeds; s++ {
-			savingSum += cells[bi*seeds+s].saving
-			fairSum += cells[bi*seeds+s].fairness
+			stats := cells[bi*seeds+s]
+			slowdowns, err := metrics.Slowdowns(stats.Jobs, func(r mapreduce.JobResult) time.Duration {
+				return standalone[s][r.Spec.ID]
+			})
+			if err != nil {
+				return nil, fmt.Errorf("fig12a: %w", err)
+			}
+			savingSum += (baseJoules[s] - stats.TotalJoules) / 1000
+			fairSum += metrics.Fairness(slowdowns)
 		}
 		res.Rows = append(res.Rows, Fig12aRow{
 			Beta:     beta,
@@ -178,38 +155,33 @@ func Fig12b() (*Fig12bResult, error) {
 		10 * time.Second, 20 * time.Second, 30 * time.Second,
 		45 * time.Second, 60 * time.Second, 90 * time.Second,
 	}
-	res := &Fig12bResult{}
-	savings, err := parallel.Map(len(intervals)*seeds, 0, func(i int) (float64, error) {
-		interval := intervals[i/seeds]
-		seed := int64(i%seeds) + 1
-		jobs, err := sensitivityWorkload(seed)
-		if err != nil {
-			return 0, fmt.Errorf("fig12b: %w", err)
+	// Each (interval, seed) cell is a FIFO baseline and an E-Ant run.
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	for _, interval := range intervals {
+		for seed := int64(1); seed <= seeds; seed++ {
+			jobs, err := sensitivityWorkload(seed)
+			if err != nil {
+				return nil, fmt.Errorf("fig12b: %w", err)
+			}
+			cfg := sensitivityConfig(seed)
+			cfg.ControlInterval = interval
+			campaigns = append(campaigns,
+				Campaign{Cluster: testbed, Sched: SchedFIFO, Jobs: jobs, Config: cfg},
+				Campaign{Cluster: testbed, Sched: SchedEAnt, Params: core.DefaultParams(), Jobs: jobs, Config: cfg})
 		}
-		cfg := sensitivityConfig(seed)
-		cfg.ControlInterval = interval
-		base, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedFIFO, Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return 0, fmt.Errorf("fig12b: baseline: %w", err)
-		}
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedEAnt, Params: core.DefaultParams(),
-			Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return 0, fmt.Errorf("fig12b: interval %v: %w", interval, err)
-		}
-		return (base.TotalJoules - stats.TotalJoules) / 1000, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	for ii, interval := range intervals {
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig12b: %w", err)
+	}
+	res := &Fig12bResult{}
+	for _, interval := range intervals {
 		var savingSum float64
 		for s := 0; s < seeds; s++ {
-			savingSum += savings[ii*seeds+s]
+			base, stats := cells[0], cells[1]
+			cells = cells[2:]
+			savingSum += (base.TotalJoules - stats.TotalJoules) / 1000
 		}
 		res.Rows = append(res.Rows, Fig12bRow{Interval: interval, SavingKJ: savingSum / seeds})
 	}

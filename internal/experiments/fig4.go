@@ -7,7 +7,6 @@ import (
 	"eant/internal/mapreduce"
 	"eant/internal/metrics"
 	"eant/internal/noise"
-	"eant/internal/parallel"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -35,22 +34,26 @@ type Fig4Result struct{ Rows []Fig4Row }
 func Fig4() (*Fig4Result, error) {
 	specs := []*cluster.TypeSpec{cluster.SpecDesktop, cluster.SpecXeonE5}
 	apps := workload.Apps()
-	rows, err := parallel.Map(len(specs)*len(apps), 0, func(i int) (Fig4Row, error) {
-		spec := specs[i/len(apps)]
-		app := apps[i%len(apps)]
+	var campaigns []Campaign
+	for _, spec := range specs {
 		c := cluster.MustNew(cluster.Group{Spec: spec, Count: 1})
-		cfg := defaultDriverConfig()
-		cfg.Noise = noise.Default()
-		cfg.KeepTaskRecords = true
-		cfg.ForcedLocalFraction = 1
-		// ~3 GB input: enough tasks for a stable error estimate.
-		jobs := []workload.JobSpec{workload.NewJobSpec(0, app, 3072, 2, 0)}
-		stats, err := Campaign{
-			Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return Fig4Row{}, fmt.Errorf("fig4: %s/%v: %w", spec.Name, app, err)
+		for _, app := range apps {
+			cfg := defaultDriverConfig()
+			cfg.Noise = noise.Default()
+			cfg.KeepTaskRecords = true
+			cfg.ForcedLocalFraction = 1
+			// ~3 GB input: enough tasks for a stable error estimate.
+			jobs := []workload.JobSpec{workload.NewJobSpec(0, app, 3072, 2, 0)}
+			campaigns = append(campaigns, Campaign{Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg})
 		}
+	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig4: %w", err)
+	}
+	res := &Fig4Result{}
+	for i, stats := range cells {
+		spec, app := specs[i/len(apps)], apps[i%len(apps)]
 		var rec, est []float64
 		var recSum, estSum float64
 		for _, t := range stats.Tasks {
@@ -61,21 +64,18 @@ func Fig4() (*Fig4Result, error) {
 		}
 		nrmse, err := metrics.NRMSE(rec, est)
 		if err != nil {
-			return Fig4Row{}, fmt.Errorf("fig4: %w", err)
+			return nil, fmt.Errorf("fig4: %s/%v: %w", spec.Name, app, err)
 		}
-		return Fig4Row{
+		res.Rows = append(res.Rows, Fig4Row{
 			Machine:     spec.Name,
 			App:         app,
 			Tasks:       len(rec),
 			RecordedKJ:  recSum / 1000,
 			EstimatedKJ: estSum / 1000,
 			NRMSE:       nrmse,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+		})
 	}
-	return &Fig4Result{Rows: rows}, nil
+	return res, nil
 }
 
 // MaxNRMSE returns the worst error across the grid.
@@ -125,10 +125,11 @@ func Fig7() (*Fig7Result, error) {
 	cfg.ForcedLocalFraction = 1
 	// ~200 map tasks, matching the paper's task-ID axis.
 	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 200*workload.BlockMB, 2, 0)}
-	stats, err := Campaign{Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg}.Run()
+	cells, err := RunAll([]Campaign{{Cluster: c, Sched: SchedFIFO, Jobs: jobs, Config: cfg}}, 0)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
+	stats := cells[0]
 	res := &Fig7Result{}
 	var vals []float64
 	for i, t := range stats.Tasks {

@@ -23,26 +23,30 @@ type Fig6Result struct{ Rows []Fig6Row }
 // Fig6 reproduces the data-locality impact study: the same Wordcount job
 // run with 10 %, 40 % and 80 % of its map tasks reading local data.
 func Fig6() (*Fig6Result, error) {
-	res := &Fig6Result{}
-	for _, pct := range []int{10, 40, 80} {
+	// The paper measures "job completion times of multiple Wordcount
+	// jobs with the same size input data but different data locality";
+	// averaging several jobs keeps one job's heartbeat-quantized tail
+	// wave from masking the phase difference. The map phase is where
+	// locality acts, so the jobs are map-only.
+	const jobCount = 6
+	inputMB := 300.0 * 1024 / ScaleDown
+	jobs := workload.Batch(workload.Wordcount, jobCount, inputMB, 0, 0)
+	percents := []int{10, 40, 80}
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	for _, pct := range percents {
 		cfg := defaultDriverConfig()
 		cfg.Noise = noise.Off()
 		cfg.ForcedLocalFraction = float64(pct) / 100
-		// The paper measures "job completion times of multiple Wordcount
-		// jobs with the same size input data but different data
-		// locality"; averaging several jobs keeps one job's
-		// heartbeat-quantized tail wave from masking the phase
-		// difference. The map phase is where locality acts, so the jobs
-		// are map-only.
-		const jobCount = 6
-		inputMB := 300.0 * 1024 / ScaleDown
-		jobs := workload.Batch(workload.Wordcount, jobCount, inputMB, 0, 0)
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: SchedFIFO, Jobs: jobs, Config: cfg,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig6: %d%%: %w", pct, err)
-		}
+		campaigns = append(campaigns, Campaign{Cluster: testbed, Sched: SchedFIFO, Jobs: jobs, Config: cfg})
+	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig6: %w", err)
+	}
+	res := &Fig6Result{}
+	for i, pct := range percents {
+		stats := cells[i]
 		if len(stats.Jobs) != jobCount {
 			return nil, fmt.Errorf("fig6: %d/%d jobs finished at %d%% locality", len(stats.Jobs), jobCount, pct)
 		}

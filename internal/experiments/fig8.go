@@ -9,7 +9,6 @@ import (
 	"eant/internal/core"
 	"eant/internal/mapreduce"
 	"eant/internal/metrics"
-	"eant/internal/parallel"
 	"eant/internal/tabwrite"
 	"eant/internal/workload"
 )
@@ -67,36 +66,31 @@ func Fig8(cfg Fig8Config) (*Fig8Result, error) {
 	if len(scheds) == 0 {
 		scheds = []SchedulerName{SchedFIFO, SchedFair, SchedTarazu, SchedEAnt}
 	}
-	res := &Fig8Result{Config: cfg}
-	// Fan the (scheduler, seed) cells out over the worker pool: every cell
-	// owns its engine, RNG forks and scheduler. Aggregation below walks the
-	// cells in the exact order the sequential loops did, so the float sums
-	// are bit-identical regardless of worker count.
-	cells, err := parallel.Map(len(scheds)*cfg.Seeds, 0, func(i int) (*mapreduce.Stats, error) {
-		name := scheds[i/cfg.Seeds]
-		seed := int64(i%cfg.Seeds) + 1
-		jobs, err := workload.GenerateMSD(workload.MSDConfig{
-			Jobs:             cfg.Jobs,
-			Scale:            ScaleDown,
-			MeanInterarrival: cfg.MeanInterarrival,
-		}, newRNG(seed))
-		if err != nil {
-			return nil, fmt.Errorf("fig8: %w", err)
+	testbed := cluster.Testbed()
+	var campaigns []Campaign
+	for _, name := range scheds {
+		for seed := int64(1); seed <= int64(cfg.Seeds); seed++ {
+			jobs, err := workload.GenerateMSD(workload.MSDConfig{
+				Jobs:             cfg.Jobs,
+				Scale:            ScaleDown,
+				MeanInterarrival: cfg.MeanInterarrival,
+			}, newRNG(seed))
+			if err != nil {
+				return nil, fmt.Errorf("fig8: %w", err)
+			}
+			dcfg := defaultDriverConfig()
+			dcfg.Seed = seed
+			campaigns = append(campaigns, Campaign{
+				Cluster: testbed, Sched: name,
+				Params: core.DefaultParams(), Jobs: jobs, Config: dcfg,
+			})
 		}
-		dcfg := defaultDriverConfig()
-		dcfg.Seed = seed
-		stats, err := Campaign{
-			Cluster: cluster.Testbed(), Sched: name,
-			Params: core.DefaultParams(), Jobs: jobs, Config: dcfg,
-		}.Run()
-		if err != nil {
-			return nil, fmt.Errorf("fig8: %w", err)
-		}
-		return stats, nil
-	})
-	if err != nil {
-		return nil, err
 	}
+	cells, err := RunAll(campaigns, 0)
+	if err != nil {
+		return nil, fmt.Errorf("fig8: %w", err)
+	}
+	res := &Fig8Result{Config: cfg}
 	for si, name := range scheds {
 		agg := SchedResult{
 			Sched:      name,

@@ -150,13 +150,13 @@ func TestSweepsConcurrently(t *testing.T) {
 			)
 		}
 		// The sweeps themselves fan out on the shared default pool; running
-		// them through ForEach stacks sweep-level on top of cell-level
+		// them through Map stacks sweep-level on top of cell-level
 		// concurrency.
-		if err := parallel.ForEach(len(sweeps), len(sweeps), func(i int) error {
+		if _, err := parallel.Map(len(sweeps), len(sweeps), func(i int) (struct{}, error) {
 			if err := sweeps[i].run(); err != nil {
 				t.Errorf("%s: %v", sweeps[i].name, err)
 			}
-			return nil
+			return struct{}{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -141,11 +141,3 @@ func MapWorkers[T any](n, workers int, fn func(worker, i int) (T, error)) ([]T, 
 	}
 	return out, nil
 }
-
-// ForEach is Map for work that produces no value.
-func ForEach(n, workers int, fn func(i int) error) error {
-	_, err := Map(n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}

@@ -134,27 +134,6 @@ func TestMapStopsClaimingAfterFailure(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(100, 4, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Errorf("sum = %d, want 4950", sum.Load())
-	}
-	if err := ForEach(10, 4, func(i int) error {
-		if i == 2 {
-			return errors.New("nope")
-		}
-		return nil
-	}); err == nil || err.Error() != "nope" {
-		t.Errorf("err = %v, want nope", err)
-	}
-}
-
 func TestDefaultWorkers(t *testing.T) {
 	t.Cleanup(func() { SetDefaultWorkers(0) })
 	if got := DefaultWorkers(); got != runtime.GOMAXPROCS(0) {
