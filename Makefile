@@ -59,7 +59,7 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkRunManyWarm$$' -benchtime=20x -benchmem -count=$(COUNT) .
 
 # Per-package statement coverage for the observability packages, the
-# world-state core and the driver; CI enforces floors on these (see
-# .github/workflows/ci.yml).
+# world-state core, the driver and HDFS placement; CI enforces floors on
+# these (see .github/workflows/ci.yml).
 cover:
-	$(GO) test -cover ./internal/probe ./internal/metrics ./internal/cluster ./internal/mapreduce
+	$(GO) test -cover ./internal/probe ./internal/metrics ./internal/cluster ./internal/mapreduce ./internal/hdfs

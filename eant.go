@@ -344,7 +344,9 @@ func Run(spec RunSpec) (*Result, error) {
 // by resetting that world in place instead of rebuilding it. For sweeps
 // of many runs over one fleet this removes the per-run construction of
 // the cluster, HDFS namespace, event queue, job/task structures and
-// scheduler state — the dominant allocation cost of short runs.
+// scheduler state — the dominant allocation cost of short runs. Job and
+// task storage is kept whatever the next run's jobs are: each run is laid
+// out in the storage the largest earlier one left.
 //
 // Every warm run is bit-identical to a cold Run of the same spec
 // (golden-enforced): each reset rewinds the RNG streams to the seeds a
@@ -446,7 +448,7 @@ func Compare(spec RunSpec, schedulers ...Scheduler) (map[Scheduler]*Result, map[
 	}
 	runs, err := RunMany(specs, 0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("eant: %w", err)
+		return nil, nil, err
 	}
 	results := make(map[Scheduler]*Result, len(schedulers))
 	for i, s := range schedulers {

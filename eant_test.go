@@ -188,7 +188,7 @@ func TestNewClusterRejectsOversizedFleet(t *testing.T) {
 }
 
 // TestRunRejectsOversizedJob checks that Run surfaces the driver's bound
-// on a job's replica entries (maps × replication ≤ MaxInt32) unchanged.
+// on a run's replica entries (Σ maps × replication ≤ MaxInt32) unchanged.
 func TestRunRejectsOversizedJob(t *testing.T) {
 	job := NewJob(1, Grep, workload.BlockMB*(math.MaxInt32/3+1), 0, 0)
 	_, err := Run(RunSpec{Cluster: PaperTestbed(), Scheduler: SchedulerFIFO, Jobs: []Job{job}})
@@ -261,6 +261,33 @@ func TestCompareProducesSavings(t *testing.T) {
 	}
 	if _, ok := savings[SchedulerFair]; !ok {
 		t.Error("no saving computed vs Fair")
+	}
+}
+
+// TestCompareReturnsRunManyError checks that Compare passes RunMany's
+// error on as it is: the same text with one "eant: " prefix, and the same
+// cause under errors.Unwrap, both for a spec that fails its checks and for
+// one that fails in the driver.
+func TestCompareReturnsRunManyError(t *testing.T) {
+	dup := MSDWorkload(6, 12)
+	dup[4].ID = dup[1].ID
+	for _, spec := range []RunSpec{
+		{Jobs: MSDWorkload(2, 1)},
+		{Cluster: PaperTestbed(), Jobs: dup, Seed: 12},
+	} {
+		_, _, err := Compare(spec, SchedulerFair)
+		spec.Scheduler = SchedulerFair
+		_, want := RunMany([]RunSpec{spec}, 0)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Compare error %v, RunMany error %v; want the same non-nil error", err, want)
+		}
+		if n := strings.Count(err.Error(), "eant: "); n != 1 {
+			t.Errorf("Compare error %q has %d eant prefixes, want 1", err, n)
+		}
+		got, cause := errors.Unwrap(err), errors.Unwrap(want)
+		if (got == nil) != (cause == nil) || got != nil && got.Error() != cause.Error() {
+			t.Errorf("errors.Unwrap of the Compare error is %v, of the RunMany error %v", got, cause)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 
 	"eant/internal/cluster"
 	"eant/internal/sim"
@@ -20,33 +21,33 @@ import (
 // DefaultReplication is HDFS's default replica count.
 const DefaultReplication = 3
 
-// File is one job's input: Blocks[i] lists the machine IDs holding a
-// replica of block i. Every block's list is a window of one backing array
-// (replication entries per block), so placing a file allocates two arrays
-// however many blocks it has.
-type File struct {
-	JobID  int
-	Blocks [][]int
-}
-
-// Namespace places and resolves input files. Not safe for concurrent use;
-// the simulation loop is single-threaded.
+// Namespace places and resolves input files. Every placed block's replica
+// IDs sit in one retained array, Stride() entries per block and the files
+// one after another in placement order, so placing allocates nothing once
+// the array has room. Not safe for concurrent use; the simulation loop is
+// single-threaded.
 type Namespace struct {
 	cluster     *cluster.Cluster
 	replication int
-	files       map[int]*File
+	// replicas holds the placed blocks' replica IDs; files locates each
+	// job's blocks in it.
+	replicas []int32
+	files    map[int]span
 	// blocksHeld counts replicas per machine, used to balance placement.
 	blocksHeld []int
-	// excluded marks compute-only machines that never receive replicas.
-	excluded map[int]bool
+	// excluded marks compute-only machines that never receive replicas;
+	// nExcluded counts them.
+	excluded  []bool
+	nExcluded int
 	// covering, when set, constrains each block's first replica to these
 	// machines (the consolidation covering subset).
 	covering []int
 	rng      sim.RNG
-	// recycled holds Files retired by Reset, keyed by job ID, so a warm
-	// rerun of the same workload re-places into the same backing arrays.
-	recycled map[int]*File
 }
+
+// span locates one file in Namespace.replicas: its first entry and its
+// block count.
+type span struct{ first, blocks int }
 
 // NewNamespace returns an empty namespace over c whose placements draw
 // from a stream seeded with seed. replication is defaulted and clamped as
@@ -54,9 +55,9 @@ type Namespace struct {
 func NewNamespace(c *cluster.Cluster, replication int, seed int64) *Namespace {
 	ns := &Namespace{
 		cluster:    c,
-		files:      make(map[int]*File),
+		files:      make(map[int]span),
 		blocksHeld: make([]int, c.Size()),
-		recycled:   make(map[int]*File),
+		excluded:   make([]bool, c.Size()),
 	}
 	ns.Reset(replication, seed)
 	return ns
@@ -65,24 +66,29 @@ func NewNamespace(c *cluster.Cluster, replication int, seed int64) *Namespace {
 // Replication returns the effective replica count.
 func (ns *Namespace) Replication() int { return ns.replication }
 
+// Stride returns how many replicas each block gets: the replica count,
+// clamped to the machines not excluded from placement.
+func (ns *Namespace) Stride() int {
+	return min(ns.replication, ns.cluster.Size()-ns.nExcluded)
+}
+
 // Reset empties the namespace, adopts the replica count (DefaultReplication
 // when non-positive, clamped to the cluster size) and rewinds its RNG
 // stream to the given seed, so a subsequent identical Place sequence
-// reproduces the original placements bit for bit. Retired Files move to a
-// recycling pool keyed by job ID; exclusions and the covering constraint
-// are dropped (the driver re-applies them before placing).
+// reproduces the original placements bit for bit. The replica array keeps
+// its storage for the next placements; exclusions and the covering
+// constraint are dropped (the driver re-applies them before placing).
 func (ns *Namespace) Reset(replication int, seed int64) {
 	if replication <= 0 {
 		replication = DefaultReplication
 	}
 	ns.replication = min(replication, ns.cluster.Size())
-	for id, f := range ns.files {
-		ns.recycled[id] = f
-	}
+	ns.replicas = ns.replicas[:0]
 	clear(ns.files)
 	clear(ns.blocksHeld)
-	ns.excluded = nil
-	ns.covering = nil
+	clear(ns.excluded)
+	ns.nExcluded = 0
+	ns.covering = ns.covering[:0]
 	ns.rng.Reseed(seed)
 }
 
@@ -92,7 +98,7 @@ func (ns *Namespace) Reset(replication int, seed int64) {
 // the fleet may power down without losing availability. Remaining
 // replicas place anywhere. Call before Place.
 func (ns *Namespace) PreferFirstReplicaOn(machineIDs []int) {
-	ns.covering = nil
+	ns.covering = ns.covering[:0]
 	for _, id := range machineIDs {
 		if id < 0 || id >= ns.cluster.Size() {
 			panic(fmt.Sprintf("hdfs: covering machine %d in fleet of %d", id, ns.cluster.Size()))
@@ -102,66 +108,55 @@ func (ns *Namespace) PreferFirstReplicaOn(machineIDs []int) {
 }
 
 // ExcludeFromPlacement marks a machine as compute-only (no DataNode):
-// future placements never put replicas there. Must be called before any
-// Place whose blocks should honor it. Excluding every machine panics at
-// the next Place.
+// placements never put replicas there. Exclusions change the stride, so
+// they must all come before the first Place after a Reset; a later one
+// panics. Excluding every machine panics at the next Place.
 func (ns *Namespace) ExcludeFromPlacement(machineID int) {
 	if machineID < 0 || machineID >= ns.cluster.Size() {
 		panic(fmt.Sprintf("hdfs: exclude of machine %d in fleet of %d", machineID, ns.cluster.Size()))
 	}
-	if ns.excluded == nil {
-		ns.excluded = make(map[int]bool)
+	if len(ns.files) > 0 {
+		panic(fmt.Sprintf("hdfs: exclude of machine %d after placement", machineID))
 	}
-	ns.excluded[machineID] = true
+	if !ns.excluded[machineID] {
+		ns.excluded[machineID] = true
+		ns.nExcluded++
+	}
 }
 
 // Place creates the input file for a job with the given block count,
 // choosing replica sets that are distinct per block and globally balanced.
 // Placing a job twice is a driver bug and returns an error.
-func (ns *Namespace) Place(jobID, blocks int) (*File, error) {
+func (ns *Namespace) Place(jobID, blocks int) error {
 	if _, ok := ns.files[jobID]; ok {
-		return nil, fmt.Errorf("hdfs: job %d already placed", jobID)
+		return fmt.Errorf("hdfs: job %d already placed", jobID)
 	}
 	if blocks <= 0 {
-		return nil, fmt.Errorf("hdfs: job %d has %d blocks", jobID, blocks)
+		return fmt.Errorf("hdfs: job %d has %d blocks", jobID, blocks)
 	}
-	f := ns.recycled[jobID]
-	if f != nil && len(f.Blocks) == blocks {
-		delete(ns.recycled, jobID)
-	} else {
-		f = &File{JobID: jobID, Blocks: make([][]int, blocks)}
-		reps := ns.replication
-		backing := make([]int, blocks*reps)
-		for b := range f.Blocks {
-			f.Blocks[b] = backing[b*reps : b*reps : (b+1)*reps]
-		}
-	}
-	for b := 0; b < blocks; b++ {
-		f.Blocks[b] = ns.pickReplicas(f.Blocks[b][:0])
-	}
-	ns.files[jobID] = f
-	return f, nil
-}
-
-// pickReplicas selects replication distinct placeable machines, preferring
-// machines holding fewer replicas (power-of-two-choices balancing with
-// random tie-breaking). The result is built in dst's backing array, which
-// has capacity for replication entries. Membership tests scan the
-// (≤ replication-long) result directly — same draws, no per-block map.
-func (ns *Namespace) pickReplicas(dst []int) []int {
-	n := ns.cluster.Size()
-	placeable := n - len(ns.excluded)
-	if placeable <= 0 {
+	s := ns.Stride()
+	if s <= 0 {
 		panic("hdfs: every machine excluded from placement")
 	}
-	reps := ns.replication
-	if reps > placeable {
-		reps = placeable
+	first := len(ns.replicas)
+	ns.replicas = slices.Grow(ns.replicas, blocks*s)[:first+blocks*s]
+	for e := first; e < len(ns.replicas); e += s {
+		ns.pickReplicas(ns.replicas[e : e+s])
 	}
+	ns.files[jobID] = span{first, blocks}
+	return nil
+}
+
+// pickReplicas fills dst with distinct placeable machines, preferring
+// machines holding fewer replicas (power-of-two-choices balancing with
+// random tie-breaking). Membership tests scan the (≤ replication-long)
+// part already chosen — same draws, no per-block map.
+func (ns *Namespace) pickReplicas(dst []int32) {
+	n := ns.cluster.Size()
 	chosen := dst[:0]
 	inChosen := func(id int) bool {
 		for _, c := range chosen {
-			if c == id {
+			if int(c) == id {
 				return true
 			}
 		}
@@ -179,10 +174,10 @@ func (ns *Namespace) pickReplicas(dst []int) []int {
 		}
 		if usable(pick) {
 			ns.blocksHeld[pick]++
-			chosen = append(chosen, pick)
+			chosen = append(chosen, int32(pick))
 		}
 	}
-	for len(chosen) < reps {
+	for len(chosen) < len(dst) {
 		// Two random candidates; keep the less-loaded usable one.
 		a := ns.rng.Intn(n)
 		b := ns.rng.Intn(n)
@@ -210,30 +205,41 @@ func (ns *Namespace) pickReplicas(dst []int) []int {
 			}
 		}
 		ns.blocksHeld[pick]++
-		chosen = append(chosen, pick)
+		chosen = append(chosen, int32(pick))
 	}
-	return chosen
 }
 
-// File returns the placed file for jobID, or nil.
-func (ns *Namespace) File(jobID int) *File { return ns.files[jobID] }
+// File returns jobID's placed input, Stride() replica IDs per block in
+// block order, or nil if the job is not placed. The slice is a window of
+// the namespace's array: it is valid until the next Place or Reset, and
+// callers must not modify it.
+func (ns *Namespace) File(jobID int) []int32 {
+	f, ok := ns.files[jobID]
+	if !ok {
+		return nil
+	}
+	end := f.first + f.blocks*ns.Stride()
+	return ns.replicas[f.first:end:end]
+}
 
 // Replicas returns the machine IDs holding block b of jobID's input.
-func (ns *Namespace) Replicas(jobID, block int) []int {
-	f := ns.files[jobID]
-	if f == nil {
+func (ns *Namespace) Replicas(jobID, block int) []int32 {
+	f, ok := ns.files[jobID]
+	if !ok {
 		panic(fmt.Sprintf("hdfs: job %d not placed", jobID))
 	}
-	if block < 0 || block >= len(f.Blocks) {
+	if block < 0 || block >= f.blocks {
 		panic(fmt.Sprintf("hdfs: job %d has no block %d", jobID, block))
 	}
-	return f.Blocks[block]
+	s := ns.Stride()
+	e := f.first + block*s
+	return ns.replicas[e : e+s : e+s]
 }
 
 // IsLocal reports whether machineID holds a replica of block b of jobID.
 func (ns *Namespace) IsLocal(jobID, block, machineID int) bool {
 	for _, id := range ns.Replicas(jobID, block) {
-		if id == machineID {
+		if int(id) == machineID {
 			return true
 		}
 	}
@@ -241,15 +247,14 @@ func (ns *Namespace) IsLocal(jobID, block, machineID int) bool {
 }
 
 // Remove drops a job's file (job retired), releasing its placement load.
+// Its replica entries stay in the array until the next Reset.
 func (ns *Namespace) Remove(jobID int) {
-	f := ns.files[jobID]
-	if f == nil {
+	reps := ns.File(jobID)
+	if reps == nil {
 		return
 	}
-	for _, reps := range f.Blocks {
-		for _, id := range reps {
-			ns.blocksHeld[id]--
-		}
+	for _, id := range reps {
+		ns.blocksHeld[id]--
 	}
 	delete(ns.files, jobID)
 }

@@ -1,7 +1,7 @@
 package hdfs
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,17 +12,31 @@ func testCluster(n int) *cluster.Cluster {
 	return cluster.MustNew(cluster.Group{Spec: cluster.SpecDesktop, Count: n})
 }
 
-func TestPlaceReplicasDistinct(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, 1)
-	f, err := ns.Place(1, 200)
-	if err != nil {
+// place places jobID's input of the given block count and returns its
+// blocks' replica lists, one window of the file per block.
+func place(t testing.TB, ns *Namespace, jobID, blocks int) [][]int32 {
+	t.Helper()
+	if err := ns.Place(jobID, blocks); err != nil {
 		t.Fatalf("Place: %v", err)
 	}
-	for b, reps := range f.Blocks {
+	file := ns.File(jobID)
+	if s := ns.Stride(); len(file) != blocks*s {
+		t.Fatalf("file of %d blocks holds %d replica IDs, want %d × stride %d", blocks, len(file), blocks, s)
+	}
+	out := make([][]int32, blocks)
+	for b := range out {
+		out[b] = ns.Replicas(jobID, b)
+	}
+	return out
+}
+
+func TestPlaceReplicasDistinct(t *testing.T) {
+	ns := NewNamespace(testCluster(10), 3, 1)
+	for b, reps := range place(t, ns, 1, 200) {
 		if len(reps) != 3 {
 			t.Fatalf("block %d has %d replicas, want 3", b, len(reps))
 		}
-		seen := map[int]bool{}
+		seen := map[int32]bool{}
 		for _, id := range reps {
 			if seen[id] {
 				t.Fatalf("block %d has duplicate replica on machine %d", b, id)
@@ -35,24 +49,34 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 	}
 }
 
-func TestPlaceAllocatesPerFileNotPerBlock(t *testing.T) {
+// TestWarmPlaceAllocatesNothing checks that a reset namespace places into
+// its retained replica array and file index: after a first run of two
+// files, a Reset and the placement of up to as many blocks allocate
+// nothing, however many blocks there are.
+func TestWarmPlaceAllocatesNothing(t *testing.T) {
 	ns := NewNamespace(testCluster(10), 3, 1)
-	// The File, its block index and one replica array, however many blocks.
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ns.Place(1, 200); err != nil {
+	for job := 1; job <= 2; job++ {
+		if err := ns.Place(job, 400); err != nil {
 			t.Fatal(err)
 		}
-		ns.Remove(1)
-	})
-	if allocs != 3 {
-		t.Errorf("Place of 200 blocks made %v allocations, want 3", allocs)
+	}
+	for _, blocks := range []int{1, 200, 800} {
+		allocs := testing.AllocsPerRun(20, func() {
+			ns.Reset(3, 1)
+			if err := ns.Place(1, blocks); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm Place of %d blocks made %v allocations, want 0", blocks, allocs)
+		}
 	}
 }
 
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
 	ns := NewNamespace(c, 3, 2)
-	if _, err := ns.Place(1, 800); err != nil {
+	if err := ns.Place(1, 800); err != nil {
 		t.Fatal(err)
 	}
 	// 800 blocks × 3 replicas over 8 machines = 300 expected per machine.
@@ -69,11 +93,7 @@ func TestReplicationClampedToClusterSize(t *testing.T) {
 	if ns.Replication() != 2 {
 		t.Fatalf("Replication() = %d, want clamped 2", ns.Replication())
 	}
-	f, err := ns.Place(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, reps := range f.Blocks {
+	for _, reps := range place(t, ns, 1, 5) {
 		if len(reps) != 2 {
 			t.Fatalf("replica count %d, want 2", len(reps))
 		}
@@ -92,7 +112,7 @@ func TestDefaultReplicationApplied(t *testing.T) {
 func TestResetAdoptsReplication(t *testing.T) {
 	c := testCluster(5)
 	ns := NewNamespace(c, 3, 1)
-	if _, err := ns.Place(1, 20); err != nil {
+	if err := ns.Place(1, 20); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []int{1, 0, 9} {
@@ -101,43 +121,41 @@ func TestResetAdoptsReplication(t *testing.T) {
 		if ns.Replication() != fresh.Replication() {
 			t.Fatalf("Reset(%d): Replication() = %d, new namespace has %d", r, ns.Replication(), fresh.Replication())
 		}
-		got, err := ns.Place(1, 20)
-		if err != nil {
+		if err := ns.Place(1, 20); err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Place(1, 20)
-		if err != nil {
+		if err := fresh.Place(1, 20); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Blocks, want.Blocks) {
-			t.Errorf("Reset(%d): placement %v, new namespace placed %v", r, got.Blocks, want.Blocks)
+		if got, want := ns.File(1), fresh.File(1); !slices.Equal(got, want) {
+			t.Errorf("Reset(%d): placement %v, new namespace placed %v", r, got, want)
 		}
 	}
 }
 
 func TestPlaceErrors(t *testing.T) {
 	ns := NewNamespace(testCluster(5), 3, 5)
-	if _, err := ns.Place(1, 0); err == nil {
+	if err := ns.Place(1, 0); err == nil {
 		t.Error("zero blocks accepted")
 	}
-	if _, err := ns.Place(1, 10); err != nil {
+	if err := ns.Place(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ns.Place(1, 10); err == nil {
+	if err := ns.Place(1, 10); err == nil {
 		t.Error("duplicate placement accepted")
 	}
 }
 
 func TestIsLocalMatchesReplicas(t *testing.T) {
 	ns := NewNamespace(testCluster(6), 3, 6)
-	if _, err := ns.Place(7, 50); err != nil {
+	if err := ns.Place(7, 50); err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < 50; b++ {
 		reps := ns.Replicas(7, b)
 		onReplica := map[int]bool{}
 		for _, id := range reps {
-			onReplica[id] = true
+			onReplica[int(id)] = true
 		}
 		for id := 0; id < 6; id++ {
 			if ns.IsLocal(7, b, id) != onReplica[id] {
@@ -149,7 +167,7 @@ func TestIsLocalMatchesReplicas(t *testing.T) {
 
 func TestRemoveReleasesLoad(t *testing.T) {
 	ns := NewNamespace(testCluster(4), 2, 7)
-	if _, err := ns.Place(1, 100); err != nil {
+	if err := ns.Place(1, 100); err != nil {
 		t.Fatal(err)
 	}
 	ns.Remove(1)
@@ -184,11 +202,7 @@ func TestUnplacedLookupsPanic(t *testing.T) {
 func TestExcludeFromPlacement(t *testing.T) {
 	ns := NewNamespace(testCluster(5), 3, 10)
 	ns.ExcludeFromPlacement(2)
-	f, err := ns.Place(1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, reps := range f.Blocks {
+	for b, reps := range place(t, ns, 1, 100) {
 		for _, id := range reps {
 			if id == 2 {
 				t.Fatalf("block %d placed on excluded machine 2", b)
@@ -203,11 +217,11 @@ func TestExcludeFromPlacement(t *testing.T) {
 func TestExcludeClampsReplication(t *testing.T) {
 	ns := NewNamespace(testCluster(3), 3, 11)
 	ns.ExcludeFromPlacement(0)
-	f, err := ns.Place(1, 10)
-	if err != nil {
-		t.Fatal(err)
+	ns.ExcludeFromPlacement(0) // idempotent
+	if ns.Stride() != 2 {
+		t.Fatalf("Stride() = %d with one of three machines excluded, want 2", ns.Stride())
 	}
-	for _, reps := range f.Blocks {
+	for _, reps := range place(t, ns, 1, 10) {
 		if len(reps) != 2 {
 			t.Fatalf("replica count %d with one machine excluded, want 2", len(reps))
 		}
@@ -223,7 +237,22 @@ func TestExcludeAllPanicsOnPlace(t *testing.T) {
 			t.Error("placement with all machines excluded did not panic")
 		}
 	}()
-	_, _ = ns.Place(1, 1)
+	_ = ns.Place(1, 1)
+}
+
+// TestExcludeAfterPlacePanics checks that an exclusion, which changes the
+// stride, cannot come after a placement laid out at the old one.
+func TestExcludeAfterPlacePanics(t *testing.T) {
+	ns := NewNamespace(testCluster(4), 3, 14)
+	if err := ns.Place(1, 5); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("exclusion after placement did not panic")
+		}
+	}()
+	ns.ExcludeFromPlacement(3)
 }
 
 func TestExcludeInvalidMachinePanics(t *testing.T) {
@@ -241,12 +270,12 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 		n := int(machines)%14 + 2
 		b := int(blocks)%60 + 1
 		ns := NewNamespace(testCluster(n), 3, seed)
-		file, err := ns.Place(1, b)
-		if err != nil {
+		if err := ns.Place(1, b); err != nil {
 			return false
 		}
 		total := 0
-		for _, reps := range file.Blocks {
+		for blk := 0; blk < b; blk++ {
+			reps := ns.Replicas(1, blk)
 			want := 3
 			if n < 3 {
 				want = n
@@ -254,9 +283,9 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 			if len(reps) != want {
 				return false
 			}
-			seen := map[int]bool{}
+			seen := map[int32]bool{}
 			for _, id := range reps {
-				if seen[id] || id < 0 || id >= n {
+				if seen[id] || id < 0 || int(id) >= n {
 					return false
 				}
 				seen[id] = true

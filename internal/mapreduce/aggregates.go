@@ -314,7 +314,7 @@ func (d *Driver) EnableInvariantChecks(fail func(error)) {
 // checkInFlight verifies j's in-flight list against its tasks' states.
 func (j *Job) checkInFlight() error {
 	for i, t := range j.inFlight {
-		if t.flightPos != i {
+		if int(t.flightPos) != i {
 			return fmt.Errorf("%s listed at %d, flightPos %d", t.ID(), i, t.flightPos)
 		}
 		if t.State != TaskRunning && t.State != TaskShuffling {
@@ -326,7 +326,7 @@ func (j *Job) checkInFlight() error {
 			// The attempt and its speculative clone, if any.
 			for t := &tasks[i]; t != nil; t = t.clone {
 				if (t.State == TaskRunning || t.State == TaskShuffling) &&
-					(t.flightPos >= len(j.inFlight) || j.inFlight[t.flightPos] != t) {
+					(int(t.flightPos) >= len(j.inFlight) || j.inFlight[t.flightPos] != t) {
 					return fmt.Errorf("%s (speculative %v) in flight but not listed", t.ID(), t.Speculative())
 				}
 			}
@@ -361,8 +361,8 @@ func (d *Driver) checkAggregates() error {
 	if rpr != a.readyPendingReduces {
 		return fmt.Errorf("readyPendingReduces %d, recomputed %d", a.readyPendingReduces, rpr)
 	}
-	for _, j := range d.jobs {
-		if err := j.checkInFlight(); err != nil {
+	for i := range d.arena.jobs {
+		if err := d.arena.jobs[i].checkInFlight(); err != nil {
 			return err
 		}
 	}

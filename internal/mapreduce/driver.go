@@ -194,8 +194,9 @@ type Driver struct {
 	local   sim.RNG // locality-forcing stream
 	ctx     *Context
 
-	// jobs is reused by Run's warm gate when the new specs match.
-	jobs   []*Job
+	// arena holds every job of a run; active lists the submitted,
+	// unfinished ones.
+	arena  arena
 	active []*Job
 
 	// covering marks always-on machines; lastBusy is when each machine
@@ -342,53 +343,39 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("mapreduce: no jobs to run")
 	}
+	maps, tasks := 0, 0
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, err
 		}
-		// The locality index links replica entries with int32s.
-		if reps := d.ns.Replication(); specs[i].NumMaps > math.MaxInt32/reps {
-			return nil, fmt.Errorf("mapreduce: job %d has %d maps × %d replicas, more than the locality index's %d entries",
-				specs[i].ID, specs[i].NumMaps, reps, math.MaxInt32)
-		}
+		maps += specs[i].NumMaps
+		tasks += specs[i].NumMaps + specs[i].NumReduces
+	}
+	// The run's locality entries and its pending-queue entries each share
+	// one array, linked by int32 index, so the whole mix must fit before
+	// anything is placed or sized.
+	if reps := d.ns.Replication(); maps > math.MaxInt32/reps {
+		return nil, fmt.Errorf("mapreduce: %d maps × %d replicas in one run, more than the locality index's %d entries",
+			maps, reps, math.MaxInt32)
+	}
+	if tasks > math.MaxInt32 {
+		return nil, fmt.Errorf("mapreduce: %d tasks in one run, more than the pending queues' %d entries", tasks, math.MaxInt32)
 	}
 
-	// Place inputs and schedule submissions. A warm driver (Reset) whose
-	// retained job list matches the new specs exactly reuses the Job and
-	// Task structures in place; any mismatch rebuilds from scratch. Inputs
-	// are re-placed either way — the namespace reset rewound the HDFS
-	// stream, so the replica draws replay bit-identically.
-	warm := len(d.jobs) == len(specs)
-	if warm {
-		for i := range specs {
-			if d.jobs[i].Spec != specs[i] {
-				warm = false
-				break
-			}
-		}
-	}
-	if !warm {
-		for i := range d.jobs {
-			d.jobs[i] = nil
-		}
-		d.jobs = d.jobs[:0]
-	}
-	d.unsubmit = len(specs)
-	for i, spec := range specs {
-		file, err := d.ns.Place(spec.ID, spec.NumMaps)
-		if err != nil {
+	// Place every input, then carve each job out of the arena and schedule
+	// its submission. The namespace reset rewound the HDFS stream, so the
+	// replica draws of a rerun replay bit-identically.
+	for _, spec := range specs {
+		if err := d.ns.Place(spec.ID, spec.NumMaps); err != nil {
 			return nil, fmt.Errorf("mapreduce: placing job %d: %w", spec.ID, err)
 		}
-		var job *Job
-		if warm {
-			job = d.jobs[i]
-			job.resetForRun(file.Blocks)
-		} else {
-			job = newJob(spec, file.Blocks, d.cluster.Size(), len(d.typeReps))
-			d.jobs = append(d.jobs, job)
-		}
+	}
+	d.arena.size(specs, d.cluster.Size(), len(d.typeReps), d.ns.Stride())
+	for i, spec := range specs {
+		job := d.arena.carve(i, spec, d.ns.File(spec.ID))
 		d.engine.ScheduleKind(spec.Submit, d.evSubmit, 0, job)
 	}
+	d.unsubmit = len(specs)
 
 	// Heartbeat and control loops: typed self-rescheduling sweep events
 	// (see heartbeatTick/controlTickEvent), so the periodic hot path
@@ -659,7 +646,7 @@ func (d *Driver) isLocal(t *Task, m cluster.Machine) bool {
 	if f := d.cfg.ForcedLocalFraction; f >= 0 {
 		return d.local.Bernoulli(f)
 	}
-	return slices.Contains(t.Job.mapReplicas[t.Index], m.ID())
+	return slices.Contains(t.Job.mapReplicas(t.Index), int32(m.ID()))
 }
 
 // TaskThreads is how many cores a Hadoop task's JVM occupies while its

@@ -421,6 +421,56 @@ func TestRunBoundsLocalityIndex(t *testing.T) {
 	}
 }
 
+// TestRunBoundsMixTotals checks that the int32 bounds hold for the whole
+// mix, whose jobs share one locality-entry array and one pending-entry
+// array: two jobs that each fit are rejected together, before placement
+// or the arena allocates anything, when their replica entries or their
+// tasks overflow.
+func TestRunBoundsMixTotals(t *testing.T) {
+	half := workload.BlockMB * (math.MaxInt32/3/2 + 1)
+	for _, c := range []struct {
+		name        string
+		replication int
+		jobs        []workload.JobSpec
+	}{
+		{"maps × replicas", 3, []workload.JobSpec{
+			workload.NewJobSpec(1, workload.Grep, half, 0, 0),
+			workload.NewJobSpec(2, workload.Grep, half, 0, 0),
+		}},
+		{"tasks", 1, []workload.JobSpec{
+			workload.NewJobSpec(1, workload.Grep, workload.BlockMB*(math.MaxInt32-10), 0, 0),
+			workload.NewJobSpec(2, workload.Grep, workload.BlockMB, 20, 0),
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := mapreduce.DefaultConfig()
+			cfg.Replication = c.replication
+			d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range c.jobs {
+				if err := spec.Validate(); err != nil {
+					t.Fatalf("job %d invalid: %v", spec.ID, err)
+				}
+				if spec.NumMaps*c.replication > math.MaxInt32 || spec.NumMaps+spec.NumReduces > math.MaxInt32 {
+					t.Fatalf("job %d alone overflows: %d maps, %d reduces", spec.ID, spec.NumMaps, spec.NumReduces)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = d.Run(c.jobs, -1)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("a mix of %d + %d maps at replication %d ran", c.jobs[0].NumMaps, c.jobs[1].NumMaps, c.replication)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Errorf("rejecting the mix allocated %d bytes", grew)
+			}
+		})
+	}
+}
+
 func TestNewDriverValidation(t *testing.T) {
 	if _, err := mapreduce.NewDriver(smallCluster(), nil, mapreduce.DefaultConfig()); err == nil {
 		t.Error("nil scheduler accepted")

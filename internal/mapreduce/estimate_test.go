@@ -47,7 +47,8 @@ func TestEstimateTablesMatchServiceModel(t *testing.T) {
 		if len(specs) != 6 {
 			t.Fatalf("%d machine types, want 6", len(specs))
 		}
-		for _, j := range d.jobs {
+		for i := range d.arena.jobs {
+			j := &d.arena.jobs[i]
 			prof := workload.ProfileOf(j.Spec.App)
 			for ti, spec := range specs {
 				_, wantMap := mapService(prof, workload.BlockMB, spec, true, divisor)

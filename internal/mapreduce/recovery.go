@@ -33,7 +33,7 @@ func (d *Driver) failAttempt(t *Task) {
 		canonical = t.original
 	}
 	canonical.failures++
-	if canonical.failures >= d.faults.MaxAttempts() {
+	if int(canonical.failures) >= d.faults.MaxAttempts() {
 		t.State = TaskKilled
 		t.Finish = d.engine.Now()
 		d.failJob(t.Job)
@@ -226,8 +226,8 @@ func (d *Driver) failJob(j *Job) {
 		t.Finish = j.Finished
 	}
 	d.dropJobAggregates(j)
-	j.pendingHead = len(j.pendingMaps)
-	j.reduceHead = len(j.pendingReduces)
+	j.mapQ.drop()
+	j.reduceQ.drop()
 	j.clearLocal()
 
 	d.stats.JobsFailed++

@@ -9,18 +9,18 @@ import (
 // This file is the driver's run-reset path, which NewDriver also ends in:
 // Reset returns a built driver to the state every run starts from, reusing
 // every long-lived allocation — the engine's calendar queue and event pool,
-// the cluster and meter arrays, the HDFS namespace (with retired files
-// recycled by job ID), the aggregate buffers, and (via Run's warm gate) the
-// Job/Task structures themselves. A warm run is byte-identical to a cold
-// one because a cold driver is empty storage put through this same Reset:
-// every RNG stream is reseeded from its label-derived seed, and the
-// per-run state is assigned whole.
+// the cluster and meter arrays, the HDFS namespace and its replica array,
+// and the aggregate buffers; Run then carves the jobs out of the retained
+// arena (arena.go). A warm run is byte-identical to a cold one because a
+// cold driver is empty storage put through this same Reset: every RNG
+// stream is reseeded from its label-derived seed, and the per-run state is
+// assigned whole.
 
 // Reset rewires the driver for another run with the given scheduler and
-// configuration. The cluster is kept (machines reset in place); the job
-// list is kept too and reused by the next Run when its specs match. The
-// scheduler must itself be reset (or fresh) — the driver cannot see policy
-// state. On error the driver is left partially reset and must not be run.
+// configuration. The cluster is kept (machines reset in place), and so is
+// the job arena, which the next Run carves its jobs from. The scheduler
+// must itself be reset (or fresh) — the driver cannot see policy state. On
+// error the driver is left partially reset and must not be run.
 func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	cfg.setDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -141,52 +141,5 @@ func (d *Driver) resetAggregates() {
 		awake.mapHosts += hosts(spec.MapSlots)
 		awake.reduceHosts += hosts(spec.ReduceSlots)
 		a.freeReduceByType[a.typeIdx[m.ID()]] += spec.ReduceSlots
-	}
-}
-
-// resetForRun returns j to the state its spec starts a run in, over its
-// retained storage. The literal names only the retained fields, so every
-// other field, progress and timestamps included, starts at zero. Every
-// Task is overwritten with its initial value (stale pendingEvent handles
-// are inert — the engine reset bumped their generation), and speculative
-// clones (separate allocations) are dropped with the cleared in-flight
-// list. blocks is the input file's replica lists, which the job aliases;
-// the reduce estimates are tabulated at submission.
-func (j *Job) resetForRun(blocks [][]int) {
-	clear(j.inFlight)
-	clear(j.reduceEst)
-	*j = Job{
-		Spec:           j.Spec,
-		Maps:           j.Maps,
-		Reduces:        j.Reduces,
-		pendingMaps:    j.pendingMaps[:0],
-		pendingReduces: j.pendingReduces[:0],
-		localHead:      j.localHead,
-		localTail:      j.localTail,
-		local:          j.local,
-		mapReplicas:    blocks,
-		inFlight:       j.inFlight[:0],
-		reduceEst:      j.reduceEst,
-	}
-	for i := range j.Maps {
-		j.Maps[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    MapTask,
-			InputMB: j.Spec.MapInputMB(i),
-			State:   TaskPending,
-		}
-		j.pendingMaps = append(j.pendingMaps, i)
-	}
-	j.buildLocal(blocks)
-	for i := range j.Reduces {
-		j.Reduces[i] = Task{
-			Job:     j,
-			Index:   i,
-			Kind:    ReduceTask,
-			InputMB: j.Spec.ShuffleMBPerReduce(),
-			State:   TaskPending,
-		}
-		j.pendingReduces = append(j.pendingReduces, i)
 	}
 }

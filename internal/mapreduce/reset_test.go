@@ -98,11 +98,14 @@ func resetJobs(tb testing.TB, n int, seed int64) []workload.JobSpec {
 }
 
 // FuzzResetEqualsNew checks that a reset driver is a new one. A driver
-// runs a few jobs under configuration A, is Reset to configuration B with
-// its policy reset, and runs them again; the Stats must deep-equal those
-// of a new driver's run under B on a fresh copy of the fleet. The seed
-// corpus varies each Config field alone, in both directions, on fleets of
-// six machines running four jobs.
+// runs a mix of a few jobs under configuration A, is Reset to
+// configuration B with its policy reset, and runs another mix, drawn from
+// another seed with another job count; the Stats must deep-equal those of
+// a new driver's run of the second mix under B on a fresh copy of the
+// fleet. So the compared run is carved out of an arena that holds a
+// larger or smaller old mix, at the old replica count when A and B
+// differ in it. The seed corpus varies each Config field alone, in both
+// directions, on fleets of six machines running four jobs after one.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
 	if cfgType.NumField() != len(configFields) {
@@ -120,7 +123,9 @@ func FuzzResetEqualsNew(f *testing.F) {
 	policies := append(quietPolicies(), quietPolicy{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }})
 	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16) {
 		pol := policies[int(policy)%len(policies)]
-		specs := resetJobs(t, 1+int(jobs)%4, seed)
+		n := int(jobs) % 4
+		specs := resetJobs(t, 1+n, seed)
+		prior := resetJobs(t, 1+(n+1+int(jobs/4)%3)%4, seed+1)
 
 		warmFleet := resetFleet(types, size)
 		s := pol.build()
@@ -128,7 +133,7 @@ func FuzzResetEqualsNew(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(specs, -1); err != nil {
+		if _, err := d.Run(prior, -1); err != nil {
 			t.Fatal(err)
 		}
 		resetPolicy(s)

@@ -21,7 +21,7 @@ import (
 type simEventHandle = sim.EventHandle
 
 // TaskKind distinguishes map from reduce tasks.
-type TaskKind int
+type TaskKind uint8
 
 // Task kinds.
 const (
@@ -42,7 +42,7 @@ func (k TaskKind) String() string {
 }
 
 // TaskState is the lifecycle of a task.
-type TaskState int
+type TaskState uint8
 
 // Task states. Reduce tasks pass through Shuffling before Running when they
 // are assigned ahead of the job's map barrier. TaskKilled marks the losing
@@ -57,18 +57,17 @@ const (
 
 // Task is one map or reduce attempt. Speculative execution (the LATE
 // scheduler) clones a straggling attempt; the original and the clone are
-// linked, the first to finish wins, and the driver kills the other.
+// linked, the first to finish wins, and the driver kills the other. A run
+// holds one Task per map and reduce in its driver's arena, so the
+// narrow fields go last, packed into one word.
 type Task struct {
 	Job   *Job
 	Index int
-	Kind  TaskKind
 
 	// InputMB is split input for maps, shuffle volume for reduces.
 	InputMB float64
 
-	State   TaskState
 	Machine cluster.Machine
-	Local   bool // map read its block from local disk
 
 	Start  time.Duration
 	Finish time.Duration
@@ -101,13 +100,17 @@ type Task struct {
 	clone        *Task
 	pendingEvent simEventHandle
 	// flightPos is the attempt's index in Job.inFlight while it runs.
-	flightPos int
+	flightPos int32
 
 	// failures counts this logical task's failed attempts (fault
 	// injection); kept on the canonical task, never on clones. doomed
 	// marks an attempt the fault model has decided will fail mid-flight.
-	failures int
-	doomed   bool
+	failures int32
+
+	Kind   TaskKind
+	State  TaskState
+	Local  bool // map read its block from local disk
+	doomed bool
 }
 
 // ComputeStart returns when the attempt's compute phase began.
@@ -120,7 +123,7 @@ func (t *Task) Speculative() bool { return t.original != nil }
 func (t *Task) HasClone() bool { return t.clone != nil }
 
 // Failures returns how many attempts of this logical task have failed.
-func (t *Task) Failures() int { return t.failures }
+func (t *Task) Failures() int { return int(t.failures) }
 
 // resetForRetry returns a finished, killed or crashed task to the pending
 // state so it can be assigned again. Race links must be dissolved first.
@@ -162,13 +165,13 @@ func (t *Task) currentUtil(st TaskState) float64 {
 }
 
 // Job is a submitted MapReduce job with its task lists and progress
-// counters.
+// counters. Its storage is a carving of its driver's arena (see arena.go).
 type Job struct {
 	Spec workload.JobSpec
 
-	// Maps and Reduces hold the job's tasks by value, sized once at
-	// construction and never resized, so &Maps[i] is stable for the job's
-	// lifetime (speculative clones are separate allocations).
+	// Maps and Reduces hold the job's tasks by value, windows of the
+	// arena's task array that are never resized, so &Maps[i] is stable for
+	// the run (speculative clones are separate allocations).
 	Maps    []Task
 	Reduces []Task
 
@@ -188,28 +191,25 @@ type Job struct {
 	done        bool
 	failed      bool
 
-	// pendingMaps is a FIFO of map indices not yet assigned; head advances
-	// past assigned entries lazily.
-	pendingMaps []int
-	pendingHead int
+	// ar is the arena the job is carved from; its entry arrays hold the
+	// job's queue links.
+	ar *arena
+	// mapQ and reduceQ queue the map and reduce indices not yet assigned.
+	mapQ, reduceQ fifo
 	// The locality index queues, per machine, the pending maps with a
 	// replica there: localHead[m] and localTail[m] are the first and last
-	// entry of machine m's linked queue in local, -1 when it is empty.
-	// buildLocal lays each machine's initial queue out contiguously in map
-	// order; retried maps are appended and linked from the tail. Entries go
-	// stale when a task is assigned elsewhere; readers skip non-pending
-	// tasks.
+	// entry of machine m's linked queue in the arena's local entries, -1
+	// when it is empty. buildLocal lays each machine's initial queue out
+	// contiguously in map order; retried maps are appended and linked from
+	// the tail. Entries go stale when a task is assigned elsewhere; readers
+	// skip non-pending tasks.
 	localHead []int32
 	localTail []int32
-	local     []localEntry
-	// pendingReduces is a FIFO of reduce indices not yet assigned.
-	pendingReduces []int
-	reduceHead     int
-	// mapReplicas aliases the input file's per-block replica lists so
-	// retried tasks re-enter the locality index (the data survives a
-	// TaskTracker crash on the other replicas). Only a later run's
-	// placement rewrites the file, and that run rebuilds or resets the job.
-	mapReplicas [][]int
+	// replicas is the input file's replica IDs, the arena's stride per
+	// map, so retried tasks re-enter the locality index (the data survives
+	// a TaskTracker crash on the other replicas). It is a window of the
+	// HDFS namespace's array, which only the next run's placement rewrites.
+	replicas []int32
 
 	// inFlight lists the in-flight attempts (originals and speculative
 	// clones) for the speculation and crash scans, in no particular order:
@@ -229,60 +229,35 @@ type Job struct {
 	reduceEst []float64
 }
 
-// localEntry is one link of a locality queue: a map index and the next
-// entry of the same machine's queue in Job.local, or -1.
-type localEntry struct {
-	task, next int32
+// mapReplicas returns the machine IDs holding map i's input block.
+func (j *Job) mapReplicas(i int) []int32 {
+	s := j.ar.stride
+	return j.replicas[i*s : (i+1)*s]
 }
 
-// newJob materializes tasks for a spec on a fleet of the given size with
-// the given number of machine types: it allocates the job's storage and
-// resets it for a run. blocks lists each map's block replica locations
-// (the HDFS file's Blocks), which the job aliases.
-func newJob(spec workload.JobSpec, blocks [][]int, machines, types int) *Job {
-	j := &Job{
-		Spec:           spec,
-		Maps:           make([]Task, spec.NumMaps),
-		Reduces:        make([]Task, spec.NumReduces),
-		pendingMaps:    make([]int, 0, spec.NumMaps),
-		pendingReduces: make([]int, 0, spec.NumReduces),
-		localHead:      make([]int32, machines),
-		localTail:      make([]int32, machines),
-		reduceEst:      make([]float64, types),
-	}
-	j.resetForRun(blocks)
-	return j
-}
-
-// buildLocal rebuilds the locality index from blocks into the retained
-// arrays. A counting pass sizes each machine's queue, a prefix sum turns
-// the counts into offsets, and one fill in map order links every entry to
-// its successor, so machine m's queue is the contiguous run
-// local[localHead[m]..localTail[m]].
-func (j *Job) buildLocal(blocks [][]int) {
+// buildLocal lays the job's locality index out at the end of the arena's
+// local entries, which has room for it. A counting pass sizes each
+// machine's queue, a prefix sum turns the counts into offsets, and one
+// fill in map order links every entry to its successor, so machine m's
+// queue is the contiguous run local[localHead[m]..localTail[m]].
+func (j *Job) buildLocal() {
 	head, tail := j.localHead, j.localTail
 	clear(head)
-	total := 0
-	for _, reps := range blocks {
-		total += len(reps)
-		for _, m := range reps {
-			head[m]++
-		}
+	for _, m := range j.replicas {
+		head[m]++
 	}
-	off := int32(0)
+	a := j.ar
+	off := int32(len(a.local))
 	for m, n := range head {
 		head[m] = off
 		off += n
 	}
 	copy(tail, head)
-	if cap(j.local) < total {
-		j.local = make([]localEntry, total)
-	}
-	j.local = j.local[:total]
-	for i, reps := range blocks {
-		for _, m := range reps {
+	a.local = a.local[:off]
+	for i := range j.Maps {
+		for _, m := range j.mapReplicas(i) {
 			e := tail[m]
-			j.local[e] = localEntry{task: int32(i), next: e + 1}
+			a.local[e] = queueEntry{task: int32(i), next: e + 1}
 			tail[m] = e + 1
 		}
 	}
@@ -293,18 +268,19 @@ func (j *Job) buildLocal(blocks [][]int) {
 			continue
 		}
 		tail[m]--
-		j.local[tail[m]].next = -1
+		a.local[tail[m]].next = -1
 	}
 }
 
 // pushLocal appends map i to machine m's locality queue.
 func (j *Job) pushLocal(m, i int) {
-	e := int32(len(j.local))
-	j.local = append(j.local, localEntry{task: int32(i), next: -1})
+	a := j.ar
+	e := int32(len(a.local))
+	a.local = append(a.local, queueEntry{task: int32(i), next: -1})
 	if t := j.localTail[m]; t < 0 {
 		j.localHead[m] = e
 	} else {
-		j.local[t].next = e
+		a.local[t].next = e
 	}
 	j.localTail[m] = e
 }
@@ -336,17 +312,17 @@ func (j *Job) MapProgress() float64 {
 }
 
 // PendingMaps returns the number of unassigned map tasks.
-func (j *Job) PendingMaps() int { return len(j.pendingMaps) - j.pendingHead }
+func (j *Job) PendingMaps() int { return int(j.mapQ.n) }
 
 // PendingReduces returns the number of unassigned reduce tasks.
-func (j *Job) PendingReduces() int { return len(j.pendingReduces) - j.reduceHead }
+func (j *Job) PendingReduces() int { return int(j.reduceQ.n) }
 
 // Running returns the number of currently executing tasks.
 func (j *Job) Running() int { return len(j.inFlight) }
 
 // addInFlight lists a started attempt.
 func (j *Job) addInFlight(t *Task) {
-	t.flightPos = len(j.inFlight)
+	t.flightPos = int32(len(j.inFlight))
 	j.inFlight = append(j.inFlight, t)
 }
 
@@ -364,8 +340,9 @@ func (j *Job) removeInFlight(t *Task) {
 // machineID, or nil. It drops the returned entry and every stale entry
 // before it; a queue with no pending entry is emptied.
 func (j *Job) popLocalMap(machineID int) *Task {
+	local := j.ar.local
 	for e := j.localHead[machineID]; e >= 0; {
-		ent := j.local[e]
+		ent := local[e]
 		e = ent.next
 		if t := &j.Maps[ent.task]; t.State == TaskPending {
 			j.localHead[machineID] = e
@@ -383,14 +360,15 @@ func (j *Job) popLocalMap(machineID int) *Task {
 
 // popAnyMap removes and returns the oldest pending map task, or nil.
 func (j *Job) popAnyMap() *Task {
-	for j.pendingHead < len(j.pendingMaps) {
-		idx := j.pendingMaps[j.pendingHead]
-		j.pendingHead++
-		if t := &j.Maps[idx]; t.State == TaskPending {
+	for {
+		i, ok := j.mapQ.pop(j.ar.pending)
+		if !ok {
+			return nil
+		}
+		if t := &j.Maps[i]; t.State == TaskPending {
 			return t
 		}
 	}
-	return nil
 }
 
 // peekPendingLocalMap reports whether a pending map task has a replica on
@@ -398,8 +376,9 @@ func (j *Job) popAnyMap() *Task {
 // map is retried, and the next pop must find it there, ahead of the
 // retry's appended entry.
 func (j *Job) peekPendingLocalMap(machineID int) bool {
-	for e := j.localHead[machineID]; e >= 0; e = j.local[e].next {
-		if j.Maps[j.local[e].task].State == TaskPending {
+	local := j.ar.local
+	for e := j.localHead[machineID]; e >= 0; e = local[e].next {
+		if j.Maps[local[e].task].State == TaskPending {
 			return true
 		}
 	}
@@ -408,14 +387,15 @@ func (j *Job) peekPendingLocalMap(machineID int) bool {
 
 // popReduce removes and returns the next pending reduce task, or nil.
 func (j *Job) popReduce() *Task {
-	for j.reduceHead < len(j.pendingReduces) {
-		idx := j.pendingReduces[j.reduceHead]
-		j.reduceHead++
-		if t := &j.Reduces[idx]; t.State == TaskPending {
+	for {
+		i, ok := j.reduceQ.pop(j.ar.pending)
+		if !ok {
+			return nil
+		}
+		if t := &j.Reduces[i]; t.State == TaskPending {
 			return t
 		}
 	}
-	return nil
 }
 
 // AppendRunningAttempts appends the job's in-flight attempts of one kind
@@ -453,12 +433,12 @@ func (j *Job) requeueRetry(t *Task) {
 		panic(fmt.Sprintf("mapreduce: retry requeue of %s in state %d", t.ID(), t.State))
 	}
 	if t.Kind == MapTask {
-		j.pendingMaps = append(j.pendingMaps, t.Index)
-		for _, machineID := range j.mapReplicas[t.Index] {
-			j.pushLocal(machineID, t.Index)
+		j.mapQ.push(&j.ar.pending, t.Index)
+		for _, machineID := range j.mapReplicas(t.Index) {
+			j.pushLocal(int(machineID), t.Index)
 		}
 	} else {
-		j.pendingReduces = append(j.pendingReduces, t.Index)
+		j.reduceQ.push(&j.ar.pending, t.Index)
 	}
 }
 
@@ -469,19 +449,8 @@ func (j *Job) requeue(t *Task) {
 		panic(fmt.Sprintf("mapreduce: requeue of %s in state %d", t.ID(), t.State))
 	}
 	if t.Kind == MapTask {
-		// Prepend by resetting head if possible, else append.
-		if j.pendingHead > 0 {
-			j.pendingHead--
-			j.pendingMaps[j.pendingHead] = t.Index
-		} else {
-			j.pendingMaps = append(j.pendingMaps, t.Index)
-		}
+		j.mapQ.requeue(&j.ar.pending, t.Index)
 	} else {
-		if j.reduceHead > 0 {
-			j.reduceHead--
-			j.pendingReduces[j.reduceHead] = t.Index
-		} else {
-			j.pendingReduces = append(j.pendingReduces, t.Index)
-		}
+		j.reduceQ.requeue(&j.ar.pending, t.Index)
 	}
 }

@@ -4,9 +4,39 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"eant/internal/workload"
 )
+
+// flatReplicas lays blocks out as a namespace file: each block's replica
+// machines in block order, all blocks of one length, the stride.
+func flatReplicas(blocks [][]int) (replicas []int32, stride int) {
+	stride = len(blocks[0])
+	for _, reps := range blocks {
+		if len(reps) != stride {
+			panic("flatReplicas: blocks of different replica counts")
+		}
+		for _, m := range reps {
+			replicas = append(replicas, int32(m))
+		}
+	}
+	return replicas, stride
+}
+
+// carveJob lays spec out in a as the only job of a mix on a fleet of the
+// given size with one machine type, as Driver.Run does, with its input's
+// replicas placed as blocks lists.
+func carveJob(a *arena, spec workload.JobSpec, blocks [][]int, machines int) *Job {
+	replicas, stride := flatReplicas(blocks)
+	a.size([]workload.JobSpec{spec}, machines, 1, stride)
+	return a.carve(0, spec, replicas)
+}
+
+// testJob carves spec out of an arena of its own.
+func testJob(spec workload.JobSpec, blocks [][]int, machines int) *Job {
+	return carveJob(new(arena), spec, blocks, machines)
+}
 
 // replicasAll places every one of maps blocks on each of machines.
 func replicasAll(maps, machines int) [][]int {
@@ -26,6 +56,18 @@ func replicasOn(maps int, ids ...int) [][]int {
 	return blocks
 }
 
+// TestTaskFootprint pins the size of a Task. A driver's arena keeps one
+// per map and reduce of the largest mix it has run, so every byte here is
+// paid per task in resident memory for as long as the driver lives.
+func TestTaskFootprint(t *testing.T) {
+	const limit = 160
+	if size := unsafe.Sizeof(Task{}); size > limit {
+		t.Errorf("Task is %d bytes, over the %d-byte budget; EXPERIMENTS.md's \"One-arena record\" "+
+			"measured paper-sweep's max_rss_mb 25 %% higher with a 192-byte Task: pack the new field, "+
+			"or measure its RSS cost there and raise the budget with that record", size, limit)
+	}
+}
+
 func TestTaskKindString(t *testing.T) {
 	if MapTask.String() != "map" || ReduceTask.String() != "reduce" {
 		t.Error("TaskKind.String mismatch")
@@ -37,7 +79,7 @@ func TestTaskKindString(t *testing.T) {
 
 func TestNewJobMaterializesTasks(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Wordcount, 320, 3, 0) // 5 maps
-	j := newJob(spec, replicasAll(5, 2), 2, 1)
+	j := testJob(spec, replicasAll(5, 2), 2)
 	if len(j.Maps) != 5 || len(j.Reduces) != 3 {
 		t.Fatalf("tasks = %d maps, %d reduces; want 5, 3", len(j.Maps), len(j.Reduces))
 	}
@@ -59,7 +101,7 @@ func TestNewJobMaterializesTasks(t *testing.T) {
 
 func TestPopLocalMapSkipsStaleEntries(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 192, 0, 0) // 3 maps
-	j := newJob(spec, replicasAll(3, 1), 1, 1)
+	j := testJob(spec, replicasAll(3, 1), 1)
 	// Assign task 0 via popAnyMap, making machine 0's local entry stale.
 	first := j.popAnyMap()
 	first.State = TaskRunning
@@ -74,7 +116,7 @@ func TestPopLocalMapSkipsStaleEntries(t *testing.T) {
 // them.
 func TestRemotePopLeavesNoLocalityEntry(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 128, 0, 0) // 2 maps
-	j := newJob(spec, replicasOn(2, 2), 3, 1)
+	j := testJob(spec, replicasOn(2, 2), 3)
 	if j.popLocalMap(0) != nil {
 		t.Fatal("popLocalMap found a local task on a machine without replicas")
 	}
@@ -90,7 +132,7 @@ func TestRemotePopLeavesNoLocalityEntry(t *testing.T) {
 
 func TestPopAnyMapExhausts(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 128, 0, 0) // 2 maps
-	j := newJob(spec, replicasAll(2, 1), 1, 1)
+	j := testJob(spec, replicasAll(2, 1), 1)
 	a, b := j.popAnyMap(), j.popAnyMap()
 	if a == nil || b == nil || a == b {
 		t.Fatal("popAnyMap did not return distinct tasks")
@@ -105,7 +147,7 @@ func TestPopAnyMapExhausts(t *testing.T) {
 
 func TestPeekPendingLocalMap(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 64, 0, 0)
-	j := newJob(spec, replicasOn(1, 2), 3, 1)
+	j := testJob(spec, replicasOn(1, 2), 3)
 	if !j.peekPendingLocalMap(2) {
 		t.Error("peek missed local pending task")
 	}
@@ -124,7 +166,7 @@ func TestPeekPendingLocalMap(t *testing.T) {
 // kind are excluded.
 func TestAppendRunningAttempts(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Terasort, 256, 2, 0) // 4 maps
-	j := newJob(spec, replicasAll(4, 1), 1, 1)
+	j := testJob(spec, replicasAll(4, 1), 1)
 	clone := func(orig *Task) *Task {
 		return &Task{Job: j, Index: orig.Index, Kind: orig.Kind, original: orig}
 	}
@@ -134,7 +176,7 @@ func TestAppendRunningAttempts(t *testing.T) {
 	for _, a := range []*Task{m3, r1c, m1c, r0, m1, m0, r1} {
 		j.addInFlight(a)
 	}
-	mapsOnly := newJob(spec, replicasAll(4, 1), 1, 1)
+	mapsOnly := testJob(spec, replicasAll(4, 1), 1)
 	mapsOnly.addInFlight(&mapsOnly.Maps[2])
 
 	// prefix has spare capacity, so the appended part shares its array.
@@ -173,7 +215,7 @@ func attemptNames(ts []*Task) []string {
 
 func TestRequeueRestoresTask(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Terasort, 128, 2, 0)
-	j := newJob(spec, replicasAll(2, 1), 1, 1)
+	j := testJob(spec, replicasAll(2, 1), 1)
 	task := j.popAnyMap()
 	if j.PendingMaps() != 1 {
 		t.Fatal("pop did not consume")
@@ -191,7 +233,7 @@ func TestRequeueRestoresTask(t *testing.T) {
 
 func TestRequeueNonPendingPanics(t *testing.T) {
 	spec := workload.NewJobSpec(1, workload.Grep, 64, 0, 0)
-	j := newJob(spec, replicasAll(1, 1), 1, 1)
+	j := testJob(spec, replicasAll(1, 1), 1)
 	task := j.popAnyMap()
 	task.State = TaskRunning
 	defer func() {

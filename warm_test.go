@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"eant/internal/experiments"
 )
 
 // warmCase is one sweep shape run two ways: cold (a fresh world per spec,
@@ -62,6 +64,9 @@ func warmCases(cl *Cluster) []warmCase {
 	cut.Horizon = 8 * time.Minute
 	records := base(SchedulerEAnt, 10, 8)
 	records.KeepTaskRecords = true
+	// Each mix is carved out of the arena the previous one left: smaller,
+	// then larger but not the largest.
+	shrinking := []RunSpec{base(SchedulerEAnt, 30, 9), base(SchedulerFair, 5, 9), base(SchedulerTarazu, 15, 9)}
 
 	return []warmCase{
 		{name: "scheduler_sweep", specs: schedSweep, probed: true},
@@ -73,6 +78,7 @@ func warmCases(cl *Cluster) []warmCase {
 		{name: "consolidation", specs: []RunSpec{consolidated}},
 		{name: "horizon_cut", specs: []RunSpec{cut}},
 		{name: "task_records", specs: []RunSpec{records}},
+		{name: "shrinking_sweep", specs: shrinking},
 	}
 }
 
@@ -152,13 +158,45 @@ func TestWarmEqualsCold(t *testing.T) {
 			compare(0, colds[0], runSpec(c.specs[0], runner))
 		})
 	}
+
+	// The HDFS replica count is not a RunSpec field, so this case runs the
+	// specs' campaigns directly: consecutive warm runs place their inputs
+	// at replica strides 3, 1 and 2, then at 3 again, each into the
+	// namespace and arena the previous run left.
+	t.Run("replication_change", func(t *testing.T) {
+		runner, err := NewRunner(cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheds := []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu, SchedulerEAnt}
+		for i, reps := range []int{3, 1, 2, 3} {
+			c, err := specCampaign(RunSpec{Cluster: cl, Scheduler: scheds[i], Jobs: MSDWorkload(10, 10), Seed: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Config.Replication = reps
+			warm, err := runner.world.Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Cluster = cl.Clone()
+			cold, err := experiments.RunAll([]experiments.Campaign{c}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(cold[0], warm) {
+				t.Errorf("run %d (replication %d): warm Stats diverged from cold: joules %v vs %v, local maps %d vs %d",
+					i, reps, warm.TotalJoules, cold[0].TotalJoules, warm.LocalMaps, cold[0].LocalMaps)
+			}
+		}
+	})
 }
 
 // TestWarmAfterFailedRun pins warm reuse across the error paths. One
 // Runner first fails a run part-way — two jobs share an ID, so HDFS
-// placement of the second fails after the earlier jobs were placed and
-// their submits scheduled — then runs a horizon-cut spec, then the same
-// jobs to completion (reusing the cut run's Job structures in place).
+// placement of the second fails after the earlier jobs were placed — then
+// runs a horizon-cut spec, then the same jobs to completion (carved into
+// the arena the cut run left).
 // Each run after the failure must equal a cold Run of its spec: Stats
 // deeply, probe stream byte for byte.
 func TestWarmAfterFailedRun(t *testing.T) {
@@ -270,17 +308,22 @@ func TestRunnerValidation(t *testing.T) {
 // queues busy, so they must be storage that Reset retains. Each testbed
 // case makes at least 16 000 offers, completes 6 000 tasks and spans
 // about 200 control ticks and 680 heartbeat sweeps, so one allocation per
-// tick, sweep, offer or task breaks the bound. The 1024-machine E-Ant cell adds the fleet-wide
-// warm reset, where one allocation per machine breaks it. Each
+// tick, sweep, offer or task breaks the bound. The cross-mix cases
+// alternate two different job mixes, plain and as churn, so each run is
+// carved out of the arena the other mix left; one allocation per job or
+// per retry breaks the bound there. The 1024-machine E-Ant cell adds the
+// fleet-wide warm reset, where one allocation per machine breaks it. Each
 // speculative clone is one Task by design (Context.CloneForSpeculation),
 // so clones are subtracted: they scale with stragglers, not offers. The
 // opt-in recording paths (probe, KeepTaskRecords) allocate by design and
 // are not in the table.
 func TestWarmRunAllocsBounded(t *testing.T) {
 	const bound = 100
+	// A case's specs run in turn, once each per measured call; its counts
+	// are means per run.
 	type allocCase struct {
-		name string
-		spec RunSpec
+		name  string
+		specs []RunSpec
 	}
 	testbed := PaperTestbed()
 	variants := []struct {
@@ -299,47 +342,65 @@ func TestWarmRunAllocsBounded(t *testing.T) {
 	}
 	var cases []allocCase
 	for _, s := range Schedulers() {
-		for _, v := range variants {
+		spec := func(jobs int, seed int64, set func(*RunSpec)) RunSpec {
 			spec := RunSpec{
 				Cluster:         testbed,
 				Scheduler:       s,
-				Jobs:            MSDWorkload(30, 1),
-				Seed:            1,
+				Jobs:            MSDWorkload(jobs, seed),
+				Seed:            seed,
 				ControlInterval: 10 * time.Second,
 			}
-			v.set(&spec)
-			cases = append(cases, allocCase{string(s) + "/" + v.name, spec})
+			set(&spec)
+			return spec
+		}
+		for _, v := range variants {
+			cases = append(cases, allocCase{string(s) + "/" + v.name, []RunSpec{spec(30, 1, v.set)}})
+		}
+		for _, v := range []int{0, 3} { // plain, churn
+			cases = append(cases, allocCase{string(s) + "/" + variants[v].name + "-cross-mix",
+				[]RunSpec{spec(30, 1, variants[v].set), spec(20, 2, variants[v].set)}})
 		}
 	}
 	// BenchmarkScale's machines=1024/jobs=5 cell.
-	cases = append(cases, allocCase{"E-Ant/machines=1024/jobs=5", RunSpec{
+	cases = append(cases, allocCase{"E-Ant/machines=1024/jobs=5", []RunSpec{{
 		Cluster:   scaledTestbed(t, 64),
 		Scheduler: SchedulerEAnt,
 		Jobs:      MSDWorkload(5, 7),
 		Seed:      7,
-	}})
+	}}})
 
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			runner, err := NewRunner(c.spec.Cluster)
+			runner, err := NewRunner(c.specs[0].Cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := runner.Run(c.spec); err != nil { // prime: build + first run
-				t.Fatal(err)
-			}
-			var res *Result
-			allocs := testing.AllocsPerRun(2, func() {
-				if res, err = runner.Run(c.spec); err != nil {
+			for _, spec := range c.specs { // prime: build + first runs
+				if _, err := runner.Run(spec); err != nil {
 					t.Fatal(err)
 				}
+			}
+			var clones, offers, maps int
+			allocs := testing.AllocsPerRun(2, func() {
+				clones, offers, maps = 0, 0, 0
+				for _, spec := range c.specs {
+					res, err := runner.Run(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					clones += res.Stats.SpeculativeStarted
+					offers += res.Stats.MapOffers + res.Stats.ReduceOffers
+					maps += res.Stats.TotalMaps
+				}
 			})
-			clones := res.Stats.SpeculativeStarted
-			t.Logf("%.0f allocs per warm run, %d speculative clones, %d offers, %d maps",
-				allocs, clones, res.Stats.MapOffers+res.Stats.ReduceOffers, res.Stats.TotalMaps)
-			if allocs-float64(clones) > bound {
-				t.Errorf("warm run allocates %.0f times (%d of them speculative clones); the bound is %d plus one per clone",
-					allocs, clones, bound)
+			runs := float64(len(c.specs))
+			allocs /= runs
+			perRun := func(n int) float64 { return float64(n) / runs }
+			t.Logf("%.0f allocs per warm run, %.1f speculative clones, %.0f offers, %.0f maps",
+				allocs, perRun(clones), perRun(offers), perRun(maps))
+			if allocs-perRun(clones) > bound {
+				t.Errorf("warm run allocates %.0f times (%.1f of them speculative clones); the bound is %d plus one per clone",
+					allocs, perRun(clones), bound)
 			}
 		})
 	}
