@@ -1,7 +1,7 @@
 // Command eantlint is the project's multichecker: it runs the
-// internal/analysis suite — rngonly, noclock, maporder, floatsum,
-// statsmut — over the module and reports violations of the simulator's
-// determinism contracts.
+// internal/analysis suite — rngonly, noclock, maporder, floatsum — over
+// the module and reports violations of the simulator's determinism
+// contracts.
 //
 // Usage:
 //

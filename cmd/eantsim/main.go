@@ -66,9 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eantsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	jobs := fs.Int("jobs", 40, "job count for 'compare' and 'trace'")
-	seed := fs.Int64("seed", 1, "seed for 'compare' and 'trace'")
-	schedName := fs.String("sched", "E-Ant", "scheduler for 'trace' (FIFO|Fair|Tarazu|LATE|E-Ant)")
+	jobs := fs.Int("jobs", 40, "job count for 'compare', 'trace' and 'sweep'")
+	seed := fs.Int64("seed", 1, "seed for 'compare', 'trace' and 'sweep'")
+	schedName := fs.String("sched", "E-Ant", "scheduler for 'trace' (FIFO|Fair|Tarazu|LATE|Capacity|E-Ant)")
 	workers := fs.Int("parallel", 0, "worker cap for experiment sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -396,7 +396,9 @@ type probeSinks struct {
 
 // emitTrace runs one MSD campaign with a probe attached, streaming its
 // events to w as JSON Lines through the probe's sink, then writes the
-// configured file sinks from the probe's ring and report.
+// configured file sinks: the timeline from every event the sink saw (the
+// probe's ring keeps only the most recent ones), the report from the
+// probe.
 func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeSinks) error {
 	c, err := msdCampaign(jobs, seed, 45*time.Second)
 	if err != nil {
@@ -409,9 +411,13 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var streamErr error
+	var events []probe.Event
 	pcfg := probe.Config{SampleEvery: sinks.Interval, Trails: sinks.Trails, Sink: func(ev probe.Event) {
 		if streamErr == nil {
 			streamErr = enc.Encode(ev)
+		}
+		if sinks.Timeline != "" {
+			events = append(events, ev)
 		}
 	}}
 	if pcfg.SampleEvery <= 0 {
@@ -421,9 +427,7 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	if err != nil {
 		return err
 	}
-	cfg := c.Config
-	cfg.Probe = p
-	c.Config = cfg
+	c.Config.Probe = p
 	if _, err := experiments.RunAll([]experiments.Campaign{c}, 0); err != nil {
 		return err
 	}
@@ -438,7 +442,7 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 		if err != nil {
 			return fmt.Errorf("-timeline: %w", err)
 		}
-		if err := probe.WriteTimeline(f, p.Events()); err != nil {
+		if err := probe.WriteTimeline(f, events); err != nil {
 			f.Close()
 			return err
 		}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -45,5 +48,43 @@ func TestTraceStreamWriteError(t *testing.T) {
 	err := emitTrace(fullWriter{}, 2, 1, "E-Ant", probeSinks{})
 	if !errors.Is(err, errDiskFull) || !strings.HasPrefix(err.Error(), "probe: stream: ") {
 		t.Fatalf("err = %v, want the wrapped write error", err)
+	}
+}
+
+// TestTraceTimelineCoversWholeRun: the -timeline file is written from
+// every event the run records, not from the probe's ring, so a run that
+// records more events than the ring holds (60 jobs record about 92 700,
+// the default ring keeps 65 536) still shows every job, from t = 0.
+func TestTraceTimelineCoversWholeRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "timeline.json")
+	if err := emitTrace(io.Discard, 60, 1, "E-Ant", probeSinks{Timeline: path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat string  `json:"cat"`
+			Ph  string  `json:"ph"`
+			Ts  float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans, first := 0, math.Inf(1)
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			continue
+		}
+		first = min(first, ev.Ts)
+		if ev.Cat == "job_done" && ev.Ph == "X" {
+			spans++
+		}
+	}
+	if spans != 60 || first != 0 {
+		t.Errorf("timeline has %d job spans from %v µs, want 60 from 0", spans, first)
 	}
 }

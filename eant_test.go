@@ -123,6 +123,81 @@ func TestRunRejectsNonFiniteInputs(t *testing.T) {
 	}
 }
 
+// FuzzRunSpec drives Run, the public entry point, with generated specs:
+// the fuzz inputs pick the scheduler (an unknown name included), the seed,
+// one to four MSD jobs, default, no or extreme noise, crash, attempt
+// failure, blacklist and retry settings, consolidation with its idle
+// timeout, the control interval, the horizon, and E-Ant's ρ, β, γ and
+// accept floor, valid or not. Run must not panic; an error must carry
+// the "eant: " prefix; a finished run must report finite, non-negative
+// energy and no more completed jobs than it was given.
+func FuzzRunSpec(f *testing.F) {
+	nan := math.NaN()
+	f.Add(uint8(0), int64(1), uint8(1), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
+	for i := range Schedulers() {
+		f.Add(uint8(i), int64(i), uint8(3), uint8(2), uint8(0x0f), uint8(0x15), int64(10*time.Second), int64(0), 0.5, 0.1, 4.0, 0.05)
+		f.Add(uint8(i), int64(i), uint8(2), uint8(1), uint8(0x03), uint8(0x01), int64(0), int64(2*time.Minute), 0.2, 0.4, 1.0, 0.0)
+	}
+	f.Add(uint8(len(Schedulers())), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
+	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(time.Nanosecond), int64(0), 0.5, 0.1, 4.0, 0.05)
+	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 5.0, 0.1, 4.0, 0.05)
+	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 1e300, nan, 2.0)
+	f.Fuzz(func(t *testing.T, sched uint8, seed int64, jobs, noiseSel, faultSel, consSel uint8,
+		interval, horizon int64, rho, beta, gamma, floor float64) {
+		names := append(Schedulers(), "Mystery")
+		params := DefaultEAntParams()
+		params.Rho, params.Beta, params.Gamma, params.AcceptFloor = rho, beta, gamma, floor
+		spec := RunSpec{
+			Cluster:         PaperTestbed(),
+			Scheduler:       names[int(sched)%len(names)],
+			EAntParams:      &params,
+			Jobs:            MSDWorkload(1+int(jobs)%4, seed),
+			Seed:            seed,
+			ControlInterval: time.Duration(interval),
+			Horizon:         time.Duration(horizon),
+		}
+		switch noiseSel % 3 {
+		case 1:
+			off := NoNoise()
+			spec.Noise = &off
+		case 2:
+			spec.Noise = &NoiseConfig{DurationCV: 10, StragglerProb: 1, StragglerMin: 1, StragglerMax: 50, MeasurementCV: 10}
+		}
+		if faultSel != 0 {
+			faults := FaultConfig{}
+			if faultSel&1 != 0 {
+				faults.MachineMTBF = 20 * time.Minute
+			}
+			if faultSel&2 != 0 {
+				faults.TaskFailProb = 0.1
+			}
+			if faultSel&4 != 0 {
+				faults.BlacklistThreshold = 1
+			}
+			if faultSel&8 != 0 {
+				faults.MaxAttempts = 1
+			}
+			spec.Faults = &faults
+		}
+		if consSel&1 != 0 {
+			spec.Consolidation = &Consolidation{IdleTimeout: time.Duration(consSel>>1) * time.Second}
+		}
+		r, err := Run(spec)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "eant: ") {
+				t.Fatalf("error without the eant: prefix: %v", err)
+			}
+			return
+		}
+		if math.IsNaN(r.TotalJoules) || math.IsInf(r.TotalJoules, 0) || r.TotalJoules < 0 {
+			t.Errorf("TotalJoules %v", r.TotalJoules)
+		}
+		if r.JobsCompleted > len(spec.Jobs) {
+			t.Errorf("%d jobs completed of %d", r.JobsCompleted, len(spec.Jobs))
+		}
+	})
+}
+
 func TestRunDeterministic(t *testing.T) {
 	a, err := Run(quickSpec(SchedulerEAnt))
 	if err != nil {

@@ -1,10 +1,12 @@
-// Package analysis is the simulator's static-analysis suite: five
+// Package analysis is the simulator's static-analysis suite: four
 // per-package analyzers that machine-check the determinism contracts the
-// reproduction depends on (seeded runs must be bit-identical, the virtual
-// clock is the only clock, and the PR-3 incremental aggregates must never
-// desynchronize from ground truth). The hot path's no-allocation contract
-// is not checked here: the root package measures it on warm runs
-// (TestWarmRunAllocsBounded, DESIGN.md §16).
+// reproduction depends on (seeded runs must be bit-identical, and the
+// virtual clock is the only clock). Two contracts are measured instead of
+// checked here: the root package measures the hot path's no-allocation
+// contract on warm runs (TestWarmRunAllocsBounded, DESIGN.md §16), and
+// internal/mapreduce's FuzzResetEqualsNew measures that the driver's
+// incremental aggregates mirror every slot and availability change and
+// that a run leaves its configuration unchanged (DESIGN.md §12).
 //
 // The framework deliberately mirrors the core shapes of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — so each
@@ -130,5 +132,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum, StatsMut}
+	return []*Analyzer{RngOnly, NoClock, MapOrder, FloatSum}
 }

@@ -13,7 +13,7 @@
 // expectation without a matching diagnostic, fails the test. Fixture
 // packages may override their import path with "//eantlint:path", which
 // is how path-scoped analyzers (noclock, rngonly's internal/sim rule,
-// floatsum's equality rule, statsmut) are exercised from testdata.
+// floatsum's equality rule) are exercised from testdata.
 package analysistest
 
 import (

@@ -23,8 +23,6 @@ var fixtures = []struct {
 	{"maporder", analysis.MapOrder},
 	{"floatsum_accum", analysis.FloatSum},
 	{"floatsum_eq", analysis.FloatSum},
-	{"statsmut_driver", analysis.StatsMut},
-	{"statsmut_sched", analysis.StatsMut},
 }
 
 func TestFixtures(t *testing.T) {
@@ -43,8 +41,8 @@ func TestSuiteComplete(t *testing.T) {
 		covered[f.analyzer.Name] = true
 	}
 	all := analysis.All()
-	if len(all) != 5 {
-		t.Fatalf("All() has %d analyzers, want 5", len(all))
+	if len(all) != 4 {
+		t.Fatalf("All() has %d analyzers, want 4", len(all))
 	}
 	for _, a := range all {
 		if !covered[a.Name] {

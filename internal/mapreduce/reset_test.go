@@ -97,35 +97,96 @@ func resetJobs(tb testing.TB, n int, seed int64) []workload.JobSpec {
 	return jobs
 }
 
-// FuzzResetEqualsNew checks that a reset driver is a new one. A driver
-// runs a mix of a few jobs under configuration A, is Reset to
-// configuration B with its policy reset, and runs another mix, drawn from
-// another seed with another job count; the Stats must deep-equal those of
-// a new driver's run of the second mix under B on a fresh copy of the
-// fleet. So the compared run is carved out of an arena that holds a
-// larger or smaller old mix, at the old replica count when A and B
-// differ in it. The seed corpus varies each Config field alone, in both
-// directions, on fleets of six machines running four jobs after one.
+// resetEnd decodes the fuzz byte that picks how the prior run ends and
+// whether the compared runs are cut. end%3 is 0 for a run to completion, 1
+// for a stop at the cut, 2 for a rejection mid-placement; bit 0 of end/3
+// stops both compared runs at the same cut; end/6 sets the cut in 20 s
+// steps from 20 s. A horizon of -1 runs to completion.
+func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
+	cut := time.Duration(1+end/6) * 20 * time.Second
+	prior, compared = -1, -1
+	switch end % 3 {
+	case 1:
+		prior = cut
+	case 2:
+		rejected = true
+	}
+	if end/3%2 == 1 {
+		compared = cut
+	}
+	return prior, compared, rejected
+}
+
+// FuzzResetEqualsNew is the measured contract of the driver's reset path
+// and of the incremental aggregates every offer reads. A driver runs a
+// prior mix under configuration A, is Reset to configuration B with its
+// policy reset, and runs another mix, drawn from another seed with another
+// job count; the Stats must deep-equal those of a new driver's run of the
+// second mix under B on a fresh copy of the fleet. So the compared run is
+// carved out of an arena that holds a larger or smaller old mix, at the
+// old replica count when A and B differ in it.
+//
+// Both drivers run under EnableInvariantChecks: after every mutating
+// event the aggregates are recomputed from the machines and jobs, so a
+// slot or availability change that bypasses the driver's bookkeeping,
+// made by a policy or by the driver, fails the target at the next event.
+// After the warm run the driver's configuration must still deep-equal the
+// defaulted B it was Reset with, so a write to it during a run fails too.
+//
+// The prior run either completes, stops at a horizon (the reset then
+// starts from running attempts, queued sleeps and live blacklists), or is
+// rejected mid-placement by a duplicated job ID; the compared runs either
+// complete or both stop at one shared horizon (resetEnd). The seed corpus
+// varies each Config field alone, in both directions, on fleets of six
+// machines running four jobs after one. It also runs each of the seven
+// policy setups with noise, consolidation and faults on, three jobs after
+// four, its prior run cut mid-flight and, for every other setup, its
+// compared runs too; and it rejects one prior run.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
 	if cfgType.NumField() != len(configFields) {
 		f.Fatalf("Config has %d fields, configFields varies %d", cfgType.NumField(), len(configFields))
 	}
+	var churn uint16
 	for i, fl := range configFields {
 		if name := cfgType.Field(i).Name; name != fl.name {
 			f.Fatalf("Config field %d is %s, configFields[%d] varies %s", i, name, i, fl.name)
 		}
-	}
-	for i := range configFields {
-		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(0), uint16(1)<<i)
-		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0))
+		if fl.name == "Noise" || fl.name == "Power" || fl.name == "Fault" {
+			churn |= 1 << i
+		}
 	}
 	policies := append(quietPolicies(), quietPolicy{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }})
-	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16) {
+	for i := range configFields {
+		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(0), uint16(1)<<i, uint8(0))
+		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0), uint8(0))
+	}
+	// One seed per policy setup, in policies order, with noise,
+	// consolidation and faults on in both configurations: its runs crash a
+	// machine, blacklist one, and sleep and wake machines (LATE's also
+	// speculate), and its prior run is cut with attempts running, machines
+	// asleep and a blacklist live. Odd setups cut the compared runs too,
+	// mid-flight.
+	for i, c := range []struct {
+		seed int64
+		end  uint8
+	}{{0, 55}, {10, 28}, {0, 13}, {10, 22}, {0, 55}, {10, 46}, {0, 13}} {
+		f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, c.end)
+	}
+	// A prior run rejected mid-placement, under E-Ant.
+	f.Add(int64(5), uint8(5), uint8(10), uint8(5), uint8(3), churn, churn, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end uint8) {
 		pol := policies[int(policy)%len(policies)]
 		n := int(jobs) % 4
 		specs := resetJobs(t, 1+n, seed)
 		prior := resetJobs(t, 1+(n+1+int(jobs/4)%3)%4, seed+1)
+		priorHorizon, horizon, rejected := resetEnd(end)
+		if rejected {
+			prior = append(prior, prior[0])
+		}
+		checked := func(d *mapreduce.Driver) {
+			d.EnableInvariantChecks(func(err error) { t.Fatalf("%s, masks %#x → %#x: %v", pol.name, a, b, err) })
+		}
 
 		warmFleet := resetFleet(types, size)
 		s := pol.build()
@@ -133,16 +194,21 @@ func FuzzResetEqualsNew(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(prior, -1); err != nil {
-			t.Fatal(err)
+		checked(d)
+		if _, err := d.Run(prior, priorHorizon); (err != nil) != rejected {
+			t.Fatalf("prior run (duplicated job ID: %v): %v", rejected, err)
 		}
 		resetPolicy(s)
-		if err := d.Reset(s, resetConfig(b, seed, warmFleet)); err != nil {
+		cfgB := resetConfig(b, seed, warmFleet)
+		if err := d.Reset(s, cfgB); err != nil {
 			t.Fatal(err)
 		}
-		warm, err := d.Run(specs, -1)
+		warm, err := d.Run(specs, horizon)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.AdoptedConfig(), mapreduce.Defaulted(cfgB)) {
+			t.Errorf("%s, masks %#x → %#x: the run changed its config", pol.name, a, b)
 		}
 
 		coldFleet := resetFleet(types, size)
@@ -150,7 +216,8 @@ func FuzzResetEqualsNew(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := fresh.Run(specs, -1)
+		checked(fresh)
+		cold, err := fresh.Run(specs, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
