@@ -1,10 +1,10 @@
-# Convenience entry points mirroring the CI pipeline. `make lint` is the
-# local pre-push check for the determinism contracts; see DESIGN.md §12
-# for what each analyzer enforces.
+# Convenience entry points mirroring the CI pipeline. The determinism
+# contracts are tests (TestSourceContracts, the goldens and the replays;
+# DESIGN.md §12), so `make test` checks them.
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt check bench-check bench-smoke bench cover
+.PHONY: all build test race vet fmt check bench-check bench-smoke bench cover
 
 all: check
 
@@ -17,20 +17,13 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The eantlint multichecker: four analyzers (rngonly, noclock, maporder,
-# floatsum), each checking one package at a time. Every finding exits
-# non-zero with a file:line diagnostic; there is no debt ledger. The
-# aggregate contract is measured, not linted: see FuzzResetEqualsNew.
-lint:
-	$(GO) run ./cmd/eantlint ./...
-
 vet:
 	$(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt vet build lint test bench-check
+check: fmt vet build test bench-check
 
 # bench/ is its own Go module, so `go vet ./...` and `go test ./...` at the
 # root skip it; build, vet and test it here (its digests are pinned for

@@ -9,7 +9,8 @@ import (
 // clock abstracts the wall clock behind the sweep-timing printout, so the
 // binary's only real-time consumer is this one injection point and tests
 // can substitute a fake. Everything below main() runs on the simulator's
-// virtual clock; eantlint's noclock rule keeps it that way.
+// virtual clock; TestSourceContracts keeps wall-clock reads out of every
+// internal/ package.
 type clock interface {
 	Now() time.Time
 	Since(t time.Time) time.Duration

@@ -97,7 +97,8 @@ func NewJob(id int, app App, inputMB float64, numReduces int, submit time.Durati
 // MSDWorkload generates the paper's §V-C Microsoft-derived synthetic
 // workload: jobs drawn from Table III's size classes (scaled 1/64 so runs
 // finish in seconds), applications rotating over Wordcount, Grep and
-// Terasort, Poisson arrivals. Deterministic per seed.
+// Terasort, Poisson arrivals. Deterministic per seed. jobs must be at
+// least 1: MSDWorkload panics on a smaller count.
 func MSDWorkload(jobs int, seed int64) []Job {
 	specs, err := workload.GenerateMSD(workload.MSDConfig{
 		Jobs:             jobs,

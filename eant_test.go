@@ -225,6 +225,19 @@ func TestMSDWorkloadShape(t *testing.T) {
 	}
 }
 
+func TestMSDWorkloadPanicsBelowOneJob(t *testing.T) {
+	for _, jobs := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MSDWorkload(%d, 1) did not panic", jobs)
+				}
+			}()
+			MSDWorkload(jobs, 1)
+		}()
+	}
+}
+
 func TestNewJobAndCustomCluster(t *testing.T) {
 	specs := MachineSpecs()
 	if len(specs) == 0 {

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "consolidation:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Light load: 40 jobs with 90 s mean spacing leaves lulls where
 	// machines can actually sleep.
 	jobs := eant.MSDWorkload(40, 3)
@@ -31,7 +32,7 @@ func run() error {
 		jobs[i].Submit = jobs[i].Submit * 2
 	}
 
-	fmt.Println("scheduler   consolidation   total KJ   makespan    sleeps/wakes")
+	fmt.Fprintln(w, "scheduler   consolidation   total KJ   makespan    sleeps/wakes")
 	for _, s := range []eant.Scheduler{eant.SchedulerFair, eant.SchedulerEAnt} {
 		for _, consolidated := range []bool{false, true} {
 			spec := eant.RunSpec{
@@ -49,12 +50,12 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-11s %-15s %-10.0f %-11v %d/%d\n",
+			fmt.Fprintf(w, "%-11s %-15s %-10.0f %-11v %d/%d\n",
 				s, mode, r.TotalJoules/1000, r.Makespan.Round(time.Second),
 				r.Stats.Sleeps, r.Stats.Wakes)
 		}
 	}
-	fmt.Println("\nWith consolidation on, compare the two schedulers' totals: E-Ant's")
-	fmt.Println("steering keeps more machines asleep, compounding the power-down win.")
+	fmt.Fprintln(w, "\nWith consolidation on, compare the two schedulers' totals: E-Ant's")
+	fmt.Fprintln(w, "steering keeps more machines asleep, compounding the power-down win.")
 	return nil
 }

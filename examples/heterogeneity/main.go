@@ -7,27 +7,28 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"eant/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "heterogeneity:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	fmt.Println("Reproducing the §II motivation study (Fig. 1)...")
-	fmt.Println()
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Reproducing the §II motivation study (Fig. 1)...")
+	fmt.Fprintln(w)
 
 	a, err := experiments.Fig1a()
 	if err != nil {
 		return err
 	}
-	if err := a.Table().Write(os.Stdout); err != nil {
+	if err := a.Table().Write(w); err != nil {
 		return err
 	}
 
@@ -35,7 +36,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := b.Table().Write(os.Stdout); err != nil {
+	if err := b.Table().Write(w); err != nil {
 		return err
 	}
 
@@ -43,7 +44,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := c.Table().Write(os.Stdout); err != nil {
+	if err := c.Table().Write(w); err != nil {
 		return err
 	}
 
@@ -51,5 +52,5 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	return d.Table().Write(os.Stdout)
+	return d.Table().Write(w)
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -20,15 +21,15 @@ func main() {
 	jobs := flag.Int("jobs", 87, "MSD job count")
 	seed := flag.Int64("seed", 1, "workload and simulation seed")
 	flag.Parse()
-	if err := run(*jobs, *seed); err != nil {
+	if err := run(os.Stdout, *jobs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "msd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(jobs int, seed int64) error {
+func run(w io.Writer, jobs int, seed int64) error {
 	workload := eant.MSDWorkload(jobs, seed)
-	fmt.Printf("MSD workload: %d jobs on the 16-node testbed (seed %d)\n\n", jobs, seed)
+	fmt.Fprintf(w, "MSD workload: %d jobs on the 16-node testbed (seed %d)\n\n", jobs, seed)
 
 	results, savings, err := eant.Compare(eant.RunSpec{
 		Cluster: eant.PaperTestbed(),
@@ -47,34 +48,34 @@ func run(jobs int, seed int64) error {
 	sort.Strings(types)
 
 	order := []eant.Scheduler{eant.SchedulerFIFO, eant.SchedulerFair, eant.SchedulerTarazu, eant.SchedulerEAnt}
-	fmt.Printf("%-10s", "machine")
+	fmt.Fprintf(w, "%-10s", "machine")
 	for _, s := range order {
-		fmt.Printf("%12s", s)
+		fmt.Fprintf(w, "%12s", s)
 	}
-	fmt.Println(" (KJ)")
+	fmt.Fprintln(w, " (KJ)")
 	for _, name := range types {
-		fmt.Printf("%-10s", name)
+		fmt.Fprintf(w, "%-10s", name)
 		for _, s := range order {
-			fmt.Printf("%12.0f", results[s].TypeJoules[name]/1000)
+			fmt.Fprintf(w, "%12.0f", results[s].TypeJoules[name]/1000)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("%-10s", "TOTAL")
+	fmt.Fprintf(w, "%-10s", "TOTAL")
 	for _, s := range order {
-		fmt.Printf("%12.0f", results[s].TotalJoules/1000)
+		fmt.Fprintf(w, "%12.0f", results[s].TotalJoules/1000)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, s := range order {
-		fmt.Printf("%-8s makespan %v\n", s, results[s].Makespan.Round(time.Second))
+		fmt.Fprintf(w, "%-8s makespan %v\n", s, results[s].Makespan.Round(time.Second))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	// Iterate the fixed scheduler order, not the map: map iteration is
 	// randomized, and the report should read identically on every run.
 	for _, s := range order {
 		if pct, ok := savings[s]; ok {
-			fmt.Printf("E-Ant saving vs %-8s %+.1f%%\n", s, pct)
+			fmt.Fprintf(w, "E-Ant saving vs %-8s %+.1f%%\n", s, pct)
 		}
 	}
 	return nil

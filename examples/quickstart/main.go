@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -13,13 +14,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	cluster := eant.PaperTestbed()
 
 	// Nine jobs, three of each PUMA benchmark, ~3 GB input each,
@@ -42,9 +43,9 @@ func run() error {
 
 	for _, s := range []eant.Scheduler{eant.SchedulerFair, eant.SchedulerEAnt} {
 		r := results[s]
-		fmt.Printf("%-6s finished %d jobs in %v using %.0f KJ\n",
+		fmt.Fprintf(w, "%-6s finished %d jobs in %v using %.0f KJ\n",
 			s, r.JobsCompleted, r.Makespan.Round(time.Second), r.TotalJoules/1000)
 	}
-	fmt.Printf("E-Ant energy saving vs Fair: %.1f%%\n", savings[eant.SchedulerFair])
+	fmt.Fprintf(w, "E-Ant energy saving vs Fair: %.1f%%\n", savings[eant.SchedulerFair])
 	return nil
 }

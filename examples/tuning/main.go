@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -14,13 +15,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tuning:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	jobs := eant.MSDWorkload(30, 5)
 	noiseOff := eant.NoNoise()
 
@@ -34,7 +35,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baseline (FIFO): %.0f KJ in %v\n\n",
+	fmt.Fprintf(w, "baseline (FIFO): %.0f KJ in %v\n\n",
 		baseline.TotalJoules/1000, baseline.Makespan.Round(time.Second))
 
 	runWith := func(label string, mutate func(*eant.EAntParams)) error {
@@ -52,12 +53,12 @@ func run() error {
 			return fmt.Errorf("%s: %w", label, err)
 		}
 		saving := 100 * (baseline.TotalJoules - r.TotalJoules) / baseline.TotalJoules
-		fmt.Printf("%-28s %.0f KJ (saving %+5.1f%%) makespan %v\n",
+		fmt.Fprintf(w, "%-28s %.0f KJ (saving %+5.1f%%) makespan %v\n",
 			label, r.TotalJoules/1000, saving, r.Makespan.Round(time.Second))
 		return nil
 	}
 
-	fmt.Println("β sweep (fairness/locality weight):")
+	fmt.Fprintln(w, "β sweep (fairness/locality weight):")
 	for _, beta := range []float64{0, 0.1, 0.2, 0.4} {
 		beta := beta
 		if err := runWith(fmt.Sprintf("  beta=%.1f", beta), func(p *eant.EAntParams) { p.Beta = beta }); err != nil {
@@ -65,7 +66,7 @@ func run() error {
 		}
 	}
 
-	fmt.Println("\nρ sweep (pheromone evaporation):")
+	fmt.Fprintln(w, "\nρ sweep (pheromone evaporation):")
 	for _, rho := range []float64{0.2, 0.5, 0.8} {
 		rho := rho
 		if err := runWith(fmt.Sprintf("  rho=%.1f", rho), func(p *eant.EAntParams) { p.Rho = rho }); err != nil {
@@ -73,7 +74,7 @@ func run() error {
 		}
 	}
 
-	fmt.Println("\nexchange strategies:")
+	fmt.Fprintln(w, "\nexchange strategies:")
 	variants := []struct {
 		label        string
 		machine, job bool

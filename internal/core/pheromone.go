@@ -631,7 +631,8 @@ func (mx *Matrix) updateRow(c *colony, down func(int) bool) {
 		if c.hasDelta {
 			dep = c.delta[k]
 		}
-		//eant:float-eq-ok 0 is an exact "no deposit" sentinel assigned above, never the result of accumulation
+		// Exact comparison: 0 is the "no deposit" sentinel assigned above,
+		// never the result of accumulation.
 		if compN > 0 && dep != 0 {
 			// The penalty is the mean competitor reward scaled by
 			// NegativeScale, applied only where this colony had its own

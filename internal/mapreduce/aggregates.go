@@ -301,8 +301,10 @@ func (d *Driver) mutated(where string) {
 
 // EnableInvariantChecks installs a self-check that recomputes every
 // aggregate from scratch after each mutating event and reports the first
-// divergence through fail. Test-only: the recompute is O(jobs + machines)
-// per event and would defeat the incremental layer in real runs.
+// divergence through fail. Test-only: checkInFlight walks every task of
+// every job in the arena, finished and unsubmitted jobs included, so the
+// recompute is O(all tasks + machines) per event and would defeat the
+// incremental layer in real runs.
 func (d *Driver) EnableInvariantChecks(fail func(error)) {
 	d.onMutation = func(where string) {
 		if err := d.checkAggregates(); err != nil {

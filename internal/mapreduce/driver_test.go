@@ -524,8 +524,16 @@ func TestCompletedTallies(t *testing.T) {
 	if maps != 10 {
 		t.Errorf("map tally = %d, want 10", maps)
 	}
-	pair := stats.EnergyByApp(workload.Grep)
-	if pair.Tasks != 12 || pair.EstJoules <= 0 {
-		t.Errorf("energy pair = %+v", pair)
+	tasks := 0
+	for k, pair := range stats.Energy {
+		if k.App == workload.Grep {
+			tasks += pair.Tasks
+			if pair.EstJoules <= 0 {
+				t.Errorf("energy cell %+v = %+v", k, pair)
+			}
+		}
+	}
+	if tasks != 12 {
+		t.Errorf("Grep energy cells hold %d tasks, want 12", tasks)
 	}
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -268,8 +269,11 @@ func spreadBlocks(maps, machines, reps int) [][]int {
 // locality index are one array each, however many maps the job has, so a
 // job of 1000 maps on 1024 machines allocates as many objects as a job of
 // 10. The horizon stops the run before the job is submitted, so only
-// construction and the run's set-up are counted.
+// construction and the run's set-up are counted. The garbage collector is
+// off while it measures: a collection inside AllocsPerRun adds stray
+// runtime objects to the average.
 func TestColdRunAllocsIndependentOfJobSize(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fleet := cluster.MustNew(cluster.Group{Spec: cluster.SpecDesktop, Count: 1024})
 	allocs := func(maps int) float64 {
 		specs := []workload.JobSpec{workload.NewJobSpec(1, workload.Wordcount, workload.BlockMB*float64(maps), 4, time.Hour)}

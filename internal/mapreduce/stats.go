@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"sort"
 	"time"
 
 	"eant/internal/workload"
@@ -189,35 +188,6 @@ func (s *Stats) CompletedByTypeKind(machineType string, kind TaskKind) int {
 		}
 	}
 	return n
-}
-
-// EnergyByApp sums est/true energy over machine types for one app. The
-// keys are sorted before summing: float addition is not associative, so
-// accumulating in map-hash order would perturb the low bits from run to
-// run (exactly the class of nondeterminism eantlint's floatsum rule
-// exists to catch).
-func (s *Stats) EnergyByApp(app workload.App) EnergyPair {
-	keys := make([]AppKindKey, 0, len(s.Energy))
-	for k := range s.Energy {
-		if k.App == app {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.MachineType != b.MachineType {
-			return a.MachineType < b.MachineType
-		}
-		return a.Kind < b.Kind
-	})
-	var out EnergyPair
-	for _, k := range keys {
-		p := s.Energy[k]
-		out.EstJoules += p.EstJoules
-		out.TrueJoules += p.TrueJoules
-		out.Tasks += p.Tasks
-	}
-	return out
 }
 
 // LocalityFraction returns the fraction of map tasks that read local data.

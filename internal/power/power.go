@@ -176,7 +176,8 @@ func FitLinear(utils, watts []float64) (idle, alpha float64, err error) {
 		sumUW += utils[i] * watts[i]
 	}
 	den := n*sumUU - sumU*sumU
-	//eant:float-eq-ok exact-zero guard before dividing; a tolerance would reject valid near-constant fits
+	// An exact-zero guard before dividing: a tolerance would reject valid
+	// near-constant fits.
 	if den == 0 {
 		return 0, 0, fmt.Errorf("power: FitLinear observations have no utilization variance")
 	}

@@ -83,7 +83,8 @@ func (h *Histogram) Merge(o *Histogram) error {
 		return fmt.Errorf("probe: merging histograms with %d and %d bounds", len(h.Bounds), len(o.Bounds))
 	}
 	for i := range h.Bounds {
-		//eant:float-eq-ok mergeability requires bitwise-identical boundaries, not approximate ones
+		// Exact comparison: mergeability requires bitwise-identical
+		// boundaries, not approximate ones.
 		if h.Bounds[i] != o.Bounds[i] {
 			return fmt.Errorf("probe: merging histograms with different bounds at %d: %v vs %v", i, h.Bounds[i], o.Bounds[i])
 		}
