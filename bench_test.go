@@ -553,14 +553,18 @@ func BenchmarkScaleBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkRunManyWarm measures the sweep-level payoff of per-worker
-// world reuse. Both sub-benchmarks push the same 8-spec scheduler ×
-// workload grid through RunMany; "cold" gives every spec its own cluster
-// clone, forcing each worker to rebuild its world per spec (the pre-Runner
-// behaviour), while "warm" points every spec at one shared cluster so each
-// worker constructs its world once and resets it between specs. The
-// allocs/op gap between the two is the construction cost the warm path
-// deletes from sweeps.
+// BenchmarkRunManyWarm measures the sweep-level payoff of world reuse.
+// Both sub-benchmarks push the same 8-spec scheduler × workload grid
+// through one RunMany call per iteration; "cold" gives every spec a new
+// cluster clone on every iteration (made with the timer stopped), so no
+// world, pooled or kept by a worker, is ever over a spec's cluster and
+// every spec builds its own (the pre-Runner behaviour), while "warm"
+// points every spec at one shared cluster, so each worker builds its
+// world once for the whole benchmark: it resets it between specs, and
+// the next call takes it up from the pool RunAll leaves it in. Each
+// worker's second and later runs of a mix also restore its HDFS
+// placement. The allocs/op gap between the two is the construction cost
+// the warm path deletes from sweeps.
 func BenchmarkRunManyWarm(b *testing.B) {
 	const workers = 4
 	jobGrid := [][]Job{MSDWorkload(5, 7), MSDWorkload(15, 7)}
@@ -574,25 +578,29 @@ func BenchmarkRunManyWarm(b *testing.B) {
 		}
 		return specs
 	}
-	run := func(b *testing.B, specs []RunSpec) {
+	run := func(b *testing.B, specs func() []RunSpec) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			results, err := RunMany(specs, workers)
+			b.StopTimer()
+			grid := specs()
+			b.StartTimer()
+			results, err := RunMany(grid, workers)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(results) != len(specs) {
+			if len(results) != len(grid) {
 				b.Fatal("short sweep")
 			}
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
 		base := PaperTestbed()
-		run(b, buildSpecs(func() *Cluster { return base.Clone() }))
+		run(b, func() []RunSpec { return buildSpecs(func() *Cluster { return base.Clone() }) })
 	})
 	b.Run("warm", func(b *testing.B) {
 		shared := PaperTestbed()
-		run(b, buildSpecs(func() *Cluster { return shared }))
+		grid := buildSpecs(func() *Cluster { return shared })
+		run(b, func() []RunSpec { return grid })
 	})
 }
 

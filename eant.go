@@ -331,7 +331,10 @@ func resultFromStats(stats *mapreduce.Stats) *Result {
 	}
 }
 
-// Run executes the campaign described by spec on a world of its own.
+// Run executes the campaign described by spec through RunMany, so it
+// runs on a world an earlier call over the same cluster left behind when
+// one is pooled, and on a new one otherwise; the result is the same
+// either way.
 func Run(spec RunSpec) (*Result, error) {
 	results, err := RunMany([]RunSpec{spec}, 1)
 	if err != nil {
@@ -402,10 +405,17 @@ func (r *Runner) Run(spec RunSpec) (*Result, error) {
 // the lowest-index failing spec.
 //
 // The specs run through experiments.RunAll, which keeps one warm world
-// per worker and rebuilds it only when a spec names another cluster, so
-// sweeps over one fleet pay the world-construction cost at most once per
-// worker. Clusters are always cloned into the worlds, so concurrent runs
-// never share machine state and the caller's clusters are never mutated.
+// per worker and rebuilds it only when a spec names another cluster.
+// Worlds outlive the call: each worker's last world is pooled when the
+// call returns, and a later call over the same cluster takes it up again
+// (until a garbage collection empties the pool), so a sweep of many
+// RunMany calls over one fleet pays the world-construction cost about
+// once per worker, not once per call. A worker that runs the same mix
+// with the same seed, replica count and placement constraints as its
+// previous run (one mix under several policies) restores that run's HDFS
+// placement instead of drawing it again. Clusters are always cloned into
+// the worlds, so concurrent runs never share machine state and the
+// caller's clusters are never mutated.
 func RunMany(specs []RunSpec, workers int) ([]*Result, error) {
 	// Only the specs before the first invalid one run, so a lower spec
 	// that fails at run time is still the one reported.
@@ -435,8 +445,10 @@ func RunMany(specs []RunSpec, workers int) ([]*Result, error) {
 
 // Compare runs the same jobs under several schedulers (concurrently, on
 // the RunMany worker pool, so cluster and world construction is shared
-// across the schedulers each worker runs) and returns the results keyed
-// by scheduler, plus E-Ant's saving in percent over each baseline
+// across the schedulers each worker runs and across Compare calls over
+// one cluster, and a worker's second and later schedulers restore the
+// HDFS placement its first drew) and returns the results keyed by
+// scheduler, plus E-Ant's saving in percent over each baseline
 // (positive = E-Ant used less energy).
 func Compare(spec RunSpec, schedulers ...Scheduler) (map[Scheduler]*Result, map[Scheduler]float64, error) {
 	if len(schedulers) == 0 {

@@ -19,6 +19,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"eant/internal/cluster"
@@ -169,24 +170,47 @@ func (w *World) scheduler(c Campaign) (mapreduce.Scheduler, error) {
 // means parallel.DefaultWorkers(); 1 runs them in order on the calling
 // goroutine) and returns their statistics in campaign order. Each worker
 // keeps one World, which it replaces when a campaign names another
-// cluster. Workers decide only when a campaign runs, never what it
-// computes, so the statistics are bit-identical for every worker count.
-// On error RunAll returns the error of the lowest-index failing
-// campaign, as World.Run gave it.
+// cluster, and worlds outlive the call: a worker takes its world from
+// those earlier calls left in worldPool when that world is over the
+// campaign's cluster, and every worker's last world goes back when the
+// call returns. Workers decide only when a campaign runs, never what it
+// computes, so the statistics are bit-identical for every worker count
+// and whether a world is new or pooled. On error RunAll returns the
+// error of the lowest-index failing campaign, as World.Run gave it.
 func RunAll(campaigns []Campaign, workers int) ([]*mapreduce.Stats, error) {
 	worlds := make([]*World, parallel.Workers(len(campaigns), workers))
-	return parallel.MapWorkers(len(campaigns), workers, func(worker, i int) (*mapreduce.Stats, error) {
+	stats, err := parallel.MapWorkers(len(campaigns), workers, func(worker, i int) (*mapreduce.Stats, error) {
 		c := campaigns[i]
 		w := worlds[worker]
 		if w == nil || w.source != c.Cluster {
 			var err error
-			if w, err = NewWorld(c.Cluster); err != nil {
+			if w, err = pooledWorld(c.Cluster); err != nil {
 				return nil, err
 			}
 			worlds[worker] = w
 		}
 		return w.Run(c)
 	})
+	// MapWorkers has returned, so no worker still runs on these worlds.
+	for _, w := range worlds {
+		if w != nil {
+			worldPool.Put(w)
+		}
+	}
+	return stats, err
+}
+
+// worldPool holds the worlds of finished RunAll calls. A world has one
+// owner at a time: the pool, or the one worker that took it.
+var worldPool sync.Pool
+
+// pooledWorld returns a world over c: a pooled one if the pool hands out
+// c's, else a new one. A pooled world over another cluster is dropped.
+func pooledWorld(c *cluster.Cluster) (*World, error) {
+	if w, ok := worldPool.Get().(*World); ok && w.source == c {
+		return w, nil
+	}
+	return NewWorld(c)
 }
 
 // defaultDriverConfig is the experiment-wide driver configuration: paper

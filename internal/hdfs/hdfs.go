@@ -16,6 +16,7 @@ import (
 
 	"eant/internal/cluster"
 	"eant/internal/sim"
+	"eant/internal/workload"
 )
 
 // DefaultReplication is HDFS's default replica count.
@@ -42,12 +43,39 @@ type Namespace struct {
 	// covering, when set, constrains each block's first replica to these
 	// machines (the consolidation covering subset).
 	covering []int
+	seed     int64 // the stream seed Reset adopted
 	rng      sim.RNG
+	// last records the last successful Place, which Reset keeps; reused
+	// is whether the last Place restored it instead of drawing.
+	last   placement
+	reused bool
 }
 
 // span locates one file in Namespace.replicas: its first entry and its
 // block count.
 type span struct{ first, blocks int }
+
+// file is one placed job's input.
+type file struct {
+	job int
+	span
+}
+
+// placement records a successful Place: the inputs its draws are a pure
+// function of (the stream seed, the replica count, the exclusions, the
+// covering set and the mix's job IDs and block counts, the latter in
+// files), and what it produced beyond the replica array (the file spans
+// and the balance counts). valid is false until a Place succeeds, and
+// from the start of a Place that draws.
+type placement struct {
+	valid       bool
+	seed        int64
+	replication int
+	excluded    []bool
+	covering    []int
+	files       []file
+	blocksHeld  []int
+}
 
 // NewNamespace returns an empty namespace over c whose placements draw
 // from a stream seeded with seed. replication is defaulted and clamped as
@@ -74,21 +102,21 @@ func (ns *Namespace) Stride() int {
 
 // Reset empties the namespace, adopts the replica count (DefaultReplication
 // when non-positive, clamped to the cluster size) and rewinds its RNG
-// stream to the given seed, so a subsequent identical Place sequence
-// reproduces the original placements bit for bit. The replica array keeps
-// its storage for the next placements; exclusions and the covering
+// stream to the given seed, so a subsequent identical Place reproduces the
+// original placement bit for bit. The replica array and the record of the
+// last placement are kept for the next Place; exclusions and the covering
 // constraint are dropped (the driver re-applies them before placing).
 func (ns *Namespace) Reset(replication int, seed int64) {
 	if replication <= 0 {
 		replication = DefaultReplication
 	}
 	ns.replication = min(replication, ns.cluster.Size())
-	ns.replicas = ns.replicas[:0]
 	clear(ns.files)
 	clear(ns.blocksHeld)
 	clear(ns.excluded)
 	ns.nExcluded = 0
 	ns.covering = ns.covering[:0]
+	ns.seed = seed
 	ns.rng.Reseed(seed)
 }
 
@@ -109,7 +137,7 @@ func (ns *Namespace) PreferFirstReplicaOn(machineIDs []int) {
 
 // ExcludeFromPlacement marks a machine as compute-only (no DataNode):
 // placements never put replicas there. Exclusions change the stride, so
-// they must all come before the first Place after a Reset; a later one
+// they must all come before the Place that follows a Reset; a later one
 // panics. Excluding every machine panics at the next Place.
 func (ns *Namespace) ExcludeFromPlacement(machineID int) {
 	if machineID < 0 || machineID >= ns.cluster.Size() {
@@ -124,27 +152,88 @@ func (ns *Namespace) ExcludeFromPlacement(machineID int) {
 	}
 }
 
-// Place creates the input file for a job with the given block count,
-// choosing replica sets that are distinct per block and globally balanced.
-// Placing a job twice is a driver bug and returns an error.
-func (ns *Namespace) Place(jobID, blocks int) error {
-	if _, ok := ns.files[jobID]; ok {
-		return fmt.Errorf("hdfs: job %d already placed", jobID)
+// Place creates the input files of a run's whole mix, one per job in
+// submission order, each of the job's NumMaps blocks, choosing replica
+// sets that are distinct per block and globally balanced. It places into
+// an empty namespace, so a second Place needs a Reset first. A job ID
+// that appears twice, or a job without blocks, is a driver bug and
+// returns an error; the jobs before it stay placed.
+//
+// A placement is a pure function of its inputs: the stream seed, the
+// replica count, the exclusions, the covering set and the mix's job IDs
+// and block counts. When they all equal those of the last successful
+// Place, Place restores that placement (its replica array is still in
+// place) instead of drawing it again: O(jobs + machines), and no draw from
+// the stream, which nothing else reads.
+func (ns *Namespace) Place(mix []workload.JobSpec) error {
+	if len(ns.files) > 0 {
+		return fmt.Errorf("hdfs: namespace already holds a placement")
 	}
-	if blocks <= 0 {
-		return fmt.Errorf("hdfs: job %d has %d blocks", jobID, blocks)
+	if ns.reused = ns.repeats(mix); ns.reused {
+		for _, f := range ns.last.files {
+			ns.files[f.job] = f.span
+		}
+		copy(ns.blocksHeld, ns.last.blocksHeld)
+		return nil
 	}
+	ns.last.valid = false
 	s := ns.Stride()
 	if s <= 0 {
 		panic("hdfs: every machine excluded from placement")
 	}
-	first := len(ns.replicas)
-	ns.replicas = slices.Grow(ns.replicas, blocks*s)[:first+blocks*s]
-	for e := first; e < len(ns.replicas); e += s {
-		ns.pickReplicas(ns.replicas[e : e+s])
+	ns.replicas = ns.replicas[:0]
+	for _, spec := range mix {
+		if _, ok := ns.files[spec.ID]; ok {
+			return fmt.Errorf("hdfs: job %d already placed", spec.ID)
+		}
+		if spec.NumMaps <= 0 {
+			return fmt.Errorf("hdfs: job %d has %d blocks", spec.ID, spec.NumMaps)
+		}
+		first := len(ns.replicas)
+		ns.replicas = slices.Grow(ns.replicas, spec.NumMaps*s)[:first+spec.NumMaps*s]
+		for e := first; e < len(ns.replicas); e += s {
+			ns.pickReplicas(ns.replicas[e : e+s])
+		}
+		ns.files[spec.ID] = span{first, spec.NumMaps}
 	}
-	ns.files[jobID] = span{first, blocks}
+	ns.record(mix)
 	return nil
+}
+
+// Reused reports whether the last Place restored the previous placement
+// instead of drawing.
+func (ns *Namespace) Reused() bool { return ns.reused }
+
+// repeats reports whether mix and the namespace's current inputs equal
+// those of the last successful Place.
+func (ns *Namespace) repeats(mix []workload.JobSpec) bool {
+	l := &ns.last
+	if !l.valid || l.seed != ns.seed || l.replication != ns.replication || len(l.files) != len(mix) ||
+		!slices.Equal(l.excluded, ns.excluded) || !slices.Equal(l.covering, ns.covering) {
+		return false
+	}
+	for i, f := range l.files {
+		if f.job != mix[i].ID || f.blocks != mix[i].NumMaps {
+			return false
+		}
+	}
+	return true
+}
+
+// record makes the placement of mix just drawn the last one, copying its
+// inputs and results into the record's retained storage.
+func (ns *Namespace) record(mix []workload.JobSpec) {
+	l := &ns.last
+	l.valid = true
+	l.seed = ns.seed
+	l.replication = ns.replication
+	l.excluded = append(l.excluded[:0], ns.excluded...)
+	l.covering = append(l.covering[:0], ns.covering...)
+	l.files = l.files[:0]
+	for _, spec := range mix {
+		l.files = append(l.files, file{spec.ID, ns.files[spec.ID]})
+	}
+	l.blocksHeld = append(l.blocksHeld[:0], ns.blocksHeld...)
 }
 
 // pickReplicas fills dst with distinct placeable machines, preferring
@@ -211,8 +300,8 @@ func (ns *Namespace) pickReplicas(dst []int32) {
 
 // File returns jobID's placed input, Stride() replica IDs per block in
 // block order, or nil if the job is not placed. The slice is a window of
-// the namespace's array: it is valid until the next Place or Reset, and
-// callers must not modify it.
+// the namespace's array: it is valid until the next Reset, and callers
+// must not modify it.
 func (ns *Namespace) File(jobID int) []int32 {
 	f, ok := ns.files[jobID]
 	if !ok {
@@ -244,19 +333,6 @@ func (ns *Namespace) IsLocal(jobID, block, machineID int) bool {
 		}
 	}
 	return false
-}
-
-// Remove drops a job's file (job retired), releasing its placement load.
-// Its replica entries stay in the array until the next Reset.
-func (ns *Namespace) Remove(jobID int) {
-	reps := ns.File(jobID)
-	if reps == nil {
-		return
-	}
-	for _, id := range reps {
-		ns.blocksHeld[id]--
-	}
-	delete(ns.files, jobID)
 }
 
 // BlocksHeld returns how many replicas machine id currently holds.

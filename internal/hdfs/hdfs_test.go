@@ -6,17 +6,24 @@ import (
 	"testing/quick"
 
 	"eant/internal/cluster"
+	"eant/internal/workload"
 )
 
 func testCluster(n int) *cluster.Cluster {
 	return cluster.MustNew(cluster.Group{Spec: cluster.SpecDesktop, Count: n})
 }
 
-// place places jobID's input of the given block count and returns its
-// blocks' replica lists, one window of the file per block.
+// job is a mix entry: the job's ID and its input's block count.
+func job(id, blocks int) workload.JobSpec { return workload.JobSpec{ID: id, NumMaps: blocks} }
+
+// one is the mix of a single job.
+func one(id, blocks int) []workload.JobSpec { return []workload.JobSpec{job(id, blocks)} }
+
+// place places a mix of jobID's input alone, of the given block count,
+// and returns its blocks' replica lists, one window of the file per block.
 func place(t testing.TB, ns *Namespace, jobID, blocks int) [][]int32 {
 	t.Helper()
-	if err := ns.Place(jobID, blocks); err != nil {
+	if err := ns.Place(one(jobID, blocks)); err != nil {
 		t.Fatalf("Place: %v", err)
 	}
 	file := ns.File(jobID)
@@ -50,25 +57,34 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 }
 
 // TestWarmPlaceAllocatesNothing checks that a reset namespace places into
-// its retained replica array and file index: after a first run of two
-// files, a Reset and the placement of up to as many blocks allocate
-// nothing, however many blocks there are.
+// its retained replica array, file index and placement record: after a
+// first run of two files, a Reset and the placement of up to as many
+// blocks allocate nothing, however many blocks there are, whether the
+// placement is drawn (a new seed each time) or restored (the same inputs
+// again).
 func TestWarmPlaceAllocatesNothing(t *testing.T) {
 	ns := NewNamespace(testCluster(10), 3, 1)
-	for job := 1; job <= 2; job++ {
-		if err := ns.Place(job, 400); err != nil {
-			t.Fatal(err)
-		}
+	if err := ns.Place([]workload.JobSpec{job(1, 400), job(2, 400)}); err != nil {
+		t.Fatal(err)
 	}
+	seed := int64(1)
 	for _, blocks := range []int{1, 200, 800} {
-		allocs := testing.AllocsPerRun(20, func() {
-			ns.Reset(3, 1)
-			if err := ns.Place(1, blocks); err != nil {
-				t.Fatal(err)
+		for _, redraw := range []bool{true, false} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if redraw {
+					seed++
+				}
+				ns.Reset(3, seed)
+				if err := ns.Place(one(1, blocks)); err != nil {
+					t.Fatal(err)
+				}
+				if ns.Reused() == redraw {
+					t.Fatalf("Reused() = %v for a placement with a new seed: %v", ns.Reused(), redraw)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm Place of %d blocks (new seed: %v) made %v allocations, want 0", blocks, redraw, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("warm Place of %d blocks made %v allocations, want 0", blocks, allocs)
 		}
 	}
 }
@@ -76,7 +92,7 @@ func TestWarmPlaceAllocatesNothing(t *testing.T) {
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
 	ns := NewNamespace(c, 3, 2)
-	if err := ns.Place(1, 800); err != nil {
+	if err := ns.Place(one(1, 800)); err != nil {
 		t.Fatal(err)
 	}
 	// 800 blocks × 3 replicas over 8 machines = 300 expected per machine.
@@ -112,7 +128,7 @@ func TestDefaultReplicationApplied(t *testing.T) {
 func TestResetAdoptsReplication(t *testing.T) {
 	c := testCluster(5)
 	ns := NewNamespace(c, 3, 1)
-	if err := ns.Place(1, 20); err != nil {
+	if err := ns.Place(one(1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []int{1, 0, 9} {
@@ -121,10 +137,10 @@ func TestResetAdoptsReplication(t *testing.T) {
 		if ns.Replication() != fresh.Replication() {
 			t.Fatalf("Reset(%d): Replication() = %d, new namespace has %d", r, ns.Replication(), fresh.Replication())
 		}
-		if err := ns.Place(1, 20); err != nil {
+		if err := ns.Place(one(1, 20)); err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.Place(1, 20); err != nil {
+		if err := fresh.Place(one(1, 20)); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := ns.File(1), fresh.File(1); !slices.Equal(got, want) {
@@ -133,22 +149,32 @@ func TestResetAdoptsReplication(t *testing.T) {
 	}
 }
 
+// TestPlaceErrors checks the mixes Place rejects, and that a rejected mix
+// is not recorded as a placement to restore: placed again after a Reset,
+// it fails again.
 func TestPlaceErrors(t *testing.T) {
 	ns := NewNamespace(testCluster(5), 3, 5)
-	if err := ns.Place(1, 0); err == nil {
+	if err := ns.Place(one(1, 0)); err == nil {
 		t.Error("zero blocks accepted")
 	}
-	if err := ns.Place(1, 10); err != nil {
+	if err := ns.Place(one(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Place(1, 10); err == nil {
-		t.Error("duplicate placement accepted")
+	if err := ns.Place(one(2, 10)); err == nil {
+		t.Error("second placement without a Reset accepted")
+	}
+	dup := []workload.JobSpec{job(1, 10), job(2, 4), job(1, 10)}
+	for i := 0; i < 2; i++ {
+		ns.Reset(3, 5)
+		if err := ns.Place(dup); err == nil {
+			t.Errorf("pass %d: duplicate job ID accepted", i)
+		}
 	}
 }
 
 func TestIsLocalMatchesReplicas(t *testing.T) {
 	ns := NewNamespace(testCluster(6), 3, 6)
-	if err := ns.Place(7, 50); err != nil {
+	if err := ns.Place(one(7, 50)); err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < 50; b++ {
@@ -163,23 +189,6 @@ func TestIsLocalMatchesReplicas(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestRemoveReleasesLoad(t *testing.T) {
-	ns := NewNamespace(testCluster(4), 2, 7)
-	if err := ns.Place(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	ns.Remove(1)
-	for id := 0; id < 4; id++ {
-		if held := ns.BlocksHeld(id); held != 0 {
-			t.Errorf("machine %d still holds %d replicas after Remove", id, held)
-		}
-	}
-	if ns.File(1) != nil {
-		t.Error("File(1) still present after Remove")
-	}
-	ns.Remove(1) // idempotent
 }
 
 func TestUnplacedLookupsPanic(t *testing.T) {
@@ -237,14 +246,14 @@ func TestExcludeAllPanicsOnPlace(t *testing.T) {
 			t.Error("placement with all machines excluded did not panic")
 		}
 	}()
-	_ = ns.Place(1, 1)
+	_ = ns.Place(one(1, 1))
 }
 
 // TestExcludeAfterPlacePanics checks that an exclusion, which changes the
 // stride, cannot come after a placement laid out at the old one.
 func TestExcludeAfterPlacePanics(t *testing.T) {
 	ns := NewNamespace(testCluster(4), 3, 14)
-	if err := ns.Place(1, 5); err != nil {
+	if err := ns.Place(one(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -270,7 +279,7 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 		n := int(machines)%14 + 2
 		b := int(blocks)%60 + 1
 		ns := NewNamespace(testCluster(n), 3, seed)
-		if err := ns.Place(1, b); err != nil {
+		if err := ns.Place(one(1, b)); err != nil {
 			return false
 		}
 		total := 0
@@ -301,4 +310,138 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// placeInputs is everything a placement is a function of, besides the
+// fleet.
+type placeInputs struct {
+	replication int
+	seed        int64
+	excluded    []bool
+	covering    []int
+	mix         []workload.JobSpec
+}
+
+// apply resets ns to the inputs and places their mix.
+func (in placeInputs) apply(ns *Namespace) error {
+	ns.Reset(in.replication, in.seed)
+	for id, ex := range in.excluded {
+		if ex {
+			ns.ExcludeFromPlacement(id)
+		}
+	}
+	ns.PreferFirstReplicaOn(in.covering)
+	return ns.Place(in.mix)
+}
+
+// equal reports whether two sets of inputs give the namespace the same
+// placement inputs: the replica count as clamped to the fleet of n.
+func (in placeInputs) equal(o placeInputs, n int) bool {
+	return min(in.replication, n) == min(o.replication, n) && in.seed == o.seed &&
+		slices.Equal(in.excluded, o.excluded) && slices.Equal(in.covering, o.covering) &&
+		slices.EqualFunc(in.mix, o.mix, func(a, b workload.JobSpec) bool { return a.ID == b.ID && a.NumMaps == b.NumMaps })
+}
+
+// placeOp encodes one step of FuzzPlaceReuse: kind picks what changes
+// before the call, arg by how much.
+func placeOp(kind, arg int) byte { return byte(kind + 7*arg) }
+
+// FuzzPlaceReuse is the differential check of placement reuse. One
+// namespace places a generated sequence of mixes, reset before each call;
+// each step (an ops byte: placeOp) either repeats the last inputs or
+// changes one of them first: the seed, the replica count, one machine's
+// exclusion, the covering set, one job's block count, or the job list,
+// which may also be given a repeated job ID for one call, which Place
+// rejects. After every call, the error, every job's file window and
+// every machine's BlocksHeld must equal those of a new namespace given
+// the same inputs, and Reused must report a restored placement exactly
+// when the inputs equal those of the last call that succeeded with none
+// failing since.
+func FuzzPlaceReuse(f *testing.F) {
+	every := []byte{
+		placeOp(0, 0), placeOp(0, 0), // first placement, then a repeat
+		placeOp(1, 2), placeOp(0, 0), placeOp(1, 1), // seed
+		placeOp(2, 0), placeOp(0, 0), placeOp(2, 2), // replica count
+		placeOp(3, 1), placeOp(0, 0), placeOp(3, 1), // exclusion
+		placeOp(4, 0), placeOp(0, 0), placeOp(4, 0), // covering set
+		placeOp(5, 1), placeOp(0, 0), // block count
+		placeOp(6, 0), placeOp(0, 0), placeOp(6, 1), placeOp(0, 0), // job list
+		placeOp(6, 2), placeOp(0, 0), placeOp(6, 2), placeOp(6, 2), // rejected mixes
+	}
+	for _, machines := range []uint8{0, 1, 4} {
+		f.Add(machines, every)
+	}
+	f.Add(uint8(2), []byte{placeOp(3, 0), placeOp(4, 0), placeOp(0, 0), placeOp(3, 0), placeOp(0, 0)})
+	f.Fuzz(func(t *testing.T, machines uint8, ops []byte) {
+		n := 2 + int(machines)%7
+		c := testCluster(n)
+		in := placeInputs{replication: 3, seed: 1, excluded: make([]bool, n), mix: []workload.JobSpec{job(0, 3), job(1, 5)}}
+		ns := NewNamespace(c, 1, 0)
+		var last *placeInputs // the inputs of the last successful Place, nil after a failure
+		for step, op := range ops[:min(len(ops), 64)] {
+			arg := int(op) / 7
+			switch op % 7 {
+			case 1:
+				in.seed = int64(arg % 3)
+			case 2:
+				in.replication = 1 + arg%4
+			case 3:
+				m, placeable := arg%n, 0
+				for _, ex := range in.excluded {
+					if !ex {
+						placeable++
+					}
+				}
+				if in.excluded[m] || placeable > 1 {
+					in.excluded = slices.Clone(in.excluded)
+					in.excluded[m] = !in.excluded[m]
+				}
+			case 4:
+				if len(in.covering) == 0 {
+					in.covering = []int{arg % n}
+				} else {
+					in.covering = nil
+				}
+			case 5:
+				in.mix = slices.Clone(in.mix)
+				in.mix[arg%len(in.mix)].NumMaps = 1 + arg%5
+			case 6:
+				switch arg % 3 {
+				case 0:
+					in.mix = append(slices.Clone(in.mix), job(in.mix[len(in.mix)-1].ID+1, 1+arg%4))
+				case 1:
+					in.mix = in.mix[:max(1, len(in.mix)-1)]
+				}
+			}
+			call := in
+			if op%7 == 6 && arg%3 == 2 {
+				call.mix = append(slices.Clone(in.mix), in.mix[0])
+			}
+
+			err := call.apply(ns)
+			fresh := NewNamespace(c, 1, 0)
+			want := call.apply(fresh)
+			if (err != nil) != (want != nil) {
+				t.Fatalf("step %d: Place error %v, a new namespace's %v", step, err, want)
+			}
+			if reuse := err == nil && last != nil && call.equal(*last, n); ns.Reused() != reuse {
+				t.Fatalf("step %d: Reused() = %v, want %v", step, ns.Reused(), reuse)
+			}
+			for _, spec := range call.mix {
+				if got, want := ns.File(spec.ID), fresh.File(spec.ID); !slices.Equal(got, want) {
+					t.Fatalf("step %d: job %d placed on %v, a new namespace placed it on %v", step, spec.ID, got, want)
+				}
+			}
+			for id := 0; id < n; id++ {
+				if got, want := ns.BlocksHeld(id), fresh.BlocksHeld(id); got != want {
+					t.Fatalf("step %d: machine %d holds %d replicas, in a new namespace %d", step, id, got, want)
+				}
+			}
+			if err != nil {
+				last = nil
+			} else {
+				last = &call
+			}
+		}
+	})
 }

@@ -364,11 +364,10 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 
 	// Place every input, then carve each job out of the arena and schedule
 	// its submission. The namespace reset rewound the HDFS stream, so the
-	// replica draws of a rerun replay bit-identically.
-	for _, spec := range specs {
-		if err := d.ns.Place(spec.ID, spec.NumMaps); err != nil {
-			return nil, fmt.Errorf("mapreduce: placing job %d: %w", spec.ID, err)
-		}
+	// replica draws of a rerun replay bit-identically, and a rerun of the
+	// namespace's last placement restores it without drawing.
+	if err := d.ns.Place(specs); err != nil {
+		return nil, fmt.Errorf("mapreduce: placing job inputs: %w", err)
 	}
 	d.arena.size(specs, d.cluster.Size(), len(d.typeReps), d.ns.Stride())
 	for i, spec := range specs {

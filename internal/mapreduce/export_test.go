@@ -13,3 +13,7 @@ func Defaulted(cfg Config) Config {
 	cfg.setDefaults()
 	return cfg
 }
+
+// PlacementReused reports whether the driver's last run restored the HDFS
+// placement of the run before it instead of drawing one.
+func (d *Driver) PlacementReused() bool { return d.ns.Reused() }

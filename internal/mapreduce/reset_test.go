@@ -2,6 +2,7 @@ package mapreduce_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,30 +137,43 @@ func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
 // The prior run either completes, stops at a horizon (the reset then
 // starts from running attempts, queued sleeps and live blacklists), or is
 // rejected mid-placement by a duplicated job ID; the compared runs either
-// complete or both stop at one shared horizon (resetEnd). The seed corpus
-// varies each Config field alone, in both directions, on fleets of six
-// machines running four jobs after one. It also runs each of the seven
-// policy setups with noise, consolidation and faults on, three jobs after
-// four, its prior run cut mid-flight and, for every other setup, its
-// compared runs too; and it rejects one prior run.
+// complete or both stop at one shared horizon (resetEnd). An odd byte
+// same gives the prior run the compared run's mix instead; the driver's
+// namespace must then restore the prior run's placement exactly when the
+// prior run placed its inputs and A and B agree in every placement input
+// (Seed, Replication, ComputeOnlyTypes and Power). The seed corpus varies
+// each Config field alone, in both directions, on fleets of six machines
+// running four jobs after one, and again with the prior run on the
+// compared mix. It also runs each of the seven policy setups with noise,
+// consolidation and faults on, three jobs after four, its prior run cut
+// mid-flight and, for every other setup, its compared runs too; and it
+// rejects one prior run, on another mix and on the compared one.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
 	if cfgType.NumField() != len(configFields) {
 		f.Fatalf("Config has %d fields, configFields varies %d", cfgType.NumField(), len(configFields))
 	}
-	var churn uint16
+	var churn, placement uint16
 	for i, fl := range configFields {
 		if name := cfgType.Field(i).Name; name != fl.name {
 			f.Fatalf("Config field %d is %s, configFields[%d] varies %s", i, name, i, fl.name)
 		}
-		if fl.name == "Noise" || fl.name == "Power" || fl.name == "Fault" {
+		switch fl.name {
+		case "Noise", "Fault":
 			churn |= 1 << i
+		case "Power":
+			churn |= 1 << i
+			placement |= 1 << i
+		case "Seed", "Replication", "ComputeOnlyTypes":
+			placement |= 1 << i
 		}
 	}
 	policies := append(quietPolicies(), quietPolicy{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }})
 	for i := range configFields {
-		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(0), uint16(1)<<i, uint8(0))
-		f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0), uint8(0))
+		for _, same := range []uint8{0, 1} {
+			f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(0), uint16(1)<<i, uint8(0), same)
+			f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
+		}
 	}
 	// One seed per policy setup, in policies order, with noise,
 	// consolidation and faults on in both configurations: its runs crash a
@@ -171,15 +185,21 @@ func FuzzResetEqualsNew(f *testing.F) {
 		seed int64
 		end  uint8
 	}{{0, 55}, {10, 28}, {0, 13}, {10, 22}, {0, 55}, {10, 46}, {0, 13}} {
-		f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, c.end)
+		f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, c.end, uint8(0))
 	}
-	// A prior run rejected mid-placement, under E-Ant.
-	f.Add(int64(5), uint8(5), uint8(10), uint8(5), uint8(3), churn, churn, uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end uint8) {
+	// A prior run rejected mid-placement, under E-Ant, on another mix and
+	// on the compared one.
+	for _, same := range []uint8{0, 1} {
+		f.Add(int64(5), uint8(5), uint8(10), uint8(5), uint8(3), churn, churn, uint8(2), same)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end, same uint8) {
 		pol := policies[int(policy)%len(policies)]
 		n := int(jobs) % 4
 		specs := resetJobs(t, 1+n, seed)
 		prior := resetJobs(t, 1+(n+1+int(jobs/4)%3)%4, seed+1)
+		if same%2 == 1 {
+			prior = slices.Clone(specs)
+		}
 		priorHorizon, horizon, rejected := resetEnd(end)
 		if rejected {
 			prior = append(prior, prior[0])
@@ -209,6 +229,10 @@ func FuzzResetEqualsNew(f *testing.F) {
 		}
 		if !reflect.DeepEqual(d.AdoptedConfig(), mapreduce.Defaulted(cfgB)) {
 			t.Errorf("%s, masks %#x → %#x: the run changed its config", pol.name, a, b)
+		}
+		if reuse := same%2 == 1 && !rejected && (a^b)&placement == 0; d.PlacementReused() != reuse {
+			t.Errorf("%s, masks %#x → %#x, prior on the compared mix %v, rejected %v: placement restored %v, want %v",
+				pol.name, a, b, same%2 == 1, rejected, d.PlacementReused(), reuse)
 		}
 
 		coldFleet := resetFleet(types, size)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,9 @@ import (
 // fig8 scheduler sweep, the fig11 convergence/workload sweeps, the fig12
 // parameter sweeps, and the failures experiment — plus consolidation and
 // a horizon cut, so every driver subsystem the goldens exercise is also
-// proven bit-identical under reuse.
+// proven bit-identical under reuse, and one mix rerun with its seed or
+// its covering set changed, which decides whether HDFS placement is
+// restored or drawn.
 type warmCase struct {
 	name  string
 	specs []RunSpec
@@ -67,6 +70,23 @@ func warmCases(cl *Cluster) []warmCase {
 	// Each mix is carved out of the arena the previous one left: smaller,
 	// then larger but not the largest.
 	shrinking := []RunSpec{base(SchedulerEAnt, 30, 9), base(SchedulerFair, 5, 9), base(SchedulerTarazu, 15, 9)}
+	// One mix again and again with one placement input changed at a time:
+	// the seed (1, 2, 1), then the covering set (consolidation on, off,
+	// on). The namespace may restore its last placement only when every
+	// input repeats, as in the warm-after-warm rerun.
+	var seedChange, coveringChange []RunSpec
+	for _, seed := range []int64{1, 2, 1} {
+		spec := base(SchedulerEAnt, 10, 11)
+		spec.Seed = seed
+		seedChange = append(seedChange, spec)
+	}
+	for _, on := range []bool{true, false, true} {
+		spec := base(SchedulerEAnt, 10, 12)
+		if on {
+			spec.Consolidation = &Consolidation{}
+		}
+		coveringChange = append(coveringChange, spec)
+	}
 
 	return []warmCase{
 		{name: "scheduler_sweep", specs: schedSweep, probed: true},
@@ -79,6 +99,8 @@ func warmCases(cl *Cluster) []warmCase {
 		{name: "horizon_cut", specs: []RunSpec{cut}},
 		{name: "task_records", specs: []RunSpec{records}},
 		{name: "shrinking_sweep", specs: shrinking},
+		{name: "seed_change", specs: seedChange},
+		{name: "covering_change", specs: coveringChange},
 	}
 }
 
@@ -160,9 +182,10 @@ func TestWarmEqualsCold(t *testing.T) {
 	}
 
 	// The HDFS replica count is not a RunSpec field, so this case runs the
-	// specs' campaigns directly: consecutive warm runs place their inputs
-	// at replica strides 3, 1 and 2, then at 3 again, each into the
-	// namespace and arena the previous run left.
+	// specs' campaigns directly: consecutive warm runs place one mix at
+	// replica strides 3, 1 and 2, then at 3 again, each into the namespace
+	// and arena the previous run left. Each changes the replica count, so
+	// none may restore the placement before it.
 	t.Run("replication_change", func(t *testing.T) {
 		runner, err := NewRunner(cl)
 		if err != nil {
@@ -274,6 +297,55 @@ func TestRunnerReuseParallel(t *testing.T) {
 				i, spec.Scheduler, len(spec.Jobs))
 		}
 	}
+}
+
+// TestRunManyKeepsWorldsAcrossCalls drives the world pool: two goroutines
+// each call RunMany three times, concurrently, on two clusters, so worlds
+// pass from one call to the next, between the workers of concurrent calls,
+// and to calls over the other cluster, which must drop them. Each mix runs
+// under three policies back to back, so workers also restore placements.
+// Every result must deep-equal a cold Run of its spec. Under `go test
+// -race` this is the data-race check for worlds kept across calls.
+func TestRunManyKeepsWorldsAcrossCalls(t *testing.T) {
+	clusters := []*Cluster{PaperTestbed(), scaledTestbed(t, 1)}
+	specs := make([][]RunSpec, len(clusters))
+	colds := make([][]*Result, len(clusters))
+	for c, cl := range clusters {
+		for i, jobs := range []int{8, 6} {
+			for _, s := range []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu} {
+				seed := int64(13 + i)
+				specs[c] = append(specs[c], RunSpec{Cluster: cl, Scheduler: s, Jobs: MSDWorkload(jobs, seed), Seed: seed})
+			}
+		}
+		for _, spec := range specs[c] {
+			spec.Cluster = cl.Clone()
+			cold, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			colds[c] = append(colds[c], cold)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := range clusters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for call := 0; call < 3; call++ {
+				warm, err := RunMany(specs[c], 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range warm {
+					if !reflect.DeepEqual(warm[i].Stats, colds[c][i].Stats) {
+						t.Errorf("cluster %d, call %d, spec %d: pooled run diverged from cold", c, call, i)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRunnerValidation(t *testing.T) {
