@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jobs := fs.Int("jobs", 40, "job count for 'compare', 'trace' and 'sweep'")
 	seed := fs.Int64("seed", 1, "seed for 'compare', 'trace' and 'sweep'")
-	schedName := fs.String("sched", "E-Ant", "scheduler for 'trace' (FIFO|Fair|Tarazu|LATE|Capacity|E-Ant)")
+	schedName := fs.String("sched", "E-Ant", "scheduler for 'trace' (FIFO|Fair|Tarazu|LATE|E-Ant)")
 	workers := fs.Int("parallel", 0, "worker cap for experiment sweeps (0 = GOMAXPROCS, 1 = sequential)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")

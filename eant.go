@@ -5,9 +5,9 @@
 // Assignment" (IEEE ICDCS 2015), together with the substrate the paper
 // runs on: a discrete-event Hadoop 1.x cluster simulator with
 // heterogeneous machine power envelopes, HDFS block placement, PUMA
-// workload profiles, and the Fair, Tarazu, LATE, Capacity and FIFO
-// baseline schedulers. Server consolidation (the paper's stated future
-// work) is available through RunSpec.Consolidation.
+// workload profiles, and the Fair, Tarazu, LATE and FIFO baseline
+// schedulers. Server consolidation (the paper's stated future work) is
+// available through RunSpec.Consolidation.
 //
 // # Quick start
 //
@@ -65,14 +65,11 @@ const (
 	// SchedulerLATE adds speculative re-execution of stragglers to Fair
 	// assignment (Zaharia et al., OSDI'08).
 	SchedulerLATE Scheduler = "LATE"
-	// SchedulerCapacity is the Hadoop Capacity Scheduler with a single
-	// default queue (FIFO within the queue).
-	SchedulerCapacity Scheduler = "Capacity"
 )
 
 // Schedulers lists every available policy.
 func Schedulers() []Scheduler {
-	return []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu, SchedulerLATE, SchedulerCapacity, SchedulerFIFO}
+	return []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu, SchedulerLATE, SchedulerFIFO}
 }
 
 // App identifies a PUMA benchmark application.

@@ -220,18 +220,3 @@ func Testbed() *Cluster {
 		Group{Spec: SpecAtom, Count: 1},
 	)
 }
-
-// CaseStudyPair returns the Table I two-machine cluster used by the §II
-// motivation experiments: one i7 desktop and one Xeon E5 PowerEdge.
-func CaseStudyPair() *Cluster {
-	return MustNew(
-		Group{Spec: SpecDesktop, Count: 1},
-		Group{Spec: SpecXeonE5, Count: 1},
-	)
-}
-
-// XeonOnly returns a homogeneous Xeon E5 cluster of n machines (the
-// Fig. 1c heterogeneous-workload study).
-func XeonOnly(n int) *Cluster {
-	return MustNew(Group{Spec: SpecXeonE5, Count: n})
-}

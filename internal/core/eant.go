@@ -225,15 +225,6 @@ func FairnessEta(sMin, sOcc, sPool, etaMax float64) float64 {
 	return clamp(1/denom, 1/etaMax, etaMax)
 }
 
-// HeuristicWeight evaluates the Eq. 8 numerator τ·η^β. β ≤ 0 disables the
-// heuristic term entirely (pure pheromone selection).
-func HeuristicWeight(tau, eta, beta float64) float64 {
-	if beta <= 0 {
-		return tau
-	}
-	return tau * math.Pow(eta, beta)
-}
-
 // eta evaluates Eq. 7's fairness branch for one job against the live slot
 // pool (which shrinks while machines are crashed).
 func (e *EAnt) eta(ctx *mapreduce.Context, j *mapreduce.Job) float64 {
@@ -241,7 +232,8 @@ func (e *EAnt) eta(ctx *mapreduce.Context, j *mapreduce.Job) float64 {
 }
 
 // weight evaluates the Eq. 8 numerator τ(j,m)·η(j,m)^β, bit-identical to
-// HeuristicWeight. Following Eq. 7, η is the (capped) locality bonus when
+// the paper-literal HeuristicWeight that TestWeightMatchesHeuristicWeight
+// checks it against. Following Eq. 7, η is the (capped) locality bonus when
 // the job holds a local block on the machine, and the fairness deficit
 // otherwise; β controls how hard heuristic information overrides the
 // energy trails. The locality power is fixed per run and the fairness

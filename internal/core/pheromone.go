@@ -739,68 +739,6 @@ func RouletteSelect(rng *sim.RNG, weights []float64, available []bool) int {
 	panic("unreachable")
 }
 
-// SelectionProbabilities returns the distribution RouletteSelect draws
-// from: p[i] = eff(i)/Σeff with the same zeroing of non-positive,
-// non-finite and unavailable weights, falling back to uniform over the
-// eligible indices when every effective weight is zero. The result always
-// sums to 1 (within float tolerance) and contains no NaN or Inf; it is nil
-// when no index is eligible.
-func SelectionProbabilities(weights []float64, available []bool) []float64 {
-	if len(weights) == 0 {
-		return nil
-	}
-	if available != nil && len(available) != len(weights) {
-		return nil
-	}
-	p := make([]float64, len(weights))
-	var total float64
-	eligibleCount := 0
-	for i, w := range weights {
-		if available != nil && !available[i] {
-			continue
-		}
-		eligibleCount++
-		if w > 0 && !math.IsInf(w, 0) && !math.IsNaN(w) {
-			p[i] = w
-			total += w
-		}
-	}
-	if eligibleCount == 0 {
-		return nil
-	}
-	if total <= 0 {
-		u := 1 / float64(eligibleCount)
-		for i := range p {
-			if available == nil || available[i] {
-				p[i] = u
-			}
-		}
-		return p
-	}
-	if math.IsInf(total, 1) {
-		// Σw overflows: the roulette walk's cursor is +Inf (or NaN) and
-		// never goes negative, so every draw falls through to the last
-		// index (nil mask) or the last eligible positive-weight index.
-		last := len(p) - 1
-		if available != nil {
-			for i := range p {
-				if p[i] > 0 {
-					last = i
-				}
-			}
-		}
-		for i := range p {
-			p[i] = 0
-		}
-		p[last] = 1
-		return p
-	}
-	for i := range p {
-		p[i] /= total
-	}
-	return p
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -7,8 +7,6 @@ import (
 	"eant/internal/cluster"
 	"eant/internal/core"
 	"eant/internal/mapreduce"
-	"eant/internal/sched"
-	"eant/internal/workload"
 )
 
 // benchCampaign runs one full MSD campaign per iteration and reports
@@ -25,31 +23,6 @@ func benchCampaign(b *testing.B, mk func() mapreduce.Scheduler) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d, err := mapreduce.NewDriver(cluster.Testbed(), mk(), defaultDriverConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Run(jobs, 48*time.Hour); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCampaignFairDelay(b *testing.B) {
-	benchCampaign(b, func() mapreduce.Scheduler { return sched.NewFairWithDelay(3) })
-}
-
-// BenchmarkWideFairDelay stresses the delay-scheduling walk with 32
-// concurrent jobs: the per-offer considered set then outgrows the
-// stack-map threshold, so a freshly-literal map forces heap bucket
-// allocations on every slot offer.
-func BenchmarkWideFairDelay(b *testing.B) {
-	jobs := workload.Batch(workload.Grep, 32, 3200, 2, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := mapreduce.DefaultConfig()
-		cfg.Replication = 1
-		d, err := mapreduce.NewDriver(cluster.Testbed(), sched.NewFairWithDelay(5), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,7 +53,6 @@ const (
 	SchedFair   SchedulerName = "Fair"
 	SchedTarazu SchedulerName = "Tarazu"
 	SchedLATE   SchedulerName = "LATE"
-	SchedCap    SchedulerName = "Capacity"
 	SchedEAnt   SchedulerName = "E-Ant"
 )
 
@@ -69,8 +68,6 @@ func NewScheduler(name SchedulerName, params core.Params) (mapreduce.Scheduler, 
 		return sched.NewTarazu(), nil
 	case SchedLATE:
 		return sched.NewLATE(), nil
-	case SchedCap:
-		return sched.NewCapacity(nil, nil)
 	case SchedEAnt:
 		return core.NewEAnt(params)
 	default:

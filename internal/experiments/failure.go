@@ -143,16 +143,6 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 	return res, nil
 }
 
-// Point returns the cell for one (scheduler, MTBF) pair, or nil.
-func (r *FailureSweepResult) Point(s SchedulerName, mtbf time.Duration) *FailurePoint {
-	for i := range r.Points {
-		if r.Points[i].Sched == s && r.Points[i].MTBF == mtbf {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // Table renders the sweep grid.
 func (r *FailureSweepResult) Table() *tabwrite.Table {
 	t := tabwrite.New(

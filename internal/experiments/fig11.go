@@ -172,19 +172,6 @@ func Fig11b() (*Fig11Result, error) {
 	return res, nil
 }
 
-// Decreasing reports whether convergence time improves from the first to
-// the last homogeneity level (the figures' claim).
-func (r *Fig11Result) Decreasing() bool {
-	if len(r.Rows) < 2 {
-		return false
-	}
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-	if first.Converged == 0 || last.Converged == 0 {
-		return false
-	}
-	return last.Convergence <= first.Convergence
-}
-
 // Table renders the series.
 func (r *Fig11Result) Table() *tabwrite.Table {
 	t := tabwrite.New(

@@ -147,16 +147,6 @@ type Injector struct {
 	rng sim.RNG
 }
 
-// NewInjector returns an injector drawing from a stream seeded with seed;
-// cfg must validate.
-func NewInjector(cfg Config, seed int64) (*Injector, error) {
-	in := new(Injector)
-	if err := in.Reset(cfg, seed); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
 // Config returns the injector's (defaulted) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 

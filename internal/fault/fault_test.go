@@ -226,3 +226,13 @@ func TestAttemptFailsMatchesProbability(t *testing.T) {
 		t.Errorf("empirical failure rate %.3f far from configured 0.3", rate)
 	}
 }
+
+// NewInjector returns an injector drawing from a stream seeded with seed;
+// cfg must validate.
+func NewInjector(cfg Config, seed int64) (*Injector, error) {
+	in := new(Injector)
+	if err := in.Reset(cfg, seed); err != nil {
+		return nil, err
+	}
+	return in, nil
+}

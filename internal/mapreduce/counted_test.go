@@ -43,13 +43,10 @@ type quietPolicy struct {
 }
 
 func quietPolicies() []quietPolicy {
-	queues := []sched.CapacityQueue{{Name: "prod", Share: 0.7}, {Name: "adhoc", Share: 0.3}}
 	return []quietPolicy{
 		{"FIFO", func() mapreduce.Scheduler { return sched.NewFIFO() }},
 		{"Fair", func() mapreduce.Scheduler { return sched.NewFair() }},
-		{"Fair delay", func() mapreduce.Scheduler { return sched.NewFairWithDelay(3) }},
 		{"Tarazu", func() mapreduce.Scheduler { return sched.NewTarazu() }},
-		{"Capacity", func() mapreduce.Scheduler { return sched.MustNewCapacity(queues, nil) }},
 		{"E-Ant", func() mapreduce.Scheduler { return core.MustNewEAnt(core.DefaultParams()) }},
 	}
 }
@@ -288,15 +285,17 @@ func TestOfferCountingEligibility(t *testing.T) {
 // magnitude in executions per second, and TestCountedOffersMatchWalked
 // covers them.
 func FuzzIdleOfferCounting(f *testing.F) {
+	// The policy byte indexes quietPolicies: 0 FIFO, 1 Fair, 2 Tarazu,
+	// 3 E-Ant.
 	f.Add(int64(7), uint8(0), uint8(1), uint8(11), uint8(0))
-	f.Add(int64(11), uint8(7), uint8(5), uint8(39), uint8(0))
+	f.Add(int64(11), uint8(7), uint8(3), uint8(39), uint8(0))
 	f.Add(int64(-3), uint8(3), uint8(2), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(1), uint8(5), uint8(29), uint8(1))
+	f.Add(int64(7), uint8(1), uint8(3), uint8(29), uint8(1))
 	f.Add(int64(5), uint8(2), uint8(1), uint8(19), uint8(2))
-	f.Add(int64(3), uint8(1), uint8(3), uint8(19), uint8(3))
-	f.Add(int64(9), uint8(1), uint8(5), uint8(29), uint8(4))
+	f.Add(int64(3), uint8(1), uint8(2), uint8(19), uint8(3))
+	f.Add(int64(9), uint8(1), uint8(3), uint8(29), uint8(4))
 	f.Add(int64(2), uint8(3), uint8(1), uint8(29), uint8(4))
-	f.Add(int64(4), uint8(1), uint8(5), uint8(29), uint8(5))
+	f.Add(int64(4), uint8(1), uint8(3), uint8(29), uint8(5))
 	f.Add(int64(8), uint8(3), uint8(0), uint8(39), uint8(5))
 	policies, vars := quietPolicies(), variants()
 	f.Fuzz(func(t *testing.T, seed int64, factor, policy, jobs, variant uint8) {

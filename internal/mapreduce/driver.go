@@ -278,9 +278,7 @@ type runState struct {
 	// every control tick.
 	tasksDone int
 
-	totalSlots       int
-	totalMapSlots    int
-	totalReduceSlots int
+	totalSlots int
 }
 
 // NewDriver wires a driver for one run. The scheduler must not be shared

@@ -119,8 +119,6 @@ func (d *Driver) crashMachine(id int) {
 	}
 	d.noteAvailabilityChange(m)
 	d.totalSlots -= m.Spec().Slots()
-	d.totalMapSlots -= m.Spec().MapSlots
-	d.totalReduceSlots -= m.Spec().ReduceSlots
 	d.stats.Crashes++
 	d.mutated("crash")
 }
@@ -187,8 +185,6 @@ func (d *Driver) recoverMachine(id int) {
 	d.meter.Sync(m, now)
 	m.Repair()
 	d.totalSlots += m.Spec().Slots()
-	d.totalMapSlots += m.Spec().MapSlots
-	d.totalReduceSlots += m.Spec().ReduceSlots
 	if d.lastBusy != nil {
 		d.lastBusy[id] = now
 	}

@@ -31,14 +31,12 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	}
 	slotObs, _ := sched.(SlotObserver)
 	d.runState = runState{
-		cfg:              cfg,
-		sched:            sched,
-		probe:            cfg.Probe,
-		slotObs:          slotObs,
-		stats:            newStats(sched.Name()),
-		totalSlots:       d.cluster.TotalSlots(),
-		totalMapSlots:    d.cluster.TotalMapSlots(),
-		totalReduceSlots: d.cluster.TotalReduceSlots(),
+		cfg:        cfg,
+		sched:      sched,
+		probe:      cfg.Probe,
+		slotObs:    slotObs,
+		stats:      newStats(sched.Name()),
+		totalSlots: d.cluster.TotalSlots(),
 	}
 
 	// Calendar buckets sized to the dominant event period: heartbeats,

@@ -144,9 +144,9 @@ func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
 // (Seed, Replication, ComputeOnlyTypes and Power). The seed corpus varies
 // each Config field alone, in both directions, on fleets of six machines
 // running four jobs after one, and again with the prior run on the
-// compared mix. It also runs each of the seven policy setups with noise,
-// consolidation and faults on, three jobs after four, its prior run cut
-// mid-flight and, for every other setup, its compared runs too; and it
+// compared mix. It also runs each of the five policy setups twice with
+// noise, consolidation and faults on, three jobs after four, its prior run
+// cut mid-flight, its compared runs once complete and once cut too; and it
 // rejects one prior run, on another mix and on the compared one.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
@@ -175,22 +175,26 @@ func FuzzResetEqualsNew(f *testing.F) {
 			f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
 		}
 	}
-	// One seed per policy setup, in policies order, with noise,
-	// consolidation and faults on in both configurations: its runs crash a
-	// machine, blacklist one, and sleep and wake machines (LATE's also
-	// speculate), and its prior run is cut with attempts running, machines
-	// asleep and a blacklist live. Odd setups cut the compared runs too,
-	// mid-flight.
+	// Two seeds per policy setup, in policies order, with noise,
+	// consolidation and faults on in both configurations: the prior run
+	// and the compared runs each crash a machine, blacklist one, and sleep
+	// and wake machines (LATE's also speculate), and the prior run is cut
+	// with attempts running, machines asleep and a blacklist live, 100 s
+	// in (260 s for E-Ant). With end the compared runs complete; with
+	// end+3 they stop at the same cut.
 	for i, c := range []struct {
 		seed int64
 		end  uint8
-	}{{0, 55}, {10, 28}, {0, 13}, {10, 22}, {0, 55}, {10, 46}, {0, 13}} {
-		f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, c.end, uint8(0))
+	}{{10, 25}, {10, 25}, {10, 25}, {48, 73}, {10, 25}} {
+		for _, end := range []uint8{c.end, c.end + 3} {
+			f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, end, uint8(0))
+		}
 	}
 	// A prior run rejected mid-placement, under E-Ant, on another mix and
 	// on the compared one.
+	eAnt := uint8(slices.IndexFunc(policies, func(p quietPolicy) bool { return p.name == "E-Ant" }))
 	for _, same := range []uint8{0, 1} {
-		f.Add(int64(5), uint8(5), uint8(10), uint8(5), uint8(3), churn, churn, uint8(2), same)
+		f.Add(int64(eAnt), eAnt, uint8(10), eAnt, uint8(3), churn, churn, uint8(2), same)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end, same uint8) {
 		pol := policies[int(policy)%len(policies)]

@@ -100,30 +100,6 @@ func (c *Context) ReadyReduceTasks() int {
 // TotalSlots returns S_pool, the fleet-wide slot count (Eq. 7).
 func (c *Context) TotalSlots() int { return c.driver.totalSlots }
 
-// QueuePressure reports how backlogged the cluster is for the given task
-// kind: 0 when queues are empty, 1 when pending work is at least twice the
-// fleet's slot capacity for that kind. Schedulers that deliberately idle
-// slots (E-Ant) use it to stay work-conserving under heavy load.
-func (c *Context) QueuePressure(kind TaskKind) float64 {
-	d := c.driver
-	var pending, slots int
-	if kind == MapTask {
-		pending = d.agg.pendingMaps
-		slots = d.totalMapSlots
-	} else {
-		pending = d.agg.readyPendingReduces
-		slots = d.totalReduceSlots
-	}
-	if slots == 0 {
-		return 1
-	}
-	p := float64(pending) / float64(2*slots)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // FairShare returns S_min for job j: an equal split of the slot pool among
 // active jobs, as the Hadoop Fair Scheduler's single-pool default.
 func (c *Context) FairShare(j *Job) float64 {

@@ -122,9 +122,6 @@ func (t *Task) Speculative() bool { return t.original != nil }
 // HasClone reports whether a speculative copy of this task is in flight.
 func (t *Task) HasClone() bool { return t.clone != nil }
 
-// Failures returns how many attempts of this logical task have failed.
-func (t *Task) Failures() int { return int(t.failures) }
-
 // resetForRetry returns a finished, killed or crashed task to the pending
 // state so it can be assigned again. Race links must be dissolved first.
 func (t *Task) resetForRetry() {

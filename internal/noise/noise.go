@@ -99,15 +99,6 @@ func NewModel(cfg Config, seed int64) (*Model, error) {
 	return m, nil
 }
 
-// MustNewModel is NewModel for static configurations.
-func MustNewModel(cfg Config, seed int64) *Model {
-	m, err := NewModel(cfg, seed)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 

@@ -114,3 +114,12 @@ func TestModelsWithSameSeedAgree(t *testing.T) {
 		}
 	}
 }
+
+// MustNewModel is NewModel for static configurations.
+func MustNewModel(cfg Config, seed int64) *Model {
+	m, err := NewModel(cfg, seed)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}

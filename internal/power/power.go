@@ -8,9 +8,6 @@
 //     heartbeat. Sampling quantization and measurement noise make it
 //     deviate from the meter, which is what Fig. 4 (NRMSE) and Fig. 7
 //     (noise scatter) measure.
-//
-// It also implements the least-squares identification of (P_idle, α) the
-// paper uses to fit each machine type's linear power model (§IV-B).
 package power
 
 import (
@@ -24,21 +21,19 @@ import (
 // exact for piecewise-constant utilization: callers must Sync a machine
 // immediately before changing its utilization.
 type Meter struct {
-	lastSync  []time.Duration
-	joules    []float64
-	utilSecs  []float64 // ∫U dt, for time-averaged CPU utilization (Fig. 8b)
-	busySlots []float64 // ∫(occupied slots) dt — set via NoteSlots by the driver
-	cluster   *cluster.Cluster
+	lastSync []time.Duration
+	joules   []float64
+	utilSecs []float64 // ∫U dt, for time-averaged CPU utilization (Fig. 8b)
+	cluster  *cluster.Cluster
 }
 
 // NewMeter returns a meter covering every machine in c, starting at time 0.
 func NewMeter(c *cluster.Cluster) *Meter {
 	return &Meter{
-		lastSync:  make([]time.Duration, c.Size()),
-		joules:    make([]float64, c.Size()),
-		utilSecs:  make([]float64, c.Size()),
-		busySlots: make([]float64, c.Size()),
-		cluster:   c,
+		lastSync: make([]time.Duration, c.Size()),
+		joules:   make([]float64, c.Size()),
+		utilSecs: make([]float64, c.Size()),
+		cluster:  c,
 	}
 }
 
@@ -50,7 +45,6 @@ func (mt *Meter) Reset() {
 		mt.lastSync[i] = 0
 		mt.joules[i] = 0
 		mt.utilSecs[i] = 0
-		mt.busySlots[i] = 0
 	}
 }
 
@@ -65,7 +59,6 @@ func (mt *Meter) Sync(m cluster.Machine, now time.Duration) {
 	secs := (now - last).Seconds()
 	mt.joules[m.ID()] += m.Power() * secs
 	mt.utilSecs[m.ID()] += m.Utilization() * secs
-	mt.busySlots[m.ID()] += float64(m.Running()) * secs
 	mt.lastSync[m.ID()] = now
 }
 
@@ -155,33 +148,4 @@ func EstimateTaskJoules(spec *cluster.TypeSpec, samples []TaskSample) float64 {
 // utilization is constant: n samples of identical (util, Δt).
 func EstimateTaskJoulesUniform(spec *cluster.TypeSpec, util float64, total time.Duration) float64 {
 	return EstimateTaskJoules(spec, []TaskSample{{Util: util, Dt: total}})
-}
-
-// FitLinear identifies (P_idle, α) from (utilization, watts) observations by
-// ordinary least squares, the "standard system identification technique"
-// of §IV-B. It needs at least two distinct utilization values.
-func FitLinear(utils, watts []float64) (idle, alpha float64, err error) {
-	if len(utils) != len(watts) {
-		return 0, 0, fmt.Errorf("power: FitLinear got %d utils and %d watts", len(utils), len(watts))
-	}
-	n := float64(len(utils))
-	if n < 2 {
-		return 0, 0, fmt.Errorf("power: FitLinear needs ≥2 observations, got %d", len(utils))
-	}
-	var sumU, sumW, sumUU, sumUW float64
-	for i := range utils {
-		sumU += utils[i]
-		sumW += watts[i]
-		sumUU += utils[i] * utils[i]
-		sumUW += utils[i] * watts[i]
-	}
-	den := n*sumUU - sumU*sumU
-	// An exact-zero guard before dividing: a tolerance would reject valid
-	// near-constant fits.
-	if den == 0 {
-		return 0, 0, fmt.Errorf("power: FitLinear observations have no utilization variance")
-	}
-	alpha = (n*sumUW - sumU*sumW) / den
-	idle = (sumW - alpha*sumU) / n
-	return idle, alpha, nil
 }

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -68,6 +69,80 @@ func TestMeterTypeJoules(t *testing.T) {
 	}
 	if math.Abs(mt.TotalJoules()-(wantDesk+wantAtom)) > 1e-6 {
 		t.Error("TotalJoules does not equal sum of type energies")
+	}
+}
+
+// TestMeterResetEqualsNew: a meter that integrated a busy stretch and is
+// Reset integrates the next run exactly as a new meter does, to the bit,
+// in every accumulator. The rerun's first sync, at 7 s, would panic if
+// Reset kept the old 90 s sync point.
+func TestMeterResetEqualsNew(t *testing.T) {
+	c := cluster.MustNew(
+		cluster.Group{Spec: cluster.SpecDesktop, Count: 2},
+		cluster.Group{Spec: cluster.SpecAtom, Count: 1},
+	)
+	m := c.Machine(1)
+	run := func(mt *Meter) {
+		mt.Sync(m, 7*time.Second)
+		m.AcquireMap(0.3)
+		mt.Sync(m, 19*time.Second)
+		m.ReleaseMap(0.3)
+		mt.SyncAll(25 * time.Second)
+	}
+	used := NewMeter(c)
+	run(used)
+	used.SyncAll(90 * time.Second)
+	used.Reset()
+	run(used)
+	fresh := NewMeter(c)
+	run(fresh)
+	if got, want := used.TotalJoules(), fresh.TotalJoules(); got != want {
+		t.Errorf("TotalJoules after Reset = %v, new meter %v", got, want)
+	}
+	for id := range c.Size() {
+		if got, want := used.MachineJoules(id), fresh.MachineJoules(id); got != want {
+			t.Errorf("machine %d joules after Reset = %v, new meter %v", id, got, want)
+		}
+		if got, want := used.AvgUtilization(id, 25*time.Second), fresh.AvgUtilization(id, 25*time.Second); got != want {
+			t.Errorf("machine %d utilization after Reset = %v, new meter %v", id, got, want)
+		}
+	}
+}
+
+// TestMeterAvgUtilization: one machine at utilization 0.25 for 20 of 40 s
+// averages 0.125 over the 40 s horizon, its idle neighbour 0, and a
+// non-positive horizon reads 0. Per type, the desktops average 0.0625.
+func TestMeterAvgUtilization(t *testing.T) {
+	c := cluster.MustNew(
+		cluster.Group{Spec: cluster.SpecDesktop, Count: 2},
+		cluster.Group{Spec: cluster.SpecAtom, Count: 1},
+	)
+	m := c.Machine(0)
+	mt := NewMeter(c)
+	mt.Sync(m, 10*time.Second)
+	m.AcquireMap(0.25)
+	mt.Sync(m, 30*time.Second)
+	m.ReleaseMap(0.25)
+	mt.SyncAll(40 * time.Second)
+
+	if got := mt.AvgUtilization(0, 40*time.Second); math.Abs(got-0.125) > 1e-12 {
+		t.Errorf("busy machine utilization = %v, want 0.125", got)
+	}
+	if got := mt.AvgUtilization(1, 40*time.Second); got != 0 {
+		t.Errorf("idle machine utilization = %v, want 0", got)
+	}
+	if got := mt.AvgUtilization(0, 0); got != 0 {
+		t.Errorf("utilization over a zero horizon = %v, want 0", got)
+	}
+	byType := mt.TypeAvgUtilization(40 * time.Second)
+	if len(byType) != 2 {
+		t.Fatalf("TypeAvgUtilization has %d types, want 2: %v", len(byType), byType)
+	}
+	if got := byType["Desktop"]; math.Abs(got-0.0625) > 1e-12 {
+		t.Errorf("Desktop utilization = %v, want 0.0625", got)
+	}
+	if got := byType["Atom"]; got != 0 {
+		t.Errorf("Atom utilization = %v, want 0", got)
 	}
 }
 
@@ -183,4 +258,33 @@ func TestFitLinearErrors(t *testing.T) {
 	if _, _, err := FitLinear([]float64{0.5, 0.5}, []float64{10, 20}); err == nil {
 		t.Error("zero-variance utilizations accepted")
 	}
+}
+
+// FitLinear identifies (P_idle, α) from (utilization, watts) observations by
+// ordinary least squares, the "standard system identification technique"
+// of §IV-B. It needs at least two distinct utilization values.
+func FitLinear(utils, watts []float64) (idle, alpha float64, err error) {
+	if len(utils) != len(watts) {
+		return 0, 0, fmt.Errorf("power: FitLinear got %d utils and %d watts", len(utils), len(watts))
+	}
+	n := float64(len(utils))
+	if n < 2 {
+		return 0, 0, fmt.Errorf("power: FitLinear needs ≥2 observations, got %d", len(utils))
+	}
+	var sumU, sumW, sumUU, sumUW float64
+	for i := range utils {
+		sumU += utils[i]
+		sumW += watts[i]
+		sumUU += utils[i] * utils[i]
+		sumUW += utils[i] * watts[i]
+	}
+	den := n*sumUU - sumU*sumU
+	// An exact-zero guard before dividing: a tolerance would reject valid
+	// near-constant fits.
+	if den == 0 {
+		return 0, 0, fmt.Errorf("power: FitLinear observations have no utilization variance")
+	}
+	alpha = (n*sumUW - sumU*sumW) / den
+	idle = (sumW - alpha*sumU) / n
+	return idle, alpha, nil
 }

@@ -1,7 +1,8 @@
 // Package sched implements the baseline task-assignment policies the paper
 // compares E-Ant against: Hadoop's FIFO scheduler (the "default
 // heterogeneity-agnostic Hadoop" that savings are measured over), the Fair
-// Scheduler, and Tarazu's communication-aware load balancing [4].
+// Scheduler and Tarazu's communication-aware load balancing [4]. It also
+// implements LATE's speculative execution, from the paper's related work.
 package sched
 
 import (

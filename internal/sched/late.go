@@ -40,11 +40,9 @@ var _ mapreduce.Scheduler = (*LATE)(nil)
 // Name implements mapreduce.Scheduler.
 func (l *LATE) Name() string { return "LATE" }
 
-// ResetForRun clears the embedded Fair scheduler's per-run state; LATE's
-// speculation thresholds are configuration, not run state.
-func (l *LATE) ResetForRun() {
-	l.fair.ResetForRun()
-}
+// ResetForRun is a no-op: LATE carries no run state (its speculation
+// thresholds are configuration, and the embedded Fair has none).
+func (l *LATE) ResetForRun() {}
 
 // AssignMap implements mapreduce.Scheduler: normal fair assignment first,
 // speculation only with spare slots.

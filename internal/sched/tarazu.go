@@ -17,8 +17,6 @@ import (
 // incidentally saves some energy versus Fair (shorter runs), but it never
 // consults the power characteristics of the machines (Fig. 8a).
 type Tarazu struct {
-	fair Fair
-
 	// capShare[machineID] is the machine's fraction of fleet compute
 	// capability, computed lazily on first assignment.
 	capShare []float64
@@ -53,7 +51,6 @@ func (t *Tarazu) QuietWhenIdle() {}
 // ResetForRun zeroes the per-run balancing counters. The capability shares
 // are a pure function of the cluster (which a warm rerun keeps) and stay.
 func (t *Tarazu) ResetForRun() {
-	t.fair.ResetForRun()
 	for i := range t.started {
 		t.started[i] = 0
 	}

@@ -92,11 +92,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Normal returns a normal sample with the given mean and standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
 // LogNormal returns a sample whose logarithm is Normal(mu, sigma). With
 // mu = -sigma²/2 the sample has mean 1, which is how multiplicative noise
 // factors are drawn.

@@ -112,15 +112,6 @@ func ProfileOf(app App) Profile {
 	return profiles[app]
 }
 
-// CPUBound reports whether the application's map phase is CPU-dominated on
-// the reference machine (used to classify "homogeneous jobs" for the
-// job-level exchange strategy).
-func (p Profile) CPUBound() bool {
-	// Reference disk bandwidth share ≈ 30 MB/s per slot: compare CPU
-	// seconds to IO seconds for one MB.
-	return p.MapCPUPerMB > p.MapIOPerMB/30
-}
-
 // BlockMB is the HDFS block size of the paper's setup (§V-B).
 const BlockMB = 64.0
 

@@ -44,13 +44,6 @@ type MSDConfig struct {
 	Apps []App
 }
 
-// DefaultMSD is the paper's configuration: 87 jobs at full scale, arriving
-// with a 90 s mean spacing (the paper does not publish its submission
-// schedule; 90 s keeps the cluster continuously backlogged as in §VI).
-func DefaultMSD() MSDConfig {
-	return MSDConfig{Jobs: 87, Scale: 1, MeanInterarrival: 90 * time.Second}
-}
-
 // Validate reports the first problem with the configuration.
 func (c MSDConfig) Validate() error {
 	if c.Jobs <= 0 {
