@@ -34,6 +34,7 @@ bench-check:
 bench-smoke:
 	$(GO) test -run xxx -bench SimulatorThroughput -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench BenchmarkDisabledProbe -benchtime=1000x -benchmem ./internal/probe
+	$(GO) test -run xxx -bench BenchmarkHostIndexBuild -benchtime=1000x -benchmem ./internal/core
 
 # The full scale grid plus the warm/cold sweep pair: fixed iteration
 # counts (not -benchtime=Ns) so allocs/op is comparable across commits, and

@@ -3,6 +3,7 @@ package eant
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,18 +134,35 @@ func TestRunRejectsNonFiniteInputs(t *testing.T) {
 // energy and no more completed jobs than it was given.
 func FuzzRunSpec(f *testing.F) {
 	nan := math.NaN()
-	f.Add(uint8(0), int64(1), uint8(1), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
-	for i := range Schedulers() {
-		f.Add(uint8(i), int64(i), uint8(3), uint8(2), uint8(0x0f), uint8(0x15), int64(10*time.Second), int64(0), 0.5, 0.1, 4.0, 0.05)
-		f.Add(uint8(i), int64(i), uint8(2), uint8(1), uint8(0x03), uint8(0x01), int64(0), int64(2*time.Minute), 0.2, 0.4, 1.0, 0.0)
+	names := append(Schedulers(), "Mystery")
+	// Seeds name their scheduler; the byte indexes names.
+	pick := func(s Scheduler) uint8 {
+		i := slices.Index(names, s)
+		if i < 0 {
+			f.Fatalf("no scheduler %q to seed the corpus with", s)
+		}
+		return uint8(i)
 	}
-	f.Add(uint8(len(Schedulers())), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
-	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(time.Nanosecond), int64(0), 0.5, 0.1, 4.0, 0.05)
-	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 5.0, 0.1, 4.0, 0.05)
-	f.Add(uint8(0), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 1e300, nan, 2.0)
+	eAnt := pick(SchedulerEAnt)
+	f.Add(eAnt, int64(1), uint8(1), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
+	// Two seeds per scheduler, each with its own input seed.
+	perSched := []struct {
+		sched Scheduler
+		seed  int64
+	}{{SchedulerEAnt, 0}, {SchedulerFair, 1}, {SchedulerTarazu, 2}, {SchedulerLATE, 3}, {SchedulerFIFO, 4}}
+	if len(perSched) != len(Schedulers()) {
+		f.Fatalf("%d schedulers, %d seeded", len(Schedulers()), len(perSched))
+	}
+	for _, s := range perSched {
+		f.Add(pick(s.sched), s.seed, uint8(3), uint8(2), uint8(0x0f), uint8(0x15), int64(10*time.Second), int64(0), 0.5, 0.1, 4.0, 0.05)
+		f.Add(pick(s.sched), s.seed, uint8(2), uint8(1), uint8(0x03), uint8(0x01), int64(0), int64(2*time.Minute), 0.2, 0.4, 1.0, 0.0)
+	}
+	f.Add(pick("Mystery"), int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 0.1, 4.0, 0.05)
+	f.Add(eAnt, int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(time.Nanosecond), int64(0), 0.5, 0.1, 4.0, 0.05)
+	f.Add(eAnt, int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 5.0, 0.1, 4.0, 0.05)
+	f.Add(eAnt, int64(1), uint8(0), uint8(0), uint8(0), uint8(0), int64(0), int64(0), 0.5, 1e300, nan, 2.0)
 	f.Fuzz(func(t *testing.T, sched uint8, seed int64, jobs, noiseSel, faultSel, consSel uint8,
 		interval, horizon int64, rho, beta, gamma, floor float64) {
-		names := append(Schedulers(), "Mystery")
 		params := DefaultEAntParams()
 		params.Rho, params.Beta, params.Gamma, params.AcceptFloor = rho, beta, gamma, floor
 		spec := RunSpec{

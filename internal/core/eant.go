@@ -42,6 +42,13 @@ type EAnt struct {
 	scratchAvail   []bool
 	unavailable    []bool
 
+	// Host-index build scratch (rankHosts), one entry per trail class:
+	// the classes sorted by trail, each class's rank, and each rank's next
+	// free position in the index.
+	classOrder []classTrail
+	classRank  []int
+	rankNext   []int
+
 	// Per-control-interval index state. Trails only change at the control
 	// tick, so each map colony's trail-ranked host view (hostIndex) is
 	// valid for a whole interval; tickSeq stamps indices with the interval
@@ -50,9 +57,6 @@ type EAnt struct {
 	// index so slot-change notifications can keep their free counters live.
 	tickSeq uint64
 	indexed []*colony
-	// reduceMeans memoizes, per job ID, the fleet-mean reduce-compute
-	// estimate (static: shuffle volume and specs are fixed at submission).
-	reduceMeans map[int]float64
 
 	// activeScratch is the control-tick scratch set of live job IDs,
 	// hoisted to a field so the tick handler allocates nothing.
@@ -75,6 +79,12 @@ type hostIndex struct {
 	prefixSlots []int
 	rankOf      []int
 	freeBuckets []int
+}
+
+// classTrail is one trail class and its value in the row being ranked.
+type classTrail struct {
+	tau   float64
+	class int
 }
 
 // countAtLeast returns how many ranked machines have trail ≥ threshold.
@@ -129,7 +139,6 @@ func (e *EAnt) ResetForRun(p Params) error {
 	e.tickSeq = 1
 	clear(e.indexed)
 	e.indexed = e.indexed[:0]
-	clear(e.reduceMeans)
 	clear(e.activeScratch)
 	if e.mx != nil {
 		if err := e.mx.Clear(p); err != nil {
@@ -196,7 +205,6 @@ func (e *EAnt) initSlow(ctx *mapreduce.Context) {
 		panic(err) // params were validated in NewEAnt; groups partition the fleet
 	}
 	e.mx = mx
-	e.reduceMeans = make(map[int]float64)
 	e.activeScratch = make(map[int]bool)
 }
 
@@ -238,8 +246,8 @@ func (e *EAnt) eta(ctx *mapreduce.Context, j *mapreduce.Job) float64 {
 // otherwise; β controls how hard heuristic information overrides the
 // energy trails. The locality power is fixed per run and the fairness
 // power memoized per colony, so most offers evaluate no math.Pow.
-// The colony is pre-resolved by selectColony: one candidate-order map
-// lookup per offer instead of one per weight/accept evaluation.
+// The colony is pre-resolved by selectColony: one slot-table read per
+// candidate per offer instead of one lookup per weight/accept evaluation.
 func (e *EAnt) weight(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, kind mapreduce.TaskKind, m cluster.Machine) float64 {
 	tau := c.row[m.ID()]
 	if e.p.Beta <= 0 {
@@ -387,31 +395,68 @@ func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
 		idx = &hostIndex{}
 		c.idx = idx
 	}
-	machines := ctx.Cluster.Machines()
+	e.rankHosts(idx, ctx.Cluster.Machines(), c.row)
+	idx.tick = e.tickSeq
+	idx.epoch = ctx.AvailabilityEpoch()
+	if idx.listed != e.tickSeq {
+		idx.listed = e.tickSeq
+		e.indexed = append(e.indexed, c)
+	}
+	return idx
+}
+
+// rankHosts fills idx with the available machines ranked by their trail in
+// row, a row of the matrix: trail descending, then machine ID ascending.
+// It sorts no machines. Every row is constant on each trail class
+// (DESIGN.md §18), so the classes are ranked by value (equal values share
+// a rank), and one counting pass over the machines in ID order places each
+// available machine at its rank's next position: O(M + K log K) for K
+// classes instead of O(M log M).
+func (e *EAnt) rankHosts(idx *hostIndex, machines []cluster.Machine, row []float64) {
+	mx := e.mx
+	ranks := e.rankClasses(row)
+
+	// Count each rank's available machines into rankNext, with rankOf
+	// holding each machine's rank for now (-1: unavailable), then turn the
+	// counts into each rank's first position.
 	if cap(idx.rankOf) < len(machines) {
 		idx.rankOf = make([]int, len(machines))
 	}
 	idx.rankOf = idx.rankOf[:len(machines)]
-	for i := range idx.rankOf {
-		idx.rankOf[i] = -1
-	}
-	ids := idx.ids[:0]
-	for _, m := range machines {
+	next := classBuf(e.rankNext, mx)[:ranks]
+	e.rankNext = next
+	clear(next)
+	n := 0
+	for id, m := range machines {
+		r := -1
 		if m.Available() {
-			ids = append(ids, m.ID())
+			r = e.classRank[mx.classOf[id]]
+			next[r]++
+			n++
 		}
+		idx.rankOf[id] = r
 	}
-	row := c.row
-	slices.SortFunc(ids, func(a, b int) int {
-		switch {
-		case row[a] > row[b]:
-			return -1
-		case row[a] < row[b]:
-			return 1
+	pos := 0
+	for r, k := range next {
+		next[r] = pos
+		pos += k
+	}
+	// Place the machines in ID order, so each rank lists its members by
+	// ascending ID.
+	if cap(idx.ids) < n {
+		idx.ids = make([]int, n, len(machines))
+	}
+	ids := idx.ids[:n]
+	for id, r := range idx.rankOf {
+		if r < 0 {
+			continue
 		}
-		return cmp.Compare(a, b)
-	})
+		ids[next[r]] = id
+		idx.rankOf[id] = next[r]
+		next[r]++
+	}
 	idx.ids = ids
+
 	idx.vals = idx.vals[:0]
 	idx.prefixSlots = append(idx.prefixSlots[:0], 0)
 	idx.freeBuckets = idx.freeBuckets[:0]
@@ -422,18 +467,33 @@ func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
 	for rank, id := range ids {
 		m := machines[id]
 		idx.vals = append(idx.vals, row[id])
-		idx.rankOf[id] = rank
 		slots += m.Spec().MapSlots
 		idx.prefixSlots = append(idx.prefixSlots, slots)
 		idx.freeBuckets[rank>>6] += m.FreeMapSlots()
 	}
-	idx.tick = e.tickSeq
-	idx.epoch = ctx.AvailabilityEpoch()
-	if idx.listed != e.tickSeq {
-		idx.listed = e.tickSeq
-		e.indexed = append(e.indexed, c)
+}
+
+// rankClasses ranks the matrix's trail classes by their value in row,
+// strongest first, into e.classRank (class → rank): classes of equal value
+// share a rank, so ranks are dense. It returns the number of ranks.
+func (e *EAnt) rankClasses(row []float64) int {
+	mx := e.mx
+	order := classBuf(e.classOrder, mx)
+	for k, m := range mx.classRep {
+		order[k] = classTrail{tau: row[m], class: k}
 	}
-	return idx
+	slices.SortFunc(order, func(a, b classTrail) int { return cmp.Compare(b.tau, a.tau) })
+	e.classOrder = order
+	rank := classBuf(e.classRank, mx)
+	e.classRank = rank
+	ranks := 0
+	for i, ct := range order {
+		if i > 0 && ct.tau != order[i-1].tau {
+			ranks++
+		}
+		rank[ct.class] = ranks
+	}
+	return ranks + 1
 }
 
 // selectColony realizes Eq. 8 for one slot offer: restrict candidates to
@@ -445,17 +505,17 @@ func (e *EAnt) buildIndex(ctx *mapreduce.Context, c *colony) *hostIndex {
 // reduce tasks, and declining one serializes the job tail on the favored
 // machines — the energy cost of the stretched makespan always exceeds
 // the dynamic-energy saving of the better host.
-func (e *EAnt) selectColony(ctx *mapreduce.Context, m cluster.Machine, candidates []*mapreduce.Job, kind mapreduce.TaskKind) *mapreduce.Job {
+func (e *EAnt) selectColony(ctx *mapreduce.Context, m cluster.Machine, candidates []*mapreduce.Job, kind mapreduce.TaskKind) (*mapreduce.Job, *colony) {
 	if len(candidates) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Resolve each candidate's colony once, in candidate order — creating
 	// missing colonies in exactly the order the old per-evaluation lookups
 	// did, which pins the Matrix's deterministic iteration order — so the
-	// draw loop below reads rows directly instead of re-hashing ColonyKeys.
+	// draw loop below reads rows directly.
 	cols := e.scratchCols[:0]
 	for _, j := range candidates {
-		cols = append(cols, e.mx.colonyFor(key(j, kind)))
+		cols = append(cols, e.mx.colonyAt(j.Slot(), key(j, kind)))
 	}
 	e.scratchCols = cols
 	// Weights depend only on trails, fairness occupancy, and locality —
@@ -487,13 +547,13 @@ func (e *EAnt) selectColony(ctx *mapreduce.Context, m cluster.Machine, candidate
 			pr.Draw(ctx.Now(), m.ID(), j.Spec.ID, int8(kind), cols[i].row[m.ID()], weights[i], ok)
 		}
 		if ok {
-			return j
+			return j, cols[i]
 		}
 		// Mask the declined colony and redraw: m may still be a good host
 		// for a different colony.
 		avail[i] = false
 	}
-	return nil
+	return nil, nil
 }
 
 // AssignMap implements mapreduce.Scheduler.
@@ -513,7 +573,7 @@ func (e *EAnt) AssignMap(ctx *mapreduce.Context, m cluster.Machine) *mapreduce.T
 		}
 	}
 	e.scratchJobs = pending
-	j := e.selectColony(ctx, m, pending, mapreduce.MapTask)
+	j, _ := e.selectColony(ctx, m, pending, mapreduce.MapTask)
 	if j == nil {
 		return nil
 	}
@@ -539,11 +599,11 @@ func (e *EAnt) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduc
 		}
 	}
 	e.scratchJobs = ready
-	j := e.selectColony(ctx, m, ready, mapreduce.ReduceTask)
+	j, c := e.selectColony(ctx, m, ready, mapreduce.ReduceTask)
 	if j == nil {
 		return nil
 	}
-	if e.reduceWouldStraggle(ctx, j, m) {
+	if e.reduceWouldStraggle(ctx, j, c, m) {
 		return nil
 	}
 	return ctx.PopReduce(j)
@@ -555,15 +615,16 @@ func (e *EAnt) AssignReduce(ctx *mapreduce.Context, m cluster.Machine) *mapreduc
 // Reduces are few and heavy, so one bad placement can serialize a job's
 // tail for longer than the whole map phase (the §I Atom anecdote: a third
 // of the energy, three times the wall clock — a loss once the rest of the
-// fleet sits burning idle power waiting for it).
-func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m cluster.Machine) bool {
+// fleet sits burning idle power waiting for it). c is j's reduce colony,
+// which memoizes the job's fleet-mean estimate.
+func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, c *colony, m cluster.Machine) bool {
 	own := ctx.EstimateReduceSeconds(j, ctx.TypeIndex(m))
 	if own <= 0 {
 		return false
 	}
 	types := len(ctx.TypeSpecs())
-	mean, ok := e.reduceMeans[j.Spec.ID]
-	if !ok {
+	mean := c.reduceMean
+	if mean == 0 {
 		// Fleet-mean reduce estimate over the machine types, summed in
 		// TypeSpecs (sorted type-name) order — the same accumulation order
 		// as the old per-offer loop. Static per job, so computed once.
@@ -571,7 +632,7 @@ func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m c
 			mean += ctx.EstimateReduceSeconds(j, ti)
 		}
 		mean /= float64(types)
-		e.reduceMeans[j.Spec.ID] = mean
+		c.reduceMean = mean
 	}
 	if own <= mean*slowReduceFactor {
 		return false
@@ -592,7 +653,7 @@ func (e *EAnt) reduceWouldStraggle(ctx *mapreduce.Context, j *mapreduce.Job, m c
 // report becomes pheromone feedback.
 func (e *EAnt) OnTaskComplete(ctx *mapreduce.Context, t *mapreduce.Task) {
 	e.init(ctx)
-	e.mx.Feedback(key(t.Job, t.Kind), t.Machine.ID(), t.EstJoules)
+	e.mx.feedback(e.mx.colonyAt(t.Job.Slot(), key(t.Job, t.Kind)), t.Machine.ID(), t.EstJoules)
 }
 
 // OnControlTick implements mapreduce.Scheduler: retire finished colonies
@@ -608,11 +669,6 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	clear(active)
 	for _, j := range ctx.ActiveJobs() {
 		active[j.Spec.ID] = true
-	}
-	for id := range e.reduceMeans {
-		if !active[id] {
-			delete(e.reduceMeans, id)
-		}
 	}
 	e.mx.RetireInactive(func(jobID int) bool { return active[jobID] })
 	// Crashed machines' trails are frozen out of the exchange and left to

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -251,5 +253,73 @@ func TestTrailProbedTickCopiesEachRowOnce(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { g.EAnt.OnControlTick(g.ctx) })
 	if allocs > float64(perTick) {
 		t.Errorf("a probed control tick allocates %.0f times for %d trail rows", allocs, perTick)
+	}
+}
+
+// TestWarmSlotTableFollowsTheMix pins E-Ant's per-run colony table, which
+// finds a job's colonies by the job's slot in the mix. A scheduler reset
+// after one mix runs a second whose slot 0 is another job of another app,
+// then the first mix again; after each, the Stats and the row of slot 0's
+// map colony must equal those of a new scheduler run on that mix alone.
+// Each run is cut while slot 0's job is active, so its colony is live.
+func TestWarmSlotTableFollowsTheMix(t *testing.T) {
+	apps := workload.Apps()
+	mix := func(firstID, appShift int) []workload.JobSpec {
+		jobs := make([]workload.JobSpec, 6)
+		for i := range jobs {
+			jobs[i] = workload.NewJobSpec(firstID+i, apps[(i+appShift)%len(apps)], 12800, 4, time.Duration(i)*10*time.Second)
+		}
+		return jobs
+	}
+	first, second := mix(0, 0), mix(100, 1)
+	p := core.DefaultParams()
+	cfg := mapreduce.DefaultConfig()
+	cfg.ControlInterval = 30 * time.Second
+	cfg.Seed = 5
+	cfg.Noise = noise.Default()
+	const cut = 3 * time.Minute
+	run := func(d *mapreduce.Driver, e *core.EAnt, jobs []workload.JobSpec) (*mapreduce.Stats, []float64) {
+		t.Helper()
+		stats, err := d.Run(jobs, cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := core.ColonyKey{JobID: jobs[0].ID, App: jobs[0].App, Kind: mapreduce.MapTask}
+		return stats, e.Matrix().Row(k)
+	}
+
+	e := core.MustNewEAnt(p)
+	d, err := mapreduce.NewDriver(cluster.Testbed(), e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(d, e, first)
+	for i, jobs := range [][]workload.JobSpec{second, first} {
+		if err := e.ResetForRun(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Reset(e, cfg); err != nil {
+			t.Fatal(err)
+		}
+		warmStats, warmRow := run(d, e, jobs)
+
+		fresh := core.MustNewEAnt(p)
+		fd, err := mapreduce.NewDriver(cluster.Testbed(), fresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldStats, coldRow := run(fd, fresh, jobs)
+		if len(coldStats.Jobs) > 0 {
+			t.Fatalf("mix %d: %d jobs finished by %v; slot 0's colony may be retired", i, len(coldStats.Jobs), cut)
+		}
+		if !slices.ContainsFunc(coldRow, func(v float64) bool { return v != p.InitTau }) {
+			t.Fatalf("mix %d: slot 0's map colony learned nothing by %v", i, cut)
+		}
+		if !slices.Equal(warmRow, coldRow) {
+			t.Errorf("mix %d: slot 0's map trails %v after a reset, %v on a new scheduler", i, warmRow, coldRow)
+		}
+		if !reflect.DeepEqual(warmStats, coldStats) {
+			t.Errorf("mix %d: Stats after a reset differ from a new scheduler's", i)
+		}
 	}
 }

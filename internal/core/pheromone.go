@@ -48,6 +48,14 @@ type colony struct {
 	// η^β for E-Ant's offer path. η > 0, so the zeroed memo never hits.
 	etaBits uint64
 	etaPow  float64
+	// reduceMean memoizes a reduce colony's fleet-mean reduce estimate for
+	// E-Ant's straggler guard; 0 until computed. The guard computes it only
+	// once the offered machine's own estimate is positive, so a computed
+	// mean is positive.
+	reduceMean float64
+
+	// slot is the colony's entry in Matrix.bySlot, or -1.
+	slot int
 
 	// idx is the colony's per-control-interval host index (E-Ant's decline
 	// guard): trails only change at the control tick, so the trail-ranked
@@ -87,6 +95,14 @@ type Matrix struct {
 	machines int
 	index    map[uint64]int
 	cols     []*colony
+
+	// bySlot holds the colony of each (job slot, kind) of the current run,
+	// maps at 2·slot and reduces at 2·slot+1 (mapreduce.Job.Slot), so
+	// E-Ant's offer and completion paths read a slice where index would
+	// hash a key. colonyAt fills an entry on first touch; retirement clears
+	// a colony's entry (its slot field) and Clear every entry, so an entry
+	// is nil or a live colony.
+	bySlot []*colony
 
 	// pool recycles retired colonies (their row/pending/delta/count/idx
 	// buffers) so a warm rerun of the same workload allocates no new colony
@@ -209,7 +225,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 		}
 		c.pending = c.pending[:0]
 		c.hasDelta = false
-		c.etaBits, c.etaPow = 0, 0
+		c.etaBits, c.etaPow, c.reduceMean = 0, 0, 0
 		if c.idx != nil {
 			// The index stamps compare against the owning EAnt's tickSeq
 			// and availability epoch, both of which restart on a warm run;
@@ -219,7 +235,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 	} else {
 		c = &colony{row: make([]float64, mx.machines)}
 	}
-	c.key = key
+	c.key, c.slot = key, -1
 	row := c.row
 	donors := 0
 	if mx.p.JobExchange {
@@ -244,6 +260,25 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 	}
 	mx.index[ik] = len(mx.cols)
 	mx.cols = append(mx.cols, c)
+	return c
+}
+
+// colonyAt returns colonyFor(key), where key is that of the job at slot in
+// the current run: the slot table's entry, filled on first touch through
+// colonyFor, so colonies are created in the order, and with the state,
+// that colonyFor alone gives them. Entries hold for one run, so a policy
+// that reuses the matrix for another run must Clear it first.
+func (mx *Matrix) colonyAt(slot int, key ColonyKey) *colony {
+	i := slot<<1 | int(key.Kind-mapreduce.MapTask)
+	if i < len(mx.bySlot) {
+		if c := mx.bySlot[i]; c != nil {
+			return c
+		}
+	} else {
+		mx.bySlot = append(mx.bySlot, make([]*colony, i+1-len(mx.bySlot))...)
+	}
+	c := mx.colonyFor(key)
+	mx.bySlot[i], c.slot = c, i
 	return c
 }
 
@@ -279,6 +314,11 @@ func (mx *Matrix) MaxTau(key ColonyKey) float64 {
 // Feedback records one completed task's estimated energy, to be folded in
 // at the next Update.
 func (mx *Matrix) Feedback(key ColonyKey, machineID int, joules float64) {
+	mx.feedback(mx.colonyFor(key), machineID, joules)
+}
+
+// feedback is Feedback on a resolved colony.
+func (mx *Matrix) feedback(c *colony, machineID int, joules float64) {
 	if machineID < 0 || machineID >= mx.machines {
 		panic(fmt.Sprintf("core: feedback for machine %d of %d", machineID, mx.machines))
 	}
@@ -286,7 +326,6 @@ func (mx *Matrix) Feedback(key ColonyKey, machineID int, joules float64) {
 		// Zero-energy tasks would produce infinite rewards; floor them.
 		joules = 1e-9
 	}
-	c := mx.colonyFor(key)
 	c.pending = append(c.pending, reward{machineID: machineID, joules: joules})
 }
 
@@ -311,12 +350,15 @@ func (mx *Matrix) RetireInactive(active func(jobID int) bool) {
 }
 
 // retire compacts the colony table, dropping entries matching gone.
-// Dropped colonies move to the recycling pool.
+// Dropped colonies leave the slot table and move to the recycling pool.
 func (mx *Matrix) retire(gone func(ColonyKey) bool) {
 	kept := mx.cols[:0]
 	for _, c := range mx.cols {
 		if gone(c.key) {
 			delete(mx.index, colonyIndexKey(c.key))
+			if c.slot >= 0 {
+				mx.bySlot[c.slot] = nil
+			}
 			mx.pool = append(mx.pool, c)
 			continue
 		}
@@ -343,6 +385,7 @@ func (mx *Matrix) Clear(p Params) error {
 	}
 	mx.cols = mx.cols[:0]
 	clear(mx.index)
+	clear(mx.bySlot)
 	// The starting partition depends on MachineExchange, which may change
 	// between runs: one class per group under machine-level exchange, and
 	// one per machine otherwise or outside every group.

@@ -92,8 +92,8 @@ func window[T any](s []T, i, n int) []T {
 
 // carve lays out job i of the sized mix, whose input file holds replicas
 // (stride IDs per map), in the state its spec starts a run in, and
-// returns it. The literal names only the job's storage, so every other
-// field, progress and timestamps included, starts at zero. Stale
+// returns it. The literal names only the job's storage and its slot i, so
+// every other field, progress and timestamps included, starts at zero. Stale
 // pendingEvent handles on the zeroed tasks are inert — the engine reset
 // bumped their generation — and speculative clones (separate allocations)
 // are dropped with the cleared in-flight list. The reduce estimates are
@@ -109,6 +109,7 @@ func (a *arena) carve(i int, spec workload.JobSpec, replicas []int32) *Job {
 		Maps:      a.tasks[first:mid:mid],
 		Reduces:   a.tasks[mid:end:end],
 		ar:        a,
+		slot:      i,
 		localHead: window(a.heads, i, a.machines),
 		localTail: window(a.tails, i, a.machines),
 		replicas:  replicas,

@@ -3,6 +3,7 @@ package mapreduce_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,21 @@ type quietPolicy struct {
 	name  string
 	build func() mapreduce.Scheduler
 }
+
+// seedIndex returns, as a fuzz input byte, the index of the entry of list
+// that nameOf calls name, and fails the corpus build when none is: a seed
+// that names its policy or variant keeps it when the list is reordered,
+// and a deleted one is reported instead of silently picking another.
+func seedIndex[T any](f *testing.F, list []T, nameOf func(T) string, name string) uint8 {
+	f.Helper()
+	i := slices.IndexFunc(list, func(x T) bool { return nameOf(x) == name })
+	if i < 0 {
+		f.Fatalf("no %q to seed the corpus with", name)
+	}
+	return uint8(i)
+}
+
+func policyName(p quietPolicy) string { return p.name }
 
 func quietPolicies() []quietPolicy {
 	return []quietPolicy{
@@ -285,19 +301,30 @@ func TestOfferCountingEligibility(t *testing.T) {
 // magnitude in executions per second, and TestCountedOffersMatchWalked
 // covers them.
 func FuzzIdleOfferCounting(f *testing.F) {
-	// The policy byte indexes quietPolicies: 0 FIFO, 1 Fair, 2 Tarazu,
-	// 3 E-Ant.
-	f.Add(int64(7), uint8(0), uint8(1), uint8(11), uint8(0))
-	f.Add(int64(11), uint8(7), uint8(3), uint8(39), uint8(0))
-	f.Add(int64(-3), uint8(3), uint8(2), uint8(0), uint8(0))
-	f.Add(int64(7), uint8(1), uint8(3), uint8(29), uint8(1))
-	f.Add(int64(5), uint8(2), uint8(1), uint8(19), uint8(2))
-	f.Add(int64(3), uint8(1), uint8(2), uint8(19), uint8(3))
-	f.Add(int64(9), uint8(1), uint8(3), uint8(29), uint8(4))
-	f.Add(int64(2), uint8(3), uint8(1), uint8(29), uint8(4))
-	f.Add(int64(4), uint8(1), uint8(3), uint8(29), uint8(5))
-	f.Add(int64(8), uint8(3), uint8(0), uint8(39), uint8(5))
 	policies, vars := quietPolicies(), variants()
+	variantName := func(v variant) string { return v.name }
+	// Each seed names its policy and variant; their bytes index
+	// quietPolicies and variants.
+	for _, s := range []struct {
+		seed    int64
+		factor  uint8
+		policy  string
+		jobs    uint8
+		variant string
+	}{
+		{7, 0, "Fair", 11, "plain"},
+		{11, 7, "E-Ant", 39, "plain"},
+		{-3, 3, "Tarazu", 0, "plain"},
+		{7, 1, "E-Ant", 29, "churn"},
+		{5, 2, "Fair", 19, "faults"},
+		{3, 1, "Tarazu", 19, "consolidation"},
+		{9, 1, "E-Ant", 29, "doomed jobs"},
+		{2, 3, "Fair", 29, "doomed jobs"},
+		{4, 1, "E-Ant", 29, "long blacklists"},
+		{8, 3, "FIFO", 39, "long blacklists"},
+	} {
+		f.Add(s.seed, s.factor, seedIndex(f, policies, policyName, s.policy), s.jobs, seedIndex(f, vars, variantName, s.variant))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, factor, policy, jobs, variant uint8) {
 		p := policies[int(policy)%len(policies)]
 		v := vars[int(variant)%len(vars)]

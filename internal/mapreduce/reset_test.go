@@ -146,8 +146,9 @@ func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
 // running four jobs after one, and again with the prior run on the
 // compared mix. It also runs each of the five policy setups twice with
 // noise, consolidation and faults on, three jobs after four, its prior run
-// cut mid-flight, its compared runs once complete and once cut too; and it
-// rejects one prior run, on another mix and on the compared one.
+// cut mid-flight, its compared runs once complete and once cut too, and
+// again with the prior run cut on the compared mix; and it rejects one
+// prior run, on another mix and on the compared one.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
 	if cfgType.NumField() != len(configFields) {
@@ -169,33 +170,47 @@ func FuzzResetEqualsNew(f *testing.F) {
 		}
 	}
 	policies := append(quietPolicies(), quietPolicy{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }})
+	// Config field i runs under the i-th policy of this rotation.
+	rotation := []string{"FIFO", "Fair", "Tarazu", "E-Ant", "LATE"}
 	for i := range configFields {
+		pol := seedIndex(f, policies, policyName, rotation[i%len(rotation)])
 		for _, same := range []uint8{0, 1} {
-			f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(0), uint16(1)<<i, uint8(0), same)
-			f.Add(int64(i), uint8(i), uint8(10), uint8(i), uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
+			f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(0), uint16(1)<<i, uint8(0), same)
+			f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
 		}
 	}
-	// Two seeds per policy setup, in policies order, with noise,
-	// consolidation and faults on in both configurations: the prior run
-	// and the compared runs each crash a machine, blacklist one, and sleep
-	// and wake machines (LATE's also speculate), and the prior run is cut
-	// with attempts running, machines asleep and a blacklist live, 100 s
-	// in (260 s for E-Ant). With end the compared runs complete; with
-	// end+3 they stop at the same cut.
-	for i, c := range []struct {
-		seed int64
-		end  uint8
-	}{{10, 25}, {10, 25}, {10, 25}, {48, 73}, {10, 25}} {
-		for _, end := range []uint8{c.end, c.end + 3} {
-			f.Add(c.seed, uint8(i), uint8(10), uint8(i), uint8(2), churn, churn, end, uint8(0))
+	// Two seeds per policy setup with noise, consolidation and faults on
+	// in both configurations: the prior run and the compared runs each
+	// crash a machine, blacklist one, and sleep and wake machines (LATE's
+	// also speculate), and the prior run is cut with attempts running,
+	// machines asleep and a blacklist live, 100 s in (260 s for E-Ant).
+	// With end the compared runs complete; with end+3 they stop at the
+	// same cut.
+	setups := []struct {
+		policy string
+		types  uint8
+		seed   int64
+		end    uint8
+	}{{"FIFO", 0, 10, 25}, {"Fair", 1, 10, 25}, {"Tarazu", 2, 10, 25}, {"E-Ant", 3, 48, 73}, {"LATE", 4, 10, 25}}
+	churnSeeds := func(same uint8) {
+		for _, c := range setups {
+			for _, end := range []uint8{c.end, c.end + 3} {
+				f.Add(c.seed, c.types, uint8(10), seedIndex(f, policies, policyName, c.policy), uint8(2), churn, churn, end, same)
+			}
 		}
 	}
+	churnSeeds(0)
 	// A prior run rejected mid-placement, under E-Ant, on another mix and
 	// on the compared one.
-	eAnt := uint8(slices.IndexFunc(policies, func(p quietPolicy) bool { return p.name == "E-Ant" }))
+	eAnt := seedIndex(f, policies, policyName, "E-Ant")
 	for _, same := range []uint8{0, 1} {
-		f.Add(int64(eAnt), eAnt, uint8(10), eAnt, uint8(3), churn, churn, uint8(2), same)
+		f.Add(int64(3), uint8(3), uint8(10), eAnt, uint8(3), churn, churn, uint8(2), same)
 	}
+	// The policy setups again with the prior run cut on the compared mix,
+	// so the warm run starts from state a run of its own jobs left
+	// mid-flight: state a policy keys by the job's slot in the mix (E-Ant's
+	// colony table) must have been cleared by its reset.
+	churnSeeds(1)
 	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end, same uint8) {
 		pol := policies[int(policy)%len(policies)]
 		n := int(jobs) % 4

@@ -189,8 +189,9 @@ type Job struct {
 	failed      bool
 
 	// ar is the arena the job is carved from; its entry arrays hold the
-	// job's queue links.
-	ar *arena
+	// job's queue links. slot is the job's position in the run's mix.
+	ar   *arena
+	slot int
 	// mapQ and reduceQ queue the map and reduce indices not yet assigned.
 	mapQ, reduceQ fifo
 	// The locality index queues, per machine, the pending maps with a
@@ -288,6 +289,11 @@ func (j *Job) clearLocal() {
 		j.localHead[m], j.localTail[m] = -1, -1
 	}
 }
+
+// Slot returns the job's position in its run's mix: 0 for the first spec
+// passed to Driver.Run, and unique among the run's jobs. A policy can
+// index dense per-run tables by it instead of hashing the job ID.
+func (j *Job) Slot() int { return j.slot }
 
 // Done reports whether every task has completed.
 func (j *Job) Done() bool { return j.done }
