@@ -396,9 +396,8 @@ type probeSinks struct {
 
 // emitTrace runs one MSD campaign with a probe attached, streaming its
 // events to w as JSON Lines through the probe's sink, then writes the
-// configured file sinks: the timeline from every event the sink saw (the
-// probe's ring keeps only the most recent ones), the report from the
-// probe.
+// configured file sinks: the timeline from every event the sink saw, the
+// report from the probe.
 func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeSinks) error {
 	c, err := msdCampaign(jobs, seed, 45*time.Second)
 	if err != nil {
@@ -423,10 +422,7 @@ func emitTrace(w io.Writer, jobs int, seed int64, schedName string, sinks probeS
 	if pcfg.SampleEvery <= 0 {
 		pcfg.SampleEvery = 1 // the stream samples every heartbeat by default
 	}
-	p, err := probe.New(pcfg)
-	if err != nil {
-		return err
-	}
+	p := probe.New(pcfg)
 	c.Config.Probe = p
 	if _, err := experiments.RunAll([]experiments.Campaign{c}, 0); err != nil {
 		return err

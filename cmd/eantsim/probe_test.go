@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,9 +54,8 @@ func TestTraceStreamWriteError(t *testing.T) {
 }
 
 // TestTraceTimelineCoversWholeRun: the -timeline file is written from
-// every event the run records, not from the probe's ring, so a run that
-// records more events than the ring holds (60 jobs record about 92 700,
-// the default ring keeps 65 536) still shows every job, from t = 0.
+// every event the run records, so a long run (60 jobs record about
+// 92 700 events) shows every job, from t = 0.
 func TestTraceTimelineCoversWholeRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "timeline.json")
 	if err := emitTrace(io.Discard, 60, 1, "E-Ant", probeSinks{Timeline: path}); err != nil {
@@ -86,5 +87,38 @@ func TestTraceTimelineCoversWholeRun(t *testing.T) {
 	}
 	if spans != 60 || first != 0 {
 		t.Errorf("timeline has %d job spans from %v µs, want 60 from 0", spans, first)
+	}
+}
+
+// TestTraceProbeReportKeys pins the top-level keys of the -probe-report
+// JSON, in order, so that a change to the report's format shows here.
+func TestTraceProbeReportKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	if _, errOut, code := runCLI(t, "trace", "-jobs", "3", "-probe-report", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("report does not open with an object: %v %v", tok, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"events", "task_energy_j", "queue_wait_s", "offer_gap_s"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("report keys %q, want %q", keys, want)
 	}
 }

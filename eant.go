@@ -192,7 +192,10 @@ type ProbeHistogram = probe.Histogram
 
 // NewProbe builds an observability probe. Attach it via RunSpec.Probe; a
 // probe serves exactly one run (build a fresh one per RunSpec in sweeps).
-func NewProbe(cfg ProbeConfig) (*Probe, error) { return probe.New(cfg) }
+// The probe keeps no event: ProbeConfig.Sink receives each one as it is
+// recorded, and a caller that wants a run's events appends them there.
+// The error is always nil.
+func NewProbe(cfg ProbeConfig) (*Probe, error) { return probe.New(cfg), nil }
 
 // MergeProbeReports folds per-run probe reports into one aggregate, in
 // argument (submission) order — the order RunMany returns results — so

@@ -58,9 +58,9 @@ type EAnt struct {
 	tickSeq uint64
 	indexed []*colony
 
-	// activeScratch is the control-tick scratch set of live job IDs,
-	// hoisted to a field so the tick handler allocates nothing.
-	activeScratch map[int]bool
+	// live is the control tick's scratch liveness of the run's job slots,
+	// retained so the tick handler allocates nothing in steady state.
+	live []bool
 }
 
 // hostIndex is one map colony's per-control-interval view of the fleet
@@ -139,7 +139,6 @@ func (e *EAnt) ResetForRun(p Params) error {
 	e.tickSeq = 1
 	clear(e.indexed)
 	e.indexed = e.indexed[:0]
-	clear(e.activeScratch)
 	if e.mx != nil {
 		if err := e.mx.Clear(p); err != nil {
 			return err
@@ -205,7 +204,6 @@ func (e *EAnt) initSlow(ctx *mapreduce.Context) {
 		panic(err) // params were validated in NewEAnt; groups partition the fleet
 	}
 	e.mx = mx
-	e.activeScratch = make(map[int]bool)
 }
 
 // key builds the colony key for a job's tasks of one kind.
@@ -665,12 +663,18 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	// reference to a retired colony.
 	e.tickSeq++
 	e.indexed = e.indexed[:0]
-	active := e.activeScratch
-	clear(active)
+	// Colonies occupy the slot table's first len(bySlot) entries, two per
+	// job slot; an active job past them has no colony yet.
+	n := (len(e.mx.bySlot) + 1) >> 1
+	live := slices.Grow(e.live[:0], n)[:n]
+	clear(live)
 	for _, j := range ctx.ActiveJobs() {
-		active[j.Spec.ID] = true
+		if s := j.Slot(); s < n {
+			live[s] = true
+		}
 	}
-	e.mx.RetireInactive(func(jobID int) bool { return active[jobID] })
+	e.live = live
+	e.mx.retire(live)
 	// Crashed machines' trails are frozen out of the exchange and left to
 	// evaporate (nil when the fleet is healthy).
 	if e.unavailable == nil {
@@ -693,7 +697,8 @@ func (e *EAnt) OnControlTick(ctx *mapreduce.Context) {
 	e.mx.Update(unavailable)
 	// Pheromone-matrix snapshot for the observability layer: one row per
 	// colony, in the matrix's insertion order (deterministic). TrailRow
-	// copies each live row, so that copy is the only one.
+	// copies each live row for the probe's sink, and that copy is the only
+	// one.
 	if pr := ctx.Probe(); pr.TrailsEnabled() {
 		for _, c := range e.mx.cols {
 			pr.TrailRow(ctx.Now(), c.key.JobID, int8(c.key.Kind), c.key.App.String(), c.row)

@@ -158,11 +158,11 @@ func FuzzHostIndex(f *testing.F) {
 				key := ColonyKey{JobID: job, App: apps[job%len(apps)], Kind: kinds[rng.Intn(2)]}
 				switch r := rng.Float64(); {
 				case r < 0.15 || (r < 0.9 && mode&tieInitTau != 0): // a colony forms without feedback
-					mx.colonyFor(key)
+					keyed(mx, key)
 				case r < 0.9:
-					mx.Feedback(key, rng.Intn(len(machines)), rng.Uniform(1, 5000))
+					mx.feedback(keyed(mx, key), rng.Intn(len(machines)), rng.Uniform(1, 5000))
 				default:
-					mx.Retire(job)
+					retireJob(mx, job)
 				}
 			}
 			for id, m := range machines {
@@ -223,11 +223,11 @@ func BenchmarkHostIndexBuild(b *testing.B) {
 			// down for good.
 			rng := sim.NewRNG(1)
 			split := rng.Perm(len(machines))[:bc.split]
-			k := ColonyKey{JobID: 1, App: workload.Grep, Kind: mapreduce.MapTask}
+			c := keyed(mx, ColonyKey{JobID: 1, App: workload.Grep, Kind: mapreduce.MapTask})
 			down := make([]bool, len(machines))
 			for tick := range 9 {
 				for id := range machines {
-					mx.Feedback(k, id, rng.Uniform(100, 5000))
+					mx.feedback(c, id, rng.Uniform(100, 5000))
 				}
 				clear(down)
 				for i := tick; i < len(split); i += 9 {
@@ -246,7 +246,6 @@ func BenchmarkHostIndexBuild(b *testing.B) {
 					m.AcquireMap(0)
 				}
 			}
-			c := mx.colonyFor(k)
 			e := &EAnt{mx: mx}
 			idx := &hostIndex{}
 			e.rankHosts(idx, machines, c.row)

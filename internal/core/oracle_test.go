@@ -105,7 +105,7 @@ func (w *weighed) check(ctx *mapreduce.Context, m cluster.Machine, kind mapreduc
 		if !candidate(j) {
 			continue
 		}
-		c := w.mx.colonyFor(key(j, kind))
+		c := w.mx.colonyAt(j.Slot(), key(j, kind))
 		eta := w.eta(ctx, j)
 		if kind == mapreduce.MapTask && ctx.HasLocalMap(j, m) {
 			eta = w.p.EtaMax

@@ -54,7 +54,8 @@ type colony struct {
 	// mean is positive.
 	reduceMean float64
 
-	// slot is the colony's entry in Matrix.bySlot, or -1.
+	// slot is the colony's entry in Matrix.bySlot: its job slot times two,
+	// plus one for reduces.
 	slot int
 
 	// idx is the colony's per-control-interval host index (E-Ant's decline
@@ -79,13 +80,11 @@ func (c *colony) powEta(eta, beta float64) float64 {
 // in per-interval energy feedback according to Eqs. 4–6 and the §IV-D
 // exchange strategies.
 //
-// Colonies live in a flat, insertion-ordered table with a key index on
-// the side. The scheduler's inner loops (one Tau lookup per candidate per
-// slot offer, one per machine in the decline guard) hit the flat rows
-// instead of hashing a struct key per probe, and every cross-colony fold
-// in Update iterates the table in insertion order — float accumulation
-// order is fixed, so runs are bit-for-bit reproducible instead of
-// depending on Go's randomized map iteration.
+// Colonies live in a flat, insertion-ordered table and are found by their
+// job's slot in the run's mix, never by hashing a key. Every cross-colony
+// fold in Update iterates the table in insertion order — float
+// accumulation order is fixed, so runs are bit-for-bit reproducible
+// instead of depending on Go's randomized map iteration.
 //
 // Update computes each trail once per trail class: a set of machines on
 // which every colony's trail is provably equal (DESIGN.md §18). Rows stay
@@ -93,15 +92,13 @@ func (c *colony) powEta(eta, beta float64) float64 {
 type Matrix struct {
 	p        Params
 	machines int
-	index    map[uint64]int
 	cols     []*colony
 
 	// bySlot holds the colony of each (job slot, kind) of the current run,
-	// maps at 2·slot and reduces at 2·slot+1 (mapreduce.Job.Slot), so
-	// E-Ant's offer and completion paths read a slice where index would
-	// hash a key. colonyAt fills an entry on first touch; retirement clears
-	// a colony's entry (its slot field) and Clear every entry, so an entry
-	// is nil or a live colony.
+	// maps at 2·slot and reduces at 2·slot+1 (mapreduce.Job.Slot).
+	// colonyAt fills an entry on first touch; retirement clears a colony's
+	// entry (its slot field) and Clear every entry, so an entry is nil or a
+	// live colony.
 	bySlot []*colony
 
 	// pool recycles retired colonies (their row/pending/delta/count/idx
@@ -167,7 +164,6 @@ func NewMatrix(machines int, groups [][]int, p Params) (*Matrix, error) {
 	}
 	mx := &Matrix{
 		machines:   machines,
-		index:      make(map[uint64]int),
 		groups:     make([][]int, len(groups)),
 		classOf:    make([]int, machines),
 		classRep:   make([]int, 0, machines),
@@ -196,25 +192,29 @@ func NewMatrix(machines int, groups [][]int, p Params) (*Matrix, error) {
 	return mx, nil
 }
 
-// Colonies returns the number of tracked colonies.
-func (mx *Matrix) Colonies() int { return len(mx.cols) }
-
-// colonyIndexKey packs a colony key into the index's map key: the job ID's
-// low 32 bits (JobSpec.Validate bounds job IDs to int32), the app and the
-// kind. Hashing one word per lookup is cheaper than hashing the struct.
-func colonyIndexKey(k ColonyKey) uint64 {
-	return uint64(uint32(k.JobID))<<32 | uint64(uint16(k.App))<<16 | uint64(uint16(k.Kind))
+// colonyAt returns the colony of the job at slot in the current run, whose
+// key is key: the slot table's entry, created on first touch by
+// newColony. Entries hold for one run, so a policy that reuses the matrix
+// for another run must Clear it first.
+func (mx *Matrix) colonyAt(slot int, key ColonyKey) *colony {
+	i := slot<<1 | int(key.Kind-mapreduce.MapTask)
+	if i < len(mx.bySlot) {
+		if c := mx.bySlot[i]; c != nil {
+			return c
+		}
+	} else {
+		mx.bySlot = append(mx.bySlot, make([]*colony, i+1-len(mx.bySlot))...)
+	}
+	c := mx.newColony(key)
+	mx.bySlot[i], c.slot = c, i
+	return c
 }
 
-// colonyFor returns the colony's state, creating it on first touch. A new
-// colony warm-starts from existing same-(app, kind) colonies when
-// job-level exchange is enabled — the sharing of experience that makes
-// small-job convergence fast (Fig. 11b).
-func (mx *Matrix) colonyFor(key ColonyKey) *colony {
-	ik := colonyIndexKey(key)
-	if i, ok := mx.index[ik]; ok {
-		return mx.cols[i]
-	}
+// newColony appends a colony for key to the table. It warm-starts from
+// existing same-(app, kind) colonies when job-level exchange is enabled —
+// the sharing of experience that makes small-job convergence fast
+// (Fig. 11b).
+func (mx *Matrix) newColony(key ColonyKey) *colony {
 	var c *colony
 	if n := len(mx.pool); n > 0 {
 		c = mx.pool[n-1]
@@ -235,7 +235,7 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 	} else {
 		c = &colony{row: make([]float64, mx.machines)}
 	}
-	c.key, c.slot = key, -1
+	c.key = key
 	row := c.row
 	donors := 0
 	if mx.p.JobExchange {
@@ -258,66 +258,12 @@ func (mx *Matrix) colonyFor(key ColonyKey) *colony {
 			row[i] = mx.p.InitTau
 		}
 	}
-	mx.index[ik] = len(mx.cols)
 	mx.cols = append(mx.cols, c)
 	return c
 }
 
-// colonyAt returns colonyFor(key), where key is that of the job at slot in
-// the current run: the slot table's entry, filled on first touch through
-// colonyFor, so colonies are created in the order, and with the state,
-// that colonyFor alone gives them. Entries hold for one run, so a policy
-// that reuses the matrix for another run must Clear it first.
-func (mx *Matrix) colonyAt(slot int, key ColonyKey) *colony {
-	i := slot<<1 | int(key.Kind-mapreduce.MapTask)
-	if i < len(mx.bySlot) {
-		if c := mx.bySlot[i]; c != nil {
-			return c
-		}
-	} else {
-		mx.bySlot = append(mx.bySlot, make([]*colony, i+1-len(mx.bySlot))...)
-	}
-	c := mx.colonyFor(key)
-	mx.bySlot[i], c.slot = c, i
-	return c
-}
-
-// row returns the colony's live pheromone vector (shared, not a copy),
-// creating the colony on first touch.
-func (mx *Matrix) row(key ColonyKey) []float64 {
-	return mx.colonyFor(key).row
-}
-
-// Tau returns τ(colony, machine).
-func (mx *Matrix) Tau(key ColonyKey, machineID int) float64 {
-	return mx.row(key)[machineID]
-}
-
-// Row returns a copy of the colony's pheromone vector.
-func (mx *Matrix) Row(key ColonyKey) []float64 {
-	out := make([]float64, mx.machines)
-	copy(out, mx.row(key))
-	return out
-}
-
-// MaxTau returns the colony's strongest trail.
-func (mx *Matrix) MaxTau(key ColonyKey) float64 {
-	maxV := 0.0
-	for _, v := range mx.row(key) {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	return maxV
-}
-
-// Feedback records one completed task's estimated energy, to be folded in
-// at the next Update.
-func (mx *Matrix) Feedback(key ColonyKey, machineID int, joules float64) {
-	mx.feedback(mx.colonyFor(key), machineID, joules)
-}
-
-// feedback is Feedback on a resolved colony.
+// feedback records one completed task's estimated energy for colony c, to
+// be folded in at the next Update.
 func (mx *Matrix) feedback(c *colony, machineID int, joules float64) {
 	if machineID < 0 || machineID >= mx.machines {
 		panic(fmt.Sprintf("core: feedback for machine %d of %d", machineID, mx.machines))
@@ -329,45 +275,21 @@ func (mx *Matrix) feedback(c *colony, machineID int, joules float64) {
 	c.pending = append(c.pending, reward{machineID: machineID, joules: joules})
 }
 
-// PendingFeedback returns the number of unapplied task rewards.
-func (mx *Matrix) PendingFeedback() int {
-	n := 0
-	for _, c := range mx.cols {
-		n += len(c.pending)
-	}
-	return n
-}
-
-// Retire drops colonies whose job has left the system.
-func (mx *Matrix) Retire(jobID int) {
-	mx.retire(func(k ColonyKey) bool { return k.JobID == jobID })
-}
-
-// RetireInactive drops every colony whose job fails the liveness check,
-// in one pass over the table.
-func (mx *Matrix) RetireInactive(active func(jobID int) bool) {
-	mx.retire(func(k ColonyKey) bool { return !active(k.JobID) })
-}
-
-// retire compacts the colony table, dropping entries matching gone.
-// Dropped colonies leave the slot table and move to the recycling pool.
-func (mx *Matrix) retire(gone func(ColonyKey) bool) {
+// retire drops every colony whose job slot live does not mark, in one
+// pass over the table; live is indexed by job slot and covers every
+// colony's. Dropped colonies leave the slot table and move to the
+// recycling pool.
+func (mx *Matrix) retire(live []bool) {
 	kept := mx.cols[:0]
 	for _, c := range mx.cols {
-		if gone(c.key) {
-			delete(mx.index, colonyIndexKey(c.key))
-			if c.slot >= 0 {
-				mx.bySlot[c.slot] = nil
-			}
-			mx.pool = append(mx.pool, c)
+		if live[c.slot>>1] {
+			kept = append(kept, c)
 			continue
 		}
-		mx.index[colonyIndexKey(c.key)] = len(kept)
-		kept = append(kept, c)
+		mx.bySlot[c.slot] = nil
+		mx.pool = append(mx.pool, c)
 	}
-	for i := len(kept); i < len(mx.cols); i++ {
-		mx.cols[i] = nil
-	}
+	clear(mx.cols[len(kept):])
 	mx.cols = kept
 }
 
@@ -384,7 +306,6 @@ func (mx *Matrix) Clear(p Params) error {
 		mx.cols[i] = nil
 	}
 	mx.cols = mx.cols[:0]
-	clear(mx.index)
 	clear(mx.bySlot)
 	// The starting partition depends on MachineExchange, which may change
 	// between runs: one class per group under machine-level exchange, and

@@ -13,6 +13,20 @@ func mapColony(jobID int, app workload.App) ColonyKey {
 	return ColonyKey{JobID: jobID, App: app, Kind: mapreduce.MapTask}
 }
 
+// keyed returns the colony of key, creating it on first touch: tests
+// address a colony by its key and give job key.JobID the job slot
+// key.JobID, where E-Ant addresses it by its job's slot in the run.
+func keyed(mx *Matrix, key ColonyKey) *colony { return mx.colonyAt(key.JobID, key) }
+
+// retireJob retires the colonies of job jobID and keeps every other.
+func retireJob(mx *Matrix, jobID int) {
+	live := make([]bool, len(mx.bySlot))
+	for _, c := range mx.cols {
+		live[c.slot>>1] = c.key.JobID != jobID
+	}
+	mx.retire(live)
+}
+
 func noExchange() Params {
 	p := DefaultParams()
 	p.MachineExchange = false
@@ -100,12 +114,12 @@ func TestInitialPheromoneUniform(t *testing.T) {
 	mx := mustMatrix(t, 3, noExchange())
 	k := mapColony(1, workload.Wordcount)
 	for m := 0; m < 3; m++ {
-		if got := mx.Tau(k, m); got != 1.0 {
+		if got := keyed(mx, k).row[m]; got != 1.0 {
 			t.Errorf("initial tau[%d] = %v, want 1", m, got)
 		}
 	}
-	if mx.Colonies() != 1 {
-		t.Errorf("Colonies() = %d, want 1", mx.Colonies())
+	if len(mx.cols) != 1 {
+		t.Errorf("%d colonies, want 1", len(mx.cols))
 	}
 }
 
@@ -115,12 +129,12 @@ func TestUpdateRewardsEnergyEfficientMachine(t *testing.T) {
 	// Uses the literal Eq. 4/5 sum-form deposits the example computes.
 	mx := mustMatrix(t, 2, paperForm())
 	k := mapColony(1, workload.Wordcount)
-	mx.Feedback(k, 0, 2000)
-	mx.Feedback(k, 0, 2000)
-	mx.Feedback(k, 1, 3000)
+	mx.feedback(keyed(mx, k), 0, 2000)
+	mx.feedback(keyed(mx, k), 0, 2000)
+	mx.feedback(keyed(mx, k), 1, 3000)
 	mx.Update(nil)
 
-	tauA, tauB := mx.Tau(k, 0), mx.Tau(k, 1)
+	tauA, tauB := keyed(mx, k).row[0], keyed(mx, k).row[1]
 	if tauA <= tauB {
 		t.Fatalf("tauA = %v not above tauB = %v", tauA, tauB)
 	}
@@ -136,17 +150,17 @@ func TestUpdateEvaporatesIdlePaths(t *testing.T) {
 	p := noExchange()
 	mx := mustMatrix(t, 2, p)
 	k := mapColony(1, workload.Grep)
-	mx.row(k)
+	keyed(mx, k)
 	// No feedback at all: trails evaporate toward MinTau but
 	// normalization keeps the row mean at 1 (both machines equal).
 	mx.Update(nil)
-	if a, b := mx.Tau(k, 0), mx.Tau(k, 1); math.Abs(a-b) > 1e-9 {
+	if a, b := keyed(mx, k).row[0], keyed(mx, k).row[1]; math.Abs(a-b) > 1e-9 {
 		t.Errorf("symmetric evaporation broke symmetry: %v vs %v", a, b)
 	}
 	// With feedback only on machine 0, machine 1 decays relative to it.
-	mx.Feedback(k, 0, 100)
+	mx.feedback(keyed(mx, k), 0, 100)
 	mx.Update(nil)
-	if mx.Tau(k, 1) >= mx.Tau(k, 0) {
+	if keyed(mx, k).row[1] >= keyed(mx, k).row[0] {
 		t.Error("idle path did not decay relative to rewarded path")
 	}
 }
@@ -158,19 +172,19 @@ func TestUpdateClampsToBounds(t *testing.T) {
 	// Massive asymmetric rewards drive the loser to MinTau.
 	for round := 0; round < 20; round++ {
 		for i := 0; i < 50; i++ {
-			mx.Feedback(k, 0, 1)
+			mx.feedback(keyed(mx, k), 0, 1)
 		}
-		mx.Feedback(k, 1, 1e9)
+		mx.feedback(keyed(mx, k), 1, 1e9)
 		mx.Update(nil)
 	}
 	for m := 0; m < 2; m++ {
-		v := mx.Tau(k, m)
+		v := keyed(mx, k).row[m]
 		if v < p.MinTau-1e-12 || v > p.MaxTau+1e-12 {
 			t.Errorf("tau[%d] = %v outside [%v, %v]", m, v, p.MinTau, p.MaxTau)
 		}
 	}
-	if mx.Tau(k, 1) != p.MinTau {
-		t.Errorf("starved path = %v, want floor %v", mx.Tau(k, 1), p.MinTau)
+	if keyed(mx, k).row[1] != p.MinTau {
+		t.Errorf("starved path = %v, want floor %v", keyed(mx, k).row[1], p.MinTau)
 	}
 }
 
@@ -187,11 +201,11 @@ func TestPheromonePositivityProperty(t *testing.T) {
 			n = len(machines)
 		}
 		for i := 0; i < n; i++ {
-			mx.Feedback(k, int(machines[i])%4, math.Abs(joules[i]))
+			mx.feedback(keyed(mx, k), int(machines[i])%4, math.Abs(joules[i]))
 		}
 		mx.Update(nil)
 		for m := 0; m < 4; m++ {
-			v := mx.Tau(k, m)
+			v := keyed(mx, k).row[m]
 			if !(v >= p.MinTau-1e-12 && v <= p.MaxTau+1e-12) || math.IsNaN(v) {
 				return false
 			}
@@ -213,17 +227,17 @@ func TestMachineLevelExchangeSharesWithinGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := mapColony(1, workload.Wordcount)
-	mx.Feedback(k, 0, 100) // efficient
-	mx.Feedback(k, 2, 400) // inefficient
+	mx.feedback(keyed(mx, k), 0, 100) // efficient
+	mx.feedback(keyed(mx, k), 2, 400) // inefficient
 	mx.Update(nil)
 
-	if a, b := mx.Tau(k, 0), mx.Tau(k, 1); math.Abs(a-b) > 1e-9 {
+	if a, b := keyed(mx, k).row[0], keyed(mx, k).row[1]; math.Abs(a-b) > 1e-9 {
 		t.Errorf("group members diverged: %v vs %v", a, b)
 	}
-	if c, d := mx.Tau(k, 2), mx.Tau(k, 3); math.Abs(c-d) > 1e-9 {
+	if c, d := keyed(mx, k).row[2], keyed(mx, k).row[3]; math.Abs(c-d) > 1e-9 {
 		t.Errorf("group members diverged: %v vs %v", c, d)
 	}
-	if mx.Tau(k, 1) <= mx.Tau(k, 3) {
+	if keyed(mx, k).row[1] <= keyed(mx, k).row[3] {
 		t.Error("efficient group's idle member not preferred over inefficient group's")
 	}
 }
@@ -236,15 +250,15 @@ func TestJobLevelExchangePoolsColonies(t *testing.T) {
 	k2 := mapColony(2, workload.Grep)
 	// Colony 1 saw machine 0 efficient; colony 2 saw machine 1
 	// inefficient. Pooling gives both colonies both experiences.
-	mx.Feedback(k1, 0, 100)
-	mx.Feedback(k1, 1, 100)
-	mx.Feedback(k2, 0, 100)
-	mx.Feedback(k2, 1, 900)
+	mx.feedback(keyed(mx, k1), 0, 100)
+	mx.feedback(keyed(mx, k1), 1, 100)
+	mx.feedback(keyed(mx, k2), 0, 100)
+	mx.feedback(keyed(mx, k2), 1, 900)
 	mx.Update(nil)
-	if math.Abs(mx.Tau(k1, 0)-mx.Tau(k2, 0)) > 1e-9 {
+	if math.Abs(keyed(mx, k1).row[0]-keyed(mx, k2).row[0]) > 1e-9 {
 		t.Error("job-level exchange did not equalize same-app colonies")
 	}
-	if mx.Tau(k1, 0) <= mx.Tau(k1, 1) {
+	if keyed(mx, k1).row[0] <= keyed(mx, k1).row[1] {
 		t.Error("pooled experience did not prefer the efficient machine")
 	}
 }
@@ -255,15 +269,15 @@ func TestJobExchangeDoesNotPoolAcrossApps(t *testing.T) {
 	mx := mustMatrix(t, 2, p)
 	kWC := mapColony(1, workload.Wordcount)
 	kTS := mapColony(2, workload.Terasort)
-	mx.Feedback(kWC, 0, 100)
-	mx.Feedback(kWC, 1, 500)
-	mx.Feedback(kTS, 0, 500)
-	mx.Feedback(kTS, 1, 100)
+	mx.feedback(keyed(mx, kWC), 0, 100)
+	mx.feedback(keyed(mx, kWC), 1, 500)
+	mx.feedback(keyed(mx, kTS), 0, 500)
+	mx.feedback(keyed(mx, kTS), 1, 100)
 	mx.Update(nil)
-	if mx.Tau(kWC, 0) <= mx.Tau(kWC, 1) {
+	if keyed(mx, kWC).row[0] <= keyed(mx, kWC).row[1] {
 		t.Error("Wordcount colony polluted by Terasort feedback")
 	}
-	if mx.Tau(kTS, 1) <= mx.Tau(kTS, 0) {
+	if keyed(mx, kTS).row[1] <= keyed(mx, kTS).row[0] {
 		t.Error("Terasort colony polluted by Wordcount feedback")
 	}
 }
@@ -273,18 +287,18 @@ func TestJobExchangeWarmStartsNewColony(t *testing.T) {
 	p.JobExchange = true
 	mx := mustMatrix(t, 2, p)
 	k1 := mapColony(1, workload.Grep)
-	mx.Feedback(k1, 0, 100)
-	mx.Feedback(k1, 1, 400)
+	mx.feedback(keyed(mx, k1), 0, 100)
+	mx.feedback(keyed(mx, k1), 1, 400)
 	mx.Update(nil)
 
 	k2 := mapColony(9, workload.Grep)
-	if math.Abs(mx.Tau(k2, 0)-mx.Tau(k1, 0)) > 1e-9 {
+	if math.Abs(keyed(mx, k2).row[0]-keyed(mx, k1).row[0]) > 1e-9 {
 		t.Error("new same-app colony did not inherit trails")
 	}
 	// A different app starts cold.
 	k3 := mapColony(10, workload.Wordcount)
-	if mx.Tau(k3, 0) != p.InitTau {
-		t.Errorf("new different-app colony tau = %v, want %v", mx.Tau(k3, 0), p.InitTau)
+	if keyed(mx, k3).row[0] != p.InitTau {
+		t.Errorf("new different-app colony tau = %v, want %v", keyed(mx, k3).row[0], p.InitTau)
 	}
 }
 
@@ -298,17 +312,17 @@ func TestNegativeFeedbackSuppressesCompetitors(t *testing.T) {
 	// Winner earns strong rewards on machine 0; the loser's own feedback
 	// is symmetric across both machines, so any asymmetry in its trails
 	// comes from the Eq. 6 cross-colony penalty on machine 0.
-	mx.Feedback(winner, 0, 10)
-	mx.Feedback(winner, 0, 10)
-	mx.Feedback(loser, 0, 100)
-	mx.Feedback(loser, 1, 100)
+	mx.feedback(keyed(mx, winner), 0, 10)
+	mx.feedback(keyed(mx, winner), 0, 10)
+	mx.feedback(keyed(mx, loser), 0, 100)
+	mx.feedback(keyed(mx, loser), 1, 100)
 	mx.Update(nil)
-	if mx.Tau(loser, 0) >= mx.Tau(loser, 1) {
+	if keyed(mx, loser).row[0] >= keyed(mx, loser).row[1] {
 		t.Errorf("negative feedback did not suppress competitor: tau0=%v tau1=%v",
-			mx.Tau(loser, 0), mx.Tau(loser, 1))
+			keyed(mx, loser).row[0], keyed(mx, loser).row[1])
 	}
 	// The winner keeps its advantage on machine 0.
-	if mx.Tau(winner, 0) <= mx.Tau(winner, 1) {
+	if keyed(mx, winner).row[0] <= keyed(mx, winner).row[1] {
 		t.Error("winner lost its rewarded machine")
 	}
 }
@@ -322,27 +336,33 @@ func TestNegativeFeedbackSparesSameAppColonies(t *testing.T) {
 	mx := mustMatrix(t, 2, p)
 	a := mapColony(1, workload.Grep)
 	b := mapColony(2, workload.Grep)
-	mx.Feedback(a, 0, 10)
-	mx.Feedback(a, 0, 10)
-	mx.Feedback(b, 0, 100)
-	mx.Feedback(b, 1, 100)
+	mx.feedback(keyed(mx, a), 0, 10)
+	mx.feedback(keyed(mx, a), 0, 10)
+	mx.feedback(keyed(mx, b), 0, 100)
+	mx.feedback(keyed(mx, b), 1, 100)
 	mx.Update(nil)
-	if mx.Tau(b, 0) < mx.Tau(b, 1) {
+	if keyed(mx, b).row[0] < keyed(mx, b).row[1] {
 		t.Errorf("same-app colony was penalized: tau0=%v tau1=%v",
-			mx.Tau(b, 0), mx.Tau(b, 1))
+			keyed(mx, b).row[0], keyed(mx, b).row[1])
 	}
 }
 
 func TestRetireDropsColonies(t *testing.T) {
 	mx := mustMatrix(t, 2, noExchange())
-	mx.Feedback(mapColony(1, workload.Grep), 0, 5)
-	mx.Feedback(mapColony(2, workload.Grep), 0, 5)
-	mx.Retire(1)
-	if mx.Colonies() != 1 {
-		t.Errorf("Colonies() = %d after retire, want 1", mx.Colonies())
+	mx.feedback(keyed(mx, mapColony(1, workload.Grep)), 0, 5)
+	mx.feedback(keyed(mx, mapColony(2, workload.Grep)), 0, 5)
+	retireJob(mx, 1)
+	if len(mx.cols) != 1 || mx.cols[0].key.JobID != 2 {
+		t.Fatalf("%d colonies after retire, want job 2's alone", len(mx.cols))
 	}
-	if mx.PendingFeedback() != 1 {
-		t.Errorf("PendingFeedback() = %d after retire, want 1", mx.PendingFeedback())
+	if n := len(mx.cols[0].pending); n != 1 {
+		t.Errorf("%d rewards pending after retire, want 1", n)
+	}
+	if mx.bySlot[2] != nil {
+		t.Error("the retired colony keeps its slot-table entry")
+	}
+	if c := keyed(mx, mapColony(1, workload.Grep)); len(c.pending) != 0 || len(mx.cols) != 2 {
+		t.Error("job 1's colony did not come back fresh")
 	}
 }
 
@@ -350,9 +370,9 @@ func TestFeedbackValidation(t *testing.T) {
 	mx := mustMatrix(t, 2, noExchange())
 	k := mapColony(1, workload.Grep)
 	// Non-positive joules are floored, not rejected.
-	mx.Feedback(k, 0, 0)
+	mx.feedback(keyed(mx, k), 0, 0)
 	mx.Update(nil)
-	if v := mx.Tau(k, 0); math.IsNaN(v) || math.IsInf(v, 0) {
+	if v := keyed(mx, k).row[0]; math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("zero-energy feedback produced tau %v", v)
 	}
 	defer func() {
@@ -360,32 +380,5 @@ func TestFeedbackValidation(t *testing.T) {
 			t.Error("out-of-range machine accepted")
 		}
 	}()
-	mx.Feedback(k, 5, 1)
-}
-
-func TestRowReturnsCopy(t *testing.T) {
-	mx := mustMatrix(t, 2, noExchange())
-	k := mapColony(1, workload.Grep)
-	row := mx.Row(k)
-	row[0] = 99
-	if mx.Tau(k, 0) == 99 {
-		t.Error("Row exposed internal state")
-	}
-}
-
-func TestMaxTau(t *testing.T) {
-	mx := mustMatrix(t, 3, noExchange())
-	k := mapColony(1, workload.Grep)
-	mx.Feedback(k, 1, 10)
-	mx.Feedback(k, 0, 1000)
-	mx.Update(nil)
-	maxV := mx.MaxTau(k)
-	for m := 0; m < 3; m++ {
-		if mx.Tau(k, m) > maxV {
-			t.Error("MaxTau below an actual trail")
-		}
-	}
-	if maxV != mx.Tau(k, 1) {
-		t.Error("MaxTau should be the rewarded machine's trail")
-	}
+	mx.feedback(keyed(mx, k), 5, 1)
 }

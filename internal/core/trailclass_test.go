@@ -272,19 +272,19 @@ func FuzzTrailClassUpdate(f *testing.F) {
 				key := ColonyKey{JobID: job, App: apps[job%len(apps)], Kind: kinds[rng.Intn(2)]}
 				switch r := rng.Float64(); {
 				case r < 0.15: // a colony forms without feedback
-					got.Tau(key, 0)
-					want.Tau(key, 0)
+					keyed(got, key)
+					keyed(want, key)
 				case r < 0.9:
 					m := rng.Intn(machines)
 					joules := rng.Uniform(1, 5000)
 					if rng.Bernoulli(0.05) {
 						joules = -rng.Float64() // floored to a tiny positive energy
 					}
-					got.Feedback(key, m, joules)
-					want.Feedback(key, m, joules)
+					got.feedback(keyed(got, key), m, joules)
+					want.feedback(keyed(want, key), m, joules)
 				default:
-					got.Retire(job)
-					want.Retire(job)
+					retireJob(got, job)
+					retireJob(want, job)
 				}
 			}
 			for m := range unavailable {
@@ -331,7 +331,7 @@ func TestPowEtaMemo(t *testing.T) {
 	p := DefaultParams()
 	mx := mustMatrix(t, 2, p)
 	k := mapColony(1, workload.Grep)
-	c := mx.colonyFor(k)
+	c := keyed(mx, k)
 	for _, eta := range []float64{1, 1, 0.37, 0.37, 10, 1.0 / 3, 1, 2.5, 2.5} {
 		if got, want := c.powEta(eta, p.Beta), math.Pow(eta, p.Beta); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("powEta(%v, %v) = %v, want %v", eta, p.Beta, got, want)
@@ -341,7 +341,7 @@ func TestPowEtaMemo(t *testing.T) {
 	if err := mx.Clear(p); err != nil {
 		t.Fatal(err)
 	}
-	if c2 := mx.colonyFor(k); c2 != c {
+	if c2 := keyed(mx, k); c2 != c {
 		t.Fatal("Clear did not recycle the colony")
 	}
 	for _, eta := range []float64{2.5, 2.5, 1, 0.37} {

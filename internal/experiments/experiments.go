@@ -27,7 +27,6 @@ import (
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
 	"eant/internal/parallel"
-	"eant/internal/probe"
 	"eant/internal/sched"
 	"eant/internal/sim"
 	"eant/internal/workload"
@@ -218,18 +217,6 @@ func defaultDriverConfig() mapreduce.Config {
 	cfg.Seed = DefaultSeed
 	cfg.Noise = noise.Default()
 	return cfg
-}
-
-// foldProbe builds the probe of one run whose events an experiment folds
-// as they are recorded: every event goes to fold, and since fold, not the
-// ring, is the consumer, the ring holds one event instead of the default
-// 65 536. Each run gets its own probe, so parallel cells share nothing.
-func foldProbe(trails bool, fold func(probe.Event)) *probe.Probe {
-	p, err := probe.New(probe.Config{RingSize: 1, Trails: trails, Sink: fold})
-	if err != nil {
-		panic(err) // a one-event ring and default bounds are always valid
-	}
-	return p
 }
 
 // openLoopTasks builds the §II motivation workload: single-block map-only

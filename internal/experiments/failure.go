@@ -113,11 +113,11 @@ func FailureSweepRun(cfg FailureSweepConfig) (*FailureSweepResult, error) {
 			// The convergence detector reads the task starts and the
 			// control ticks that close each interval.
 			evs := new([]probe.Event)
-			dcfg.Probe = foldProbe(false, func(ev probe.Event) {
+			dcfg.Probe = probe.New(probe.Config{Sink: func(ev probe.Event) {
 				if ev.Kind == probe.KindAssign || ev.Kind == probe.KindControlTick {
 					*evs = append(*evs, ev)
 				}
-			})
+			}})
 			events = append(events, evs)
 			res.Points = append(res.Points, FailurePoint{Sched: schedName, MTBF: mtbf})
 			campaigns = append(campaigns, Campaign{

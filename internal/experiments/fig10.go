@@ -99,14 +99,14 @@ func Fig10() (*Fig10Result, error) {
 			cfg.Noise.DurationCV = 0.25
 			// Each control tick reports the fleet energy it synced.
 			joules, first := new([]float64), len(runs) == 0
-			cfg.Probe = foldProbe(false, func(ev probe.Event) {
+			cfg.Probe = probe.New(probe.Config{Sink: func(ev probe.Event) {
 				if ev.Kind == probe.KindControlTick {
 					*joules = append(*joules, ev.A)
 					if first && tickSpan == 0 {
 						tickSpan = ev.At
 					}
 				}
-			})
+			}})
 			campaigns = append(campaigns, Campaign{Cluster: testbed, Sched: sched, Params: p, Jobs: msd, Config: cfg})
 			runs = append(runs, joules)
 		}

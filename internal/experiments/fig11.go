@@ -48,12 +48,12 @@ type colonyTrail struct {
 func job0MapTrail(app workload.App) (*probe.Probe, *colonyTrail) {
 	tr := new(colonyTrail)
 	label := app.String()
-	p := foldProbe(true, func(ev probe.Event) {
+	p := probe.New(probe.Config{Trails: true, Sink: func(ev probe.Event) {
 		if ev.Kind == probe.KindTrailRow && ev.JobID == 0 && ev.TaskKind == int8(mapreduce.MapTask) && ev.Label == label {
 			tr.times = append(tr.times, ev.At)
 			tr.rows = append(tr.rows, ev.Row)
 		}
-	})
+	}})
 	return p, tr
 }
 

@@ -232,10 +232,7 @@ func TestCountedOffersMatchWalked(t *testing.T) {
 // checked on a cold driver and on one warm driver that Reset brings to the
 // case from a countable configuration and back.
 func TestOfferCountingEligibility(t *testing.T) {
-	pr, err := probe.New(probe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr := probe.New(probe.Config{})
 	fair := func() mapreduce.Scheduler { return sched.NewFair() }
 	type eligibilityCase struct {
 		name  string

@@ -937,6 +937,14 @@ func (d *Driver) completeJob(j *Job) {
 		d.probe.JobDone(j.Finished, j.Spec.ID, false, j.MapsDoneAt, j.LastShuffleEnd)
 	}
 	d.dropJobAggregates(j)
+	d.retireJob(j, "completeJob")
+}
+
+// retireJob ends completed or failed job j's life in the run: it records
+// the job's result from its timeline, takes it out of the active set,
+// reports the mutation as where and stops the engine once the run is
+// over.
+func (d *Driver) retireJob(j *Job, where string) {
 	d.stats.Jobs = append(d.stats.Jobs, JobResult{
 		Spec:           j.Spec,
 		Submitted:      j.Submitted,
@@ -944,6 +952,7 @@ func (d *Driver) completeJob(j *Job) {
 		MapsDoneAt:     j.MapsDoneAt,
 		LastShuffleEnd: j.LastShuffleEnd,
 		Finished:       j.Finished,
+		Failed:         j.failed,
 	})
 	for i, a := range d.active {
 		if a == j {
@@ -951,7 +960,7 @@ func (d *Driver) completeJob(j *Job) {
 			break
 		}
 	}
-	d.mutated("completeJob")
+	d.mutated(where)
 	if d.finished() {
 		d.engine.Stop()
 	}

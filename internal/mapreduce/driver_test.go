@@ -56,19 +56,13 @@ func run(t *testing.T, c *cluster.Cluster, s mapreduce.Scheduler, cfg mapreduce.
 }
 
 // collect returns a probe whose sink appends every event of the given kind
-// to out. The sink, not the ring, is the consumer, so the ring holds one
-// event.
-func collect(t testing.TB, kind probe.Kind, out *[]probe.Event) *probe.Probe {
-	t.Helper()
-	p, err := probe.New(probe.Config{RingSize: 1, Sink: func(ev probe.Event) {
+// to out.
+func collect(kind probe.Kind, out *[]probe.Event) *probe.Probe {
+	return probe.New(probe.Config{Sink: func(ev probe.Event) {
 		if ev.Kind == kind {
 			*out = append(*out, ev)
 		}
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func TestSingleJobCompletes(t *testing.T) {
@@ -504,7 +498,7 @@ func TestTimelineRecordsControlTicks(t *testing.T) {
 	var ticks []probe.Event
 	cfg := mapreduce.DefaultConfig()
 	cfg.ControlInterval = time.Minute
-	cfg.Probe = collect(t, probe.KindControlTick, &ticks)
+	cfg.Probe = collect(probe.KindControlTick, &ticks)
 	jobs := []workload.JobSpec{workload.NewJobSpec(0, workload.Wordcount, 12800, 4, 0)}
 	stats := run(t, smallCluster(), sched.NewFair(), cfg, jobs)
 	if len(ticks) == 0 {

@@ -238,7 +238,7 @@ func idleFaultRun(t *testing.T, fc fault.Config, seed int64, horizon time.Durati
 	cfg.Heartbeat = 30 * time.Second
 	cfg.Seed = seed
 	cfg.Fault = fc
-	cfg.Probe = collect(t, probe.KindMachineState, &states)
+	cfg.Probe = collect(probe.KindMachineState, &states)
 	d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg)
 	if err != nil {
 		t.Fatal(err)

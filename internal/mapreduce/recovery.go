@@ -227,25 +227,7 @@ func (d *Driver) failJob(j *Job) {
 	j.clearLocal()
 
 	d.stats.JobsFailed++
-	d.stats.Jobs = append(d.stats.Jobs, JobResult{
-		Spec:           j.Spec,
-		Submitted:      j.Submitted,
-		FirstStart:     j.FirstStart,
-		MapsDoneAt:     j.MapsDoneAt,
-		LastShuffleEnd: j.LastShuffleEnd,
-		Finished:       j.Finished,
-		Failed:         true,
-	})
-	for i, a := range d.active {
-		if a == j {
-			d.active = append(d.active[:i], d.active[i+1:]...)
-			break
-		}
-	}
-	d.mutated("failJob")
-	if d.finished() {
-		d.engine.Stop()
-	}
+	d.retireJob(j, "failJob")
 }
 
 // noteMachineFailure charges one attempt failure against the machine;

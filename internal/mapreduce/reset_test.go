@@ -41,11 +41,7 @@ var configFields = []struct {
 		c.Fault = fault.Config{MachineMTBF: time.Hour, TaskFailProb: 0.05, BlacklistThreshold: 2}
 	}},
 	{"Probe", func(c *mapreduce.Config, _ *cluster.Cluster) {
-		p, err := probe.New(probe.Config{})
-		if err != nil {
-			panic(err)
-		}
-		c.Probe = p
+		c.Probe = probe.New(probe.Config{})
 	}},
 }
 

@@ -130,15 +130,6 @@ func (c *Context) PopMapPreferLocal(j *Job, m cluster.Machine) *Task {
 	return t
 }
 
-// PopMapAny removes and returns the oldest pending map of j, ignoring
-// locality.
-func (c *Context) PopMapAny(j *Job) *Task {
-	before := j.PendingMaps()
-	t := j.popAnyMap()
-	c.driver.notePending(j, MapTask, j.PendingMaps()-before)
-	return t
-}
-
 // PopReduce removes and returns the next pending reduce of j.
 func (c *Context) PopReduce(j *Job) *Task {
 	before := j.PendingReduces()

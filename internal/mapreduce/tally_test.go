@@ -105,7 +105,7 @@ func checkTallies(t *testing.T, s *mapreduce.Stats, ticks []probe.Event) {
 func talliedRun(t *testing.T, s mapreduce.Scheduler, cfg mapreduce.Config, jobs []workload.JobSpec) *mapreduce.Stats {
 	t.Helper()
 	var ticks []probe.Event
-	cfg.Probe = collect(t, probe.KindControlTick, &ticks)
+	cfg.Probe = collect(probe.KindControlTick, &ticks)
 	stats := run(t, cluster.Testbed(), s, cfg, jobs)
 	checkTallies(t, stats, ticks)
 	return stats

@@ -314,7 +314,9 @@ func (j *Job) MapProgress() float64 {
 	return float64(j.mapsDone) / float64(len(j.Maps))
 }
 
-// PendingMaps returns the number of unassigned map tasks.
+// PendingMaps returns the map FIFO's entry count: the unassigned map
+// tasks plus the stale entries that locality pops leave behind until a
+// FIFO pop skips them (see fifo in arena.go).
 func (j *Job) PendingMaps() int { return int(j.mapQ.n) }
 
 // PendingReduces returns the number of unassigned reduce tasks.

@@ -1,6 +1,9 @@
 package probe
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Histogram is a fixed-boundary counting histogram with exact,
 // deterministic quantiles. Bucket i (0 ≤ i < len(Bounds)) counts
@@ -34,12 +37,12 @@ func NewHistogram(bounds []float64) (*Histogram, error) {
 				i-1, bounds[i-1], i, bounds[i])
 		}
 	}
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{
-		Bounds: b,
-		Counts: make([]uint64, len(b)+1),
-	}, nil
+	return newHistogram(bounds), nil
+}
+
+// newHistogram is NewHistogram over bounds known to be valid.
+func newHistogram(bounds []float64) *Histogram {
+	return &Histogram{Bounds: slices.Clone(bounds), Counts: make([]uint64, len(bounds)+1)}
 }
 
 // Observe adds one value.

@@ -2,8 +2,9 @@
 // structured decision events (slot offer → roulette draw → assignment),
 // per-control-tick pheromone snapshots, and per-machine utilization/energy
 // time series, all stamped with the simulated clock — never the wall
-// clock. Events are kept in a bounded ring and passed, as they are
-// recorded, to an optional in-process sink that sees every one of them.
+// clock. Each event is passed, as it is recorded, to an optional
+// in-process sink; the probe itself keeps no event, only the counts and
+// fixed-boundary histograms of its Report.
 //
 // The package is a pure observer with a hard determinism contract: a probe
 // never draws from a random stream, never schedules an engine event, and
@@ -23,47 +24,36 @@
 package probe
 
 import (
-	"fmt"
+	"slices"
 	"time"
 )
 
-// DefaultRingSize bounds the in-memory event history when Config.RingSize
-// is zero. Older events are overwritten and counted as dropped.
-const DefaultRingSize = 1 << 16
-
-// Default histogram bucket boundaries. Fixed boundaries (rather than
-// adaptive ones) keep merged histograms exact: two probes observing the
-// same values always produce identical, mergeable buckets.
+// Histogram bucket boundaries. Fixed boundaries (rather than adaptive
+// ones) keep merged histograms exact: two probes observing the same values
+// always produce identical, mergeable buckets.
 var (
-	// DefaultEnergyBounds buckets per-task metered energy in joules.
-	DefaultEnergyBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000}
-	// DefaultWaitBounds buckets task queue wait (submit → start) in seconds.
-	DefaultWaitBounds = []float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
-	// DefaultGapBounds buckets per-machine offer gaps in seconds: the time
+	// energyBounds buckets per-task metered energy in joules.
+	energyBounds = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000}
+	// waitBounds buckets task queue wait (submit → start) in seconds.
+	waitBounds = []float64{1, 2, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
+	// gapBounds buckets per-machine offer gaps in seconds: the time
 	// between successive slot offers to the same machine (offer latency).
-	DefaultGapBounds = []float64{1, 3, 6, 15, 30, 60, 120, 300, 900}
+	gapBounds = []float64{1, 3, 6, 15, 30, 60, 120, 300, 900}
 )
 
 // Config parameterizes a probe.
 type Config struct {
-	// RingSize caps the retained event history; 0 means DefaultRingSize.
-	RingSize int
 	// SampleEvery emits a per-machine utilization/energy/slot sample every
 	// N heartbeats (on the simulated clock). 0 disables sampling.
 	SampleEvery int
 	// Trails records each colony's pheromone row at every control tick.
 	Trails bool
 	// Sink, when non-nil, is called with every event at record time, in
-	// sequence order and before any ring overwrite, so it sees the whole
-	// run whatever the ring size. It runs on the driver's goroutine. A
+	// sequence order; it is the only consumer of events, so a caller that
+	// wants them kept appends them. It runs on the driver's goroutine. A
 	// trail_row event's Row is allocated for that event alone and belongs
-	// to the sink, which must not modify it: the ring holds the same slice.
+	// to the sink.
 	Sink func(Event)
-	// EnergyBounds, WaitBounds and GapBounds override the default
-	// histogram bucket boundaries (strictly ascending, all positive).
-	EnergyBounds []float64
-	WaitBounds   []float64
-	GapBounds    []float64
 }
 
 // Probe records observability events for one simulation run. A probe is
@@ -71,7 +61,6 @@ type Config struct {
 // run its own probe and merge the Reports afterwards. The nil *Probe is
 // the disabled probe: every method is a no-op.
 type Probe struct {
-	ring    []Event
 	seq     uint64 // events recorded so far; next event's sequence number
 	sink    func(Event)
 	sampleN int
@@ -88,42 +77,15 @@ type Probe struct {
 }
 
 // New builds a probe from cfg.
-func New(cfg Config) (*Probe, error) {
-	size := cfg.RingSize
-	if size == 0 {
-		size = DefaultRingSize
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("probe: ring size %d is negative", cfg.RingSize)
-	}
-	boundsOr := func(b, def []float64) []float64 {
-		if b == nil {
-			return def
-		}
-		return b
-	}
-	energy, err := NewHistogram(boundsOr(cfg.EnergyBounds, DefaultEnergyBounds))
-	if err != nil {
-		return nil, fmt.Errorf("probe: energy bounds: %w", err)
-	}
-	wait, err := NewHistogram(boundsOr(cfg.WaitBounds, DefaultWaitBounds))
-	if err != nil {
-		return nil, fmt.Errorf("probe: wait bounds: %w", err)
-	}
-	gap, err := NewHistogram(boundsOr(cfg.GapBounds, DefaultGapBounds))
-	if err != nil {
-		return nil, fmt.Errorf("probe: gap bounds: %w", err)
-	}
-	p := &Probe{
-		ring:    make([]Event, 0, size),
+func New(cfg Config) *Probe {
+	return &Probe{
 		sink:    cfg.Sink,
 		sampleN: cfg.SampleEvery,
 		trails:  cfg.Trails,
-		energy:  energy,
-		wait:    wait,
-		gap:     gap,
+		energy:  newHistogram(energyBounds),
+		wait:    newHistogram(waitBounds),
+		gap:     newHistogram(gapBounds),
 	}
-	return p, nil
 }
 
 // Enabled reports whether the probe records anything (nil-safe).
@@ -132,18 +94,12 @@ func (p *Probe) Enabled() bool { return p != nil }
 // TrailsEnabled reports whether pheromone-row snapshots are wanted.
 func (p *Probe) TrailsEnabled() bool { return p != nil && p.trails }
 
-// record passes ev to the sink and appends it to the ring, overwriting
-// the oldest event once the ring is full.
+// record numbers ev and passes it to the sink.
 func (p *Probe) record(ev Event) {
 	ev.Seq = p.seq
 	p.seq++
 	if p.sink != nil {
 		p.sink(ev)
-	}
-	if len(p.ring) < cap(p.ring) {
-		p.ring = append(p.ring, ev)
-	} else {
-		p.ring[ev.Seq%uint64(cap(p.ring))] = ev
 	}
 }
 
@@ -208,15 +164,18 @@ func (p *Probe) ControlTick(at time.Duration, totalJoules float64, tasksDone int
 	p.record(Event{At: at, Kind: KindControlTick, A: totalJoules, N: int32(tasksDone)})
 }
 
-// TrailRow records one colony's pheromone row at a control tick. The row
-// is copied; callers may reuse the slice.
+// TrailRow records one colony's pheromone row at a control tick. A sink
+// gets a copy of the row, so callers may reuse the slice; with no sink the
+// row is not copied.
 func (p *Probe) TrailRow(at time.Duration, jobID int, kind int8, app string, row []float64) {
 	if p == nil {
 		return
 	}
-	cp := make([]float64, len(row))
-	copy(cp, row)
-	p.record(Event{At: at, Kind: KindTrailRow, TaskKind: kind, JobID: int32(jobID), Label: app, Row: cp})
+	ev := Event{At: at, Kind: KindTrailRow, TaskKind: kind, JobID: int32(jobID), Label: app}
+	if p.sink != nil {
+		ev.Row = slices.Clone(row)
+	}
+	p.record(ev)
 }
 
 // MachineState records a machine availability transition: "sleep", "wake",
@@ -273,37 +232,10 @@ func (p *Probe) Sample(at time.Duration, machineID int, machineType string, util
 		A: util, B: joules, N: int32(freeMap), M: int32(freeReduce)})
 }
 
-// Recorded returns the total number of events recorded, including any that
-// have been overwritten in the ring.
+// Recorded returns the total number of events recorded.
 func (p *Probe) Recorded() uint64 {
 	if p == nil {
 		return 0
 	}
 	return p.seq
-}
-
-// Dropped returns how many events were overwritten by ring wrap-around.
-func (p *Probe) Dropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seq - uint64(len(p.ring))
-}
-
-// Events returns the retained events in sequence order (oldest first).
-// The returned slice is a copy.
-func (p *Probe) Events() []Event {
-	if p == nil || len(p.ring) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(p.ring))
-	if len(p.ring) < cap(p.ring) || p.seq == uint64(len(p.ring)) {
-		out = append(out, p.ring...)
-		return out
-	}
-	// The ring has wrapped: the oldest retained event sits at seq % size.
-	start := int(p.seq % uint64(cap(p.ring)))
-	out = append(out, p.ring[start:]...)
-	out = append(out, p.ring[:start]...)
-	return out
 }

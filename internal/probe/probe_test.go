@@ -6,18 +6,17 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-func mustProbe(t testing.TB, cfg Config) *Probe {
-	t.Helper()
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// recorder returns a probe built from cfg whose sink appends every event
+// to *evs: the way a caller keeps a run's events.
+func recorder(cfg Config, evs *[]Event) *Probe {
+	cfg.Sink = func(ev Event) { *evs = append(*evs, ev) }
+	return New(cfg)
 }
 
 // jsonLines is the JSON Lines export eantsim's trace experiment builds as
@@ -33,25 +32,6 @@ func newJSONLines(w io.Writer) *jsonLines { return &jsonLines{enc: json.NewEncod
 func (s *jsonLines) sink(ev Event) {
 	if s.err == nil {
 		s.err = s.enc.Encode(ev)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{RingSize: -1}); err == nil {
-		t.Error("negative ring size should fail")
-	}
-	if _, err := New(Config{EnergyBounds: []float64{2, 1}}); err == nil {
-		t.Error("descending energy bounds should fail")
-	}
-	if _, err := New(Config{WaitBounds: []float64{}}); err == nil {
-		t.Error("empty (non-nil) wait bounds should fail")
-	}
-	if _, err := New(Config{GapBounds: []float64{1, 1}}); err == nil {
-		t.Error("zero-width gap bucket should fail")
-	}
-	p := mustProbe(t, Config{})
-	if cap(p.ring) != DefaultRingSize {
-		t.Errorf("default ring cap = %d, want %d", cap(p.ring), DefaultRingSize)
 	}
 }
 
@@ -74,8 +54,8 @@ func TestNilProbeIsNoOp(t *testing.T) {
 	if p.ShouldSample() {
 		t.Error("nil probe should never sample")
 	}
-	if p.Recorded() != 0 || p.Dropped() != 0 || p.Events() != nil {
-		t.Error("nil probe accessors should return zero values")
+	if p.Recorded() != 0 {
+		t.Error("nil probe should record nothing")
 	}
 	r := p.Report()
 	if r.Events != 0 || r.TaskEnergyJ != nil {
@@ -83,65 +63,42 @@ func TestNilProbeIsNoOp(t *testing.T) {
 	}
 }
 
-func TestRingWrapAndDropped(t *testing.T) {
-	p := mustProbe(t, Config{RingSize: 4})
-	for i := 0; i < 10; i++ {
-		p.ControlTick(time.Duration(i)*time.Second, float64(i), i)
+// TestProbeFootprint bounds what a probe with no sink allocates across New
+// and a few thousand records of every kind: it keeps counts and
+// histograms, not events, so its footprint does not grow with the run.
+func TestProbeFootprint(t *testing.T) {
+	row := make([]float64, 256)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := New(Config{SampleEvery: 1, Trails: true})
+	const rounds = 512
+	for i := range rounds {
+		at := time.Duration(i) * time.Second
+		m := i % 64
+		p.JobSubmit(at, i, "sort", 4, 1)
+		p.Offer(at, m, 0, 3)
+		p.Draw(at, m, i, 0, 0.5, 0.25, true)
+		p.Assign(at, i, 0, m, 0, "sort", true, 10, 2)
+		p.Complete(at, i, 0, m, 0, 10, 11, 1)
+		p.Sample(at, m, "atom", 0.5, 10, 1, 1)
+		p.ControlTick(at, 100, i)
+		p.TrailRow(at, i, 0, "sort", row)
+		p.MachineState(at, m, "sleep")
+		p.JobDone(at, i, false, at, at)
 	}
-	if p.Recorded() != 10 {
-		t.Errorf("Recorded = %d, want 10", p.Recorded())
+	runtime.ReadMemStats(&after)
+	if p.Recorded() != 10*rounds {
+		t.Fatalf("Recorded = %d, want %d", p.Recorded(), 10*rounds)
 	}
-	if p.Dropped() != 6 {
-		t.Errorf("Dropped = %d, want 6", p.Dropped())
-	}
-	evs := p.Events()
-	if len(evs) != 4 {
-		t.Fatalf("len(Events) = %d, want 4", len(evs))
-	}
-	// Oldest retained first, strictly increasing sequence.
-	for i, ev := range evs {
-		if want := uint64(6 + i); ev.Seq != want {
-			t.Errorf("event %d Seq = %d, want %d", i, ev.Seq, want)
-		}
-	}
-}
-
-func TestEventsNoWrap(t *testing.T) {
-	p := mustProbe(t, Config{RingSize: 8})
-	p.JobSubmit(0, 1, "sort", 4, 2)
-	p.JobDone(time.Minute, 1, false, 0, 0)
-	if p.Dropped() != 0 {
-		t.Errorf("Dropped = %d, want 0", p.Dropped())
-	}
-	evs := p.Events()
-	if len(evs) != 2 || evs[0].Kind != KindJobSubmit || evs[1].Kind != KindJobDone {
-		t.Fatalf("unexpected events %+v", evs)
-	}
-	// Events returns a copy: mutating it must not affect the probe.
-	evs[0].JobID = 99
-	if p.Events()[0].JobID != 1 {
-		t.Error("Events must return a copy")
-	}
-}
-
-func TestEventsExactlyFull(t *testing.T) {
-	p := mustProbe(t, Config{RingSize: 3})
-	for i := 0; i < 3; i++ {
-		p.ControlTick(time.Duration(i), 0, i)
-	}
-	evs := p.Events()
-	if len(evs) != 3 || p.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d", len(evs), p.Dropped())
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i) {
-			t.Errorf("event %d Seq = %d", i, ev.Seq)
-		}
+	const bound = 64 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("a probe with no sink allocated %d bytes over %d records, want at most %d", got, p.Recorded(), bound)
 	}
 }
 
 func TestOfferGapHistogram(t *testing.T) {
-	p := mustProbe(t, Config{})
+	p := New(Config{})
 	p.Offer(10*time.Second, 2, 0, 5)
 	p.Offer(13*time.Second, 2, 0, 4) // 3 s gap on machine 2
 	p.Offer(20*time.Second, 0, 1, 1) // first offer on machine 0: no gap
@@ -155,7 +112,7 @@ func TestOfferGapHistogram(t *testing.T) {
 }
 
 func TestAssignAndCompleteFeedHistograms(t *testing.T) {
-	p := mustProbe(t, Config{})
+	p := New(Config{})
 	p.Assign(time.Minute, 1, 0, 2, 0, "sort", true, 30, 7.5)
 	p.Complete(2*time.Minute, 1, 0, 2, 0, 100, 120, 60)
 	r := p.Report()
@@ -168,7 +125,7 @@ func TestAssignAndCompleteFeedHistograms(t *testing.T) {
 }
 
 func TestShouldSampleCadence(t *testing.T) {
-	p := mustProbe(t, Config{SampleEvery: 3})
+	p := New(Config{SampleEvery: 3})
 	var fired []int
 	for i := 1; i <= 9; i++ {
 		if p.ShouldSample() {
@@ -184,32 +141,38 @@ func TestShouldSampleCadence(t *testing.T) {
 			t.Fatalf("fired at %v, want %v", fired, want)
 		}
 	}
-	off := mustProbe(t, Config{})
+	off := New(Config{})
 	if off.ShouldSample() {
 		t.Error("SampleEvery=0 should never sample")
 	}
 }
 
+// TestTrailRowCopies: the sink gets its own copy of a trail row, and with
+// no sink TrailRow copies nothing.
 func TestTrailRowCopies(t *testing.T) {
-	p := mustProbe(t, Config{Trails: true})
+	var evs []Event
+	p := recorder(Config{Trails: true}, &evs)
 	if !p.TrailsEnabled() {
 		t.Fatal("trails should be enabled")
 	}
 	row := []float64{1, 2, 3}
 	p.TrailRow(0, 1, 0, "sort", row)
 	row[0] = 99
-	if got := p.Events()[0].Row[0]; got != 1 {
+	if got := evs[0].Row[0]; got != 1 {
 		t.Errorf("TrailRow must copy the slice; got %v", got)
+	}
+	bare := New(Config{Trails: true})
+	if allocs := testing.AllocsPerRun(100, func() { bare.TrailRow(0, 1, 0, "sort", row) }); allocs != 0 {
+		t.Errorf("TrailRow with no sink allocates %.0f times, want 0", allocs)
 	}
 }
 
 // TestSinkSeesEveryEvent: the sink receives every event at record time,
-// in sequence order, however small the ring; a trail_row event's Row stays
-// the sink's after the caller reuses its slice and the ring drops the
-// event.
+// in sequence order; a trail_row event's Row stays the sink's after the
+// caller reuses its slice.
 func TestSinkSeesEveryEvent(t *testing.T) {
 	var got []Event
-	p := mustProbe(t, Config{RingSize: 2, Trails: true, Sink: func(ev Event) { got = append(got, ev) }})
+	p := recorder(Config{Trails: true}, &got)
 	row := []float64{1, 2, 3}
 	p.TrailRow(time.Second, 4, 1, "sort", row)
 	row[0] = 99
@@ -227,19 +190,15 @@ func TestSinkSeesEveryEvent(t *testing.T) {
 	if got[0].Kind != KindTrailRow || !reflect.DeepEqual(got[0].Row, []float64{1, 2, 3}) {
 		t.Errorf("retained trail_row event = %+v, want row [1 2 3]", got[0])
 	}
-	ring := p.Events()
-	if len(ring) != 2 || ring[0].Seq != 8 || ring[1].Seq != 9 || p.Dropped() != 8 {
-		t.Errorf("ring kept %d events (dropped %d), want seq 8 and 9", len(ring), p.Dropped())
-	}
-	if !reflect.DeepEqual(ring, got[8:]) {
-		t.Error("ring and sink disagree on the last two events")
+	if p.Recorded() != 10 {
+		t.Errorf("Recorded = %d, want 10", p.Recorded())
 	}
 }
 
 func TestStreamJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	s := newJSONLines(&buf)
-	p := mustProbe(t, Config{Sink: s.sink})
+	p := New(Config{Sink: s.sink})
 	p.JobSubmit(90*time.Second, 3, "grep", 8, 1)
 	p.Draw(91*time.Second, 2, 3, 0, 1.5, 0.75, true)
 	p.Complete(100*time.Second, 3, 0, 2, 2, 50, 55, 9)
@@ -300,7 +259,7 @@ func TestStreamJSONL(t *testing.T) {
 func TestStreamJobDoneTimeline(t *testing.T) {
 	var buf bytes.Buffer
 	s := newJSONLines(&buf)
-	p := mustProbe(t, Config{Sink: s.sink})
+	p := New(Config{Sink: s.sink})
 	p.JobDone(300*time.Second, 4, false, 120*time.Second, 150*time.Second)
 	p.JobDone(310*time.Second, 5, true, 0, 0)
 	if s.err != nil {
@@ -336,7 +295,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // and the probe keeps recording past it.
 func TestStreamErrorSticky(t *testing.T) {
 	s := newJSONLines(&failWriter{n: 1})
-	p := mustProbe(t, Config{Sink: s.sink})
+	p := New(Config{Sink: s.sink})
 	p.ControlTick(0, 0, 0)
 	if s.err != nil {
 		t.Fatalf("first write should succeed: %v", s.err)
@@ -346,14 +305,14 @@ func TestStreamErrorSticky(t *testing.T) {
 	if err == nil || err.Error() != "disk full" {
 		t.Fatalf("want the writer's error, got %v", err)
 	}
-	// Later records must not clear or replace the error, and the ring keeps
-	// recording regardless.
+	// Later records must not clear or replace the error, and the probe
+	// keeps recording regardless.
 	p.ControlTick(2*time.Second, 2, 2)
 	if s.err != err {
 		t.Error("stream error should be sticky")
 	}
-	if p.Recorded() != 3 || len(p.Events()) != 3 {
-		t.Errorf("ring should keep recording past stream errors; Recorded=%d", p.Recorded())
+	if p.Recorded() != 3 {
+		t.Errorf("the probe should keep recording past stream errors; Recorded=%d", p.Recorded())
 	}
 }
 
@@ -375,7 +334,7 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestReportDeepCopies(t *testing.T) {
-	p := mustProbe(t, Config{})
+	p := New(Config{})
 	p.Complete(0, 0, 0, 0, 0, 10, 12, 1)
 	r := p.Report()
 	r.TaskEnergyJ.Counts[0] = 999
@@ -386,8 +345,8 @@ func TestReportDeepCopies(t *testing.T) {
 }
 
 func TestMergeReports(t *testing.T) {
-	a := mustProbe(t, Config{RingSize: 2})
-	b := mustProbe(t, Config{})
+	a := New(Config{})
+	b := New(Config{})
 	for i := 0; i < 5; i++ {
 		a.Complete(0, 0, i, 0, 0, 10, float64(10+i), 1)
 	}
@@ -400,9 +359,6 @@ func TestMergeReports(t *testing.T) {
 	}
 	if m.Events != a.Recorded()+b.Recorded() {
 		t.Errorf("merged Events = %d, want %d", m.Events, a.Recorded()+b.Recorded())
-	}
-	if m.Dropped != 3 {
-		t.Errorf("merged Dropped = %d, want 3", m.Dropped)
 	}
 	if m.TaskEnergyJ.Count != 6 || m.TaskEnergyJ.Max != 200 {
 		t.Errorf("merged energy: count=%d max=%v", m.TaskEnergyJ.Count, m.TaskEnergyJ.Max)
@@ -427,17 +383,17 @@ func TestMergeReports(t *testing.T) {
 }
 
 func TestMergeReportsBoundsMismatch(t *testing.T) {
-	a := mustProbe(t, Config{EnergyBounds: []float64{1, 2}})
-	b := mustProbe(t, Config{EnergyBounds: []float64{1, 3}})
-	a.Complete(0, 0, 0, 0, 0, 1, 1, 1)
-	b.Complete(0, 0, 0, 0, 0, 1, 1, 1)
-	if _, err := MergeReports(a.Report(), b.Report()); err == nil {
+	a := Report{TaskEnergyJ: mustHistogram(t, []float64{1, 2})}
+	b := Report{TaskEnergyJ: mustHistogram(t, []float64{1, 3})}
+	a.TaskEnergyJ.Observe(1)
+	b.TaskEnergyJ.Observe(1)
+	if _, err := MergeReports(a, b); err == nil {
 		t.Error("merging reports with different bounds should fail")
 	}
 }
 
 func TestReportWriteJSON(t *testing.T) {
-	p := mustProbe(t, Config{})
+	p := New(Config{})
 	p.Complete(time.Minute, 1, 0, 0, 0, 10, 11, 5)
 	var buf bytes.Buffer
 	if err := p.Report().WriteJSON(&buf); err != nil {

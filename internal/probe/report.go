@@ -6,13 +6,12 @@ import (
 	"io"
 )
 
-// Report is a probe's aggregate view: event accounting plus the fixed-
+// Report is a probe's aggregate view: the event count plus the fixed-
 // boundary histograms. Reports from independent sweep runs merge with
 // MergeReports, which the parallel runner applies in submission order so
 // the aggregate is bit-identical however the workers interleaved.
 type Report struct {
-	Events  uint64 `json:"events"`
-	Dropped uint64 `json:"dropped"`
+	Events uint64 `json:"events"`
 	// TaskEnergyJ buckets per-task metered energy (joules), QueueWaitS
 	// task queue wait (submit → start, seconds), OfferGapS per-machine
 	// offer gaps (seconds).
@@ -29,7 +28,6 @@ func (p *Probe) Report() Report {
 	}
 	return Report{
 		Events:      p.seq,
-		Dropped:     p.Dropped(),
 		TaskEnergyJ: p.energy.Clone(),
 		QueueWaitS:  p.wait.Clone(),
 		OfferGapS:   p.gap.Clone(),
@@ -44,7 +42,6 @@ func MergeReports(reports ...Report) (Report, error) {
 	var out Report
 	for i, r := range reports {
 		out.Events += r.Events
-		out.Dropped += r.Dropped
 		var err error
 		if out.TaskEnergyJ, err = mergeHist(out.TaskEnergyJ, r.TaskEnergyJ); err != nil {
 			return Report{}, fmt.Errorf("probe: merging report %d task energy: %w", i, err)

@@ -49,7 +49,7 @@ func finite(x float64) float64 {
 // for Perfetto (ui.perfetto.dev) or chrome://tracing: machines become
 // threads of a "cluster" process, task attempts duration spans on their
 // machine's thread (reconstructed from completion events, so spans survive
-// ring overwrites of their start), control ticks instants plus fleet
+// an event list that lacks their start), control ticks instants plus fleet
 // counters, machine samples per-machine counters, and jobs spans of a
 // separate "jobs" process. Every string passes through encoding/json, so
 // hostile job or machine names cannot corrupt the document.
@@ -121,7 +121,7 @@ func WriteTimeline(w io.Writer, events []Event) error {
 			}
 			start, ok := jobStart[ev.JobID]
 			if !ok {
-				// The submit event was overwritten in the ring; record the
+				// The event list lacks the submit event; record the
 				// completion as an instant rather than inventing a span.
 				enc.emit(traceEvent{Name: name, Cat: ev.Kind.String(), Ph: "i", Ts: micros(ev.At),
 					Pid: pidJobs, Tid: int(ev.JobID), Scope: "t"})

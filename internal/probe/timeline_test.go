@@ -35,7 +35,8 @@ func TestWriteTimelineEmpty(t *testing.T) {
 }
 
 func TestWriteTimelineSpansAndCounters(t *testing.T) {
-	p := mustProbe(t, Config{SampleEvery: 1})
+	var events []Event
+	p := recorder(Config{SampleEvery: 1}, &events)
 	p.JobSubmit(0, 7, "sort", 2, 1)
 	p.Sample(10*time.Second, 3, "atom", 0.5, 100, 1, 1)
 	p.Complete(30*time.Second, 7, 0, 3, 2, 40, 44, 20)
@@ -44,7 +45,7 @@ func TestWriteTimelineSpansAndCounters(t *testing.T) {
 	p.JobDone(80*time.Second, 7, false, 0, 0)
 
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, p.Events()); err != nil {
+	if err := WriteTimeline(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	evs := decodeTimeline(t, buf.Bytes())
@@ -98,7 +99,8 @@ func TestWriteTimelineSpansAndCounters(t *testing.T) {
 // record carries its originating probe kind as the Chrome trace "cat"
 // field, and that metadata records carry none.
 func TestWriteTimelineEventCategories(t *testing.T) {
-	p := mustProbe(t, Config{SampleEvery: 1})
+	var events []Event
+	p := recorder(Config{SampleEvery: 1}, &events)
 	p.JobSubmit(0, 7, "sort", 2, 1)
 	p.Sample(10*time.Second, 3, "atom", 0.5, 100, 1, 1)
 	p.Complete(30*time.Second, 7, 0, 3, 2, 40, 44, 20)
@@ -107,7 +109,7 @@ func TestWriteTimelineEventCategories(t *testing.T) {
 	p.JobDone(80*time.Second, 7, false, 0, 0)
 
 	var buf bytes.Buffer
-	if err := WriteTimeline(&buf, p.Events()); err != nil {
+	if err := WriteTimeline(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]string{
@@ -145,7 +147,7 @@ func TestWriteTimelineEventCategories(t *testing.T) {
 }
 
 func TestWriteTimelineJobDoneWithoutSubmit(t *testing.T) {
-	// Submit overwritten in the ring: completion must degrade to an instant.
+	// No submit event in the list: completion must degrade to an instant.
 	evs := []Event{{At: time.Minute, Kind: KindJobDone, JobID: 4, Flag: true}}
 	var buf bytes.Buffer
 	if err := WriteTimeline(&buf, evs); err != nil {
