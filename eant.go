@@ -411,9 +411,9 @@ func (r *Runner) Run(spec RunSpec) (*Result, error) {
 // (until a garbage collection empties the pool), so a sweep of many
 // RunMany calls over one fleet pays the world-construction cost about
 // once per worker, not once per call. A worker that runs the same mix
-// with the same seed, replica count and placement constraints as its
-// previous run (one mix under several policies) restores that run's HDFS
-// placement instead of drawing it again. Clusters are always cloned into
+// with the same seed and consolidation covering set as its previous run
+// (one mix under several policies) restores that run's HDFS placement
+// instead of drawing it again. Clusters are always cloned into
 // the worlds, so concurrent runs never share machine state and the
 // caller's clusters are never mutated.
 func RunMany(specs []RunSpec, workers int) ([]*Result, error) {

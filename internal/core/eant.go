@@ -172,13 +172,6 @@ func (e *EAnt) OnSlotFreeChange(ctx *mapreduce.Context, m cluster.Machine, kind 
 // Name implements mapreduce.Scheduler.
 func (e *EAnt) Name() string { return "E-Ant" }
 
-// Params returns the scheduler's configuration.
-func (e *EAnt) Params() Params { return e.p }
-
-// Matrix exposes the pheromone state for inspection (Table II dumps,
-// tests). Nil until the first assignment.
-func (e *EAnt) Matrix() *Matrix { return e.mx }
-
 // init is called on every offer; the fast path must inline to a single
 // load-and-branch, so the one-time construction lives in initSlow.
 func (e *EAnt) init(ctx *mapreduce.Context) {

@@ -152,20 +152,6 @@ func TestEAntAffinityMatchesWorkloadsToMachines(t *testing.T) {
 		eT420, fT420, wcFrac(eant, "Atom"))
 }
 
-func TestEAntPheromoneMatrixExposed(t *testing.T) {
-	e := core.MustNewEAnt(core.DefaultParams())
-	if e.Matrix() != nil {
-		t.Error("matrix should be nil before first assignment")
-	}
-	runSched(t, cluster.Testbed(), e, mixedJobs(3), 11)
-	if e.Matrix() == nil {
-		t.Error("matrix not materialized after run")
-	}
-	if got := e.Params().Rho; got != 0.5 {
-		t.Errorf("Params().Rho = %v", got)
-	}
-}
-
 func TestEAntGreedyAblationRuns(t *testing.T) {
 	p := core.DefaultParams()
 	p.Greedy = true

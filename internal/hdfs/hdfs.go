@@ -19,8 +19,8 @@ import (
 	"eant/internal/workload"
 )
 
-// DefaultReplication is HDFS's default replica count.
-const DefaultReplication = 3
+// Replication is the replica count: HDFS's default, which every run uses.
+const Replication = 3
 
 // Namespace places and resolves input files. Every placed block's replica
 // IDs sit in one retained array, Stride() entries per block and the files
@@ -28,18 +28,13 @@ const DefaultReplication = 3
 // the array has room. Not safe for concurrent use; the simulation loop is
 // single-threaded.
 type Namespace struct {
-	cluster     *cluster.Cluster
-	replication int
+	cluster *cluster.Cluster
 	// replicas holds the placed blocks' replica IDs; files locates each
 	// job's blocks in it.
 	replicas []int32
 	files    map[int]span
 	// blocksHeld counts replicas per machine, used to balance placement.
 	blocksHeld []int
-	// excluded marks compute-only machines that never receive replicas;
-	// nExcluded counts them.
-	excluded  []bool
-	nExcluded int
 	// covering, when set, constrains each block's first replica to these
 	// machines (the consolidation covering subset).
 	covering []int
@@ -62,59 +57,42 @@ type file struct {
 }
 
 // placement records a successful Place: the inputs its draws are a pure
-// function of (the stream seed, the replica count, the exclusions, the
-// covering set and the mix's job IDs and block counts, the latter in
-// files), and what it produced beyond the replica array (the file spans
-// and the balance counts). valid is false until a Place succeeds, and
-// from the start of a Place that draws.
+// function of (the stream seed, the covering set and the mix's job IDs and
+// block counts, the latter in files), and what it produced beyond the
+// replica array (the file spans and the balance counts). valid is false
+// until a Place succeeds, and from the start of a Place that draws.
 type placement struct {
-	valid       bool
-	seed        int64
-	replication int
-	excluded    []bool
-	covering    []int
-	files       []file
-	blocksHeld  []int
+	valid      bool
+	seed       int64
+	covering   []int
+	files      []file
+	blocksHeld []int
 }
 
 // NewNamespace returns an empty namespace over c whose placements draw
-// from a stream seeded with seed. replication is defaulted and clamped as
-// Reset does.
-func NewNamespace(c *cluster.Cluster, replication int, seed int64) *Namespace {
+// from a stream seeded with seed.
+func NewNamespace(c *cluster.Cluster, seed int64) *Namespace {
 	ns := &Namespace{
 		cluster:    c,
 		files:      make(map[int]span),
 		blocksHeld: make([]int, c.Size()),
-		excluded:   make([]bool, c.Size()),
 	}
-	ns.Reset(replication, seed)
+	ns.Reset(seed)
 	return ns
 }
 
-// Replication returns the effective replica count.
-func (ns *Namespace) Replication() int { return ns.replication }
+// Stride returns how many replicas each block gets: Replication, clamped
+// to the fleet size.
+func (ns *Namespace) Stride() int { return min(Replication, ns.cluster.Size()) }
 
-// Stride returns how many replicas each block gets: the replica count,
-// clamped to the machines not excluded from placement.
-func (ns *Namespace) Stride() int {
-	return min(ns.replication, ns.cluster.Size()-ns.nExcluded)
-}
-
-// Reset empties the namespace, adopts the replica count (DefaultReplication
-// when non-positive, clamped to the cluster size) and rewinds its RNG
-// stream to the given seed, so a subsequent identical Place reproduces the
-// original placement bit for bit. The replica array and the record of the
-// last placement are kept for the next Place; exclusions and the covering
-// constraint are dropped (the driver re-applies them before placing).
-func (ns *Namespace) Reset(replication int, seed int64) {
-	if replication <= 0 {
-		replication = DefaultReplication
-	}
-	ns.replication = min(replication, ns.cluster.Size())
+// Reset empties the namespace and rewinds its RNG stream to the given
+// seed, so a subsequent identical Place reproduces the original placement
+// bit for bit. The replica array and the record of the last placement are
+// kept for the next Place; the covering constraint is dropped (the driver
+// re-applies it before placing).
+func (ns *Namespace) Reset(seed int64) {
 	clear(ns.files)
 	clear(ns.blocksHeld)
-	clear(ns.excluded)
-	ns.nExcluded = 0
 	ns.covering = ns.covering[:0]
 	ns.seed = seed
 	ns.rng.Reseed(seed)
@@ -135,23 +113,6 @@ func (ns *Namespace) PreferFirstReplicaOn(machineIDs []int) {
 	}
 }
 
-// ExcludeFromPlacement marks a machine as compute-only (no DataNode):
-// placements never put replicas there. Exclusions change the stride, so
-// they must all come before the Place that follows a Reset; a later one
-// panics. Excluding every machine panics at the next Place.
-func (ns *Namespace) ExcludeFromPlacement(machineID int) {
-	if machineID < 0 || machineID >= ns.cluster.Size() {
-		panic(fmt.Sprintf("hdfs: exclude of machine %d in fleet of %d", machineID, ns.cluster.Size()))
-	}
-	if len(ns.files) > 0 {
-		panic(fmt.Sprintf("hdfs: exclude of machine %d after placement", machineID))
-	}
-	if !ns.excluded[machineID] {
-		ns.excluded[machineID] = true
-		ns.nExcluded++
-	}
-}
-
 // Place creates the input files of a run's whole mix, one per job in
 // submission order, each of the job's NumMaps blocks, choosing replica
 // sets that are distinct per block and globally balanced. It places into
@@ -160,11 +121,11 @@ func (ns *Namespace) ExcludeFromPlacement(machineID int) {
 // returns an error; the jobs before it stay placed.
 //
 // A placement is a pure function of its inputs: the stream seed, the
-// replica count, the exclusions, the covering set and the mix's job IDs
-// and block counts. When they all equal those of the last successful
-// Place, Place restores that placement (its replica array is still in
-// place) instead of drawing it again: O(jobs + machines), and no draw from
-// the stream, which nothing else reads.
+// covering set and the mix's job IDs and block counts. When they all
+// equal those of the last successful Place, Place restores that placement
+// (its replica array is still in place) instead of drawing it again:
+// O(jobs + machines), and no draw from the stream, which nothing else
+// reads.
 func (ns *Namespace) Place(mix []workload.JobSpec) error {
 	if len(ns.files) > 0 {
 		return fmt.Errorf("hdfs: namespace already holds a placement")
@@ -178,9 +139,6 @@ func (ns *Namespace) Place(mix []workload.JobSpec) error {
 	}
 	ns.last.valid = false
 	s := ns.Stride()
-	if s <= 0 {
-		panic("hdfs: every machine excluded from placement")
-	}
 	ns.replicas = ns.replicas[:0]
 	for _, spec := range mix {
 		if _, ok := ns.files[spec.ID]; ok {
@@ -208,8 +166,7 @@ func (ns *Namespace) Reused() bool { return ns.reused }
 // those of the last successful Place.
 func (ns *Namespace) repeats(mix []workload.JobSpec) bool {
 	l := &ns.last
-	if !l.valid || l.seed != ns.seed || l.replication != ns.replication || len(l.files) != len(mix) ||
-		!slices.Equal(l.excluded, ns.excluded) || !slices.Equal(l.covering, ns.covering) {
+	if !l.valid || l.seed != ns.seed || len(l.files) != len(mix) || !slices.Equal(l.covering, ns.covering) {
 		return false
 	}
 	for i, f := range l.files {
@@ -226,8 +183,6 @@ func (ns *Namespace) record(mix []workload.JobSpec) {
 	l := &ns.last
 	l.valid = true
 	l.seed = ns.seed
-	l.replication = ns.replication
-	l.excluded = append(l.excluded[:0], ns.excluded...)
 	l.covering = append(l.covering[:0], ns.covering...)
 	l.files = l.files[:0]
 	for _, spec := range mix {
@@ -236,35 +191,25 @@ func (ns *Namespace) record(mix []workload.JobSpec) {
 	l.blocksHeld = append(l.blocksHeld[:0], ns.blocksHeld...)
 }
 
-// pickReplicas fills dst with distinct placeable machines, preferring
-// machines holding fewer replicas (power-of-two-choices balancing with
-// random tie-breaking). Membership tests scan the (≤ replication-long)
-// part already chosen — same draws, no per-block map.
+// pickReplicas fills dst with distinct machines, preferring machines
+// holding fewer replicas (power-of-two-choices balancing with random
+// tie-breaking). Membership tests scan the (≤ Replication-long) part
+// already chosen — same draws, no per-block map.
 func (ns *Namespace) pickReplicas(dst []int32) {
 	n := ns.cluster.Size()
 	chosen := dst[:0]
-	inChosen := func(id int) bool {
-		for _, c := range chosen {
-			if int(c) == id {
-				return true
-			}
-		}
-		return false
-	}
-	usable := func(id int) bool { return !inChosen(id) && !ns.excluded[id] }
+	usable := func(id int) bool { return !slices.Contains(chosen, int32(id)) }
 	if len(ns.covering) > 0 {
 		// First replica on the least-loaded covering machine (random
 		// tie-break via a two-candidate draw).
 		a := ns.covering[ns.rng.Intn(len(ns.covering))]
 		b := ns.covering[ns.rng.Intn(len(ns.covering))]
 		pick := a
-		if usable(b) && (!usable(a) || ns.blocksHeld[b] < ns.blocksHeld[a]) {
+		if ns.blocksHeld[b] < ns.blocksHeld[a] {
 			pick = b
 		}
-		if usable(pick) {
-			ns.blocksHeld[pick]++
-			chosen = append(chosen, int32(pick))
-		}
+		ns.blocksHeld[pick]++
+		chosen = append(chosen, int32(pick))
 	}
 	for len(chosen) < len(dst) {
 		// Two random candidates; keep the less-loaded usable one.

@@ -38,7 +38,7 @@ func place(t testing.TB, ns *Namespace, jobID, blocks int) [][]int32 {
 }
 
 func TestPlaceReplicasDistinct(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, 1)
+	ns := NewNamespace(testCluster(10), 1)
 	for b, reps := range place(t, ns, 1, 200) {
 		if len(reps) != 3 {
 			t.Fatalf("block %d has %d replicas, want 3", b, len(reps))
@@ -63,7 +63,7 @@ func TestPlaceReplicasDistinct(t *testing.T) {
 // placement is drawn (a new seed each time) or restored (the same inputs
 // again).
 func TestWarmPlaceAllocatesNothing(t *testing.T) {
-	ns := NewNamespace(testCluster(10), 3, 1)
+	ns := NewNamespace(testCluster(10), 1)
 	if err := ns.Place([]workload.JobSpec{job(1, 400), job(2, 400)}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestWarmPlaceAllocatesNothing(t *testing.T) {
 				if redraw {
 					seed++
 				}
-				ns.Reset(3, seed)
+				ns.Reset(seed)
 				if err := ns.Place(one(1, blocks)); err != nil {
 					t.Fatal(err)
 				}
@@ -91,7 +91,7 @@ func TestWarmPlaceAllocatesNothing(t *testing.T) {
 
 func TestPlaceBalanced(t *testing.T) {
 	c := testCluster(8)
-	ns := NewNamespace(c, 3, 2)
+	ns := NewNamespace(c, 2)
 	if err := ns.Place(one(1, 800)); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +105,9 @@ func TestPlaceBalanced(t *testing.T) {
 }
 
 func TestReplicationClampedToClusterSize(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 3, 3)
-	if ns.Replication() != 2 {
-		t.Fatalf("Replication() = %d, want clamped 2", ns.Replication())
+	ns := NewNamespace(testCluster(2), 3)
+	if ns.Stride() != 2 {
+		t.Fatalf("Stride() = %d, want clamped 2", ns.Stride())
 	}
 	for _, reps := range place(t, ns, 1, 5) {
 		if len(reps) != 2 {
@@ -116,36 +116,12 @@ func TestReplicationClampedToClusterSize(t *testing.T) {
 	}
 }
 
+// TestDefaultReplicationApplied checks that a fleet with room for every
+// replica gets Replication of them per block.
 func TestDefaultReplicationApplied(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 0, 4)
-	if ns.Replication() != DefaultReplication {
-		t.Errorf("Replication() = %d, want %d", ns.Replication(), DefaultReplication)
-	}
-}
-
-// TestResetAdoptsReplication checks that Reset applies the replica count
-// as NewNamespace does, so a reset namespace places like a new one.
-func TestResetAdoptsReplication(t *testing.T) {
-	c := testCluster(5)
-	ns := NewNamespace(c, 3, 1)
-	if err := ns.Place(one(1, 20)); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{1, 0, 9} {
-		ns.Reset(r, 2)
-		fresh := NewNamespace(c, r, 2)
-		if ns.Replication() != fresh.Replication() {
-			t.Fatalf("Reset(%d): Replication() = %d, new namespace has %d", r, ns.Replication(), fresh.Replication())
-		}
-		if err := ns.Place(one(1, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Place(one(1, 20)); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := ns.File(1), fresh.File(1); !slices.Equal(got, want) {
-			t.Errorf("Reset(%d): placement %v, new namespace placed %v", r, got, want)
-		}
+	ns := NewNamespace(testCluster(5), 4)
+	if ns.Stride() != Replication {
+		t.Errorf("Stride() = %d on 5 machines, want %d", ns.Stride(), Replication)
 	}
 }
 
@@ -153,7 +129,7 @@ func TestResetAdoptsReplication(t *testing.T) {
 // is not recorded as a placement to restore: placed again after a Reset,
 // it fails again.
 func TestPlaceErrors(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, 5)
+	ns := NewNamespace(testCluster(5), 5)
 	if err := ns.Place(one(1, 0)); err == nil {
 		t.Error("zero blocks accepted")
 	}
@@ -165,7 +141,7 @@ func TestPlaceErrors(t *testing.T) {
 	}
 	dup := []workload.JobSpec{job(1, 10), job(2, 4), job(1, 10)}
 	for i := 0; i < 2; i++ {
-		ns.Reset(3, 5)
+		ns.Reset(5)
 		if err := ns.Place(dup); err == nil {
 			t.Errorf("pass %d: duplicate job ID accepted", i)
 		}
@@ -173,7 +149,7 @@ func TestPlaceErrors(t *testing.T) {
 }
 
 func TestIsLocalMatchesReplicas(t *testing.T) {
-	ns := NewNamespace(testCluster(6), 3, 6)
+	ns := NewNamespace(testCluster(6), 6)
 	if err := ns.Place(one(7, 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +168,7 @@ func TestIsLocalMatchesReplicas(t *testing.T) {
 }
 
 func TestUnplacedLookupsPanic(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 2, 8)
+	ns := NewNamespace(testCluster(3), 8)
 	for _, fn := range []func(){
 		func() { ns.Replicas(1, 0) },
 		func() { ns.IsLocal(1, 0, 0) },
@@ -208,88 +184,18 @@ func TestUnplacedLookupsPanic(t *testing.T) {
 	}
 }
 
-func TestExcludeFromPlacement(t *testing.T) {
-	ns := NewNamespace(testCluster(5), 3, 10)
-	ns.ExcludeFromPlacement(2)
-	for b, reps := range place(t, ns, 1, 100) {
-		for _, id := range reps {
-			if id == 2 {
-				t.Fatalf("block %d placed on excluded machine 2", b)
-			}
-		}
-	}
-	if ns.BlocksHeld(2) != 0 {
-		t.Error("excluded machine holds replicas")
-	}
-}
-
-func TestExcludeClampsReplication(t *testing.T) {
-	ns := NewNamespace(testCluster(3), 3, 11)
-	ns.ExcludeFromPlacement(0)
-	ns.ExcludeFromPlacement(0) // idempotent
-	if ns.Stride() != 2 {
-		t.Fatalf("Stride() = %d with one of three machines excluded, want 2", ns.Stride())
-	}
-	for _, reps := range place(t, ns, 1, 10) {
-		if len(reps) != 2 {
-			t.Fatalf("replica count %d with one machine excluded, want 2", len(reps))
-		}
-	}
-}
-
-func TestExcludeAllPanicsOnPlace(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, 12)
-	ns.ExcludeFromPlacement(0)
-	ns.ExcludeFromPlacement(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("placement with all machines excluded did not panic")
-		}
-	}()
-	_ = ns.Place(one(1, 1))
-}
-
-// TestExcludeAfterPlacePanics checks that an exclusion, which changes the
-// stride, cannot come after a placement laid out at the old one.
-func TestExcludeAfterPlacePanics(t *testing.T) {
-	ns := NewNamespace(testCluster(4), 3, 14)
-	if err := ns.Place(one(1, 5)); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("exclusion after placement did not panic")
-		}
-	}()
-	ns.ExcludeFromPlacement(3)
-}
-
-func TestExcludeInvalidMachinePanics(t *testing.T) {
-	ns := NewNamespace(testCluster(2), 1, 13)
-	defer func() {
-		if recover() == nil {
-			t.Error("excluding nonexistent machine did not panic")
-		}
-	}()
-	ns.ExcludeFromPlacement(9)
-}
-
 func TestPlacementInvariantsProperty(t *testing.T) {
 	f := func(seed int64, blocks uint8, machines uint8) bool {
 		n := int(machines)%14 + 2
 		b := int(blocks)%60 + 1
-		ns := NewNamespace(testCluster(n), 3, seed)
+		ns := NewNamespace(testCluster(n), seed)
 		if err := ns.Place(one(1, b)); err != nil {
 			return false
 		}
 		total := 0
 		for blk := 0; blk < b; blk++ {
 			reps := ns.Replicas(1, blk)
-			want := 3
-			if n < 3 {
-				want = n
-			}
-			if len(reps) != want {
+			if len(reps) != min(Replication, n) {
 				return false
 			}
 			seen := map[int32]bool{}
@@ -315,97 +221,73 @@ func TestPlacementInvariantsProperty(t *testing.T) {
 // placeInputs is everything a placement is a function of, besides the
 // fleet.
 type placeInputs struct {
-	replication int
-	seed        int64
-	excluded    []bool
-	covering    []int
-	mix         []workload.JobSpec
+	seed     int64
+	covering []int
+	mix      []workload.JobSpec
 }
 
 // apply resets ns to the inputs and places their mix.
 func (in placeInputs) apply(ns *Namespace) error {
-	ns.Reset(in.replication, in.seed)
-	for id, ex := range in.excluded {
-		if ex {
-			ns.ExcludeFromPlacement(id)
-		}
-	}
+	ns.Reset(in.seed)
 	ns.PreferFirstReplicaOn(in.covering)
 	return ns.Place(in.mix)
 }
 
 // equal reports whether two sets of inputs give the namespace the same
-// placement inputs: the replica count as clamped to the fleet of n.
-func (in placeInputs) equal(o placeInputs, n int) bool {
-	return min(in.replication, n) == min(o.replication, n) && in.seed == o.seed &&
-		slices.Equal(in.excluded, o.excluded) && slices.Equal(in.covering, o.covering) &&
+// placement inputs.
+func (in placeInputs) equal(o placeInputs) bool {
+	return in.seed == o.seed && slices.Equal(in.covering, o.covering) &&
 		slices.EqualFunc(in.mix, o.mix, func(a, b workload.JobSpec) bool { return a.ID == b.ID && a.NumMaps == b.NumMaps })
 }
 
 // placeOp encodes one step of FuzzPlaceReuse: kind picks what changes
 // before the call, arg by how much.
-func placeOp(kind, arg int) byte { return byte(kind + 7*arg) }
+func placeOp(kind, arg int) byte { return byte(kind + 5*arg) }
 
 // FuzzPlaceReuse is the differential check of placement reuse. One
-// namespace places a generated sequence of mixes, reset before each call;
+// namespace places a generated sequence of mixes, reset before each call,
+// on a fleet of one to eight machines (so strides 1, 2 and 3 all occur);
 // each step (an ops byte: placeOp) either repeats the last inputs or
-// changes one of them first: the seed, the replica count, one machine's
-// exclusion, the covering set, one job's block count, or the job list,
-// which may also be given a repeated job ID for one call, which Place
-// rejects. After every call, the error, every job's file window and
-// every machine's BlocksHeld must equal those of a new namespace given
-// the same inputs, and Reused must report a restored placement exactly
-// when the inputs equal those of the last call that succeeded with none
-// failing since.
+// changes one of them first: the seed, the covering set, one job's block
+// count, or the job list, which may also be given a repeated job ID for
+// one call, which Place rejects. After every call, the error, every job's
+// file window and every machine's BlocksHeld must equal those of a new
+// namespace given the same inputs, and Reused must report a restored
+// placement exactly when the inputs equal those of the last call that
+// succeeded with none failing since.
 func FuzzPlaceReuse(f *testing.F) {
 	every := []byte{
 		placeOp(0, 0), placeOp(0, 0), // first placement, then a repeat
 		placeOp(1, 2), placeOp(0, 0), placeOp(1, 1), // seed
-		placeOp(2, 0), placeOp(0, 0), placeOp(2, 2), // replica count
-		placeOp(3, 1), placeOp(0, 0), placeOp(3, 1), // exclusion
-		placeOp(4, 0), placeOp(0, 0), placeOp(4, 0), // covering set
-		placeOp(5, 1), placeOp(0, 0), // block count
-		placeOp(6, 0), placeOp(0, 0), placeOp(6, 1), placeOp(0, 0), // job list
-		placeOp(6, 2), placeOp(0, 0), placeOp(6, 2), placeOp(6, 2), // rejected mixes
+		placeOp(2, 0), placeOp(0, 0), placeOp(2, 0), // covering set
+		placeOp(3, 1), placeOp(0, 0), // block count
+		placeOp(4, 0), placeOp(0, 0), placeOp(4, 1), placeOp(0, 0), // job list
+		placeOp(4, 2), placeOp(0, 0), placeOp(4, 2), placeOp(4, 2), // rejected mixes
 	}
-	for _, machines := range []uint8{0, 1, 4} {
+	for _, machines := range []uint8{0, 1, 2, 4} {
 		f.Add(machines, every)
 	}
-	f.Add(uint8(2), []byte{placeOp(3, 0), placeOp(4, 0), placeOp(0, 0), placeOp(3, 0), placeOp(0, 0)})
 	f.Fuzz(func(t *testing.T, machines uint8, ops []byte) {
-		n := 2 + int(machines)%7
+		n := 1 + int(machines)%8
 		c := testCluster(n)
-		in := placeInputs{replication: 3, seed: 1, excluded: make([]bool, n), mix: []workload.JobSpec{job(0, 3), job(1, 5)}}
-		ns := NewNamespace(c, 1, 0)
+		in := placeInputs{seed: 1, mix: []workload.JobSpec{job(0, 3), job(1, 5)}}
+		ns := NewNamespace(c, 0)
 		var last *placeInputs // the inputs of the last successful Place, nil after a failure
 		for step, op := range ops[:min(len(ops), 64)] {
-			arg := int(op) / 7
-			switch op % 7 {
+			arg := int(op) / 5
+			switch op % 5 {
 			case 1:
 				in.seed = int64(arg % 3)
 			case 2:
-				in.replication = 1 + arg%4
-			case 3:
-				m, placeable := arg%n, 0
-				for _, ex := range in.excluded {
-					if !ex {
-						placeable++
-					}
-				}
-				if in.excluded[m] || placeable > 1 {
-					in.excluded = slices.Clone(in.excluded)
-					in.excluded[m] = !in.excluded[m]
-				}
-			case 4:
 				if len(in.covering) == 0 {
 					in.covering = []int{arg % n}
 				} else {
 					in.covering = nil
 				}
-			case 5:
+			case 3:
 				in.mix = slices.Clone(in.mix)
 				in.mix[arg%len(in.mix)].NumMaps = 1 + arg%5
-			case 6:
+			case 4:
 				switch arg % 3 {
 				case 0:
 					in.mix = append(slices.Clone(in.mix), job(in.mix[len(in.mix)-1].ID+1, 1+arg%4))
@@ -414,17 +296,17 @@ func FuzzPlaceReuse(f *testing.F) {
 				}
 			}
 			call := in
-			if op%7 == 6 && arg%3 == 2 {
+			if op%5 == 4 && arg%3 == 2 {
 				call.mix = append(slices.Clone(in.mix), in.mix[0])
 			}
 
 			err := call.apply(ns)
-			fresh := NewNamespace(c, 1, 0)
+			fresh := NewNamespace(c, 0)
 			want := call.apply(fresh)
 			if (err != nil) != (want != nil) {
 				t.Fatalf("step %d: Place error %v, a new namespace's %v", step, err, want)
 			}
-			if reuse := err == nil && last != nil && call.equal(*last, n); ns.Reused() != reuse {
+			if reuse := err == nil && last != nil && call.equal(*last); ns.Reused() != reuse {
 				t.Fatalf("step %d: Reused() = %v, want %v", step, ns.Reused(), reuse)
 			}
 			for _, spec := range call.mix {

@@ -19,10 +19,10 @@ import (
 //
 //   - pendingMaps    == Σ over active jobs of Job.PendingMaps()
 //   - pendingReduces == Σ over active jobs of Job.PendingReduces()
-//   - readyPendingReduces restricts pendingReduces to jobs whose map
-//     progress has passed the slowstart gate (Job.reduceGateOpen caches
-//     the gate; it is re-derived whenever mapsDone changes, including the
-//     decrease in reexecuteLostMaps).
+//   - readyPendingReduces restricts pendingReduces to jobs past their map
+//     barrier (Job.MapsDone); completeTask adds a job's pending reduces
+//     when its barrier opens, and reexecuteLostMaps takes them out when a
+//     lost map output reopens it.
 //   - class[id] is the machine's availability class with precedence
 //     dead > asleep-and-blacklisted > asleep > blacklisted > awake. A
 //     blacklist expiry is a time-based transition with no event attached,
@@ -253,26 +253,9 @@ func (d *Driver) notePending(j *Job, kind TaskKind, delta int) {
 		a.pendingMaps += delta
 	} else {
 		a.pendingReduces += delta
-		if j.reduceGateOpen {
+		if j.MapsDone() {
 			a.readyPendingReduces += delta
 		}
-	}
-}
-
-// syncReduceGate re-derives j's slowstart gate after mapsDone changed,
-// moving its pending reduces in or out of the ready aggregate on a flip.
-// The gate can close again: reexecuteLostMaps decrements mapsDone when a
-// crash loses completed map output.
-func (d *Driver) syncReduceGate(j *Job) {
-	open := j.MapProgress() >= d.cfg.Slowstart
-	if open == j.reduceGateOpen {
-		return
-	}
-	j.reduceGateOpen = open
-	if open {
-		d.agg.readyPendingReduces += j.PendingReduces()
-	} else {
-		d.agg.readyPendingReduces -= j.PendingReduces()
 	}
 }
 
@@ -346,11 +329,7 @@ func (d *Driver) checkAggregates() error {
 	for _, j := range d.active {
 		pm += j.PendingMaps()
 		pr += j.PendingReduces()
-		open := j.MapProgress() >= d.cfg.Slowstart
-		if open != j.reduceGateOpen {
-			return fmt.Errorf("job %d reduce gate cached %v, derived %v", j.Spec.ID, j.reduceGateOpen, open)
-		}
-		if open {
+		if j.MapsDone() {
 			rpr += j.PendingReduces()
 		}
 	}

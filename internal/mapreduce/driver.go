@@ -18,18 +18,10 @@ import (
 
 // Config parameterizes a simulated cluster run.
 type Config struct {
-	// Heartbeat is the TaskTracker reporting period and the granularity
-	// Δt of the Eq. 2 energy estimator. Hadoop's default is 3 s (§IV-B).
-	Heartbeat time.Duration
 	// ControlInterval is E-Ant's policy-refresh period (§V-B: 5 min).
 	ControlInterval time.Duration
-	// Slowstart is the completed-map fraction after which a job's reduces
-	// become schedulable. 1.0 (default) waits for the full map barrier.
-	Slowstart float64
 	// Noise configures system-noise injection.
 	Noise noise.Config
-	// Replication is the HDFS replica count (default 3).
-	Replication int
 	// Seed drives every random stream in the run.
 	Seed int64
 	// KeepTaskRecords retains a TaskRecord per completed task.
@@ -38,15 +30,6 @@ type Config struct {
 	// map task is local with this probability. Used by the Fig. 6
 	// data-locality study. Negative (default) uses real placement.
 	ForcedLocalFraction float64
-	// NetShareDivisor models NIC and switch sharing: a task's transfer
-	// bandwidth is NetMBps/NetShareDivisor. The default 16 reflects a
-	// busy GbE fabric where remote map reads roughly double a task's
-	// service time — the regime behind the paper's Fig. 6 (10 % → 80 %
-	// locality nearly halves completion time).
-	NetShareDivisor float64
-	// ComputeOnlyTypes lists machine types that run no DataNode: HDFS
-	// never places replicas there, so all their map input is remote.
-	ComputeOnlyTypes []string
 	// Power enables server consolidation (the paper's §VIII future
 	// work): idle machines outside the covering subset power down.
 	Power PowerMgmt
@@ -100,41 +83,34 @@ func (p *PowerMgmt) setDefaults() {
 	}
 }
 
-// The heartbeat and control-interval defaults, taken by a zero (or
-// negative) Config field.
-const (
-	defaultHeartbeat       = 3 * time.Second
-	defaultControlInterval = 5 * time.Minute
-)
+// Heartbeat is the TaskTracker reporting period and the granularity Δt of
+// the Eq. 2 energy estimator: Hadoop's default, 3 s (§IV-B).
+const Heartbeat = 3 * time.Second
 
-// DefaultConfig returns the paper's setup: 3 s heartbeats, 5 min control
-// interval, full map barrier, replication 3, no noise.
+// networkShare models NIC and switch sharing: a task's transfer
+// bandwidth is NetMBps/networkShare. 16 reflects a busy GbE fabric
+// where remote map reads roughly double a task's service time — the
+// regime behind the paper's Fig. 6 (10 % → 80 % locality nearly halves
+// completion time).
+const networkShare = 16
+
+// defaultControlInterval is taken by a zero (or negative) ControlInterval.
+const defaultControlInterval = 5 * time.Minute
+
+// DefaultConfig returns the paper's setup: 5 min control interval, real
+// HDFS placement, no noise. The rest of the paper's substrate is fixed:
+// 3 s heartbeats, 3 replicas per block (hdfs.Replication) and a full map
+// barrier before a job's reduces are offered.
 func DefaultConfig() Config {
 	return Config{
-		Heartbeat:           defaultHeartbeat,
 		ControlInterval:     defaultControlInterval,
-		Slowstart:           1.0,
-		Replication:         hdfs.DefaultReplication,
 		ForcedLocalFraction: -1,
-		NetShareDivisor:     16,
 	}
 }
 
 func (c *Config) setDefaults() {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = defaultHeartbeat
-	}
 	if c.ControlInterval <= 0 {
 		c.ControlInterval = defaultControlInterval
-	}
-	if c.Slowstart <= 0 {
-		c.Slowstart = 1.0
-	}
-	if c.Replication <= 0 {
-		c.Replication = hdfs.DefaultReplication
-	}
-	if c.NetShareDivisor <= 0 {
-		c.NetShareDivisor = 16
 	}
 	if c.Power.Enabled {
 		c.Power.setDefaults()
@@ -146,13 +122,10 @@ func (c *Config) setDefaults() {
 
 // Validate reports the first problem with the configuration.
 func (c Config) Validate() error {
-	for _, x := range [...]float64{c.Slowstart, c.ForcedLocalFraction, c.NetShareDivisor, c.Power.SleepWatts} {
+	for _, x := range [...]float64{c.ForcedLocalFraction, c.Power.SleepWatts} {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("mapreduce: non-finite parameter %v", x)
 		}
-	}
-	if c.Slowstart > 1 {
-		return fmt.Errorf("mapreduce: slowstart %v > 1", c.Slowstart)
 	}
 	if c.ForcedLocalFraction > 1 {
 		return fmt.Errorf("mapreduce: forced local fraction %v > 1", c.ForcedLocalFraction)
@@ -160,15 +133,8 @@ func (c Config) Validate() error {
 	// The policy is refreshed once per control interval and serves the
 	// heartbeats inside it, so an interval shorter than a heartbeat serves
 	// none (and floods the engine with control ticks).
-	heartbeat, interval := c.Heartbeat, c.ControlInterval
-	if heartbeat <= 0 {
-		heartbeat = defaultHeartbeat
-	}
-	if interval <= 0 {
-		interval = defaultControlInterval
-	}
-	if interval < heartbeat {
-		return fmt.Errorf("mapreduce: control interval %v shorter than heartbeat %v", interval, heartbeat)
+	if c.ControlInterval > 0 && c.ControlInterval < Heartbeat {
+		return fmt.Errorf("mapreduce: control interval %v shorter than heartbeat %v", c.ControlInterval, Heartbeat)
 	}
 	if err := c.Fault.Validate(); err != nil {
 		return err
@@ -221,8 +187,7 @@ type Driver struct {
 	// agg is the incremental-statistics layer serving the scheduler hot
 	// path (see aggregates.go); typeReps is one representative spec per
 	// machine type in sorted type-name order; mapEst tabulates the
-	// map-service estimate per (app, type), indexed by estIndex, from the
-	// run's config.
+	// map-service estimate per (app, type), indexed by estIndex.
 	agg      aggregates
 	typeReps []*cluster.TypeSpec
 	mapEst   []float64
@@ -287,7 +252,7 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 	d := &Driver{
 		engine:  sim.NewEngine(),
 		cluster: c,
-		ns:      hdfs.NewNamespace(c, hdfs.DefaultReplication, 0),
+		ns:      hdfs.NewNamespace(c, 0),
 		meter:   power.NewMeter(c),
 	}
 	d.ctx = &Context{
@@ -297,6 +262,10 @@ func NewDriver(c *cluster.Cluster, sched Scheduler, cfg Config) (*Driver, error)
 		driver:  d,
 	}
 	engine := d.engine
+	// Calendar buckets sized to the dominant event period: heartbeats,
+	// completions and shuffle transitions land in the O(1) ring; control
+	// ticks and far-future submissions take the overflow band.
+	engine.SetBucketWidth(Heartbeat)
 	d.evHeartbeat = engine.RegisterKind(func(int, any) { d.heartbeatTick() })
 	d.evControl = engine.RegisterKind(func(int, any) { d.controlTickEvent() })
 	d.evSubmit = engine.RegisterKind(func(_ int, arg any) { d.submit(arg.(*Job)) })
@@ -352,7 +321,7 @@ func (d *Driver) Run(specs []workload.JobSpec, horizon time.Duration) (*Stats, e
 	// The run's locality entries and its pending-queue entries each share
 	// one array, linked by int32 index, so the whole mix must fit before
 	// anything is placed or sized.
-	if reps := d.ns.Replication(); maps > math.MaxInt32/reps {
+	if reps := d.ns.Stride(); maps > math.MaxInt32/reps {
 		return nil, fmt.Errorf("mapreduce: %d maps × %d replicas in one run, more than the locality index's %d entries",
 			maps, reps, math.MaxInt32)
 	}
@@ -416,7 +385,7 @@ func (d *Driver) heartbeatTick() {
 		return
 	}
 	d.serveHeartbeats()
-	d.engine.ScheduleKindAfter(d.cfg.Heartbeat, d.evHeartbeat, 0, nil)
+	d.engine.ScheduleKindAfter(Heartbeat, d.evHeartbeat, 0, nil)
 }
 
 // controlTickEvent is the periodic control-interval event, typed for the
@@ -434,7 +403,7 @@ func (d *Driver) submit(j *Job) {
 	prof := workload.ProfileOf(j.Spec.App)
 	shuffleMB := j.Spec.ShuffleMBPerReduce()
 	for i, spec := range d.typeReps {
-		_, _, j.reduceEst[i] = reduceService(prof, shuffleMB, spec, d.cfg.NetShareDivisor)
+		_, _, j.reduceEst[i] = reduceService(prof, shuffleMB, spec)
 	}
 	d.active = append(d.active, j)
 	d.unsubmit--
@@ -443,7 +412,6 @@ func (d *Driver) submit(j *Job) {
 	}
 	d.notePending(j, MapTask, j.PendingMaps())
 	d.notePending(j, ReduceTask, j.PendingReduces())
-	d.syncReduceGate(j)
 	// Degenerate jobs with zero tasks complete immediately.
 	if len(j.Maps) == 0 && len(j.Reduces) == 0 {
 		d.completeJob(j)
@@ -655,13 +623,13 @@ const TaskThreads = 1.6
 // mapService returns the noise-free wall-clock CPU seconds and total
 // service seconds of a map task with the given input on a machine of the
 // given spec.
-func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, local bool, netDivisor float64) (cpuWallSecs, totalSecs float64) {
+func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, local bool) (cpuWallSecs, totalSecs float64) {
 	cpuWallSecs = prof.MapCPUPerMB * inputMB / (spec.SpeedFactor * TaskThreads)
 	diskShare := spec.DiskMBps / float64(spec.MapSlots)
 	ioSecs := prof.MapIOPerMB * inputMB / diskShare
 	netSecs := 0.0
 	if !local {
-		netSecs = inputMB / (spec.NetMBps / netDivisor)
+		netSecs = inputMB / (spec.NetMBps / networkShare)
 	}
 	return cpuWallSecs, cpuWallSecs + ioSecs + netSecs
 }
@@ -669,8 +637,8 @@ func mapService(prof workload.Profile, inputMB float64, spec *cluster.TypeSpec, 
 // reduceService returns the noise-free shuffle seconds, wall-clock compute
 // CPU seconds, and total compute seconds of a reduce task pulling
 // shuffleMB.
-func reduceService(prof workload.Profile, shuffleMB float64, spec *cluster.TypeSpec, netDivisor float64) (shuffleSecs, cpuWallSecs, computeSecs float64) {
-	shuffleSecs = shuffleMB / (spec.NetMBps / netDivisor)
+func reduceService(prof workload.Profile, shuffleMB float64, spec *cluster.TypeSpec) (shuffleSecs, cpuWallSecs, computeSecs float64) {
+	shuffleSecs = shuffleMB / (spec.NetMBps / networkShare)
 	cpuWallSecs = prof.ReduceCPUPerMB * shuffleMB / (spec.SpeedFactor * TaskThreads)
 	diskShare := spec.DiskMBps / float64(spec.MapSlots)
 	ioSecs := prof.ReduceIOPerMB * shuffleMB / diskShare
@@ -700,7 +668,7 @@ func (d *Driver) startMap(t *Task, m cluster.Machine) {
 	t.Local = d.isLocal(t, m)
 
 	wake := d.wakeIfNeeded(m)
-	cpuWall, base := mapService(prof, t.InputMB, spec, t.Local, d.cfg.NetShareDivisor)
+	cpuWall, base := mapService(prof, t.InputMB, spec, t.Local)
 	dur := base*d.noise.DurationFactorFor(base) + wake
 	t.computeSecs = dur
 	t.trueUtil = taskUtil(cpuWall, dur, spec)
@@ -742,7 +710,7 @@ func (d *Driver) startReduce(t *Task, m cluster.Machine) {
 	spec := m.Spec()
 	prof := workload.ProfileOf(t.Job.Spec.App)
 	wake := d.wakeIfNeeded(m)
-	shuffleSecs, cpuWall, computeSecs := reduceService(prof, t.InputMB, spec, d.cfg.NetShareDivisor)
+	shuffleSecs, cpuWall, computeSecs := reduceService(prof, t.InputMB, spec)
 
 	factor := d.noise.DurationFactorFor(shuffleSecs + computeSecs)
 	t.shuffleSecs = shuffleSecs*factor + wake
@@ -865,8 +833,9 @@ func (d *Driver) completeTask(t *Task) {
 	switch t.Kind {
 	case MapTask:
 		j.mapsDone++
-		d.syncReduceGate(j)
 		if j.MapsDone() {
+			// The barrier opens: the job's pending reduces become ready.
+			d.agg.readyPendingReduces += j.PendingReduces()
 			j.MapsDoneAt = now
 			if j.LastShuffleEnd < now {
 				j.LastShuffleEnd = now
@@ -970,7 +939,7 @@ func (d *Driver) retireJob(j *Job, where string) {
 // measurement noise — the value a real TaskTracker would report.
 func (d *Driver) estimateJoules(t *Task) float64 {
 	spec := t.Machine.Spec()
-	dt := d.cfg.Heartbeat
+	dt := Heartbeat
 	// A real TaskTracker samples at heartbeats: a task alive for k
 	// intervals reports k samples, so the reconstructed duration is the
 	// actual one rounded to the nearest heartbeat multiple (unbiased for
@@ -1091,25 +1060,20 @@ func (d *Driver) finalizeStats() {
 	}
 }
 
-// initTables sizes the per-(app, type) estimate table and the completion
-// tallies; Reset fills them.
+// initTables fills the per-(app, type) map-service estimates, a pure
+// function of the fleet, and sizes the completion tallies, which Reset
+// clears.
 func (d *Driver) initTables() {
-	apps, types := len(workload.Apps()), len(d.typeReps)
-	d.mapEst = make([]float64, apps*types)
-	d.done = make([]EnergyPair, 2*apps*types)
-	d.doneByMachine = make([]int, d.cluster.Size())
-}
-
-// tabulateEstimates fills mapEst from the current config. Every Reset
-// recomputes the whole table, so it never outlives the config it was
-// computed from.
-func (d *Driver) tabulateEstimates() {
-	for _, app := range workload.Apps() {
+	apps, types := workload.Apps(), len(d.typeReps)
+	d.mapEst = make([]float64, len(apps)*types)
+	for _, app := range apps {
 		prof := workload.ProfileOf(app)
 		for ti, spec := range d.typeReps {
-			_, d.mapEst[d.estIndex(app, ti)] = mapService(prof, workload.BlockMB, spec, true, d.cfg.NetShareDivisor)
+			_, d.mapEst[d.estIndex(app, ti)] = mapService(prof, workload.BlockMB, spec, true)
 		}
 	}
+	d.done = make([]EnergyPair, 2*len(apps)*types)
+	d.doneByMachine = make([]int, d.cluster.Size())
 }
 
 // estIndex locates the (app, type) cell of mapEst.

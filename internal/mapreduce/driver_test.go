@@ -4,12 +4,14 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"eant/internal/cluster"
 	"eant/internal/core"
 	"eant/internal/fault"
+	"eant/internal/hdfs"
 	"eant/internal/mapreduce"
 	"eant/internal/noise"
 	"eant/internal/probe"
@@ -408,7 +410,7 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunBoundsLocalityIndex checks that a job whose replica entries
 // would overflow the locality index's int32 links is rejected before
-// placement allocates anything: at the default replication of 3 that is
+// placement allocates anything: at 3 replicas per block that is
 // any job of more than MaxInt32/3 maps, which JobSpec.Validate accepts.
 func TestRunBoundsLocalityIndex(t *testing.T) {
 	d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), mapreduce.DefaultConfig())
@@ -435,35 +437,38 @@ func TestRunBoundsLocalityIndex(t *testing.T) {
 // mix, whose jobs share one locality-entry array and one pending-entry
 // array: two jobs that each fit are rejected together, before placement
 // or the arena allocates anything, when their replica entries or their
-// tasks overflow.
+// tasks overflow, each by the bound it breaks. The tasks case runs on one
+// machine, whose stride of one replica per block keeps its maps' replica
+// entries within their bound.
 func TestRunBoundsMixTotals(t *testing.T) {
-	half := workload.BlockMB * (math.MaxInt32/3/2 + 1)
+	half := workload.BlockMB * (math.MaxInt32/hdfs.Replication/2 + 1)
 	for _, c := range []struct {
-		name        string
-		replication int
-		jobs        []workload.JobSpec
+		name  string
+		fleet *cluster.Cluster
+		jobs  []workload.JobSpec
+		// bound is a phrase of the error that names the broken bound.
+		bound string
 	}{
-		{"maps × replicas", 3, []workload.JobSpec{
+		{"maps × replicas", smallCluster(), []workload.JobSpec{
 			workload.NewJobSpec(1, workload.Grep, half, 0, 0),
 			workload.NewJobSpec(2, workload.Grep, half, 0, 0),
-		}},
-		{"tasks", 1, []workload.JobSpec{
+		}, "replicas in one run"},
+		{"tasks", cluster.MustNew(cluster.Group{Spec: cluster.SpecDesktop, Count: 1}), []workload.JobSpec{
 			workload.NewJobSpec(1, workload.Grep, workload.BlockMB*(math.MaxInt32-10), 0, 0),
 			workload.NewJobSpec(2, workload.Grep, workload.BlockMB, 20, 0),
-		}},
+		}, "tasks in one run"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := mapreduce.DefaultConfig()
-			cfg.Replication = c.replication
-			d, err := mapreduce.NewDriver(smallCluster(), sched.NewFIFO(), cfg)
+			d, err := mapreduce.NewDriver(c.fleet, sched.NewFIFO(), mapreduce.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
+			stride := min(hdfs.Replication, c.fleet.Size())
 			for _, spec := range c.jobs {
 				if err := spec.Validate(); err != nil {
 					t.Fatalf("job %d invalid: %v", spec.ID, err)
 				}
-				if spec.NumMaps*c.replication > math.MaxInt32 || spec.NumMaps+spec.NumReduces > math.MaxInt32 {
+				if spec.NumMaps*stride > math.MaxInt32 || spec.NumMaps+spec.NumReduces > math.MaxInt32 {
 					t.Fatalf("job %d alone overflows: %d maps, %d reduces", spec.ID, spec.NumMaps, spec.NumReduces)
 				}
 			}
@@ -472,7 +477,10 @@ func TestRunBoundsMixTotals(t *testing.T) {
 			_, err = d.Run(c.jobs, -1)
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatalf("a mix of %d + %d maps at replication %d ran", c.jobs[0].NumMaps, c.jobs[1].NumMaps, c.replication)
+				t.Fatalf("a mix of %d + %d maps at stride %d ran", c.jobs[0].NumMaps, c.jobs[1].NumMaps, stride)
+			}
+			if !strings.Contains(err.Error(), c.bound) {
+				t.Errorf("rejected with %q, want the bound on %q", err, c.bound)
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 				t.Errorf("rejecting the mix allocated %d bytes", grew)

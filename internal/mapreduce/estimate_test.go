@@ -18,7 +18,7 @@ func (idle) OnTaskComplete(*Context, *Task)               {}
 func (idle) OnControlTick(*Context)                       {}
 
 // TestEstimateTablesMatchServiceModel reads every (app, type) estimate of
-// a cold driver and of the same driver reset to another divisor, and
+// a cold driver and of the same driver reset for another run, and
 // requires the service model's value to the bit.
 func TestEstimateTablesMatchServiceModel(t *testing.T) {
 	c := cluster.Testbed()
@@ -32,9 +32,8 @@ func TestEstimateTablesMatchServiceModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, divisor := range []float64{cfg.NetShareDivisor, 8} {
-		if i > 0 {
-			cfg.NetShareDivisor = divisor
+	for _, run := range []string{"cold", "reset"} {
+		if run == "reset" {
 			if err := d.Reset(idle{}, cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -51,13 +50,13 @@ func TestEstimateTablesMatchServiceModel(t *testing.T) {
 			j := &d.arena.jobs[i]
 			prof := workload.ProfileOf(j.Spec.App)
 			for ti, spec := range specs {
-				_, wantMap := mapService(prof, workload.BlockMB, spec, true, divisor)
-				_, _, wantReduce := reduceService(prof, j.Spec.ShuffleMBPerReduce(), spec, divisor)
+				_, wantMap := mapService(prof, workload.BlockMB, spec, true)
+				_, _, wantReduce := reduceService(prof, j.Spec.ShuffleMBPerReduce(), spec)
 				if got := d.ctx.EstimateMapSeconds(j, ti); math.Float64bits(got) != math.Float64bits(wantMap) {
-					t.Errorf("divisor %v: %v map estimate on %s = %v, want %v", divisor, j.Spec.App, spec.Name, got, wantMap)
+					t.Errorf("%s: %v map estimate on %s = %v, want %v", run, j.Spec.App, spec.Name, got, wantMap)
 				}
 				if got := d.ctx.EstimateReduceSeconds(j, ti); math.Float64bits(got) != math.Float64bits(wantReduce) {
-					t.Errorf("divisor %v: %v reduce estimate on %s = %v, want %v", divisor, j.Spec.App, spec.Name, got, wantReduce)
+					t.Errorf("%s: %v reduce estimate on %s = %v, want %v", run, j.Spec.App, spec.Name, got, wantReduce)
 				}
 			}
 		}

@@ -228,14 +228,13 @@ func TestFaultConfigValidationSurfaces(t *testing.T) {
 }
 
 // idleFaultRun drives the small fleet with no work up to horizon — its one
-// job is submitted an hour past the horizon — on a 30 s heartbeat, and
-// returns the crash/recover transitions the probe saw in firing order plus
-// the driver, for its engine counters and stats.
+// job is submitted an hour past the horizon — and returns the
+// crash/recover transitions the probe saw in firing order plus the
+// driver, for its engine counters and stats.
 func idleFaultRun(t *testing.T, fc fault.Config, seed int64, horizon time.Duration) ([]fault.Event, *mapreduce.Driver, *mapreduce.Stats) {
 	t.Helper()
 	var states []probe.Event
 	cfg := mapreduce.DefaultConfig()
-	cfg.Heartbeat = 30 * time.Second
 	cfg.Seed = seed
 	cfg.Fault = fc
 	cfg.Probe = collect(probe.KindMachineState, &states)
@@ -269,7 +268,9 @@ func TestDisabledFaultsScheduleNothing(t *testing.T) {
 	if len(timeline) != 0 || stats.Crashes != 0 || stats.Recoveries != 0 {
 		t.Errorf("disabled faults fired %v (%d crashes, %d recoveries)", timeline, stats.Crashes, stats.Recoveries)
 	}
-	heartbeats, ticks := 121, 12 // 0 s..3600 s every 30 s; 5 min..60 min
+	// One heartbeat at 0 s and every Heartbeat up to 3600 s; control ticks
+	// every 5 min up to 60 min.
+	heartbeats, ticks := int(time.Hour/mapreduce.Heartbeat)+1, 12
 	if got := d.Engine().Fired(); got != uint64(heartbeats+ticks) {
 		t.Errorf("fired %d events, want %d heartbeats + %d control ticks", got, heartbeats, ticks)
 	}

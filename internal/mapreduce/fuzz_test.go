@@ -18,27 +18,24 @@ import (
 // degenerate-but-valid value Validate lets through).
 func FuzzConfigValidate(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
-	f.Add(int64(3_000_000_000), int64(300_000_000_000), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
-	f.Add(int64(-5), int64(0), 1.5, 2.0, 0.5, 2.0, 0.1, -1.0, 3.0, int64(60_000_000_000), int64(-1), 1.1, -4, 2, int64(-1), int64(7), int64(0), -3)
-	f.Add(int64(1), int64(1), 0.0, 0.0, -0.1, 0.9, 1e155, 0.0, -2.0, int64(600_000_000_000), int64(120_000_000_000), 0.02, 4, 3, int64(600_000_000_000), int64(42), int64(1), 1)
-	f.Add(int64(1), int64(1), nan, nan, nan, nan, nan, nan, nan, int64(0), int64(0), nan, 0, 0, int64(0), int64(1), int64(1), 1)
-	f.Add(int64(1), int64(1), -inf, -inf, inf, 0.0, inf, inf, inf, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
-	f.Add(int64(1), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, nan, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
-	f.Add(int64(1), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, 0.0, int64(0), int64(0), nan, 0, 0, int64(0), int64(1), int64(1), -1)
-	f.Add(int64(3_000_000_000), int64(1), 1.0, -1.0, 0.0, 0.0, 0.0, 16.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
+	f.Add(int64(300_000_000_000), -1.0, 0.0, 0.0, 0.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
+	f.Add(int64(0), 2.0, 0.5, 2.0, 0.1, 3.0, int64(60_000_000_000), int64(-1), 1.1, -4, 2, int64(-1), int64(7), int64(0), -3)
+	f.Add(int64(3_000_000_000), 0.0, -0.1, 0.9, 1e155, -2.0, int64(600_000_000_000), int64(120_000_000_000), 0.02, 4, 3, int64(600_000_000_000), int64(42), int64(1), 1)
+	f.Add(int64(0), nan, nan, nan, nan, nan, int64(0), int64(0), nan, 0, 0, int64(0), int64(1), int64(1), 1)
+	f.Add(int64(0), -inf, inf, 0.0, inf, inf, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
+	f.Add(int64(0), -1.0, 0.0, 0.0, 0.0, nan, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(1), 1)
+	f.Add(int64(0), -1.0, 0.0, 0.0, 0.0, 0.0, int64(0), int64(0), nan, 0, 0, int64(0), int64(1), int64(1), -1)
+	f.Add(int64(2_999_999_999), -1.0, 0.0, 0.0, 0.0, 0.0, int64(0), int64(0), 0.0, 0, 0, int64(0), int64(1), int64(30_000_000_000), 1)
 	f.Fuzz(func(t *testing.T,
-		heartbeat, controlInterval int64,
-		slowstart, forcedLocal, durationCV, stragglerProb, measurementCV, netShare, sleepWatts float64,
+		controlInterval int64,
+		forcedLocal, durationCV, stragglerProb, measurementCV, sleepWatts float64,
 		mtbf, mttr int64, taskFailProb float64,
 		maxAttempts, blacklistThreshold int, blacklistCooldown int64,
 		seed, idleTimeout int64, coveringPerType int,
 	) {
 		cfg := mapreduce.Config{
-			Heartbeat:           time.Duration(heartbeat),
 			ControlInterval:     time.Duration(controlInterval),
-			Slowstart:           slowstart,
 			ForcedLocalFraction: forcedLocal,
-			NetShareDivisor:     netShare,
 			Seed:                seed,
 			Noise: noise.Config{
 				DurationCV:    durationCV,
@@ -65,18 +62,15 @@ func FuzzConfigValidate(f *testing.F) {
 		if err := cfg.Validate(); err != nil {
 			return // rejected configurations need no further guarantees
 		}
-		// Zero or negative durations take DefaultConfig's values.
-		hb, ci := cfg.Heartbeat, cfg.ControlInterval
-		if hb <= 0 {
-			hb = mapreduce.DefaultConfig().Heartbeat
-		}
+		// A zero or negative interval takes DefaultConfig's value.
+		ci := cfg.ControlInterval
 		if ci <= 0 {
 			ci = mapreduce.DefaultConfig().ControlInterval
 		}
-		if ci < hb {
-			t.Fatalf("Validate accepted control interval %v below heartbeat %v (%+v)", ci, hb, cfg)
+		if ci < mapreduce.Heartbeat {
+			t.Fatalf("Validate accepted control interval %v below the %v heartbeat (%+v)", ci, mapreduce.Heartbeat, cfg)
 		}
-		for _, x := range []float64{cfg.Slowstart, cfg.ForcedLocalFraction, cfg.NetShareDivisor, cfg.Power.SleepWatts,
+		for _, x := range []float64{cfg.ForcedLocalFraction, cfg.Power.SleepWatts,
 			cfg.Noise.DurationCV, cfg.Noise.StragglerProb, cfg.Noise.MeasurementCV, cfg.Fault.TaskFailProb} {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				t.Fatalf("Validate accepted non-finite %v (%+v)", x, cfg)

@@ -161,11 +161,11 @@ func (d *Driver) reexecuteLostMaps(j *Job, m cluster.Machine) {
 			lost++
 		}
 	}
-	// Re-executed maps can drag progress back under the slowstart gate.
-	d.syncReduceGate(j)
 	if lost == 0 || !barrierWasDone {
 		return
 	}
+	// The barrier reopens: the job's pending reduces are no longer ready.
+	d.agg.readyPendingReduces -= j.PendingReduces()
 	for i := range j.Reduces {
 		if r := &j.Reduces[i]; r.State == TaskShuffling {
 			r.pendingEvent.Cancel()

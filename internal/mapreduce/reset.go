@@ -39,11 +39,7 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 		totalSlots: d.cluster.TotalSlots(),
 	}
 
-	// Calendar buckets sized to the dominant event period: heartbeats,
-	// completions and shuffle transitions land in the O(1) ring; control
-	// ticks and far-future submissions take the overflow band.
 	d.engine.Reset()
-	d.engine.SetBucketWidth(cfg.Heartbeat)
 	d.cluster.Reset()
 	d.meter.Reset()
 	// Each stream is seeded with ForkSeed(seed, label), the seed
@@ -54,7 +50,7 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	if err := d.faults.Reset(cfg.Fault, sim.ForkSeed(cfg.Seed, "fault")); err != nil {
 		return err
 	}
-	d.ns.Reset(cfg.Replication, sim.ForkSeed(cfg.Seed, "hdfs"))
+	d.ns.Reset(sim.ForkSeed(cfg.Seed, "hdfs"))
 	d.local.Reseed(sim.ForkSeed(cfg.Seed, "locality"))
 	d.ctx.Rng.Reseed(sim.ForkSeed(cfg.Seed, "sched"))
 
@@ -66,13 +62,7 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	d.covering = zeroed(d.covering, n, cfg.Power.Enabled)
 	d.lastBusy = zeroed(d.lastBusy, n, cfg.Power.Enabled)
 
-	// Placement constraints were dropped by ns.Reset: exclusions first,
-	// then the covering subset.
-	for _, typeName := range cfg.ComputeOnlyTypes {
-		for _, m := range d.cluster.ByType(typeName) {
-			d.ns.ExcludeFromPlacement(m.ID())
-		}
-	}
+	// ns.Reset dropped the covering subset.
 	if cfg.Power.Enabled {
 		var coveringIDs []int
 		for _, name := range d.cluster.TypeNames() {
@@ -91,7 +81,6 @@ func (d *Driver) Reset(sched Scheduler, cfg Config) error {
 	}
 	d.expiryQ.reset(n, d.faults.Enabled())
 
-	d.tabulateEstimates()
 	clear(d.done)
 	clear(d.doneByMachine)
 	d.resetAggregates()

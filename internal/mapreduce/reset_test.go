@@ -20,41 +20,34 @@ import (
 // applies configFields[i] to the base configuration.
 var configFields = []struct {
 	name string
-	vary func(*mapreduce.Config, *cluster.Cluster)
+	vary func(*mapreduce.Config)
 }{
-	{"Heartbeat", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Heartbeat = 5 * time.Second }},
-	{"ControlInterval", func(c *mapreduce.Config, _ *cluster.Cluster) { c.ControlInterval = 45 * time.Second }},
-	{"Slowstart", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Slowstart = 0.5 }},
-	{"Noise", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Noise = noise.Default() }},
-	{"Replication", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Replication = 1 }},
-	{"Seed", func(c *mapreduce.Config, _ *cluster.Cluster) { c.Seed++ }},
-	{"KeepTaskRecords", func(c *mapreduce.Config, _ *cluster.Cluster) { c.KeepTaskRecords = true }},
-	{"ForcedLocalFraction", func(c *mapreduce.Config, _ *cluster.Cluster) { c.ForcedLocalFraction = 0.5 }},
-	{"NetShareDivisor", func(c *mapreduce.Config, _ *cluster.Cluster) { c.NetShareDivisor = 8 }},
-	{"ComputeOnlyTypes", func(c *mapreduce.Config, fleet *cluster.Cluster) {
-		c.ComputeOnlyTypes = fleet.TypeNames()[:1]
-	}},
-	{"Power", func(c *mapreduce.Config, _ *cluster.Cluster) {
+	{"ControlInterval", func(c *mapreduce.Config) { c.ControlInterval = 45 * time.Second }},
+	{"Noise", func(c *mapreduce.Config) { c.Noise = noise.Default() }},
+	{"Seed", func(c *mapreduce.Config) { c.Seed++ }},
+	{"KeepTaskRecords", func(c *mapreduce.Config) { c.KeepTaskRecords = true }},
+	{"ForcedLocalFraction", func(c *mapreduce.Config) { c.ForcedLocalFraction = 0.5 }},
+	{"Power", func(c *mapreduce.Config) {
 		c.Power = mapreduce.PowerMgmt{Enabled: true, IdleTimeout: 10 * time.Second}
 	}},
-	{"Fault", func(c *mapreduce.Config, _ *cluster.Cluster) {
+	{"Fault", func(c *mapreduce.Config) {
 		c.Fault = fault.Config{MachineMTBF: time.Hour, TaskFailProb: 0.05, BlacklistThreshold: 2}
 	}},
-	{"Probe", func(c *mapreduce.Config, _ *cluster.Cluster) {
+	{"Probe", func(c *mapreduce.Config) {
 		c.Probe = probe.New(probe.Config{})
 	}},
 }
 
-// resetConfig builds the configuration a fuzz mask selects over fleet: the
-// default configuration with a 30 s control interval and the given seed,
-// varied in the fields whose bits are set. Each call builds a fresh probe.
-func resetConfig(mask uint16, seed int64, fleet *cluster.Cluster) mapreduce.Config {
+// resetConfig builds the configuration a fuzz mask selects: the default
+// configuration with a 30 s control interval and the given seed, varied in
+// the fields whose bits are set. Each call builds a fresh probe.
+func resetConfig(mask uint16, seed int64) mapreduce.Config {
 	cfg := mapreduce.DefaultConfig()
 	cfg.ControlInterval = 30 * time.Second
 	cfg.Seed = seed
 	for i, f := range configFields {
 		if mask&(1<<i) != 0 {
-			f.vary(&cfg, fleet)
+			f.vary(&cfg)
 		}
 	}
 	return cfg
@@ -120,8 +113,7 @@ func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
 // policy reset, and runs another mix, drawn from another seed with another
 // job count; the Stats must deep-equal those of a new driver's run of the
 // second mix under B on a fresh copy of the fleet. So the compared run is
-// carved out of an arena that holds a larger or smaller old mix, at the
-// old replica count when A and B differ in it.
+// carved out of an arena that holds a larger or smaller old mix.
 //
 // Both drivers run under EnableInvariantChecks: after every mutating
 // event the aggregates are recomputed from the machines and jobs, so a
@@ -137,14 +129,14 @@ func resetEnd(end uint8) (prior, compared time.Duration, rejected bool) {
 // same gives the prior run the compared run's mix instead; the driver's
 // namespace must then restore the prior run's placement exactly when the
 // prior run placed its inputs and A and B agree in every placement input
-// (Seed, Replication, ComputeOnlyTypes and Power). The seed corpus varies
-// each Config field alone, in both directions, on fleets of six machines
-// running four jobs after one, and again with the prior run on the
-// compared mix. It also runs each of the five policy setups twice with
-// noise, consolidation and faults on, three jobs after four, its prior run
-// cut mid-flight, its compared runs once complete and once cut too, and
-// again with the prior run cut on the compared mix; and it rejects one
-// prior run, on another mix and on the compared one.
+// (Seed and Power). The seed corpus varies each Config field alone, in
+// both directions, on fleets of six machines running four jobs after one,
+// and again with the prior run on the compared mix, under two policies
+// per field. It also runs each of the five policy setups twice with noise,
+// consolidation and faults on, three jobs after four, its prior run cut
+// mid-flight, its compared runs once complete and once cut too, and again
+// with the prior run cut on the compared mix; and it rejects one prior
+// run, on another mix and on the compared one.
 func FuzzResetEqualsNew(f *testing.F) {
 	cfgType := reflect.TypeOf(mapreduce.Config{})
 	if cfgType.NumField() != len(configFields) {
@@ -161,20 +153,27 @@ func FuzzResetEqualsNew(f *testing.F) {
 		case "Power":
 			churn |= 1 << i
 			placement |= 1 << i
-		case "Seed", "Replication", "ComputeOnlyTypes":
+		case "Seed":
 			placement |= 1 << i
 		}
 	}
 	policies := append(quietPolicies(), quietPolicy{"LATE", func() mapreduce.Scheduler { return sched.NewLATE() }})
-	// Config field i runs under the i-th policy of this rotation.
+	// Config field i runs under the i-th policy of this rotation, so every
+	// policy gets a field seed.
 	rotation := []string{"FIFO", "Fair", "Tarazu", "E-Ant", "LATE"}
-	for i := range configFields {
-		pol := seedIndex(f, policies, policyName, rotation[i%len(rotation)])
-		for _, same := range []uint8{0, 1} {
-			f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(0), uint16(1)<<i, uint8(0), same)
-			f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
+	if len(configFields) < len(rotation) {
+		f.Fatalf("%d Config fields leave policies of %v without a field seed", len(configFields), rotation)
+	}
+	fieldSeeds := func(shift int) {
+		for i := range configFields {
+			pol := seedIndex(f, policies, policyName, rotation[(i+shift)%len(rotation)])
+			for _, same := range []uint8{0, 1} {
+				f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(0), uint16(1)<<i, uint8(0), same)
+				f.Add(int64(i), uint8(i), uint8(10), pol, uint8(3), uint16(1)<<i, uint16(0), uint8(0), same)
+			}
 		}
 	}
+	fieldSeeds(0)
 	// Two seeds per policy setup with noise, consolidation and faults on
 	// in both configurations: the prior run and the compared runs each
 	// crash a machine, blacklist one, and sleep and wake machines (LATE's
@@ -207,6 +206,9 @@ func FuzzResetEqualsNew(f *testing.F) {
 	// mid-flight: state a policy keys by the job's slot in the mix (E-Ant's
 	// colony table) must have been cleared by its reset.
 	churnSeeds(1)
+	// Every Config field again under the next policy of the rotation, so
+	// each field runs under two policies.
+	fieldSeeds(1)
 	f.Fuzz(func(t *testing.T, seed int64, types, size, policy, jobs uint8, a, b uint16, end, same uint8) {
 		pol := policies[int(policy)%len(policies)]
 		n := int(jobs) % 4
@@ -225,7 +227,7 @@ func FuzzResetEqualsNew(f *testing.F) {
 
 		warmFleet := resetFleet(types, size)
 		s := pol.build()
-		d, err := mapreduce.NewDriver(warmFleet, s, resetConfig(a, seed, warmFleet))
+		d, err := mapreduce.NewDriver(warmFleet, s, resetConfig(a, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +236,7 @@ func FuzzResetEqualsNew(f *testing.F) {
 			t.Fatalf("prior run (duplicated job ID: %v): %v", rejected, err)
 		}
 		resetPolicy(s)
-		cfgB := resetConfig(b, seed, warmFleet)
+		cfgB := resetConfig(b, seed)
 		if err := d.Reset(s, cfgB); err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +253,7 @@ func FuzzResetEqualsNew(f *testing.F) {
 		}
 
 		coldFleet := resetFleet(types, size)
-		fresh, err := mapreduce.NewDriver(coldFleet, pol.build(), resetConfig(b, seed, coldFleet))
+		fresh, err := mapreduce.NewDriver(coldFleet, pol.build(), resetConfig(b, seed))
 		if err != nil {
 			t.Fatal(err)
 		}

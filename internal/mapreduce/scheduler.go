@@ -76,21 +76,14 @@ func (c *Context) Probe() *probe.Probe { return c.driver.probe }
 // slice is shared; callers must not mutate it.
 func (c *Context) ActiveJobs() []*Job { return c.driver.active }
 
-// ControlInterval returns the configured policy-refresh period.
-func (c *Context) ControlInterval() time.Duration { return c.driver.cfg.ControlInterval }
-
 // ReduceReady reports whether j's reduces may be scheduled yet: the job's
-// map progress has passed the slowstart threshold and reduces remain. The
-// gate reads the cached reduceGateOpen flag, which syncReduceGate
-// re-derives whenever mapsDone changes (checkAggregates verifies the two
-// never diverge), so the call is two integer reads per offer instead of a
-// floating-point progress ratio.
+// map barrier has passed and reduces remain.
 func (c *Context) ReduceReady(j *Job) bool {
-	return j.reduceGateOpen && j.PendingReduces() != 0
+	return j.MapsDone() && j.PendingReduces() != 0
 }
 
 // ReadyReduceTasks returns the cluster-wide count of pending reduces on
-// jobs whose slowstart gate is open — zero exactly when no job satisfies
+// jobs past their map barrier — zero exactly when no job satisfies
 // ReduceReady, letting schedulers skip the active-job scan on idle-reduce
 // heartbeats.
 func (c *Context) ReadyReduceTasks() int {

@@ -156,62 +156,3 @@ func TestCompletionTalliesMatchRecords(t *testing.T) {
 		}
 	})
 }
-
-// TestWarmDivisorChangeEqualsCold changes NetShareDivisor between two runs
-// of one driver under the two policies that read service estimates: the
-// warm run must equal a cold driver built with the new divisor. (The
-// estimates themselves do not read the divisor — maps are estimated
-// data-local and reduces without their shuffle — but every remote read
-// and shuffle of the run does.)
-func TestWarmDivisorChangeEqualsCold(t *testing.T) {
-	cfg := func(divisor float64) mapreduce.Config {
-		c := mapreduce.DefaultConfig()
-		c.Seed = 5
-		c.Noise = noise.Default()
-		c.NetShareDivisor = divisor
-		return c
-	}
-	for _, tc := range []struct {
-		name string
-		make func() mapreduce.Scheduler
-		// reset readies the policy for its next run, as eant.Runner does.
-		reset func(mapreduce.Scheduler) error
-	}{
-		{"Tarazu", func() mapreduce.Scheduler { return sched.NewTarazu() },
-			func(p mapreduce.Scheduler) error { p.(*sched.Tarazu).ResetForRun(); return nil }},
-		{"E-Ant", func() mapreduce.Scheduler { return newEAnt(t) },
-			func(p mapreduce.Scheduler) error { return p.(*core.EAnt).ResetForRun(core.DefaultParams()) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			jobs := mixedJobs()
-			p := tc.make()
-			d, err := mapreduce.NewDriver(cluster.Testbed(), p, cfg(16))
-			if err != nil {
-				t.Fatal(err)
-			}
-			d.EnableInvariantChecks(func(err error) { t.Fatal(err) })
-			first, err := d.Run(jobs, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.reset(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Reset(p, cfg(8)); err != nil {
-				t.Fatal(err)
-			}
-			warm, err := d.Run(jobs, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := run(t, cluster.Testbed(), tc.make(), cfg(8), jobs)
-			if !reflect.DeepEqual(warm, cold) {
-				t.Errorf("warm run at divisor 8 differs from cold: makespan %v vs %v, %v J vs %v J",
-					warm.Horizon, cold.Horizon, warm.TotalJoules, cold.TotalJoules)
-			}
-			if reflect.DeepEqual(first, cold) {
-				t.Error("divisor 16 and 8 ran identically; the divisor change went unexercised")
-			}
-		})
-	}
-}

@@ -215,12 +215,6 @@ type Job struct {
 	// index here, so removal swaps the last entry into its place.
 	inFlight []*Task
 
-	// reduceGateOpen caches whether MapProgress has passed the slowstart
-	// threshold, so the ready-pending-reduce aggregate knows which jobs'
-	// pending reduces count as schedulable. Synced by Driver.syncReduceGate
-	// at submit, map completion, and lost-map re-execution (progress can
-	// move backwards).
-	reduceGateOpen bool
 	// reduceEst is EstimateReduceSeconds per machine type (TypeSpecs
 	// order), filled at submission: shuffle volume and profile are fixed
 	// by the spec.
@@ -305,14 +299,6 @@ func (j *Job) Failed() bool { return j.failed }
 // MapsDone reports whether the map phase is complete (shuffle barrier
 // lifted).
 func (j *Job) MapsDone() bool { return j.mapsDone == len(j.Maps) }
-
-// MapProgress returns the completed-map fraction in [0, 1].
-func (j *Job) MapProgress() float64 {
-	if len(j.Maps) == 0 {
-		return 1
-	}
-	return float64(j.mapsDone) / float64(len(j.Maps))
-}
 
 // PendingMaps returns the map FIFO's entry count: the unassigned map
 // tasks plus the stale entries that locality pops leave behind until a

@@ -86,8 +86,8 @@ func TestNewJobMaterializesTasks(t *testing.T) {
 	if j.PendingMaps() != 5 || j.PendingReduces() != 3 {
 		t.Error("pending counts wrong at creation")
 	}
-	if j.MapProgress() != 0 {
-		t.Error("map progress should start at 0")
+	if j.MapsDone() {
+		t.Error("map barrier should start closed")
 	}
 	for i, task := range j.Maps {
 		if task.Index != i || task.Kind != MapTask || task.State != TaskPending {
@@ -250,22 +250,13 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := DefaultConfig()
-	bad.Slowstart = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("slowstart > 1 accepted")
-	}
-	bad = DefaultConfig()
 	bad.ForcedLocalFraction = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("forced local fraction > 1 accepted")
 	}
 	nonFinite := []func(*Config){
-		func(c *Config) { c.Slowstart = math.NaN() },
-		func(c *Config) { c.Slowstart = math.Inf(-1) },
 		func(c *Config) { c.ForcedLocalFraction = math.NaN() },
 		func(c *Config) { c.ForcedLocalFraction = math.Inf(-1) },
-		func(c *Config) { c.NetShareDivisor = math.NaN() },
-		func(c *Config) { c.NetShareDivisor = math.Inf(1) },
 		func(c *Config) { c.Power.SleepWatts = math.NaN() },
 		func(c *Config) { c.Power.SleepWatts = math.Inf(1) },
 	}

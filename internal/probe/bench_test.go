@@ -29,7 +29,7 @@ func disabledProbeCalls(p *Probe) {
 	if p != nil {
 		p.ControlTick(time.Second, 100, 4)
 	}
-	sinkCounts += p.Recorded()
+	sinkCounts += p.Report().Events
 }
 
 // TestDisabledProbeZeroAllocs pins the headline overhead contract: with no

@@ -231,11 +231,3 @@ func (p *Probe) Sample(at time.Duration, machineID int, machineType string, util
 	p.record(Event{At: at, Kind: KindSample, MachineID: int32(machineID), Label: machineType,
 		A: util, B: joules, N: int32(freeMap), M: int32(freeReduce)})
 }
-
-// Recorded returns the total number of events recorded.
-func (p *Probe) Recorded() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seq
-}

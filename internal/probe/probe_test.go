@@ -54,9 +54,6 @@ func TestNilProbeIsNoOp(t *testing.T) {
 	if p.ShouldSample() {
 		t.Error("nil probe should never sample")
 	}
-	if p.Recorded() != 0 {
-		t.Error("nil probe should record nothing")
-	}
 	r := p.Report()
 	if r.Events != 0 || r.TaskEnergyJ != nil {
 		t.Error("nil probe Report should be empty")
@@ -88,12 +85,12 @@ func TestProbeFootprint(t *testing.T) {
 		p.JobDone(at, i, false, at, at)
 	}
 	runtime.ReadMemStats(&after)
-	if p.Recorded() != 10*rounds {
-		t.Fatalf("Recorded = %d, want %d", p.Recorded(), 10*rounds)
+	if p.Report().Events != 10*rounds {
+		t.Fatalf("Report().Events = %d, want %d", p.Report().Events, 10*rounds)
 	}
 	const bound = 64 << 10
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-		t.Errorf("a probe with no sink allocated %d bytes over %d records, want at most %d", got, p.Recorded(), bound)
+		t.Errorf("a probe with no sink allocated %d bytes over %d records, want at most %d", got, p.Report().Events, bound)
 	}
 }
 
@@ -190,8 +187,8 @@ func TestSinkSeesEveryEvent(t *testing.T) {
 	if got[0].Kind != KindTrailRow || !reflect.DeepEqual(got[0].Row, []float64{1, 2, 3}) {
 		t.Errorf("retained trail_row event = %+v, want row [1 2 3]", got[0])
 	}
-	if p.Recorded() != 10 {
-		t.Errorf("Recorded = %d, want 10", p.Recorded())
+	if p.Report().Events != 10 {
+		t.Errorf("Report().Events = %d, want 10", p.Report().Events)
 	}
 }
 
@@ -311,8 +308,8 @@ func TestStreamErrorSticky(t *testing.T) {
 	if s.err != err {
 		t.Error("stream error should be sticky")
 	}
-	if p.Recorded() != 3 {
-		t.Errorf("the probe should keep recording past stream errors; Recorded=%d", p.Recorded())
+	if p.Report().Events != 3 {
+		t.Errorf("the probe should keep recording past stream errors; Report().Events = %d", p.Report().Events)
 	}
 }
 
@@ -357,8 +354,8 @@ func TestMergeReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Events != a.Recorded()+b.Recorded() {
-		t.Errorf("merged Events = %d, want %d", m.Events, a.Recorded()+b.Recorded())
+	if m.Events != 5+2 {
+		t.Errorf("merged Events = %d, want 5 + 2", m.Events)
 	}
 	if m.TaskEnergyJ.Count != 6 || m.TaskEnergyJ.Max != 200 {
 		t.Errorf("merged energy: count=%d max=%v", m.TaskEnergyJ.Count, m.TaskEnergyJ.Max)

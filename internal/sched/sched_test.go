@@ -6,7 +6,10 @@ import (
 
 	"eant/internal/cluster"
 	"eant/internal/mapreduce"
+	"eant/internal/noise"
+	"eant/internal/probe"
 	"eant/internal/sched"
+	"eant/internal/sim"
 	"eant/internal/workload"
 )
 
@@ -83,50 +86,66 @@ func TestFairSharesAmongJobs(t *testing.T) {
 	}
 }
 
-func TestTarazuShiftsLoadTowardCapableMachines(t *testing.T) {
-	// A slot-heavy but compute-weak machine: Fair fills its 8 map slots
-	// blindly; Tarazu caps it near its ~8% capability share.
-	slug := &cluster.TypeSpec{
-		Name: "Slug", Cores: 4, SpeedFactor: 0.35, MemoryGB: 8,
-		DiskMBps: 90, NetMBps: 117, IdleWatts: 18, AlphaWatts: 12,
-		MapSlots: 8, ReduceSlots: 2,
+// TestTarazuRemoteGateBoundsShare pins Tarazu's remote-work gate on MSD
+// runs on the paper testbed. It replays Tarazu's started counts from the
+// runs' map assign events: every remote start after the first must keep
+// its machine's share of the starts, this one included, within the
+// machine's capability share (cores × speed over the fleet's) times the
+// 1.5 slack.
+func TestTarazuRemoteGateBoundsShare(t *testing.T) {
+	const slack = 1.5
+	machines := cluster.Testbed().Machines()
+	capShare := make([]float64, len(machines))
+	var fleetCap float64
+	for _, m := range machines {
+		capShare[m.ID()] = float64(m.Spec().Cores) * m.Spec().SpeedFactor
+		fleetCap += capShare[m.ID()]
 	}
-	fleet := func() *cluster.Cluster {
-		return cluster.MustNew(
-			cluster.Group{Spec: cluster.SpecDesktop, Count: 2},
-			cluster.Group{Spec: slug, Count: 1},
-		)
+	for id := range capShare {
+		capShare[id] /= fleetCap
 	}
-	runOn := func(s mapreduce.Scheduler) *mapreduce.Stats {
+	for seed := int64(1); seed <= 3; seed++ {
+		jobs, err := workload.GenerateMSD(workload.MSDConfig{Jobs: 40, Scale: 64, MeanInterarrival: 30 * time.Second}, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var assigns []probe.Event
 		cfg := mapreduce.DefaultConfig()
-		// The Slug runs no DataNode, so all of its work would be remote
-		// and the capability gate decides how much it gets.
-		cfg.ComputeOnlyTypes = []string{"Slug"}
-		d, err := mapreduce.NewDriver(fleet(), s, cfg)
+		cfg.ControlInterval = 30 * time.Second
+		cfg.Seed = seed
+		cfg.Noise = noise.Default()
+		cfg.Probe = probe.New(probe.Config{Sink: func(ev probe.Event) {
+			if ev.Kind == probe.KindAssign && ev.TaskKind == int8(mapreduce.MapTask) {
+				assigns = append(assigns, ev)
+			}
+		}})
+		d, err := mapreduce.NewDriver(cluster.Testbed(), sched.NewTarazu(), cfg)
 		if err != nil {
-			t.Fatalf("NewDriver: %v", err)
+			t.Fatal(err)
 		}
-		stats, err := d.Run(workload.Batch(workload.Grep, 4, 3200, 0, 0), 12*time.Hour)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+		if _, err := d.Run(jobs, -1); err != nil {
+			t.Fatal(err)
 		}
-		return stats
-	}
-	share := func(s *mapreduce.Stats, machineType string) float64 {
-		total := 0
-		for _, n := range s.CompletedByMachine {
-			total += n
+		started := make([]int, len(capShare))
+		remote, over := 0, 0
+		for total, ev := range assigns {
+			m := ev.MachineID
+			if !ev.Flag && total > 0 {
+				remote++
+				if share := float64(started[m]+1) / float64(total+1); share > capShare[m]*slack {
+					over++
+					t.Logf("seed %d: remote start %d on machine %d at %v: share %.4f over %.4f", seed, total, m, ev.At, share, capShare[m]*slack)
+				}
+			}
+			started[m]++
 		}
-		byType := 0
-		for _, app := range workload.Apps() {
-			byType += s.CompletedByTypeApp(machineType, app)
+		t.Logf("seed %d: %d of %d map starts remote after the first", seed, remote, len(assigns))
+		if remote == 0 {
+			t.Errorf("seed %d: no remote map start after the first; the gate went unexercised", seed)
 		}
-		return float64(byType) / float64(total)
-	}
-	fairShare := share(runOn(sched.NewFair()), "Slug")
-	tarazuShare := share(runOn(sched.NewTarazu()), "Slug")
-	if tarazuShare >= fairShare {
-		t.Errorf("Tarazu Slug share %.3f not below Fair %.3f", tarazuShare, fairShare)
+		if over > 0 {
+			t.Errorf("seed %d: %d of %d remote starts took a machine past its capability share × %v", seed, over, remote, slack)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func TestProbeDoesNotPerturbStats(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if probed.Probe.Recorded() == 0 {
+				if probed.Probe.Report().Events == 0 {
 					t.Fatal("probe recorded nothing; the hooks are not wired")
 				}
 				if !reflect.DeepEqual(bare.Stats, withProbe.Stats) {

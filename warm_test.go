@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"eant/internal/experiments"
 )
 
 // warmCase is one sweep shape run two ways: cold (a fresh world per spec,
@@ -180,39 +178,6 @@ func TestWarmEqualsCold(t *testing.T) {
 			compare(0, colds[0], runSpec(c.specs[0], runner))
 		})
 	}
-
-	// The HDFS replica count is not a RunSpec field, so this case runs the
-	// specs' campaigns directly: consecutive warm runs place one mix at
-	// replica strides 3, 1 and 2, then at 3 again, each into the namespace
-	// and arena the previous run left. Each changes the replica count, so
-	// none may restore the placement before it.
-	t.Run("replication_change", func(t *testing.T) {
-		runner, err := NewRunner(cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scheds := []Scheduler{SchedulerEAnt, SchedulerFair, SchedulerTarazu, SchedulerEAnt}
-		for i, reps := range []int{3, 1, 2, 3} {
-			c, err := specCampaign(RunSpec{Cluster: cl, Scheduler: scheds[i], Jobs: MSDWorkload(10, 10), Seed: 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Config.Replication = reps
-			warm, err := runner.world.Run(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Cluster = cl.Clone()
-			cold, err := experiments.RunAll([]experiments.Campaign{c}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cold[0], warm) {
-				t.Errorf("run %d (replication %d): warm Stats diverged from cold: joules %v vs %v, local maps %d vs %d",
-					i, reps, warm.TotalJoules, cold[0].TotalJoules, warm.LocalMaps, cold[0].LocalMaps)
-			}
-		}
-	})
 }
 
 // TestWarmAfterFailedRun pins warm reuse across the error paths. One
